@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
 from .model_core import GridConfig, write_sample_csv
-from .rates import (ModulusSpec, deterministic_hw, holder_modulus, modulus_bar,
-                    rate_report)
+from .rates import ModulusSpec, holder_modulus, modulus_bar, rate_report
 from .selection import select_bandwidth
 from . import dgp
 from . import stability as stab
@@ -174,14 +173,6 @@ class CampaignConfig:
     def process_for(self, n: int) -> dgp.ProcessSpec:
         return make_process(self.raw["process"], n)
 
-    def px_model(self):
-        proc = self.raw.get("process", {})
-        if proc.get("kind") == "mixing_ar1":
-            return dgp.gaussian_design(float(proc.get("x", 0.0))).interval_prob
-        if "design" in proc:
-            return make_design(proc["design"]).interval_prob
-        return None
-
 
 def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
     try:
@@ -314,7 +305,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
         row["error"] = "anchor_undefined"
 
     if cfg.modulus is not None:
-        rep_rates = rate_report(sample, grid, cfg.modulus, cfg.px_model())
+        rep_rates = rate_report(sample, grid, cfg.modulus, spec.px_form)
         h_star = rep_rates.h_star
         row["h_star"] = h_star
         row["omega_prime"] = rep_rates.omega_prime
@@ -326,7 +317,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
             h_star=h_star, rate_random=rep_rates.rate_random,
             h_w=rep_rates.h_w, rate_det=rep_rates.rate_det,
             ratio=rep_rates.ratio, omega0=rep_rates.omega_0,
-            omega_prime=rep_rates.omega_prime, h_w_emp=rep_rates.h_w_emp)
+            omega_prime=rep_rates.omega_prime)
 
     if sel.defined and sample.truth is not None:
         f_x = float(np.asarray(sample.truth(grid.x_point.reshape(1, -1))).reshape(-1)[0])
@@ -430,25 +421,28 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(slope), float(se)
 
 
+def _median(values: list) -> Optional[float]:
+    return float(np.median(values)) if values else None
+
+
 def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
+    """Per-n rate summary plus the log-log fit of h_w and w(h_w) against 1/n.
+
+    h_w and rate_det are the medians over the cells whose rate report has
+    them, so each uses its own sample's sigma; for a fixed n and a constant
+    sigma every rep carries the same value.
+    """
     if cfg.modulus is None:
         raise ConfigError("rates needs a modulus section")
-    px = cfg.px_model()
-    if px is None:
+    if cfg.process_for(cfg.n_ladder[0]).px_form is None:
         raise ConfigError("rates needs a process with a closed-form design law")
     cells = run_estimate_cells(cfg, jobs)
     by_n = {}
     for c in cells:
         by_n.setdefault(c["rate"]["n"], []).append(c["rate"])
-    sigma = float(cfg.raw.get("process", {}).get("sigma", 1.0))
     rows = []
     for n in cfg.n_ladder:
         group = by_n.get(n, [])
-        try:
-            hw = deterministic_hw(px, cfg.modulus, n, sigma, cfg.grid)
-            det = float(cfg.modulus.w(hw))
-        except Exception:
-            hw = det = None
         rnd = [r["rate_random"] for r in group if r["rate_random"] is not None]
         contained = [
             r for r in group
@@ -456,9 +450,9 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         ]
         rows.append({
             "n": n,
-            "h_w": hw,
-            "rate_det": det,
-            "median_rate_random": float(np.median(rnd)) if rnd else None,
+            "h_w": _median([r["h_w"] for r in group if r["h_w"] is not None]),
+            "rate_det": _median([r["rate_det"] for r in group if r["rate_det"] is not None]),
+            "median_rate_random": _median(rnd),
             "containment_freq": len(contained) / max(len(group), 1),
             "omega0_fail_freq": sum(1 for r in group if not r["omega0"]) / max(len(group), 1),
             "n_rep": len(group),
@@ -466,8 +460,7 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
     fit = {}
     det_ok = [(r["n"], r["h_w"], r["rate_det"]) for r in rows if r["rate_det"] is not None]
     if len(det_ok) >= 2:
-        ns = np.array([v[0] for v in det_ok], dtype=float)
-        x = sigma**2 / ns
+        x = 1.0 / np.array([v[0] for v in det_ok], dtype=float)
         slope_h, se_h = fit_loglog_slope(x, np.array([v[1] for v in det_ok]))
         slope_w, se_w = fit_loglog_slope(x, np.array([v[2] for v in det_ok]))
         fit = {"slope_hw": slope_h, "stderr_hw": se_h,
@@ -479,6 +472,7 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         write_rows(p, RATES_HEADER, rows, fmt)
         out.setdefault("paths", []).append(p)
     if fit:
+        cfg.outputs.mkdir(parents=True, exist_ok=True)
         fit_path = cfg.outputs / "rates_fit.json"
         with open(fit_path, "w", encoding="utf-8") as fh:
             json.dump(fit, fh, indent=1, sort_keys=True)

@@ -146,6 +146,14 @@ class OccupationProfile:
         """The normalized levels (psi(h)/L(h))^(1/2), increasing along the grid."""
         return np.sqrt(self.psi_values / self.l_values)
 
+    def last_feasible(self, bound) -> Optional[int]:
+        """Index of the smallest bandwidth whose level is <= bound (a scalar or
+        one value per element), or None when h0 already fails."""
+        feasible = self.levels <= bound
+        if not feasible[0]:
+            return None
+        return int(np.flatnonzero(feasible)[-1])
+
 
 @dataclass
 class GridStats:
@@ -165,20 +173,37 @@ class GridStats:
 # elementary operations
 # ------------------------------------------------------------------
 
+def _ball_sum(sample: SamplePath, x_point, h: float, values=None, *,
+              mean: bool = False) -> float:
+    """sum_k sigma_{k-1}^(-2) 1{|X_{k-1} - x| <= h} v_k with v = values (v = 1
+    when None); mean=True divides by L(h) and raises EmptyWindow when L(h) = 0."""
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
+    mask = sample.distances(x_point) <= h
+    if mean and not mask.any():
+        raise EmptyWindow(f"no observation within h={h} of the estimation point")
+    w = sample.sigma[mask] ** -2.0
+    if values is None:
+        return float(np.sum(w))
+    total = np.sum(w * values[mask])
+    return float(total / np.sum(w) if mean else total)
+
+
 def occupation_time(sample: SamplePath, x_point, h: float) -> float:
     """Occupation time L(h) = sum_k sigma_{k-1}^(-2) 1{|X_{k-1} - x| <= h}.
 
     Returns 0.0 (not an error) when no covariate falls in the closed ball.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    mask = sample.distances(x_point) <= h
-    return float(np.sum(sample.sigma[mask] ** -2.0))
+    return _ball_sum(sample, x_point, h)
 
 
-def psi(h: float, cfg: GridConfig) -> float:
-    """Threshold slope function psi(h) = 1 + b log(h0 / h); psi(h0) = 1."""
-    if not 0 < h <= cfg.h0:
+def psi(h, cfg: GridConfig):
+    """Threshold slope function psi(h) = 1 + b log(h0 / h), elementwise; psi(h0) = 1."""
+    if isinstance(h, np.ndarray):
+        outside = np.any((h <= 0) | (h > cfg.h0))
+    else:  # the scalar test is kept cheap: bisections call psi in a loop
+        outside = not 0 < h <= cfg.h0
+    if outside:
         raise ValueError(f"psi is defined on (0, h0]; got h={h} with h0={cfg.h0}")
     return 1.0 + cfg.b * np.log(cfg.h0 / h)
 
@@ -225,7 +250,7 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     bandwidths, counts = bandwidths[:last], counts[:last]
 
     l_values = cum_w[counts - 1]
-    psi_values = 1.0 + cfg.b * np.log(cfg.h0 / bandwidths)
+    psi_values = psi(bandwidths, cfg)
     f_hat = cum_wy[counts - 1] / l_values
 
     f_tilde = m_values = None
@@ -257,13 +282,7 @@ def kernel_estimate(sample: SamplePath, x_point, h: float) -> float:
     EmptyWindow
         when L(h) = 0.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    mask = sample.distances(x_point) <= h
-    if not mask.any():
-        raise EmptyWindow(f"no observation within h={h} of the estimation point")
-    w = sample.sigma[mask] ** -2.0
-    return float(np.sum(w * sample.y_obs[mask]) / np.sum(w))
+    return _ball_sum(sample, x_point, h, sample.y_obs, mean=True)
 
 
 def tilde_estimate(sample: SamplePath, x_point, h: float) -> float:
@@ -271,14 +290,7 @@ def tilde_estimate(sample: SamplePath, x_point, h: float) -> float:
 
     Test-only oracle; requires the sample to carry its regression truth.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    f_vals = sample.truth_values()
-    mask = sample.distances(x_point) <= h
-    if not mask.any():
-        raise EmptyWindow(f"no observation within h={h} of the estimation point")
-    w = sample.sigma[mask] ** -2.0
-    return float(np.sum(w * f_vals[mask]) / np.sum(w))
+    return _ball_sum(sample, x_point, h, sample.truth_values(), mean=True)
 
 
 def martingale_part(sample: SamplePath, x_point, h: float) -> float:
@@ -286,11 +298,7 @@ def martingale_part(sample: SamplePath, x_point, h: float) -> float:
 
     eps_k = Y_k - f(X_{k-1}); satisfies kernel - tilde = M(h)/L(h) when L(h) > 0.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    eps = sample.y_obs - sample.truth_values()
-    mask = sample.distances(x_point) <= h
-    return float(np.sum((sample.sigma[mask] ** -2.0) * eps[mask]))
+    return _ball_sum(sample, x_point, h, sample.y_obs - sample.truth_values())
 
 
 # ------------------------------------------------------------------

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TooFewSamples
-from .model_core import GridConfig, OccupationProfile, SamplePath, psi
+from .errors import GridEmpty, TooFewSamples
+from .model_core import GridConfig, OccupationProfile, SamplePath, build_grid, psi
 
 REL_TOL = 1e-10
 
@@ -114,11 +114,8 @@ def oracle_bandwidth(profile: OccupationProfile, w_spec: ModulusSpec,
 
     None when h0 already fails, i.e. off the event {L(h0)^(-1/2) <= W-bar(h0)}.
     """
-    wbar = modulus_bar(w_spec, profile.bandwidths, cfg.h0)
-    feasible = profile.levels <= wbar
-    if not feasible[0]:
-        return None
-    return float(profile.bandwidths[np.max(np.flatnonzero(feasible))])
+    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths, cfg.h0))
+    return None if j is None else float(profile.bandwidths[j])
 
 
 def omega_prime_event(profile: OccupationProfile, w_spec: ModulusSpec,
@@ -135,8 +132,31 @@ def omega_prime_event(profile: OccupationProfile, w_spec: ModulusSpec,
 # continuum bandwidths
 # ------------------------------------------------------------------
 
-def _bisect_first_feasible(g, lo: float, hi: float) -> float:
-    """Smallest root of the increasing function g on [lo, hi] with g(lo) < 0 <= g(hi)."""
+def _excess(level, h, w_spec: ModulusSpec, cfg: GridConfig):
+    """F(h) = level * w(h)^2 - psi(h): nonnegative exactly where the level
+    (psi(h)/level)^(1/2) is at most w(h).  Elementwise for arrays."""
+    return level * w_spec.w(h) ** 2 - psi(h, cfg)
+
+
+def _constant_sigma(sample: SamplePath) -> Optional[float]:
+    """The common noise scale of the sample, or None when sigma varies."""
+    sig = sample.sigma
+    return float(sig[0]) if np.allclose(sig, sig[0], rtol=1e-12, atol=0.0) else None
+
+
+def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
+    """Smallest root of the increasing function g on (lo, hi], given g(hi) >= 0
+    and, when lo is passed, g(lo) < 0.
+
+    Without lo the root is bracketed by halving from hi until g < 0; 0.0 comes
+    back when g stays nonnegative down to 1e-300.  Bisects to relative REL_TOL.
+    """
+    if lo is None:
+        lo = hi
+        while g(lo) >= 0:
+            lo *= 0.5
+            if lo < 1e-300:
+                return 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) >= 0:
@@ -154,43 +174,35 @@ def empirical_hw(sample: SamplePath, cfg: GridConfig,
 
     Requires a constant sigma across the sample.  L is a right-continuous
     nondecreasing step function of h, so F(h) = L(h) w(h)^2 - psi(h) is
-    increasing; the first feasible h is either a jump point (a realized
-    distance) or the root of F on the flat piece where the crossing occurs,
-    found by bisection to relative 1e-10.
+    increasing.  F is evaluated at both ends of every flat piece at once; on
+    the first piece where F reaches zero, the answer is its left end (a
+    realized distance) when F is already nonnegative there, and otherwise
+    the root of F inside the piece, found by bisection to relative 1e-10.
     """
-    sig = sample.sigma
-    if not np.allclose(sig, sig[0], rtol=1e-12, atol=0.0):
+    sigma = _constant_sigma(sample)
+    if sigma is None:
         raise ValueError("the empirical continuum bandwidth assumes a constant sigma")
-    inv_var = float(sig[0]) ** -2.0
 
     dist = sample.distances(cfg.x_point)
-    ds = np.unique(dist[dist <= cfg.h0])
-    if ds.size == 0:
+    lefts, counts = np.unique(dist[dist <= cfg.h0], return_counts=True)
+    if lefts.size == 0:
         return None  # L(h0) = 0
-    counts = np.searchsorted(np.sort(dist), ds, side="right")
-    levels = counts * inv_var
-
-    def F(h, lev):
-        return lev * float(w_spec.w(h)) ** 2 - psi(h, cfg)
-
-    if F(cfg.h0, levels[-1]) < 0:
+    levels = np.cumsum(counts) * sigma ** -2.0
+    rights = np.append(lefts[1:], cfg.h0)
+    right_ok = _excess(levels, rights, w_spec, cfg) >= 0
+    if not right_ok[-1]:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
 
-    for i in range(ds.size):
-        left = float(ds[i])
-        right = float(ds[i + 1]) if i + 1 < ds.size else cfg.h0
-        lev = float(levels[i])
-        if left > 0 and F(left, lev) >= 0:
-            return left  # first feasible point is the jump itself
-        if F(right, lev) >= 0:
-            # crossing lies inside this flat piece; bracket it from below
-            lo = left
-            if lo <= 0:  # piece starts at a zero distance; psi blows up as h -> 0
-                lo = right
-                while lo > 1e-300 and F(lo, lev) >= 0:
-                    lo *= 0.5
-            return _bisect_first_feasible(lambda h: F(h, lev), lo, right)
-    return cfg.h0  # unreachable when Omega_0 holds; kept as a safe fallback
+    pos = lefts > 0  # psi(0) is infinite: a piece starting at zero has no feasible left end
+    left_ok = np.zeros_like(pos)
+    left_ok[pos] = _excess(levels[pos], lefts[pos], w_spec, cfg) >= 0
+    i = int(np.argmax(left_ok | right_ok))
+    if left_ok[i]:
+        return float(lefts[i])
+    level, left, right = float(levels[i]), float(lefts[i]), float(rights[i])
+    # F(left) < 0 <= F(right) brackets the root; from a zero left end it is searched for
+    return _first_feasible(lambda h: _excess(level, h, w_spec, cfg), right,
+                           left if left > 0 else None)
 
 
 def deterministic_hw(px_model: Callable[[float], float], w_spec: ModulusSpec,
@@ -200,23 +212,18 @@ def deterministic_hw(px_model: Callable[[float], float], w_spec: ModulusSpec,
 
     px_model maps h to the closed-form design probability P_X([x-h, x+h]).
     Raises TooFewSamples when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the
-    threshold below which h_w does not exist.
+    threshold below which h_w does not exist.  Returns 0.0 for a degenerate
+    design whose expected occupation does not vanish near 0.
     """
 
     def G(h):
-        el = n * px_model(h) / sigma**2
-        return el * float(w_spec.w(h)) ** 2 - psi(h, cfg)
+        return _excess(n * px_model(h) / sigma**2, h, w_spec, cfg)
 
     if G(cfg.h0) < 0:
         raise TooFewSamples(
             f"need n >= sigma^2/(P_X[I_h0] w(h0)^2); got n={n}"
         )
-    lo = cfg.h0
-    while G(lo) >= 0:
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0  # expected occupation does not vanish near 0; degenerate design
-    return _bisect_first_feasible(G, lo, cfg.h0)
+    return _first_feasible(G, cfg.h0)
 
 
 # ------------------------------------------------------------------
@@ -248,13 +255,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: ModulusSpec,
                 px_model: Optional[Callable[[float], float]] = None) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 
-    The empirical part needs a constant sigma; the deterministic part needs a
-    closed-form design probability.  Omega_0 failures are flagged, never
-    raised, so campaign rows are retained.
+    Both continuum bandwidths need a constant sigma, so h_w_emp, h_w, the
+    rates and the ratio are None for a heteroscedastic sample; the
+    deterministic part also needs a closed-form design probability.  Omega_0
+    failures are flagged, never raised, so campaign rows are retained.
     """
-    from .model_core import build_grid  # local import keeps module load cheap
-    from .errors import GridEmpty
-
     n = sample.n_stop
     try:
         profile = build_grid(sample, cfg)
@@ -267,9 +272,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: ModulusSpec,
     omega_0 = l_h0 ** -0.5 <= float(w_spec.w(cfg.h0))
 
     report = RateReport(n=n, omega_0=bool(omega_0), omega_prime=omega_p, h_star=h_star)
+    sigma = _constant_sigma(sample)
+    if sigma is None:
+        return report
 
-    sig = sample.sigma
-    if omega_0 and np.allclose(sig, sig[0], rtol=1e-12, atol=0.0):
+    if omega_0:
         hw_emp = empirical_hw(sample, cfg, w_spec)
         if hw_emp is not None:
             report.h_w_emp = hw_emp
@@ -277,12 +284,10 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: ModulusSpec,
 
     if px_model is not None:
         try:
-            hw_det = deterministic_hw(px_model, w_spec, n, float(sig[0]), cfg)
+            report.h_w = deterministic_hw(px_model, w_spec, n, sigma, cfg)
+            report.rate_det = float(w_spec.w(report.h_w))
         except TooFewSamples:
-            hw_det = None
-        if hw_det is not None:
-            report.h_w = hw_det
-            report.rate_det = float(w_spec.w(hw_det))
+            pass
 
     if report.rate_random is not None and report.rate_det is not None:
         report.ratio = report.rate_random / report.rate_det

@@ -55,18 +55,8 @@ def bandwidth_at_level(profile: OccupationProfile, u: float) -> Optional[float]:
     """
     if u <= 0:
         raise ValueError("level u must be positive")
-    feasible = profile.levels <= u
-    if not feasible[0]:
-        return None
-    j = int(np.max(np.flatnonzero(feasible)))
-    return float(profile.bandwidths[j])
-
-
-def _anchor_index(profile: OccupationProfile, u0: float) -> Optional[int]:
-    feasible = profile.levels <= u0
-    if not feasible[0]:
-        return None
-    return int(np.max(np.flatnonzero(feasible)))
+    j = profile.last_feasible(u)
+    return None if j is None else float(profile.bandwidths[j])
 
 
 def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
@@ -78,7 +68,7 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     """
     stats = grid_statistics(sample, cfg)
     prof = stats.profile
-    j_anchor = _anchor_index(prof, cfg.u0)
+    j_anchor = prof.last_feasible(cfg.u0)
     if j_anchor is None:
         return SelectionResult(defined=False)
 

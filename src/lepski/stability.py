@@ -102,7 +102,8 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
         sign = rng.choice([-1.0, 1.0], size=size)
         return sign * mag
 
-    return NoiseSpec("truncated_laplace", 1, mu, gamma, sampler, variance)
+    # the name carries cut so that the random-stream key (_rule_tag) tells cuts apart
+    return NoiseSpec(f"truncated_laplace(cut={cut:g})", 1, mu, gamma, sampler, variance)
 
 
 def c_mu(alpha: int, mu: float) -> float:

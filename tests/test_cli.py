@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lepski import campaign, deterministic_hw, uniform_design
 from lepski.cli import main
 from lepski.model_core import read_sample_csv
 
@@ -166,6 +167,27 @@ class TestRates:
         assert len(lines) == 4
         fit = json.loads((out / "rates_fit.json").read_text())
         assert set(fit) == {"slope_hw", "stderr_hw", "slope_rate", "stderr_rate"}
+
+    def test_deterministic_bandwidth_uses_the_process_sigma(self, tmp_path):
+        # iid_regression has no process-level sigma; its scale comes from s_scale
+        doc = base_config(tmp_path / "out", n_ladder=[4000], n_rep=2)
+        doc["process"]["s_scale"]["params"]["value"] = 3.0
+        cfg = campaign.parse_campaign(doc)
+        row = campaign.run_rates(cfg)["rows"][0]
+        px = uniform_design(0.0, 1.0).interval_prob
+        expected = deterministic_hw(px, cfg.modulus, 4000, 3.0, cfg.grid)
+        assert row["h_w"] == expected
+        assert row["h_w"] == pytest.approx(0.0879, abs=5e-5)
+        assert row["rate_det"] == cfg.modulus.w(expected)
+
+    def test_no_output_formats_still_writes_the_fit(self, tmp_path):
+        out = tmp_path / "never_created"
+        cfg = campaign.parse_campaign(base_config(out, n_ladder=[200, 800], n_rep=2,
+                                                  formats=[]))
+        res = campaign.run_rates(cfg)
+        assert "paths" not in res
+        fit = json.loads((out / "rates_fit.json").read_text())
+        assert fit == res["fit"]
 
 
 class TestVerifyStability:

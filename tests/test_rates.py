@@ -132,6 +132,48 @@ class TestOmegaPrime:
         assert omega_prime_event(grid, spec, grid_cfg(j_max=1))
 
 
+def piecewise_scan_hw(sample, cfg, w_spec):
+    """H_w by walking the flat pieces of L one jump point at a time: the
+    reference for the vectorized `empirical_hw`."""
+    inv_var = float(sample.sigma[0]) ** -2.0
+    dist = sample.distances(cfg.x_point)
+    ds = np.unique(dist[dist <= cfg.h0])
+    if ds.size == 0:
+        return None
+    levels = np.searchsorted(np.sort(dist), ds, side="right") * inv_var
+
+    def F(h, lev):
+        return lev * float(w_spec.w(h)) ** 2 - psi(h, cfg)
+
+    def bisect(g, lo, hi):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if g(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-10 * hi:
+                break
+        return hi
+
+    if F(cfg.h0, levels[-1]) < 0:
+        return None
+    for i in range(ds.size):
+        left = float(ds[i])
+        right = float(ds[i + 1]) if i + 1 < ds.size else cfg.h0
+        lev = float(levels[i])
+        if left > 0 and F(left, lev) >= 0:
+            return left
+        if F(right, lev) >= 0:
+            lo = left
+            if lo <= 0:  # zero-distance piece: psi blows up as h -> 0
+                lo = right
+                while lo > 1e-300 and F(lo, lev) >= 0:
+                    lo *= 0.5
+            return bisect(lambda h: F(h, lev), lo, right)
+    raise AssertionError("F(h0) >= 0, so some piece is feasible")
+
+
 class TestEmpiricalHw:
     def test_single_observation_root(self):
         # one point at distance r, everything else far; sigma = 1, w(h) = sqrt(h):
@@ -176,6 +218,29 @@ class TestEmpiricalHw:
         s = SamplePath([[0.1], [0.2]], [0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             empirical_hw(s, grid_cfg(), holder_modulus(0.5, 1.0, 1.0))
+
+    def test_matches_piecewise_scan_exactly(self):
+        # covariates on a 0.02 lattice in [-1.2, 1.2]: tied distances (x and -x,
+        # repeats), points exactly at x and points beyond h0 = 1
+        rng = np.random.default_rng(20101029)
+        moduli = [holder_modulus(s, scale, 1.0) for s, scale in
+                  ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
+        moduli.append(explicit_modulus(lambda h: min(1.0, 2.0 * h**0.5), 1.0))
+        outcomes = {"none": 0, "jump": 0, "inside": 0}
+        for case in range(300):
+            n = int(rng.choice([1, 3, 10, 50, 300, 3000]))
+            x = rng.integers(-60, 61, n) / 50.0
+            if case % 3 == 0:
+                x[0] = 0.0
+            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            s = SamplePath(x, np.zeros(n), np.full(n, sigma))
+            cfg = grid_cfg(b=float(rng.choice([0.2, 1.0, 3.0])))
+            w = moduli[case % len(moduli)]
+            hw = empirical_hw(s, cfg, w)
+            assert hw == piecewise_scan_hw(s, cfg, w), case
+            key = "none" if hw is None else "jump" if np.any(np.abs(x) == hw) else "inside"
+            outcomes[key] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestDeterministicHw:
@@ -251,6 +316,19 @@ class TestRateReport:
         assert rep.omega_0
         assert rep.h_w_emp == pytest.approx(rep.h_w, rel=1e-8)
         assert rep.ratio == pytest.approx(1.0, rel=1e-8)
+
+    def test_heteroscedastic_sample_has_no_continuum_bandwidths(self):
+        # sigma = 1 + 0.5 |x| (the affine_abs scale): neither H_w nor h_w is
+        # defined for a varying sigma, so nothing is computed from sigma[0]
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 500)
+        s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
+        cfg = grid_cfg()
+        rep = rate_report(s, cfg, holder_modulus(0.5, 1.0, cfg.h0),
+                          uniform_design(0.0, 1.0).interval_prob)
+        assert rep.omega_0 and rep.h_star is not None
+        assert rep.h_w_emp is None and rep.rate_random is None
+        assert rep.h_w is None and rep.rate_det is None and rep.ratio is None
 
     def test_mixing_design_ratio_contained(self):
         spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),

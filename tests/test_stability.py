@@ -131,6 +131,17 @@ class TestNoiseCertification:
         for noise in (gaussian_noise(), two_point_noise(), truncated_laplace_noise()):
             assert noise.variance <= c_mu(noise.alpha, noise.mu)
 
+    def test_stream_key_carries_truncation_cut(self):
+        # noises differing only in cut must not share random streams
+        from lepski.stability import _rule_tag
+
+        scales, stop = ConstantScale(), FixedT(1000)
+        tag_5 = _rule_tag(truncated_laplace_noise(mu=0.5, cut=5.0), scales, stop)
+        tag_3 = _rule_tag(truncated_laplace_noise(mu=0.5, cut=3.0), scales, stop)
+        assert tag_5 != tag_3
+        # the Gaussian key, and with it every Gaussian stream, stays as it was
+        assert _rule_tag(gaussian_noise(), scales, stop) == 2132145277
+
 
 class TestMcStability:
     def test_zero_scales_estimate_exactly_one(self):
