@@ -47,31 +47,33 @@ from .rates import (
     oracle_bandwidth,
     rate_report,
 )
+from .noise import (
+    NoiseSpec,
+    c_mu,
+    gaussian_noise,
+    truncated_laplace_noise,
+    two_point_noise,
+)
 from .stability import (
     AdaptedScale,
     AlternatingScale,
     ConstantScale,
     FirstCrossing,
     FixedT,
-    NoiseSpec,
     RandomizedStop,
     StabilityReport,
     c_lambda,
-    c_mu,
     c_prime_lambda,
     check_lemma_cosh_sup,
     check_lemma_moment,
     empirical_pi,
     gamma_lambda,
-    gaussian_noise,
     lambda_max,
     mc_stability,
     mc_uniform_stability,
     pi_statistic,
     simulate_ensemble,
     stability_matrix,
-    truncated_laplace_noise,
-    two_point_noise,
 )
 from .dgp import (
     BudgetStop,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
 from .model_core import GridConfig, write_sample_csv
+from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
 from .rates import ModulusSpec, holder_modulus, modulus_bar, rate_report
 from .selection import select_bandwidth
 from . import dgp
@@ -86,16 +87,16 @@ def make_s_scale(doc):
     raise ConfigError(f"unknown scale function {name!r}")
 
 
-def make_noise(doc) -> stab.NoiseSpec:
+def make_noise(doc) -> NoiseSpec:
     family = doc.get("family", "gaussian")
     alpha = int(doc.get("alpha", 2))
     mu = float(doc.get("mu", 0.25))
     if family == "gaussian":
-        return stab.gaussian_noise(mu=mu, alpha=alpha)
+        return gaussian_noise(mu=mu, alpha=alpha)
     if family == "two_point":
-        return stab.two_point_noise(mu=mu, alpha=alpha)
+        return two_point_noise(mu=mu, alpha=alpha)
     if family == "truncated_laplace":
-        return stab.truncated_laplace_noise(mu=mu, cut=float(doc.get("cut", 5.0)))
+        return truncated_laplace_noise(mu=mu, cut=float(doc.get("cut", 5.0)))
     raise ConfigError(f"unknown noise family {family!r}")
 
 
@@ -501,12 +502,15 @@ def _make_scale(name: str):
 
 def _make_stop(doc):
     rule = doc.get("rule", "fixed")
-    if rule == "fixed":
-        return stab.FixedT(int(doc.get("n", 1000)))
-    if rule == "crossing":
-        return stab.FirstCrossing(float(doc.get("c", 2.0)), int(doc.get("cap", 10_000)))
-    if rule == "randomized":
-        return stab.RandomizedStop(float(doc.get("p", 1e-3)), int(doc.get("cap", 10_000)))
+    try:
+        if rule == "fixed":
+            return stab.FixedT(int(doc.get("n", 1000)))
+        if rule == "crossing":
+            return stab.FirstCrossing(float(doc.get("c", 2.0)), int(doc.get("cap", 10_000)))
+        if rule == "randomized":
+            return stab.RandomizedStop(float(doc.get("p", 1e-3)), int(doc.get("cap", 10_000)))
+    except ValueError as exc:
+        raise ConfigError(f"bad stopping rule {doc!r}: {exc}") from exc
     raise ConfigError(f"unknown stopping rule {rule!r}")
 
 
@@ -519,16 +523,18 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
     lambdas = [float(v) for v in sdoc.get("lambdas", [])]
     if not lambdas:
         raise ConfigError("stability section needs a nonempty lambdas list")
-    bound_hi = (stab.lambda_max(noise.mu, noise.gamma) if noise.alpha == 2 else noise.mu)
     for lam in lambdas:
-        ok = (0 <= lam < bound_hi) if noise.alpha == 2 else (abs(lam) < bound_hi)
-        if not ok:
-            raise ConfigError(f"lambda={lam} outside the admissible range for alpha={noise.alpha}")
+        try:
+            stab._check_lambda(noise, lam)
+        except ValueError as exc:
+            raise ConfigError(f"lambda={lam} outside the admissible range: {exc}") from exc
     scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
     stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
     a_values = [float(a) for a in sdoc.get("a", [1.0])]
     uniform = [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
     n_rep = int(sdoc.get("n_rep", 10_000))
+    if n_rep < 1:
+        raise ConfigError("stability n_rep must be at least 1")
     master_seed = int(seed if seed is not None else doc.get("master_seed", 0))
 
     reports = stab.stability_matrix(noise, scales, stops, a_values, lambdas,

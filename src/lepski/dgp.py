@@ -18,7 +18,7 @@ from scipy.stats import norm
 
 from .errors import ExplosiveChain
 from .model_core import SamplePath
-from .stability import NoiseSpec, gaussian_noise
+from .noise import NoiseSpec, gaussian_noise
 
 
 def _rng(seed) -> np.random.Generator:

@@ -20,95 +20,16 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .dgp import simulate
 from .errors import CensoredPathsWarning
 from .model_core import GridConfig, SamplePath, grid_statistics
+from .noise import NoiseSpec
 
 _BLOCK_PATHS = 16384
-
-
-# ==================================================================
-# noise specifications with certified (mu, gamma) pairs
-# ==================================================================
-
-@dataclass
-class NoiseSpec:
-    """Centered innovation distribution with a certified exponential moment.
-
-    alpha selects the normalization (2 = subgaussian, 1 = subexponential);
-    the pair (mu, gamma) certifies E[exp(mu |zeta|^alpha)] <= gamma.
-    sampler(rng, size) draws iid copies of zeta.
-    """
-
-    name: str
-    alpha: int
-    mu: float
-    gamma: float
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    variance: float
-
-    def __post_init__(self):
-        if self.alpha not in (1, 2):
-            raise ValueError("alpha must be 1 or 2")
-        if not (self.mu > 0 and self.gamma > 1):
-            raise ValueError("need mu > 0 and gamma > 1")
-
-
-def gaussian_noise(mu: float = 0.25, alpha: int = 2) -> NoiseSpec:
-    """Standard Gaussian innovations.
-
-    For alpha = 2 and mu < 1/2 the moment is exact: E exp(mu Z^2) =
-    (1 - 2 mu)^(-1/2).  For alpha = 1: E exp(mu |Z|) = 2 exp(mu^2/2) Phi(mu).
-    """
-    if alpha == 2:
-        if not 0 < mu < 0.5:
-            raise ValueError("Gaussian subgaussian certification needs mu < 1/2")
-        gamma = (1.0 - 2.0 * mu) ** -0.5
-    else:
-        from scipy.stats import norm
-
-        gamma = 2.0 * math.exp(mu**2 / 2.0) * norm.cdf(mu)
-    return NoiseSpec("gaussian", alpha, mu, gamma,
-                     lambda rng, size: rng.standard_normal(size), 1.0)
-
-
-def two_point_noise(mu: float = 0.5, alpha: int = 2) -> NoiseSpec:
-    """Symmetric two-point innovations zeta = +-1: E exp(mu |zeta|^alpha) = e^mu."""
-    gamma = math.exp(mu)
-    return NoiseSpec("two_point", alpha, mu, gamma,
-                     lambda rng, size: rng.choice([-1.0, 1.0], size=size), 1.0)
-
-
-def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
-    """Symmetric Laplace innovations truncated to [-cut, cut], alpha = 1.
-
-    With unit-rate magnitude density e^(-z)/(1 - e^(-cut)) on [0, cut]:
-        E exp(mu |zeta|) = (1 - e^(-(1-mu) cut)) / ((1 - mu)(1 - e^(-cut)))
-        Var  = 2 - (cut^2 + 2 cut) e^(-cut) / (1 - e^(-cut))
-    (standard truncated-exponential integrals; mu < 1 required).
-    """
-    if not 0 < mu < 1:
-        raise ValueError("truncated Laplace certification needs 0 < mu < 1")
-    z = 1.0 - math.exp(-cut)
-    gamma = (1.0 - math.exp(-(1.0 - mu) * cut)) / ((1.0 - mu) * z)
-    variance = 2.0 - (cut**2 + 2.0 * cut) * math.exp(-cut) / z
-
-    def sampler(rng, size):
-        u = rng.random(size)
-        mag = -np.log1p(-u * z)  # inverse CDF of the truncated exponential
-        sign = rng.choice([-1.0, 1.0], size=size)
-        return sign * mag
-
-    # the name carries cut so that the random-stream key (_rule_tag) tells cuts apart
-    return NoiseSpec(f"truncated_laplace(cut={cut:g})", 1, mu, gamma, sampler, variance)
-
-
-def c_mu(alpha: int, mu: float) -> float:
-    """Constant with <M>_n <= c_mu V_n under the moment assumption."""
-    return math.log(2.0) / mu if alpha == 2 else 2.0 / mu**2
 
 
 # ==================================================================
@@ -143,8 +64,8 @@ def c_prime_lambda(mu: float, gamma: float, lam: float) -> float:
 
     Even in lambda; admissible for |lambda| < mu.
     """
-    if abs(lam) >= mu:
-        raise ValueError("need |lambda| < mu")
+    if not abs(lam) < mu:
+        raise ValueError(f"need |lambda| < mu = {mu:g}")
     m = (gamma - 1.0) * lam**2 / mu**2
     return m * math.exp(m) * math.cosh(2.0 * math.log(2.0) + 2.0 * m)
 
@@ -152,14 +73,20 @@ def c_prime_lambda(mu: float, gamma: float, lam: float) -> float:
 # ==================================================================
 # scale and stopping rules
 # ==================================================================
+#
+# A scale rule's next_scales(k, n, m, v) gives s_k, ..., s_{k+n-1}, the
+# scales of steps k+1, ..., k+n, for live paths whose running sums after k
+# steps are m and v.  Rules that ignore the path return a (1, n) row shared by
+# every path; a rule fed back from the path returns a (len(m), 1) column for
+# the next step alone.
 
 class ConstantScale:
     def __init__(self, value: float = 1.0):
         self.value = float(value)
         self.name = f"constant({value:g})"
 
-    def __call__(self, k: int, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.full_like(m, self.value)
+    def next_scales(self, k: int, n: int, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.full((1, n), self.value)
 
 
 class AlternatingScale:
@@ -170,8 +97,9 @@ class AlternatingScale:
         self.even = float(even_value)
         self.name = f"alternating({odd_value:g}:{even_value:g})"
 
-    def __call__(self, k, m, v):
-        return np.full_like(m, self.odd if k % 2 == 1 else self.even)
+    def next_scales(self, k, n, m, v):
+        odd_step = np.arange(k + 1, k + n + 1) % 2 == 1
+        return np.where(odd_step, self.odd, self.even)[None, :]
 
 
 class AdaptedScale:
@@ -179,17 +107,27 @@ class AdaptedScale:
 
     name = "adapted"
 
-    def __call__(self, k, m, v):
-        return 0.5 + np.minimum(2.0, m * m / (1.0 + v))
+    def next_scales(self, k, n, m, v):
+        return (0.5 + np.minimum(2.0, m * m / (1.0 + v)))[:, None]
 
+
+# A stopping rule's deadlines(rng, size) gives each path the last step it may
+# run; FirstCrossing may stop a path earlier.
 
 @dataclass
 class FixedT:
     n: int
 
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"FixedT needs n >= 1, got {self.n}")
+
     @property
     def name(self):
         return f"fixed{self.n}"
+
+    def deadlines(self, rng, size):
+        return np.full(size, self.n, dtype=np.int64)
 
 
 @dataclass
@@ -199,9 +137,16 @@ class FirstCrossing:
     c: float = 2.0
     cap: int = 10_000
 
+    def __post_init__(self):
+        if not self.cap >= 1:
+            raise ValueError(f"FirstCrossing needs cap >= 1, got {self.cap}")
+
     @property
     def name(self):
         return f"crossing(c={self.c:g}:cap={self.cap})"
+
+    def deadlines(self, rng, size):
+        return np.full(size, self.cap, dtype=np.int64)
 
 
 @dataclass
@@ -211,9 +156,16 @@ class RandomizedStop:
     p: float = 1e-3
     cap: int = 10_000
 
+    def __post_init__(self):
+        if not (0 < self.p <= 1 and self.cap >= 1):
+            raise ValueError(f"RandomizedStop needs 0 < p <= 1 and cap >= 1, got {self}")
+
     @property
     def name(self):
         return f"randomized(p={self.p:g}:cap={self.cap})"
+
+    def deadlines(self, rng, size):
+        return np.minimum(rng.geometric(self.p, size), self.cap)
 
 
 @dataclass
@@ -224,10 +176,6 @@ class Ensemble:
     v: np.ndarray
     t: np.ndarray
     censored: np.ndarray
-
-    @property
-    def n_rep(self) -> int:
-        return self.m.size
 
     @property
     def censor_rate(self) -> float:
@@ -244,96 +192,70 @@ def _entropy(seed, *extra) -> tuple:
     return base + tuple(int(e) for e in extra)
 
 
-def _crossing_constant_block(noise: NoiseSpec, value: float, stop: "FirstCrossing",
-                             n_paths: int, rng: np.random.Generator, chunk: int = 4096):
-    """Step-chunked crossing simulation for constant scales.
-
-    With s = value > 0, M_k / sqrt(V_k) = (sum z) / sqrt(k); whole chunks of
-    increments are drawn at once and the first crossing is located inside the
-    chunk, which makes caps of 1e6 steps tractable.
-    """
-    cumz = np.zeros(n_paths)
-    out_m = np.empty(n_paths)
-    out_v = np.empty(n_paths)
-    out_t = np.empty(n_paths, dtype=np.int64)
-    censored = np.zeros(n_paths, dtype=bool)
-    alive = np.arange(n_paths)
-    base = 0
-    while alive.size and base < stop.cap:
-        nb = min(chunk, stop.cap - base)
-        z = noise.sampler(rng, (alive.size, nb))
-        cm = cumz[alive, None] + np.cumsum(z, axis=1)
-        ks = np.arange(base + 1, base + nb + 1, dtype=float)
-        hit = cm >= stop.c * np.sqrt(ks)[None, :]
-        any_hit = hit.any(axis=1)
-        first = np.where(any_hit, hit.argmax(axis=1), nb - 1)
-        rows = np.arange(alive.size)
-        cumz[alive] = cm[rows, first]
-        stopped = alive[any_hit]
-        out_t[stopped] = base + first[any_hit] + 1
-        out_m[stopped] = value * cm[rows[any_hit], first[any_hit]]
-        out_v[stopped] = (base + first[any_hit] + 1) * value**2
-        alive = alive[~any_hit]
-        base += nb
-    out_t[alive] = stop.cap
-    out_m[alive] = value * cumz[alive]
-    out_v[alive] = stop.cap * value**2
-    censored[alive] = True
-    return out_m, out_v, out_t, censored
+# Steps drawn per chunk.  Long chunks hold (live paths x chunk) arrays and draw
+# further past each stop; short ones make the row-wise cumsum slow.  One
+# 16384-path Gaussian block of FirstCrossing(2, cap=1e4) at constant scale 1
+# (2 vCPU) took 4.9 s at 8 steps, 4.3 s at 16, 3.7 s at 64, 3.55 s at 256 and
+# 5.0 s at 4096, with peak RSS 107, 109, 120, 166 and 1055 MB.
+_CHUNK = 64
 
 
 def _simulate_block(noise: NoiseSpec, scales, stop, n_paths: int,
                     rng: np.random.Generator):
-    if (isinstance(stop, FirstCrossing) and isinstance(scales, ConstantScale)
-            and scales.value > 0):
-        return _crossing_constant_block(noise, scales.value, stop, n_paths, rng)
+    """Terminal (M_T, V_T, T, censored) of n_paths paths, one chunk of steps at a time.
 
-    m = np.zeros(n_paths)
-    v = np.zeros(n_paths)
-
-    if isinstance(stop, FixedT):
-        for k in range(1, stop.n + 1):
-            s = scales(k, m, v)
-            m = m + s * noise.sampler(rng, n_paths)
-            v = v + s * s
-        t = np.full(n_paths, stop.n, dtype=np.int64)
-        return m, v, t, np.zeros(n_paths, dtype=bool)
-
-    if isinstance(stop, RandomizedStop):
-        deadline = np.minimum(rng.geometric(stop.p, n_paths), stop.cap)
-    elif isinstance(stop, FirstCrossing):
-        deadline = None
-    else:
-        raise TypeError(f"unknown stopping rule {stop!r}")
-
+    Each chunk draws increments for every live path, forms M and V by running
+    sums along the steps, and finds each path's first stop in the chunk: its
+    deadline or, for FirstCrossing, an earlier crossing.  Stopped paths are
+    recorded and dropped; draws past a stop inside the chunk are discarded.
+    """
+    deadline = stop.deadlines(rng, n_paths)
+    crossing = isinstance(stop, FirstCrossing)
     out_m = np.empty(n_paths)
     out_v = np.empty(n_paths)
     out_t = np.empty(n_paths, dtype=np.int64)
     censored = np.zeros(n_paths, dtype=bool)
     alive = np.arange(n_paths)
-    k = 0
+    m = np.zeros(n_paths)
+    v = np.zeros(1)  # one entry shared by all live paths while the scales ignore the path
+    k, horizon = 0, int(deadline.max())
     while alive.size:
-        k += 1
-        s = scales(k, m, v)
-        m = m + s * noise.sampler(rng, alive.size)
-        v = v + s * s
-        if deadline is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                done = (v > 0) & (m / np.sqrt(v) >= stop.c)
-            if k >= stop.cap:
-                censored[alive[~done]] = True
-                done = np.ones_like(done)
-        else:
-            done = deadline <= k
-        if done.any():
-            idx = alive[done]
-            out_m[idx] = m[done]
-            out_v[idx] = v[done]
-            out_t[idx] = k
+        s = scales.next_scales(k, min(_CHUNK, horizon - k), m, v)
+        n = s.shape[1]
+        cm = noise.sampler(rng, (alive.size, n))
+        cm *= s
+        cv = s * s
+        # carry the sums in, then add step by step, exactly as a per-step loop would
+        cm[:, 0] += m
+        cv[:, 0] += v
+        if n > 1:  # a length-1 cumsum would cost ~100 us per call at 12k paths
+            np.cumsum(cm, axis=1, out=cm)
+            np.cumsum(cv, axis=1, out=cv)
+        due = deadline - (k + 1)  # chunk column of each path's deadline
+        done = due < n
+        if crossing:
+            # M / sqrt(V) >= c, compared as M >= c sqrt(V) on V's row; V = 0 never crosses
+            cross = cm >= np.where(cv > 0, stop.c * np.sqrt(cv), np.inf)
+            done |= cross.any(axis=1)
+        m, v = cm[:, -1], cv[:, -1]
+        rows = np.flatnonzero(done)
+        if rows.size:
+            cols = due[rows]
+            if crossing:
+                sub = cross[rows]
+                hit = np.where(sub.any(axis=1), sub.argmax(axis=1), n)
+                censored[alive[rows]] = hit > cols
+                cols = np.minimum(cols, hit)
+            idx = alive[rows]
+            out_m[idx] = cm[rows, cols]
+            out_v[idx] = np.broadcast_to(cv, cm.shape)[rows, cols]
+            out_t[idx] = k + 1 + cols
             keep = ~done
-            alive, m, v = alive[keep], m[keep], v[keep]
-            if deadline is not None:
-                deadline = deadline[keep]
+            alive, deadline, m = alive[keep], deadline[keep], m[keep]
+            if v.size > 1:
+                v = v[keep]
+            horizon = int(deadline.max(initial=k))
+        k += n
     return out_m, out_v, out_t, censored
 
 
@@ -341,19 +263,21 @@ def simulate_ensemble(noise: NoiseSpec, scales, stop, n_rep: int,
                       seed) -> Ensemble:
     """Simulate n_rep stopped paths; block structure makes the result independent
     of how blocks are scheduled across workers."""
+    if n_rep < 1:
+        raise ValueError(f"n_rep must be at least 1, got {n_rep}")
     tag = _rule_tag(noise, scales, stop)
-    ms, vs, ts, cs = [], [], [], []
-    done = 0
-    block_idx = 0
-    while done < n_rep:
-        size = min(_BLOCK_PATHS, n_rep - done)
-        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, tag, block_idx)))
-        m, v, t, c = _simulate_block(noise, scales, stop, size, rng)
-        ms.append(m); vs.append(v); ts.append(t); cs.append(c)
-        done += size
-        block_idx += 1
-    return Ensemble(np.concatenate(ms), np.concatenate(vs),
-                    np.concatenate(ts), np.concatenate(cs))
+    blocks = []
+    for i, start in enumerate(range(0, n_rep, _BLOCK_PATHS)):
+        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, tag, i)))
+        blocks.append(_simulate_block(noise, scales, stop, min(_BLOCK_PATHS, n_rep - start), rng))
+    ens = Ensemble(*map(np.concatenate, zip(*blocks)))
+    if isinstance(stop, FirstCrossing) and ens.censor_rate > 1e-3:
+        warnings.warn(
+            f"stopping cap bound on {ens.censor_rate:.2%} of paths "
+            f"(rule {stop.name}); censored paths are evaluated at the cap",
+            CensoredPathsWarning,
+        )
+    return ens
 
 
 # ==================================================================
@@ -394,37 +318,23 @@ def _uniform_values(ens: Ensemble, a0: float, a1: float, lam: float) -> np.ndarr
     return np.exp(0.5 * lam * g)
 
 
-def _report_from_values(values: np.ndarray, bound: float, *, alpha, mu, gamma,
-                        lam, a, rule, censor_rate, seed) -> StabilityReport:
+def _report(values: np.ndarray, bound: float, noise: NoiseSpec, ens: Ensemble, *,
+            lam, a, rule, seed) -> StabilityReport:
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return StabilityReport(
-        alpha=alpha, mu=mu, gamma=gamma, lam=lam, a=a, rule=rule,
+        alpha=noise.alpha, mu=noise.mu, gamma=noise.gamma, lam=lam, a=a, rule=rule,
         n_rep=values.size, mc_estimate=est, mc_stderr=se, bound=bound,
-        passed=bool(est + 3.0 * se <= bound), censor_rate=censor_rate, seed=seed,
+        passed=bool(est + 3.0 * se <= bound), censor_rate=ens.censor_rate, seed=seed,
     )
 
 
 def _check_lambda(noise: NoiseSpec, lam: float) -> float:
     """Validate lambda for the noise's alpha branch and return the bound 1 + c."""
-    if noise.alpha == 2:
-        if not 0 <= lam < lambda_max(noise.mu, noise.gamma):
-            raise ValueError(
-                f"alpha=2 needs lambda in [0, {lambda_max(noise.mu, noise.gamma):g})"
-            )
-        return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
-    if not abs(lam) < noise.mu:
-        raise ValueError(f"alpha=1 needs |lambda| < mu = {noise.mu:g}")
-    return 1.0 + c_prime_lambda(noise.mu, noise.gamma, lam)
-
-
-def _warn_censoring(ens: Ensemble, stop) -> None:
-    if isinstance(stop, FirstCrossing) and ens.censor_rate > 1e-3:
-        warnings.warn(
-            f"stopping cap bound on {ens.censor_rate:.2%} of paths "
-            f"(rule {stop.name}); censored paths are evaluated at the cap",
-            CensoredPathsWarning,
-        )
+    if noise.alpha == 1:
+        return 1.0 + c_prime_lambda(noise.mu, noise.gamma, lam)
+    gamma_lambda(noise.mu, noise.gamma, lam)  # raises outside [0, mu/(2(1+gamma)))
+    return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
 
 
 def mc_stability(noise: NoiseSpec, scales, stop, a: float, lam: float,
@@ -441,11 +351,8 @@ def mc_stability(noise: NoiseSpec, scales, stop, a: float, lam: float,
         raise ValueError("a must be positive")
     bound = _check_lambda(noise, lam)
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
-    _warn_censoring(ens, stop)
     values = _functional_values(ens, noise.alpha, a, lam)
-    return _report_from_values(values, bound, alpha=noise.alpha, mu=noise.mu,
-                               gamma=noise.gamma, lam=lam, a=a, rule=stop.name,
-                               censor_rate=ens.censor_rate, seed=seed)
+    return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name, seed=seed)
 
 
 def mc_uniform_stability(noise: NoiseSpec, scales, stop, a0: float, a1: float,
@@ -464,11 +371,8 @@ def mc_uniform_stability(noise: NoiseSpec, scales, stop, a0: float, a1: float,
         raise ValueError("the uniform bound is stated for alpha = 2")
     bound = _check_lambda(noise, lam) * (1.0 + math.log(a1 / a0))
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
-    _warn_censoring(ens, stop)
     values = _uniform_values(ens, a0, a1, lam)
-    return _report_from_values(values, bound, alpha=noise.alpha, mu=noise.mu,
-                               gamma=noise.gamma, lam=lam, a=(a0, a1),
-                               rule=stop.name, censor_rate=ens.censor_rate, seed=seed)
+    return _report(values, bound, noise, ens, lam=lam, a=(a0, a1), rule=stop.name, seed=seed)
 
 
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
@@ -482,27 +386,22 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     per-cell estimates are identical in law to fresh simulation while keeping
     the matrix tractable at n_rep = 1e5.
     """
+    bounds = [_check_lambda(noise, lam) for lam in lambdas]
     reports = []
     for scales in scale_rules:
         for stop in stop_rules:
             ens = simulate_ensemble(noise, scales, stop, n_rep, master_seed)
-            _warn_censoring(ens, stop)
-            for lam in lambdas:
-                bound = _check_lambda(noise, lam)
+            rule = f"{scales.name}|{stop.name}"
+            for lam, bound in zip(lambdas, bounds):
                 for a in a_values:
                     values = _functional_values(ens, noise.alpha, a, lam)
-                    reports.append(_report_from_values(
-                        values, bound, alpha=noise.alpha, mu=noise.mu,
-                        gamma=noise.gamma, lam=lam, a=a, rule=f"{scales.name}|{stop.name}",
-                        censor_rate=ens.censor_rate, seed=master_seed))
+                    reports.append(_report(values, bound, noise, ens, lam=lam, a=a,
+                                           rule=rule, seed=master_seed))
                 for (a0, a1) in uniform_ranges:
                     ub = bound * (1.0 + math.log(a1 / a0))
                     values = _uniform_values(ens, a0, a1, lam)
-                    reports.append(_report_from_values(
-                        values, ub, alpha=noise.alpha, mu=noise.mu,
-                        gamma=noise.gamma, lam=lam, a=(a0, a1),
-                        rule=f"{scales.name}|{stop.name}|uniform",
-                        censor_rate=ens.censor_rate, seed=master_seed))
+                    reports.append(_report(values, ub, noise, ens, lam=lam, a=(a0, a1),
+                                           rule=f"{rule}|uniform", seed=master_seed))
     return reports
 
 
@@ -545,8 +444,6 @@ def empirical_pi(process_spec, cfg: GridConfig, i0: int, thresholds,
     per-path statistic is shared across thresholds, so monotonicity in t
     holds pathwise.
     """
-    from .dgp import simulate
-
     t = np.atleast_1d(np.asarray(thresholds, dtype=float))
     stats = np.empty(n_rep)
     for r in range(n_rep):

@@ -229,6 +229,22 @@ class TestVerifyStability:
         res = run_cli("verify-stability", "--config", str(cfg))
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("change", [
+        {"n_rep": 0},
+        {"n_rep": -5},
+        {"stopping": [{"rule": "randomized", "p": 0}]},
+        {"stopping": [{"rule": "randomized", "p": 1.5}]},
+        {"stopping": [{"rule": "fixed", "n": -3}]},
+        {"stopping": [{"rule": "crossing", "cap": 0}]},
+    ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0"])
+    def test_malformed_section_exit_2(self, tmp_path, change):
+        out = tmp_path / "out"
+        doc = self.stab_config(out, n_rep=100)
+        doc["stability"].update(change)
+        res = run_cli("verify-stability", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert not (out / "stability.csv").exists()
+
     def test_determinism_given_seed(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         c1 = write_config(tmp_path, self.stab_config(out1, n_rep=2000), "c1.json")

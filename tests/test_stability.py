@@ -18,6 +18,7 @@ from lepski import (
     FirstCrossing,
     FixedT,
     GridConfig,
+    NoiseSpec,
     RandomizedStop,
     c_lambda,
     c_mu,
@@ -37,6 +38,7 @@ from lepski import (
     two_point_noise,
     uniform_design,
 )
+from lepski.stability import _CHUNK, _entropy, _rule_tag
 
 
 class TestConstants:
@@ -204,6 +206,76 @@ class TestMcStability:
         e2 = simulate_ensemble(noise, AdaptedScale(), FixedT(100), 5000, seed=9)
         np.testing.assert_array_equal(e1.m, e2.m)
         np.testing.assert_array_equal(e1.v, e2.v)
+
+
+# Unit increments make every path known exactly, so the chunked kernel is
+# compared with == against a scalar step loop.  At constant scale 1,
+# M_k / sqrt(V_k) = sqrt(k), so FirstCrossing(sqrt(t - 0.5)) stops at step t;
+# the targets and caps sit before, on and after the first chunk boundary.
+ONES = NoiseSpec("ones", 2, 0.25, 2.0, lambda rng, size: np.ones(size), 0.0)
+KERNEL_SCALES = {  # rule, and its s_{k-1} as a function of (k, M_{k-1}, V_{k-1})
+    "constant1": (ConstantScale(1.0), lambda k, m, v: 1.0),
+    "constant0": (ConstantScale(0.0), lambda k, m, v: 0.0),
+    "alternating": (AlternatingScale(), lambda k, m, v: 1.0 if k % 2 == 1 else 0.0),
+    "adapted": (AdaptedScale(), lambda k, m, v: 0.5 + min(2.0, m * m / (1.0 + v))),
+}
+KERNEL_STOPS = (
+    [FixedT(n) for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)]
+    + [FirstCrossing(math.sqrt(t - 0.5), cap) for t in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 100)
+       for cap in (_CHUNK, _CHUNK + 1, 1000)]
+    + [RandomizedStop(p, cap) for p, cap in ((0.02, _CHUNK), (0.02, _CHUNK + 1),
+                                             (0.01, 2 * _CHUNK + 1), (1.0, 10))]
+)
+
+
+def _step_loop(step_scale, stop, deadline):
+    m = v = 0.0
+    for k in range(1, deadline + 1):
+        s = step_scale(k, m, v)
+        m, v = m + s * 1.0, v + s * s
+        if isinstance(stop, FirstCrossing) and v > 0 and m / math.sqrt(v) >= stop.c:
+            return m, v, k, False
+    return m, v, deadline, isinstance(stop, FirstCrossing)
+
+
+@pytest.mark.filterwarnings("ignore::lepski.CensoredPathsWarning")
+class TestChunkedKernel:
+    @pytest.mark.parametrize("stop", KERNEL_STOPS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("scale", sorted(KERNEL_SCALES))
+    def test_matches_step_loop(self, scale, stop):
+        scales, step_scale = KERNEL_SCALES[scale]
+        n_rep, seed = 300, 17
+        if isinstance(stop, RandomizedStop):
+            tag = _rule_tag(ONES, scales, stop)
+            rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, tag, 0)))
+            deadlines = np.minimum(rng.geometric(stop.p, n_rep), stop.cap)
+        else:
+            deadlines = np.full(n_rep, stop.n if isinstance(stop, FixedT) else stop.cap)
+        ens = simulate_ensemble(ONES, scales, stop, n_rep, seed)
+        ref = {int(d): _step_loop(step_scale, stop, int(d)) for d in np.unique(deadlines)}
+        m, v, t, censored = (np.array([ref[int(d)][i] for d in deadlines]) for i in range(4))
+        np.testing.assert_array_equal(ens.m, m)
+        np.testing.assert_array_equal(ens.v, v)
+        np.testing.assert_array_equal(ens.t, t)
+        np.testing.assert_array_equal(ens.censored, censored)
+        if isinstance(stop, RandomizedStop):
+            np.testing.assert_array_equal(ens.t, deadlines)
+
+    def test_crossing_steps(self):
+        stop = FirstCrossing(10.0, 1000)
+        assert set(simulate_ensemble(ONES, ConstantScale(1.0), stop, 50, 0).t) == {100}
+        assert set(simulate_ensemble(ONES, AlternatingScale(), stop, 50, 0).t) == {199}
+        targets = [simulate_ensemble(ONES, ConstantScale(1.0), s, 5, 0).t[0]
+                   for s in KERNEL_STOPS if isinstance(s, FirstCrossing) and s.cap == 1000]
+        assert targets == [_CHUNK - 1, _CHUNK, _CHUNK + 1, 100]
+
+    def test_rejects_empty_ensemble_and_bad_stops(self):
+        for bad in (lambda: FixedT(0), lambda: FirstCrossing(2.0, cap=0),
+                    lambda: RandomizedStop(p=0.0), lambda: RandomizedStop(p=1.5),
+                    lambda: RandomizedStop(p=0.5, cap=0),
+                    lambda: simulate_ensemble(ONES, ConstantScale(), FixedT(5), 0, 0)):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestUniformStability:
