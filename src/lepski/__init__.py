@@ -76,10 +76,14 @@ from .stability import (
     stability_matrix,
 )
 from .dgp import (
+    Autoregressive,
     BudgetStop,
     DesignLaw,
     FixedN,
-    ProcessSpec,
+    IidRegression,
+    MixingAr1,
+    Regression,
+    TransientWalk,
     autoregressive_spec,
     budget_stop,
     gaussian_design,

@@ -8,6 +8,7 @@ sorted by (n, rep) before writing so files are byte-stable for any --jobs.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -114,7 +115,7 @@ def make_design(doc) -> dgp.DesignLaw:
     raise ConfigError(f"unknown design law {name!r}")
 
 
-def make_process(doc, n: int) -> dgp.ProcessSpec:
+def make_process(doc, n: int) -> dgp.Regression | dgp.Autoregressive:
     kind = doc.get("kind")
     f_true = make_f_true(doc.get("f_true", {"name": "zero"}))
     noise = make_noise(doc.get("noise", {}))
@@ -171,7 +172,7 @@ class CampaignConfig:
     formats: list = field(default_factory=lambda: ["csv"])
     t_grid: Optional[list] = None
 
-    def process_for(self, n: int) -> dgp.ProcessSpec:
+    def process_for(self, n: int) -> dgp.Regression | dgp.Autoregressive:
         return make_process(self.raw["process"], n)
 
 
@@ -214,13 +215,17 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
     )
 
 
-def load_campaign(path, *, seed=None, out=None) -> CampaignConfig:
+def read_config(path) -> dict:
+    """The JSON document at path; invalid JSON is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_campaign(doc, seed=seed, out=out)
+
+
+def load_campaign(path, *, seed=None, out=None) -> CampaignConfig:
+    return parse_campaign(read_config(path), seed=seed, out=out)
 
 
 def cell_seed(master_seed: int, n: int, rep: int) -> tuple:
@@ -244,8 +249,6 @@ def _fmt(v) -> str:
 def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        import csv
-
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -258,6 +261,14 @@ def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
             fh.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def _write_formats(outputs: Path, formats: list, stem: str, header: list, rows: list) -> list:
+    """Write rows once per format as outputs/stem.csv or .json; returns the paths."""
+    paths = [outputs / f"{stem}.{'csv' if fmt == 'csv' else 'json'}" for fmt in formats]
+    for path, fmt in zip(paths, formats):
+        write_rows(path, header, rows, fmt)
+    return paths
 
 
 ESTIMATE_HEADER = [
@@ -362,18 +373,12 @@ def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:
     cells = run_estimate_cells(cfg, jobs)
     est_rows = [c["estimate"] for c in cells]
     rate_rows = [c["rate"] for c in cells]
-    out = {}
-    for fmt in cfg.formats:
-        ext = "csv" if fmt == "csv" else "json"
-        p1 = cfg.outputs / f"estimate.{ext}"
-        write_rows(p1, ESTIMATE_HEADER, est_rows, fmt)
-        out.setdefault("estimate", []).append(p1)
-        if cfg.modulus is not None:
-            p2 = cfg.outputs / f"rate_report.{ext}"
-            write_rows(p2, RATE_HEADER, rate_rows, fmt)
-            out.setdefault("rate_report", []).append(p2)
-    out["rows"] = est_rows
-    out["rate_rows"] = rate_rows
+    out = {"rows": est_rows, "rate_rows": rate_rows,
+           "estimate": _write_formats(cfg.outputs, cfg.formats, "estimate",
+                                     ESTIMATE_HEADER, est_rows)}
+    if cfg.modulus is not None:
+        out["rate_report"] = _write_formats(cfg.outputs, cfg.formats, "rate_report",
+                                           RATE_HEADER, rate_rows)
     return out
 
 
@@ -402,13 +407,8 @@ def run_tail_risk(cfg: CampaignConfig, jobs: int = 1) -> dict:
         raise ConfigError("tail-risk needs a t_grid entry in the config")
     cells = run_estimate_cells(cfg, jobs)
     rows = tail_table([c["estimate"] for c in cells], cfg.t_grid)
-    out = {"rows": rows}
-    for fmt in cfg.formats:
-        ext = "csv" if fmt == "csv" else "json"
-        p = cfg.outputs / f"tail_risk.{ext}"
-        write_rows(p, TAIL_HEADER, rows, fmt)
-        out.setdefault("paths", []).append(p)
-    return out
+    return {"rows": rows,
+            "paths": _write_formats(cfg.outputs, cfg.formats, "tail_risk", TAIL_HEADER, rows)}
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray):
@@ -467,11 +467,8 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         fit = {"slope_hw": slope_h, "stderr_hw": se_h,
                "slope_rate": slope_w, "stderr_rate": se_w}
     out = {"rows": rows, "fit": fit}
-    for fmt in cfg.formats:
-        ext = "csv" if fmt == "csv" else "json"
-        p = cfg.outputs / f"rates.{ext}"
-        write_rows(p, RATES_HEADER, rows, fmt)
-        out.setdefault("paths", []).append(p)
+    if cfg.formats:
+        out["paths"] = _write_formats(cfg.outputs, cfg.formats, "rates", RATES_HEADER, rows)
     if fit:
         cfg.outputs.mkdir(parents=True, exist_ok=True)
         fit_path = cfg.outputs / "rates_fit.json"
@@ -523,15 +520,17 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
     lambdas = [float(v) for v in sdoc.get("lambdas", [])]
     if not lambdas:
         raise ConfigError("stability section needs a nonempty lambdas list")
-    for lam in lambdas:
-        try:
-            stab._check_lambda(noise, lam)
-        except ValueError as exc:
-            raise ConfigError(f"lambda={lam} outside the admissible range: {exc}") from exc
     scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
     stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
     a_values = [float(a) for a in sdoc.get("a", [1.0])]
     uniform = [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
+    try:
+        for lam in lambdas:
+            stab._check_lambda(noise, lam)
+        for a in a_values + uniform:
+            stab._check_a(noise, a)
+    except ValueError as exc:
+        raise ConfigError(f"stability section outside the admissible range: {exc}") from exc
     n_rep = int(sdoc.get("n_rep", 10_000))
     if n_rep < 1:
         raise ConfigError("stability n_rep must be at least 1")
@@ -549,8 +548,6 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
             "pass": r.passed, "master_seed": master_seed,
         })
     outputs = Path(out if out is not None else doc.get("outputs", "out"))
-    ext = "csv" if fmt == "csv" else "json"
-    path = outputs / f"stability.{ext}"
-    write_rows(path, STABILITY_HEADER, rows, fmt)
+    [path] = _write_formats(outputs, [fmt], "stability", STABILITY_HEADER, rows)
     return {"rows": rows, "reports": reports, "path": path,
             "all_pass": all(r.passed for r in reports)}

@@ -8,6 +8,7 @@ Every command takes --config PATH plus optional --seed, --out, --jobs and
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 
@@ -21,9 +22,28 @@ EXIT_RED = 3
 EXIT_IO = 4
 
 
-def _common(fn):
+def _common(body):
+    """The shared options, with the library's errors mapped to exit codes."""
+
+    @functools.wraps(body)
+    def run(*args, **kwargs):
+        try:
+            body(*args, **kwargs)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except InsufficientOmegaPrime as exc:
+            click.echo(f"acceptance-red: {exc}", err=True)
+            sys.exit(EXIT_RED)
+        except OSError as exc:
+            click.echo(f"io error: {exc}", err=True)
+            sys.exit(EXIT_IO)
+        except LepskiError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
     fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=False), help="Campaign JSON document.")(fn)
+                      type=click.Path(exists=False), help="Campaign JSON document.")(run)
     fn = click.option("--seed", type=int, default=None,
                       help="Master seed override (env: LEPSKI_SEED).")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
@@ -51,23 +71,6 @@ def _load(config_path, seed, out, fmt):
     return cfg
 
 
-def _run(body):
-    try:
-        body()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except InsufficientOmegaPrime as exc:
-        click.echo(f"acceptance-red: {exc}", err=True)
-        sys.exit(EXIT_RED)
-    except OSError as exc:
-        click.echo(f"io error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except LepskiError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-
 @click.group()
 def main():
     """Adaptive kernel regression campaigns and stability verification."""
@@ -77,85 +80,59 @@ def main():
 @_common
 def simulate(config_path, seed, out, jobs, fmt):
     """Write one sample CSV per (n, rep) cell."""
-
-    def body():
-        s, j = _resolve(seed, jobs)
-        cfg = _load(config_path, s, out, fmt)
-        paths = campaign.run_simulate(cfg, j)
-        click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")
-
-    _run(body)
+    s, j = _resolve(seed, jobs)
+    cfg = _load(config_path, s, out, fmt)
+    paths = campaign.run_simulate(cfg, j)
+    click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")
 
 
 @main.command()
 @_common
 def estimate(config_path, seed, out, jobs, fmt):
     """Run selection and rate diagnostics for every replication."""
-
-    def body():
-        s, j = _resolve(seed, jobs)
-        cfg = _load(config_path, s, out, fmt)
-        res = campaign.run_estimate(cfg, j)
-        click.echo(f"wrote {len(res['rows'])} estimate rows to {cfg.outputs}")
-
-    _run(body)
+    s, j = _resolve(seed, jobs)
+    cfg = _load(config_path, s, out, fmt)
+    res = campaign.run_estimate(cfg, j)
+    click.echo(f"wrote {len(res['rows'])} estimate rows to {cfg.outputs}")
 
 
 @main.command("tail-risk")
 @_common
 def tail_risk(config_path, seed, out, jobs, fmt):
     """Empirical tail of the risk against the random rate over the config's t_grid."""
-
-    def body():
-        s, j = _resolve(seed, jobs)
-        cfg = _load(config_path, s, out, fmt)
-        res = campaign.run_tail_risk(cfg, j)
-        click.echo(f"wrote tail table ({len(res['rows'])} thresholds) to {cfg.outputs}")
-
-    _run(body)
+    s, j = _resolve(seed, jobs)
+    cfg = _load(config_path, s, out, fmt)
+    res = campaign.run_tail_risk(cfg, j)
+    click.echo(f"wrote tail table ({len(res['rows'])} thresholds) to {cfg.outputs}")
 
 
 @main.command()
 @_common
 def rates(config_path, seed, out, jobs, fmt):
     """Deterministic-rate ladder with containment frequencies and scaling fit."""
-
-    def body():
-        s, j = _resolve(seed, jobs)
-        cfg = _load(config_path, s, out, fmt)
-        res = campaign.run_rates(cfg, j)
-        if res["fit"]:
-            click.echo(
-                f"slope(h_w)={res['fit']['slope_hw']:.4f} "
-                f"slope(rate)={res['fit']['slope_rate']:.4f}"
-            )
-        click.echo(f"wrote {len(res['rows'])} ladder rows to {cfg.outputs}")
-
-    _run(body)
+    s, j = _resolve(seed, jobs)
+    cfg = _load(config_path, s, out, fmt)
+    res = campaign.run_rates(cfg, j)
+    if res["fit"]:
+        click.echo(
+            f"slope(h_w)={res['fit']['slope_hw']:.4f} "
+            f"slope(rate)={res['fit']['slope_rate']:.4f}"
+        )
+    click.echo(f"wrote {len(res['rows'])} ladder rows to {cfg.outputs}")
 
 
 @main.command("verify-stability")
 @_common
 def verify_stability(config_path, seed, out, jobs, fmt):
     """Run the stability bound matrix; nonzero exit when any cell is red."""
-
-    def body():
-        s, _ = _resolve(seed, jobs)
-        import json
-
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt)
-        n_red = sum(1 for r in res["rows"] if not r["pass"])
-        click.echo(f"wrote {len(res['rows'])} stability rows to {res['path']}")
-        if n_red:
-            click.echo(f"acceptance-red: {n_red} cells violate their bound", err=True)
-            sys.exit(EXIT_RED)
-
-    _run(body)
+    s, _ = _resolve(seed, jobs)
+    doc = campaign.read_config(config_path)
+    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt)
+    n_red = sum(1 for r in res["rows"] if not r["pass"])
+    click.echo(f"wrote {len(res['rows'])} stability rows to {res['path']}")
+    if n_red:
+        click.echo(f"acceptance-red: {n_red} cells violate their bound", err=True)
+        sys.exit(EXIT_RED)
 
 
 if __name__ == "__main__":

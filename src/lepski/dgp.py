@@ -1,24 +1,34 @@
-"""Data-generating processes: iid heteroscedastic regression, vector
-autoregression, a stationary mixing AR(1) chain with known design law near the
-estimation point, a transient drifting walk, and stopping-time sampling.
+"""Data-generating processes for Y_k = f(X_{k-1}) + sigma_{k-1} zeta_k, one
+small class per process kind, each holding only its own fields:
 
-Every generator returns a `SamplePath` with the truth attached and the sigma
-column set to the model's observed noise-scale upper bound.  Identical seeds
-give bit-identical samples.
+- `IidRegression`: iid covariates from a `DesignLaw`, heteroscedastic through
+  its noise scale;
+- `MixingAr1`: a stationary Gaussian AR(1) chain, whose N(0, 1) marginal is
+  the design law near the estimation point;
+- `TransientWalk`: a drifting walk that leaves every neighbourhood for good;
+- `Autoregressive`: a vector autoregression, where Y_k is a coordinate of X_k.
+
+The three regression kinds share `Regression.sample`, which draws
+`covariates(rng)`, then zeta, then sigma and Y; `Autoregressive` draws its
+own sample, because its noise drives the covariates.  Covariates come for a
+`FixedN` length or, under a `BudgetStop`, one at a time.  `simulate` returns
+a `SamplePath` with the truth attached and the sigma column set to the
+model's observed noise-scale upper bound.  Identical seeds give
+bit-identical samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.stats import norm
 
 from .errors import ExplosiveChain
 from .model_core import SamplePath
-from .noise import NoiseSpec, gaussian_noise
+from .noise import NoiseSpec, gaussian_noise, normal_cdf
 
 
 def _rng(seed) -> np.random.Generator:
@@ -47,7 +57,6 @@ class DesignLaw:
     interval_prob: Callable[[float], float]
     tau: float
     ell_x: Callable[[float], float]
-    dim: int = 1
 
     def check_declaration(self, h0: float, n_points: int = 50,
                           rtol: float = 0.01) -> bool:
@@ -98,9 +107,9 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
     return DesignLaw(
         name="gaussian",
         sampler=lambda rng, n: rng.standard_normal((n, 1)),
-        interval_prob=lambda h: float(norm.cdf(x + h) - norm.cdf(x - h)),
+        interval_prob=lambda h: normal_cdf(x + h) - normal_cdf(x - h),
         tau=0.0,
-        ell_x=lambda h: float(norm.cdf(x + h) - norm.cdf(x - h)) / h,
+        ell_x=lambda h: (normal_cdf(x + h) - normal_cdf(x - h)) / h,
     )
 
 
@@ -161,194 +170,181 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
 
 
 # ------------------------------------------------------------------
-# process specification and simulation
+# process kinds and simulation
 # ------------------------------------------------------------------
-
-@dataclass
-class ProcessSpec:
-    """One data-generating process.
-
-    kind: iid_regression | autoregressive | mixing_ar1 | transient_walk.
-    f_true is vectorized over (n, d) rows; s_scale maps covariate rows to the
-    positive noise scale observed as sigma_{k-1}.  px_form, when present,
-    carries the closed-form design probability used by the deterministic rate.
-    """
-
-    kind: str
-    noise: NoiseSpec
-    f_true: Callable[[np.ndarray], np.ndarray]
-    s_scale: Callable[[np.ndarray], np.ndarray]
-    stopping: object
-    dim: int = 1
-    design: Optional[DesignLaw] = None      # iid_regression
-    rho: float = 0.5                        # mixing_ar1
-    x_start: float = 0.0                    # transient_walk
-    drift: float = 0.5                      # transient_walk
-    step_sd: float = 0.5                    # transient_walk
-    ar_matrix: Optional[np.ndarray] = None  # autoregressive
-    y_coord: int = 0                        # autoregressive
-    magnitude_guard: float = 1e6
-
-    @property
-    def px_form(self) -> Optional[Callable[[float], float]]:
-        return self.design.interval_prob if self.design is not None else None
-
 
 def constant_scale(value: float = 1.0):
     return lambda x: np.full(x.shape[0], float(value))
 
 
+def _fixed_n(stopping) -> Optional[int]:
+    return stopping.n if isinstance(stopping, FixedN) else None
+
+
+@dataclass
+class Regression:
+    """Y_k = f_true(X_{k-1}) + s_scale(X_{k-1}) zeta_k on a kind's covariates.
+
+    f_true is vectorized over (n, d) rows; s_scale maps covariate rows to the
+    positive noise scale observed as sigma_{k-1}.  px_form, the closed-form
+    design probability used by the deterministic rate, is None unless the
+    kind has a design law.
+    """
+
+    f_true: Callable[[np.ndarray], np.ndarray]
+    noise: NoiseSpec
+    s_scale: Callable[[np.ndarray], np.ndarray]
+    stopping: object
+
+    px_form = None
+
+    def sample(self, rng: np.random.Generator) -> SamplePath:
+        x = self.covariates(rng)
+        zeta = self.noise.sampler(rng, x.shape[0])
+        sig = np.asarray(self.s_scale(x), dtype=float)
+        y = np.asarray(self.f_true(x), dtype=float) + sig * zeta
+        return SamplePath(x, y, sig, truth=self.f_true)
+
+
+@dataclass
+class IidRegression(Regression):
+    """Covariates drawn iid from a design law."""
+
+    design: DesignLaw
+
+    @property
+    def px_form(self) -> Callable[[float], float]:
+        return self.design.interval_prob
+
+    def covariates(self, rng) -> np.ndarray:
+        n = _fixed_n(self.stopping)
+        if n is not None:
+            return self.design.sampler(rng, n)
+        return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0], 1)
+
+
+@dataclass
+class MixingAr1(Regression):
+    """Stationary chain x_k = rho x_{k-1} + sqrt(1 - rho^2) xi_k started in N(0, 1).
+
+    design is the chain's stationary law near the estimation point; it gives
+    px_form but draws nothing.
+    """
+
+    rho: float
+    design: DesignLaw
+
+    @property
+    def px_form(self) -> Callable[[float], float]:
+        return self.design.interval_prob
+
+    def _chain(self, rng):
+        c = math.sqrt(1.0 - self.rho**2)
+        x = rng.standard_normal()  # exact stationary start, no burn-in needed
+        while True:
+            yield x
+            x = self.rho * x + c * rng.standard_normal()
+
+    def covariates(self, rng) -> np.ndarray:
+        chain = self._chain(rng)
+        n = _fixed_n(self.stopping)
+        if n is not None:
+            return np.fromiter(islice(chain, n), float, n).reshape(-1, 1)
+        return run_budget_stop(self.stopping, lambda k, hist: next(chain), 1)
+
+
+@dataclass
+class TransientWalk(Regression):
+    """Drifting walk x_k = x_{k-1} + drift + step_sd xi_k from x_start; fixed length only."""
+
+    x_start: float
+    drift: float
+    step_sd: float
+
+    def covariates(self, rng) -> np.ndarray:
+        n = _fixed_n(self.stopping)
+        if n is None:
+            raise ValueError("transient walk supports fixed-length sampling only")
+        steps = self.drift + self.step_sd * rng.standard_normal(n - 1)
+        return (self.x_start + np.concatenate([[0.0], np.cumsum(steps)])).reshape(-1, 1)
+
+
+@dataclass
+class Autoregressive:
+    """X_k = A X_{k-1} + s_scale(X_{k-1}) zeta_k from X_0 = 0, fixed length only.
+
+    The noise drives the covariates, so this kind draws its own sample: the
+    covariates are X_0..X_{n-1} and Y_k is coordinate y_coord of X_k, whose
+    conditional mean is f_true.
+    """
+
+    ar_matrix: np.ndarray
+    noise: NoiseSpec
+    s_scale: Callable[[np.ndarray], np.ndarray]
+    stopping: object
+    y_coord: int = 0
+    magnitude_guard: float = 1e6
+
+    px_form = None
+
+    def f_true(self, x: np.ndarray) -> np.ndarray:
+        return (np.atleast_2d(x) @ self.ar_matrix.T)[:, self.y_coord]
+
+    def sample(self, rng: np.random.Generator) -> SamplePath:
+        n = _fixed_n(self.stopping)
+        if n is None:
+            raise ValueError("autoregressive sampling supports fixed length only")
+        a = self.ar_matrix
+        x = np.zeros((n + 1, a.shape[0]))
+        for k in range(1, n + 1):
+            prev = x[k - 1]
+            scale = float(self.s_scale(prev.reshape(1, -1))[0])
+            x[k] = a @ prev + scale * self.noise.sampler(rng, a.shape[0])
+            if np.max(np.abs(x[k])) > self.magnitude_guard:
+                raise ExplosiveChain(
+                    f"|X_{k}| exceeded the magnitude guard {self.magnitude_guard:g}")
+        covs = x[:-1]
+        sig = np.asarray(self.s_scale(covs), dtype=float)
+        return SamplePath(covs, x[1:, self.y_coord], sig, truth=self.f_true)
+
+
 def iid_regression_spec(f_true, noise: Optional[NoiseSpec] = None, *,
                         design: Optional[DesignLaw] = None, s_scale=None,
-                        stopping=None, n: int = 1000) -> ProcessSpec:
-    design = design if design is not None else uniform_design()
-    return ProcessSpec(
-        kind="iid_regression",
-        noise=noise if noise is not None else gaussian_noise(),
-        f_true=f_true,
-        s_scale=s_scale if s_scale is not None else constant_scale(1.0),
-        stopping=stopping if stopping is not None else FixedN(n),
-        dim=design.dim,
-        design=design,
-    )
+                        stopping=None, n: int = 1000) -> IidRegression:
+    return IidRegression(f_true, noise or gaussian_noise(), s_scale or constant_scale(1.0),
+                         stopping or FixedN(n), design or uniform_design())
 
 
 def mixing_ar1_spec(f_true, rho: float = 0.5, noise: Optional[NoiseSpec] = None, *,
                     sigma: float = 1.0, stopping=None, n: int = 1000,
-                    x: float = 0.0) -> ProcessSpec:
+                    x: float = 0.0) -> MixingAr1:
     if not abs(rho) < 1:
         raise ValueError("|rho| < 1 is required for stationarity")
-    return ProcessSpec(
-        kind="mixing_ar1",
-        noise=noise if noise is not None else gaussian_noise(),
-        f_true=f_true,
-        s_scale=constant_scale(sigma),
-        stopping=stopping if stopping is not None else FixedN(n),
-        rho=rho,
-        design=gaussian_design(x),
-    )
+    return MixingAr1(f_true, noise or gaussian_noise(), constant_scale(sigma),
+                     stopping or FixedN(n), rho, gaussian_design(x))
 
 
 def transient_walk_spec(f_true, noise: Optional[NoiseSpec] = None, *,
                         x_start: float = 0.0, drift: float = 0.5,
                         step_sd: float = 0.5, sigma: float = 1.0,
-                        stopping=None, n: int = 1000) -> ProcessSpec:
-    return ProcessSpec(
-        kind="transient_walk",
-        noise=noise if noise is not None else gaussian_noise(),
-        f_true=f_true,
-        s_scale=constant_scale(sigma),
-        stopping=stopping if stopping is not None else FixedN(n),
-        x_start=x_start,
-        drift=drift,
-        step_sd=step_sd,
-    )
+                        stopping=None, n: int = 1000) -> TransientWalk:
+    return TransientWalk(f_true, noise or gaussian_noise(), constant_scale(sigma),
+                         stopping or FixedN(n), x_start, drift, step_sd)
 
 
 def autoregressive_spec(ar_matrix, s_scale=None, noise: Optional[NoiseSpec] = None, *,
                         y_coord: int = 0, stopping=None, n: int = 1000,
-                        magnitude_guard: float = 1e6) -> ProcessSpec:
+                        magnitude_guard: float = 1e6) -> Autoregressive:
     a = np.atleast_2d(np.asarray(ar_matrix, dtype=float))
-    d = a.shape[0]
-    if a.shape != (d, d):
+    if a.shape != (a.shape[0], a.shape[0]):
         raise ValueError("ar_matrix must be square")
-
-    def f_true(x):  # the estimated coordinate of the conditional mean
-        return (np.atleast_2d(x) @ a.T)[:, y_coord]
-
-    return ProcessSpec(
-        kind="autoregressive",
-        noise=noise if noise is not None else gaussian_noise(),
-        f_true=f_true,
-        s_scale=s_scale if s_scale is not None else constant_scale(1.0),
-        stopping=stopping if stopping is not None else FixedN(n),
-        dim=d,
-        ar_matrix=a,
-        y_coord=y_coord,
-        magnitude_guard=magnitude_guard,
-    )
+    return Autoregressive(a, noise or gaussian_noise(), s_scale or constant_scale(1.0),
+                          stopping or FixedN(n), y_coord, magnitude_guard)
 
 
-def _fixed_n(spec: ProcessSpec) -> Optional[int]:
-    return spec.stopping.n if isinstance(spec.stopping, FixedN) else None
-
-
-def _covariates_iid(spec: ProcessSpec, rng) -> np.ndarray:
-    n = _fixed_n(spec)
-    if n is not None:
-        return spec.design.sampler(rng, n)
-    draw = lambda k, hist: spec.design.sampler(rng, 1)[0]
-    return run_budget_stop(spec.stopping, draw, spec.dim)
-
-
-def _covariates_mixing_ar1(spec: ProcessSpec, rng) -> np.ndarray:
-    n = _fixed_n(spec)
-    x0 = rng.standard_normal()  # exact stationary start, no burn-in needed
-    c = np.sqrt(1.0 - spec.rho**2)
-    if n is not None:
-        xi = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-        # X_k = rho X_{k-1} + c xi_k solved as a linear filter with state rho*x0
-        rest, _ = lfilter([c], [1.0, -spec.rho], xi, zi=np.array([spec.rho * x0]))
-        return np.concatenate([[x0], rest]).reshape(-1, 1)
-
-    def draw(k, hist):
-        if k == 0:
-            return np.array([x0])
-        return np.array([spec.rho * hist[-1, 0] + c * rng.standard_normal()])
-
-    return run_budget_stop(spec.stopping, draw, 1)
-
-
-def _covariates_transient(spec: ProcessSpec, rng) -> np.ndarray:
-    n = _fixed_n(spec)
-    if n is None:
-        raise ValueError("transient walk supports fixed-length sampling only")
-    steps = spec.drift + spec.step_sd * rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    x = spec.x_start + np.concatenate([[0.0], np.cumsum(steps)])
-    return x.reshape(-1, 1)
-
-
-def simulate(spec: ProcessSpec, seed) -> SamplePath:
+def simulate(spec, seed) -> SamplePath:
     """Draw one sample path; the returned SamplePath carries the truth handle."""
-    rng = _rng(seed)
-
-    if spec.kind == "autoregressive":
-        return _simulate_autoregressive(spec, rng)
-
-    if spec.kind == "iid_regression":
-        x = _covariates_iid(spec, rng)
-    elif spec.kind == "mixing_ar1":
-        x = _covariates_mixing_ar1(spec, rng)
-    elif spec.kind == "transient_walk":
-        x = _covariates_transient(spec, rng)
-    else:
-        raise ValueError(f"unknown process kind {spec.kind!r}")
-
-    n = x.shape[0]
-    zeta = spec.noise.sampler(rng, n)
-    sig = np.asarray(spec.s_scale(x), dtype=float)
-    y = np.asarray(spec.f_true(x), dtype=float) + sig * zeta
-    return SamplePath(x, y, sig, truth=spec.f_true)
-
-
-def _simulate_autoregressive(spec: ProcessSpec, rng) -> SamplePath:
-    n = _fixed_n(spec)
-    if n is None:
-        raise ValueError("autoregressive sampling supports fixed length only")
-    d = spec.dim
-    a = spec.ar_matrix
-    x = np.empty((n + 1, d))
-    x[0] = 0.0
-    for k in range(1, n + 1):
-        prev = x[k - 1]
-        scale = float(spec.s_scale(prev.reshape(1, -1))[0])
-        x[k] = a @ prev + scale * spec.noise.sampler(rng, d)
-        if np.max(np.abs(x[k])) > spec.magnitude_guard:
-            raise ExplosiveChain(f"|X_{k}| exceeded the magnitude guard {spec.magnitude_guard:g}")
-    covs = x[:-1]
-    y = x[1:, spec.y_coord]
-    sig = np.asarray(spec.s_scale(covs), dtype=float)
-    return SamplePath(covs, y, sig, truth=spec.f_true)
+    return spec.sample(_rng(seed))
 
 
 def martingale_residuals(sample: SamplePath) -> np.ndarray:

@@ -38,6 +38,11 @@ class NoiseSpec:
             raise ValueError("need mu > 0 and gamma > 1")
 
 
+def normal_cdf(z: float) -> float:
+    """Standard normal distribution function Phi(z) = erfc(-z/sqrt(2))/2."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def gaussian_noise(mu: float = 0.25, alpha: int = 2) -> NoiseSpec:
     """Standard Gaussian innovations.
 
@@ -49,9 +54,7 @@ def gaussian_noise(mu: float = 0.25, alpha: int = 2) -> NoiseSpec:
             raise ValueError("Gaussian subgaussian certification needs mu < 1/2")
         gamma = (1.0 - 2.0 * mu) ** -0.5
     else:
-        from scipy.stats import norm
-
-        gamma = 2.0 * math.exp(mu**2 / 2.0) * norm.cdf(mu)
+        gamma = 2.0 * math.exp(mu**2 / 2.0) * normal_cdf(mu)
     return NoiseSpec("gaussian", alpha, mu, gamma,
                      lambda rng, size: rng.standard_normal(size), 1.0)
 

@@ -304,18 +304,17 @@ class StabilityReport:
 
 
 def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
+    """Per-path functional at a > 0, or its sup over a uniform range a = (a0, a1)."""
+    if isinstance(a, tuple):
+        # a -> a m^2/(a+v)^2 has its unique interior maximum at a = v, so the sup
+        # over [a0, a1] sits at clip(v, a0, a1); no grid search needed.
+        a_star = np.clip(ens.v, *a)
+        g = a_star * ens.m**2 / (a_star + ens.v) ** 2
+        return np.exp(0.5 * lam * g)
     if alpha == 2:
         y = a * ens.m**2 / (a + ens.v) ** 2
         return np.exp(lam * y)
     return np.cosh(lam * np.sqrt(a) * ens.m / (a + ens.v))
-
-
-def _uniform_values(ens: Ensemble, a0: float, a1: float, lam: float) -> np.ndarray:
-    # a -> a m^2/(a+v)^2 has its unique interior maximum at a = v, so the sup
-    # over [a0, a1] sits at clip(v, a0, a1); no grid search needed.
-    a_star = np.clip(ens.v, a0, a1)
-    g = a_star * ens.m**2 / (a_star + ens.v) ** 2
-    return np.exp(0.5 * lam * g)
 
 
 def _report(values: np.ndarray, bound: float, noise: NoiseSpec, ens: Ensemble, *,
@@ -337,7 +336,22 @@ def _check_lambda(noise: NoiseSpec, lam: float) -> float:
     return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
 
 
-def mc_stability(noise: NoiseSpec, scales, stop, a: float, lam: float,
+def _check_a(noise: NoiseSpec, a) -> float:
+    """Validate a > 0, or a uniform range 0 < a0 <= a1 under alpha = 2, and
+    return the factor on 1 + c: one, or 1 + log(a1/a0) for a range."""
+    if not isinstance(a, tuple):
+        if not a > 0:
+            raise ValueError(f"a must be positive, got {a}")
+        return 1.0
+    a0, a1 = a
+    if not 0 < a0 <= a1:
+        raise ValueError(f"need 0 < a0 <= a1, got {a}")
+    if noise.alpha != 2:
+        raise ValueError("the uniform bound is stated for alpha = 2")
+    return 1.0 + math.log(a1 / a0)
+
+
+def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
                  n_rep: int, seed=0) -> StabilityReport:
     """Monte Carlo check of the pointwise stability bound for one (a, lambda) cell.
 
@@ -345,11 +359,10 @@ def mc_stability(noise: NoiseSpec, scales, stop, a: float, lam: float,
     cosh (alpha = 1) functional at the terminal values, and compares the mean
     plus three standard errors against the closed-form bound.  Censored paths
     are evaluated at the cap, which is itself a finite stopping time, so the
-    bound applies to the capped rule exactly.
+    bound applies to the capped rule exactly.  A range a = (a0, a1) checks
+    the uniform bound instead (see `mc_uniform_stability`).
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    bound = _check_lambda(noise, lam)
+    bound = _check_lambda(noise, lam) * _check_a(noise, a)
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
     values = _functional_values(ens, noise.alpha, a, lam)
     return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name, seed=seed)
@@ -365,14 +378,7 @@ def mc_uniform_stability(noise: NoiseSpec, scales, stop, a0: float, a1: float,
     The per-path supremum is evaluated in closed form (maximum at a = V
     clipped to [a0, a1]), alpha = 2 noise only.
     """
-    if not 0 < a0 <= a1:
-        raise ValueError("need 0 < a0 <= a1")
-    if noise.alpha != 2:
-        raise ValueError("the uniform bound is stated for alpha = 2")
-    bound = _check_lambda(noise, lam) * (1.0 + math.log(a1 / a0))
-    ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
-    values = _uniform_values(ens, a0, a1, lam)
-    return _report(values, bound, noise, ens, lam=lam, a=(a0, a1), rule=stop.name, seed=seed)
+    return mc_stability(noise, scales, stop, (a0, a1), lam, n_rep, seed)
 
 
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
@@ -384,24 +390,24 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     One path ensemble is simulated per (scales, stopping) pair and reused for
     every (a, lambda) cell; the ensembles do not depend on a or lambda, so the
     per-cell estimates are identical in law to fresh simulation while keeping
-    the matrix tractable at n_rep = 1e5.
+    the matrix tractable at n_rep = 1e5.  Each lambda's cells are the a-values,
+    then the uniform ranges (rule suffix "|uniform").
     """
     bounds = [_check_lambda(noise, lam) for lam in lambdas]
+    cells = [*a_values, *(tuple(r) for r in uniform_ranges)]
+    factors = [_check_a(noise, a) for a in cells]
     reports = []
     for scales in scale_rules:
         for stop in stop_rules:
             ens = simulate_ensemble(noise, scales, stop, n_rep, master_seed)
             rule = f"{scales.name}|{stop.name}"
             for lam, bound in zip(lambdas, bounds):
-                for a in a_values:
+                for a, factor in zip(cells, factors):
                     values = _functional_values(ens, noise.alpha, a, lam)
-                    reports.append(_report(values, bound, noise, ens, lam=lam, a=a,
-                                           rule=rule, seed=master_seed))
-                for (a0, a1) in uniform_ranges:
-                    ub = bound * (1.0 + math.log(a1 / a0))
-                    values = _uniform_values(ens, a0, a1, lam)
-                    reports.append(_report(values, ub, noise, ens, lam=lam, a=(a0, a1),
-                                           rule=f"{rule}|uniform", seed=master_seed))
+                    reports.append(_report(
+                        values, bound * factor, noise, ens, lam=lam, a=a,
+                        rule=f"{rule}|uniform" if isinstance(a, tuple) else rule,
+                        seed=master_seed))
     return reports
 
 

@@ -1,11 +1,16 @@
 """Command-line interface tests: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lepski
 from lepski import campaign, deterministic_hw, uniform_design
 from lepski.cli import main
 from lepski.model_core import read_sample_csv
@@ -236,7 +241,12 @@ class TestVerifyStability:
         {"stopping": [{"rule": "randomized", "p": 1.5}]},
         {"stopping": [{"rule": "fixed", "n": -3}]},
         {"stopping": [{"rule": "crossing", "cap": 0}]},
-    ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0"])
+        {"a": [-1.0]},
+        {"uniform_a": [[0.0, 10.0]]},
+        {"uniform_a": [[10.0, 1.0]]},
+        {"noise": {"family": "truncated_laplace", "mu": 0.5}, "uniform_a": [[1, 100]]},
+    ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
+            "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -258,7 +268,8 @@ class TestExitCodes:
     def test_bad_json_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        assert run_cli("estimate", "--config", str(p)).exit_code == 2
+        for command in ("estimate", "verify-stability"):
+            assert run_cli(command, "--config", str(p)).exit_code == 2, command
 
     def test_missing_grid_exit_2(self, tmp_path):
         p = write_config(tmp_path, {"process": {"kind": "iid_regression"}, "n_ladder": [10]})
@@ -272,3 +283,14 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, tmp_path):
         res = run_cli("estimate", "--config", str(tmp_path / "nope.json"))
         assert res.exit_code in (2, 4)  # unreadable config
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(lepski.__file__).resolve().parents[1]
+        code = ("import sys, lepski.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"

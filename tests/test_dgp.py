@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
 from lepski import (
     ExplosiveChain,
@@ -23,6 +23,7 @@ from lepski import (
     uniform_design,
 )
 from lepski.dgp import FixedN, run_budget_stop
+from lepski.noise import normal_cdf
 
 
 def zero_f(rows):
@@ -91,7 +92,16 @@ class TestMixingAr1:
         manual = [x0]
         for e in xi:
             manual.append(rho * manual[-1] + math.sqrt(1 - rho**2) * e)
-        np.testing.assert_allclose(x, manual, rtol=1e-12)
+        np.testing.assert_array_equal(x, manual)
+
+    def test_budget_and_fixed_length_share_one_recursion(self):
+        # unit cost with budget n takes n observations; the rejected (n+1)-th
+        # draw comes after them, so the covariates match bit for bit
+        n, rho = 300, 0.6
+        fixed = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n)), 8)
+        rule = budget_stop(lambda hist: 1.0, float(n))
+        budget = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=rule), 8)
+        np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
 
     def test_px_form_matches_declaration(self):
         assert gaussian_design(0.0).check_declaration(1.0)
@@ -105,6 +115,25 @@ class TestMixingAr1:
         for h in (0.25, 0.5, 0.75):
             emp = np.mean(np.abs(x) <= h)
             assert emp == pytest.approx(law.interval_prob(h), abs=0.005)
+
+
+class TestGaussianDesign:
+    def test_normal_cdf_matches_scipy(self):
+        for z in np.linspace(-8.0, 8.0, 401):
+            assert normal_cdf(float(z)) == pytest.approx(norm.cdf(z), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 0.7, -1.3])
+    def test_interval_prob_matches_scipy(self, x):
+        # both sides subtract two values of Phi near Phi(x), each rounded to the
+        # ulp of numbers below one, so at small h they may differ by eps in
+        # absolute terms: 2.6e-10 relative at h = 1e-6, x = -1.3
+        eps = np.finfo(float).eps
+        law = gaussian_design(x)
+        for h in np.geomspace(1e-6, 5.0, 200):
+            h = float(h)
+            ref = norm.cdf(x + h) - norm.cdf(x - h)
+            assert law.interval_prob(h) == pytest.approx(ref, rel=1e-12, abs=2 * eps)
+            assert law.ell_x(h) == pytest.approx(ref / h, rel=1e-12, abs=2 * eps / h)
 
 
 class TestTransientWalk:

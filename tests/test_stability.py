@@ -34,6 +34,7 @@ from lepski import (
     mc_uniform_stability,
     pi_statistic,
     simulate_ensemble,
+    stability_matrix,
     truncated_laplace_noise,
     two_point_noise,
     uniform_design,
@@ -276,6 +277,33 @@ class TestChunkedKernel:
                     lambda: simulate_ensemble(ONES, ConstantScale(), FixedT(5), 0, 0)):
             with pytest.raises(ValueError):
                 bad()
+
+
+class TestAdmissibleA:
+    @pytest.mark.parametrize("a, noise", [
+        (-1.0, gaussian_noise()),
+        (0.0, gaussian_noise()),
+        (float("nan"), gaussian_noise()),
+        ((0.0, 10.0), gaussian_noise()),
+        ((10.0, 1.0), gaussian_noise()),
+        ((1.0, 100.0), truncated_laplace_noise()),  # the uniform bound needs alpha = 2
+    ], ids=["a-1", "a0", "a_nan", "uniform0:10", "uniform10:1", "uniform_alpha1"])
+    def test_rejected_before_simulating(self, monkeypatch, a, noise):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("simulated before checking a")
+
+        monkeypatch.setattr(lepski.stability, "simulate_ensemble", no_paths)
+        rules = (noise, [ConstantScale()], [FixedT(10)])
+        with pytest.raises(ValueError):
+            mc_stability(noise, ConstantScale(), FixedT(10), a=a, lam=0.01, n_rep=10)
+        if isinstance(a, tuple):
+            with pytest.raises(ValueError):
+                mc_uniform_stability(noise, ConstantScale(), FixedT(10), *a, lam=0.01, n_rep=10)
+            with pytest.raises(ValueError):
+                stability_matrix(*rules, [1.0], [0.01], 10, uniform_ranges=[a])
+        else:
+            with pytest.raises(ValueError):
+                stability_matrix(*rules, [a], [0.01], 10)
 
 
 class TestUniformStability:
