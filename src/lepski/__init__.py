@@ -36,7 +36,8 @@ from .selection import (
     select_bandwidth,
 )
 from .rates import (
-    ModulusSpec,
+    ExplicitModulus,
+    HolderModulus,
     RateReport,
     deterministic_hw,
     empirical_hw,
@@ -70,7 +71,6 @@ from .stability import (
     gamma_lambda,
     lambda_max,
     mc_stability,
-    mc_uniform_stability,
     pi_statistic,
     simulate_ensemble,
     stability_matrix,

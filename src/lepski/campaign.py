@@ -2,8 +2,8 @@
 
 A campaign is one JSON document describing a process, a grid, a modulus and a
 replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
-(master_seed, n, rep), cells may run across a worker pool, and output rows are
-sorted by (n, rep) before writing so files are byte-stable for any --jobs.
+(master_seed, n, rep), and cells may run across a worker pool that hands them
+back in (n, rep) order, so files are byte-stable for any --jobs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
 from .model_core import GridConfig, write_sample_csv
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
-from .rates import ModulusSpec, holder_modulus, modulus_bar, rate_report
+from .rates import Modulus, holder_modulus, modulus_bar, rate_report
 from .selection import select_bandwidth
 from . import dgp
 from . import stability as stab
@@ -164,7 +164,7 @@ class CampaignConfig:
 
     raw: dict
     grid: GridConfig
-    modulus: Optional[ModulusSpec]
+    modulus: Optional[Modulus]
     n_ladder: list
     n_rep: int
     master_seed: int
@@ -255,7 +255,7 @@ def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
             for row in rows:
                 writer.writerow([_fmt(row[k]) for k in header])
     elif fmt == "json":
-        payload = [{k: (None if row[k] is None else row[k]) for k in header} for row in rows]
+        payload = [{k: row[k] for k in header} for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, default=float)
             fh.write("\n")
@@ -265,7 +265,7 @@ def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
 
 def _write_formats(outputs: Path, formats: list, stem: str, header: list, rows: list) -> list:
     """Write rows once per format as outputs/stem.csv or .json; returns the paths."""
-    paths = [outputs / f"{stem}.{'csv' if fmt == 'csv' else 'json'}" for fmt in formats]
+    paths = [outputs / f"{stem}.{fmt}" for fmt in formats]
     for path, fmt in zip(paths, formats):
         write_rows(path, header, rows, fmt)
     return paths
@@ -322,7 +322,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
         row["h_star"] = h_star
         row["omega_prime"] = rep_rates.omega_prime
         if h_star is not None:
-            row["wbar_h_star"] = modulus_bar(cfg.modulus, h_star, grid.h0)
+            row["wbar_h_star"] = modulus_bar(cfg.modulus, h_star)
         if not rep_rates.omega_prime and row["error"] is None:
             row["error"] = "omega_prime_false"
         rate_row.update(
@@ -337,20 +337,26 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
     return {"estimate": row, "rate": rate_row}
 
 
-def _estimate_cell_star(args):
-    return _estimate_cell(*args)
+def _simulate_cell(cfg: CampaignConfig, n: int, rep: int) -> Path:
+    sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
+    path = cfg.outputs / f"sample_n{n}_rep{rep}.csv"
+    write_sample_csv(sample, path)
+    return path
+
+
+def _run_cells(cfg: CampaignConfig, cell, jobs: int) -> list:
+    """cell(cfg, n, rep) for every (n, rep), in (n, rep) order for any worker
+    count: the ladder is increasing and map keeps the input order."""
+    ns, reps = zip(*[(n, rep) for n in cfg.n_ladder for rep in range(cfg.n_rep)])
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(cell, [cfg] * len(ns), ns, reps, chunksize=8))
+    return list(map(cell, [cfg] * len(ns), ns, reps))
 
 
 def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
-    """All (n, rep) cells, sorted by (n, rep) regardless of worker count."""
-    tasks = [(cfg, n, rep) for n in cfg.n_ladder for rep in range(cfg.n_rep)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_estimate_cell_star, tasks, chunksize=8))
-    else:
-        results = [_estimate_cell(*t) for t in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1], tasks[i][2]))
-    return [results[i] for i in order]
+    """All (n, rep) cells, in (n, rep) order regardless of worker count."""
+    return _run_cells(cfg, _estimate_cell, jobs)
 
 
 # ------------------------------------------------------------------
@@ -358,15 +364,9 @@ def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
 # ------------------------------------------------------------------
 
 def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
-    paths = []
+    """One sample CSV per (n, rep) cell; returns the paths in (n, rep) order."""
     cfg.outputs.mkdir(parents=True, exist_ok=True)
-    for n in cfg.n_ladder:
-        for rep in range(cfg.n_rep):
-            sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
-            path = cfg.outputs / f"sample_n{n}_rep{rep}.csv"
-            write_sample_csv(sample, path)
-            paths.append(path)
-    return paths
+    return _run_cells(cfg, _simulate_cell, jobs)
 
 
 def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:
@@ -523,11 +523,11 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
     scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
     stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
     a_values = [float(a) for a in sdoc.get("a", [1.0])]
-    uniform = [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
+    a_values += [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
     try:
         for lam in lambdas:
             stab._check_lambda(noise, lam)
-        for a in a_values + uniform:
+        for a in a_values:
             stab._check_a(noise, a)
     except ValueError as exc:
         raise ConfigError(f"stability section outside the admissible range: {exc}") from exc
@@ -537,7 +537,7 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
     master_seed = int(seed if seed is not None else doc.get("master_seed", 0))
 
     reports = stab.stability_matrix(noise, scales, stops, a_values, lambdas,
-                                    n_rep, master_seed, uniform_ranges=uniform)
+                                    n_rep, master_seed)
     rows = []
     for r in reports:
         a_repr = r.a if not isinstance(r.a, tuple) else f"{r.a[0]:g}:{r.a[1]:g}"

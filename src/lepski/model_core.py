@@ -208,13 +208,12 @@ def psi(h, cfg: GridConfig):
     return 1.0 + cfg.b * np.log(cfg.h0 / h)
 
 
-def z_statistic(m: float, l: float, a: float) -> float:
-    """Regularized self-normalized statistic Z = sqrt(a) |m| / (a + l)."""
-    if a <= 0:
-        raise ValueError("regularization parameter a must be positive")
-    if l < 0:
-        raise ValueError("occupation time must be nonnegative")
-    return float(np.sqrt(a) * abs(m) / (a + l))
+def z_statistic(m, l, a):
+    """Regularized self-normalized statistic Z = sqrt(a) |m| / (a + l), elementwise."""
+    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(l) < 0):
+        raise ValueError(f"Z needs a > 0 and occupation time l >= 0; got a={a}, l={l}")
+    z = np.sqrt(a) * np.abs(m) / (a + l)
+    return z if isinstance(z, np.ndarray) else float(z)
 
 
 # ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Modulus envelopes, oracle bandwidths and the deterministic rate.
 
+A modulus W is a `HolderModulus` or an `ExplicitModulus`; `modulus_bar`
+floors and caps either kind with the fields the two share.
+
 Two bandwidth notions live here.  The grid oracle H* balances the stochastic
 level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
 The continuum bandwidths H_w (empirical) and h_w (deterministic, replacing L
@@ -25,81 +28,80 @@ REL_TOL = 1e-10
 # modulus specification
 # ------------------------------------------------------------------
 
-@dataclass
-class ModulusSpec:
-    """Smoothness envelope W for the bias proxy.
+@dataclass(kw_only=True)
+class Modulus:
+    """The floor delta0 (h/h0)^alpha0 and the cap u0 that `modulus_bar` applies
+    on (0, h0], mirroring the grid configuration; each kind supplies w(h)."""
 
-    kind = "holder":   w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w
-    defaults to the constant function 1.  kind = "explicit": `w_func` is any
-    harness-supplied callable h -> W(h) (e.g. the literal sup of the bias
-    proxy increments); no shape is assumed.
-
-    delta0/alpha0/u0 are the floor and cap used by `modulus_bar`; they mirror
-    the grid configuration.  For Holder specs the constructor checks, on a
-    log grid of 1000 points in (0, h0], that w is nondecreasing, w(h) >=
-    delta0 (h/h0)^alpha0 and w(h) <= u0; violations raise ValueError.
-    """
-
-    kind: str
-    s: Optional[float] = None
-    scale: Optional[float] = None
-    ell_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    w_func: Optional[Callable[[float], float]] = None
+    h0: float = 1.0
     delta0: float = 0.1
     alpha0: float = 2.0
     u0: float = 1.0
-    h0: float = 1.0
+
+
+@dataclass
+class HolderModulus(Modulus):
+    """w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w defaults to 1.
+
+    The constructor checks, on a log grid of 1000 points in (0, h0], that w
+    is nondecreasing, w(h) >= delta0 (h/h0)^alpha0 and w(h) <= u0;
+    violations raise ValueError.
+    """
+
+    s: float
+    scale: float
+    ell_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind == "holder":
-            if self.s is None or self.scale is None:
-                raise ValueError("holder modulus needs s and scale")
-            if not (0 < self.s <= 1) or self.scale <= 0:
-                raise ValueError("need 0 < s <= 1 and scale > 0")
-            hs = np.exp(np.linspace(np.log(self.h0) - 12.0, np.log(self.h0), 1000))
-            w = self.w(hs)
-            if np.any(np.diff(w) < 0):
-                raise ValueError("modulus must be increasing on (0, h0]")
-            if np.any(w < self.delta0 * (hs / self.h0) ** self.alpha0 - 1e-12):
-                raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
-            if np.any(w > self.u0 * (1 + 1e-12)):
-                raise ValueError("modulus exceeds the cap u0 on (0, h0]")
-        elif self.kind == "explicit":
-            if self.w_func is None:
-                raise ValueError("explicit modulus needs w_func")
-        else:
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
+        if not (0 < self.s <= 1) or self.scale <= 0:
+            raise ValueError("need 0 < s <= 1 and scale > 0")
+        hs = np.exp(np.linspace(np.log(self.h0) - 12.0, np.log(self.h0), 1000))
+        w = self.w(hs)
+        if np.any(np.diff(w) < 0):
+            raise ValueError("modulus must be increasing on (0, h0]")
+        if np.any(w < self.delta0 * (hs / self.h0) ** self.alpha0 - 1e-12):
+            raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
+        if np.any(w > self.u0 * (1 + 1e-12)):
+            raise ValueError("modulus exceeds the cap u0 on (0, h0]")
 
     def w(self, h):
         """Raw modulus value(s) W(h), before flooring and capping."""
         h = np.asarray(h, dtype=float)
-        if self.kind == "holder":
-            out = self.scale * h**self.s
-            if self.ell_w is not None:
-                out = out * self.ell_w(h)
-        else:
-            out = np.vectorize(self.w_func, otypes=[float])(h)
+        out = self.scale * h**self.s
+        if self.ell_w is not None:
+            out = out * self.ell_w(h)
+        return out if out.ndim else float(out)
+
+
+@dataclass
+class ExplicitModulus(Modulus):
+    """W given by any harness-supplied callable h -> W(h) on scalars (e.g. the
+    literal sup of the bias proxy increments); no shape is assumed."""
+
+    w_func: Callable[[float], float]
+
+    def w(self, h):
+        """Raw modulus value(s) W(h): w_func applied to each element of h."""
+        out = np.vectorize(self.w_func, otypes=[float])(np.asarray(h, dtype=float))
         return out if out.ndim else float(out)
 
 
 def holder_modulus(s: float, scale: float = 1.0, h0: float = 1.0, *,
                    delta0: float = 0.1, alpha0: float = 2.0, u0: float = 1.0,
-                   ell_w=None) -> ModulusSpec:
-    return ModulusSpec(kind="holder", s=s, scale=scale, ell_w=ell_w,
-                       delta0=delta0, alpha0=alpha0, u0=u0, h0=h0)
+                   ell_w=None) -> HolderModulus:
+    return HolderModulus(s, scale, ell_w, h0=h0, delta0=delta0, alpha0=alpha0, u0=u0)
 
 
 def explicit_modulus(w_func, h0: float = 1.0, *, delta0: float = 0.1,
-                     alpha0: float = 2.0, u0: float = 1.0) -> ModulusSpec:
-    return ModulusSpec(kind="explicit", w_func=w_func,
-                       delta0=delta0, alpha0=alpha0, u0=u0, h0=h0)
+                     alpha0: float = 2.0, u0: float = 1.0) -> ExplicitModulus:
+    return ExplicitModulus(w_func, h0=h0, delta0=delta0, alpha0=alpha0, u0=u0)
 
 
-def modulus_bar(w_spec: ModulusSpec, h, h0: float):
+def modulus_bar(w_spec: Modulus, h):
     """Clamped modulus: [W(h) or the floor delta0 (h/h0)^alpha0, whichever is
     larger] capped at u0."""
     h = np.asarray(h, dtype=float)
-    floor = w_spec.delta0 * (h / h0) ** w_spec.alpha0
+    floor = w_spec.delta0 * (h / w_spec.h0) ** w_spec.alpha0
     out = np.minimum(np.maximum(w_spec.w(h), floor), w_spec.u0)
     return out if out.ndim else float(out)
 
@@ -108,17 +110,20 @@ def modulus_bar(w_spec: ModulusSpec, h, h0: float):
 # grid oracle bandwidth and events
 # ------------------------------------------------------------------
 
-def oracle_bandwidth(profile: OccupationProfile, w_spec: ModulusSpec,
+def oracle_bandwidth(profile: OccupationProfile, w_spec: Modulus,
                      cfg: GridConfig) -> Optional[float]:
     """H* = min{h in grid : (psi(h)/L(h))^(1/2) <= W-bar(h)}.
 
     None when h0 already fails, i.e. off the event {L(h0)^(-1/2) <= W-bar(h0)}.
+    The modulus floors W at its own h0, so it must be the grid's h0.
     """
-    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths, cfg.h0))
+    if w_spec.h0 != cfg.h0:
+        raise ValueError(f"modulus h0 = {w_spec.h0} differs from the grid's h0 = {cfg.h0}")
+    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths))
     return None if j is None else float(profile.bandwidths[j])
 
 
-def omega_prime_event(profile: OccupationProfile, w_spec: ModulusSpec,
+def omega_prime_event(profile: OccupationProfile, w_spec: Modulus,
                       cfg: GridConfig) -> bool:
     """{L(h0)^(-1/2) <= W-bar(h0)} and {W(H*) <= u0}; the second condition is
     evaluated only when H* exists."""
@@ -132,7 +137,7 @@ def omega_prime_event(profile: OccupationProfile, w_spec: ModulusSpec,
 # continuum bandwidths
 # ------------------------------------------------------------------
 
-def _excess(level, h, w_spec: ModulusSpec, cfg: GridConfig):
+def _excess(level, h, w_spec: Modulus, cfg: GridConfig):
     """F(h) = level * w(h)^2 - psi(h): nonnegative exactly where the level
     (psi(h)/level)^(1/2) is at most w(h).  Elementwise for arrays."""
     return level * w_spec.w(h) ** 2 - psi(h, cfg)
@@ -169,7 +174,7 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
 
 
 def empirical_hw(sample: SamplePath, cfg: GridConfig,
-                 w_spec: ModulusSpec) -> Optional[float]:
+                 w_spec: Modulus) -> Optional[float]:
     """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0.
 
     Requires a constant sigma across the sample.  L is a right-continuous
@@ -205,7 +210,7 @@ def empirical_hw(sample: SamplePath, cfg: GridConfig,
                            left if left > 0 else None)
 
 
-def deterministic_hw(px_model: Callable[[float], float], w_spec: ModulusSpec,
+def deterministic_hw(px_model: Callable[[float], float], w_spec: Modulus,
                      n: int, sigma: float, cfg: GridConfig) -> float:
     """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
     E L(h) = n * P_X[x-h, x+h] / sigma^2.
@@ -251,7 +256,7 @@ class RateReport:
     ratio: Optional[float] = None
 
 
-def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: ModulusSpec,
+def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: Modulus,
                 px_model: Optional[Callable[[float], float]] = None) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 

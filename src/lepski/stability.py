@@ -26,7 +26,7 @@ import numpy as np
 
 from .dgp import simulate
 from .errors import CensoredPathsWarning
-from .model_core import GridConfig, SamplePath, grid_statistics
+from .model_core import GridConfig, SamplePath, grid_statistics, z_statistic
 from .noise import NoiseSpec
 
 _BLOCK_PATHS = 16384
@@ -353,14 +353,22 @@ def _check_a(noise: NoiseSpec, a) -> float:
 
 def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
                  n_rep: int, seed=0) -> StabilityReport:
-    """Monte Carlo check of the pointwise stability bound for one (a, lambda) cell.
+    """Monte Carlo check of the stability bound for one (a, lambda) cell.
 
     Simulates n_rep stopped paths, evaluates the exponential (alpha = 2) or
     cosh (alpha = 1) functional at the terminal values, and compares the mean
     plus three standard errors against the closed-form bound.  Censored paths
     are evaluated at the cap, which is itself a finite stopping time, so the
-    bound applies to the capped rule exactly.  A range a = (a0, a1) checks
-    the uniform bound instead (see `mc_uniform_stability`).
+    bound applies to the capped rule exactly.
+
+    A range a = (a0, a1) checks the uniform-in-a version instead, for
+    alpha = 2 noise only:
+
+        E[sup_{a in [a0, a1]} exp((lambda/2) a M^2/(a+V)^2)]
+            <= (1 + c_lambda)(1 + log(a1/a0)).
+
+    The per-path supremum is evaluated in closed form (maximum at a = V
+    clipped to [a0, a1]).
     """
     bound = _check_lambda(noise, lam) * _check_a(noise, a)
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
@@ -368,41 +376,27 @@ def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
     return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name, seed=seed)
 
 
-def mc_uniform_stability(noise: NoiseSpec, scales, stop, a0: float, a1: float,
-                         lam: float, n_rep: int, seed=0) -> StabilityReport:
-    """Check the uniform-in-a version:
-
-        E[sup_{a in [a0, a1]} exp((lambda/2) a M^2/(a+V)^2)]
-            <= (1 + c_lambda)(1 + log(a1/a0)).
-
-    The per-path supremum is evaluated in closed form (maximum at a = V
-    clipped to [a0, a1]), alpha = 2 noise only.
-    """
-    return mc_stability(noise, scales, stop, (a0, a1), lam, n_rep, seed)
-
-
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
-                     a_values: Sequence[float], lambdas: Sequence[float],
-                     n_rep: int, master_seed=0,
-                     uniform_ranges: Sequence = ()) -> list[StabilityReport]:
+                     a_values: Sequence, lambdas: Sequence[float],
+                     n_rep: int, master_seed=0) -> list[StabilityReport]:
     """Run the full (scales x stopping x a x lambda) matrix.
 
     One path ensemble is simulated per (scales, stopping) pair and reused for
     every (a, lambda) cell; the ensembles do not depend on a or lambda, so the
     per-cell estimates are identical in law to fresh simulation while keeping
-    the matrix tractable at n_rep = 1e5.  Each lambda's cells are the a-values,
-    then the uniform ranges (rule suffix "|uniform").
+    the matrix tractable at n_rep = 1e5.  Each lambda's cells are a_values in
+    order: a float a > 0 checks the pointwise bound at a, a pair (a0, a1) the
+    uniform bound over that range (rule suffix "|uniform"; see `mc_stability`).
     """
     bounds = [_check_lambda(noise, lam) for lam in lambdas]
-    cells = [*a_values, *(tuple(r) for r in uniform_ranges)]
-    factors = [_check_a(noise, a) for a in cells]
+    factors = [_check_a(noise, a) for a in a_values]
     reports = []
     for scales in scale_rules:
         for stop in stop_rules:
             ens = simulate_ensemble(noise, scales, stop, n_rep, master_seed)
             rule = f"{scales.name}|{stop.name}"
             for lam, bound in zip(lambdas, bounds):
-                for a, factor in zip(cells, factors):
+                for a, factor in zip(a_values, factors):
                     values = _functional_values(ens, noise.alpha, a, lam)
                     reports.append(_report(
                         values, bound * factor, noise, ens, lam=lam, a=a,
@@ -436,8 +430,7 @@ def pi_statistic(sample: SamplePath, cfg: GridConfig, i0: int = 0) -> float:
     m = stats.m_values[sel]
     lo = ps * cfg.u0**-2.0
     hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
-    a_eff = np.clip(l, lo, hi)
-    z = np.sqrt(a_eff) * np.abs(m) / (a_eff + l)
+    z = z_statistic(m, l, np.clip(l, lo, hi))
     return float(np.max(z / np.sqrt(ps)))
 
 

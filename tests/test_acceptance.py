@@ -79,8 +79,8 @@ def a1_matrix():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CensoredPathsWarning)
         reports = stability_matrix(
-            noise, SCALES(), STOPS(), A_VALUES, A1_LAMBDAS,
-            n_rep=100_000, master_seed=MASTER, uniform_ranges=[(1.0, 100.0)])
+            noise, SCALES(), STOPS(), [*A_VALUES, (1.0, 100.0)], A1_LAMBDAS,
+            n_rep=100_000, master_seed=MASTER)
     return reports, time.monotonic() - t0
 
 
@@ -283,7 +283,7 @@ def test_a5_oracle_equivalence_and_transient_stall():
                          (MASTER, n, r))
             prof = build_grid(s, cfg)
             h_star = oracle_bandwidth(prof, w, cfg)
-            vals.append(modulus_bar(w, h_star, cfg.h0))
+            vals.append(modulus_bar(w, h_star))
         med[n] = float(np.median(vals))
     report("A5 (mixing contrast)", med[4000] < 0.8 * med[250],
            f"mixing medians {round(med[250], 4)} -> {round(med[4000], 4)}")
@@ -359,7 +359,7 @@ def test_a8_tail_decay_of_adaptive_estimator():
         sample = simulate(spec, (MASTER + 8, r))
         sel = select_bandwidth(sample, cfg)
         rep = rate_report(sample, cfg, w)
-        wbar = modulus_bar(w, rep.h_star, cfg.h0) if rep.h_star is not None else None
+        wbar = modulus_bar(w, rep.h_star) if rep.h_star is not None else None
         rows.append({"omega_prime": rep.omega_prime, "risk": abs(sel.f_hat),
                      "wbar_h_star": wbar})
 

@@ -58,15 +58,27 @@ class TestSimulate:
         s = read_sample_csv(files[0])
         assert s.n_stop == 100
 
-    def test_seed_repeat_identical_files(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        cfg1 = write_config(tmp_path, base_config(out1, n_ladder=[50], n_rep=2), "c1.json")
-        cfg2 = write_config(tmp_path, base_config(out2, n_ladder=[50], n_rep=2), "c2.json")
-        assert run_cli("simulate", "--config", str(cfg1)).exit_code == 0
-        assert run_cli("simulate", "--config", str(cfg2)).exit_code == 0
-        for f1 in sorted(out1.glob("*.csv")):
-            f2 = out2 / f1.name
-            assert f1.read_bytes() == f2.read_bytes()
+    def test_seed_repeat_identical_files(self, tmp_path, monkeypatch):
+        # a repeat at --jobs 1 and a run on a two-worker pool match byte for byte
+        pools = []
+
+        class SpyPool(campaign.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", SpyPool)
+        outs = [tmp_path / f"run{k}" for k in range(3)]
+        for k, (out, jobs) in enumerate(zip(outs, ("1", "1", "2"))):
+            cfg = write_config(tmp_path, base_config(out, n_ladder=[30, 60], n_rep=3), f"c{k}.json")
+            assert run_cli("simulate", "--config", str(cfg), "--jobs", jobs).exit_code == 0
+        assert pools == [2]
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 6
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestEstimate:

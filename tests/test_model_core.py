@@ -160,7 +160,8 @@ class TestBuildGrid:
     @given(samples())
     @settings(max_examples=60, deadline=None)
     def test_profile_invariants(self, s):
-        cfg = GridConfig(x_point=np.zeros(s.dim), h0=4.0, q=0.6, j_max=12)
+        # h0 = 5 > sqrt(18): every point of [-3, 3]^d lies in the ball, so the grid is never empty
+        cfg = GridConfig(x_point=np.zeros(s.dim), h0=5.0, q=0.6, j_max=12)
         grid = build_grid(s, cfg)
         assert np.all(grid.l_values > 0)
         assert np.all(np.diff(grid.l_values) <= 0)
@@ -263,6 +264,27 @@ class TestZStatistic:
     def test_rejects_bad_a(self, a):
         with pytest.raises(ValueError):
             z_statistic(1.0, 1.0, a)
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        m, l, a = rng.normal(0, 5, 200), rng.uniform(0, 50, 200), rng.uniform(0.01, 50, 200)
+        l[:10] = 0.0
+        z = z_statistic(m, l, a)
+        assert z.tolist() == [z_statistic(*cell) for cell in zip(m.tolist(), l.tolist(), a.tolist())]
+        z_scalar_a = z_statistic(m, l, 2.5)
+        assert z_scalar_a.tolist() == [z_statistic(mi, li, 2.5)
+                                       for mi, li in zip(m.tolist(), l.tolist())]
+
+    @pytest.mark.parametrize("l, a", [
+        (1.0, np.array([1.0, 0.0, 2.0])),
+        (np.ones(3), np.array([1.0, 2.0, -1e-300])),
+        (np.array([1.0, -1e-300, 2.0]), 1.0),
+        (np.array([1.0, 1.0, -2.0]), np.ones(3)),
+        (-1.0, 1.0),
+    ], ids=["a_zero", "a_negative", "l_negative", "l_negative_both_arrays", "l_scalar"])
+    def test_rejects_any_bad_entry(self, l, a):
+        with pytest.raises(ValueError, match="Z needs a > 0"):
+            z_statistic(np.ones(3), l, a)
 
     # Subnormal m makes sqrt(a)|m| underflow to 0; every normal m keeps z >= ~2e-311.
     @given(st.floats(-50, 50, allow_subnormal=False), st.floats(0, 100), st.floats(0.01, 100))

@@ -2,6 +2,7 @@
 bandwidth and its deterministic equivalent."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from scipy.optimize import brentq
 
 from lepski import (
     DesignLaw,
+    ExplicitModulus,
     GridConfig,
+    HolderModulus,
     SamplePath,
     TooFewSamples,
     build_grid,
@@ -52,28 +55,47 @@ class TestModulusSpec:
         with pytest.raises(ValueError):
             holder_modulus(1.0, 0.05, 1.0, delta0=0.1, alpha0=2.0)
 
+    def test_kinds_share_only_floor_and_cap(self):
+        holder = {f.name for f in fields(HolderModulus)}
+        explicit = {f.name for f in fields(ExplicitModulus)}
+        assert holder & explicit == {"h0", "delta0", "alpha0", "u0"}
+        assert holder - explicit == {"s", "scale", "ell_w"}
+        assert explicit - holder == {"w_func"}
+
+    def test_explicit_w_applies_a_scalar_callable_elementwise(self):
+        def w_func(h):  # scalars only: math.sqrt and the branch reject arrays
+            return 0.5 if h < 0.25 else math.sqrt(h)
+
+        spec = explicit_modulus(w_func, 1.0)
+        hs = np.geomspace(1e-3, 1.0, 50)
+        out = spec.w(hs)
+        assert out.dtype == float and out.shape == hs.shape
+        assert out.tolist() == [w_func(h) for h in hs.tolist()]
+        assert spec.w(hs.reshape(5, 10)).tolist() == out.reshape(5, 10).tolist()
+        assert spec.w(0.7) == w_func(0.7) and isinstance(spec.w(0.7), float)
+
 
 class TestModulusBar:
     def test_zero_modulus_hits_floor(self):
         spec = explicit_modulus(lambda h: 0.0, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
         for h in (0.1, 0.5, 1.0):
-            assert modulus_bar(spec, h, 1.0) == min(0.1 * h**2, 1.0)
+            assert modulus_bar(spec, h) == min(0.1 * h**2, 1.0)
 
     def test_large_modulus_capped(self):
         spec = explicit_modulus(lambda h: 7.0, 1.0, u0=1.0)
-        assert modulus_bar(spec, 0.3, 1.0) == 1.0
+        assert modulus_bar(spec, 0.3) == 1.0
 
     def test_hand_check(self):
         # delta0=0.1, alpha0=2, u0=1, h=h0/2, W=0.01: max(0.01, 0.025) ^ 1 = 0.025
         spec = explicit_modulus(lambda h: 0.01, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
-        assert modulus_bar(spec, 0.5, 1.0) == pytest.approx(0.025, rel=1e-15)
+        assert modulus_bar(spec, 0.5) == pytest.approx(0.025, rel=1e-15)
 
     def test_ordering_property(self):
         rng = np.random.default_rng(2)
         spec = explicit_modulus(lambda h: abs(math.sin(40 * h)), 1.0,
                                 delta0=0.2, alpha0=1.5, u0=0.8)
         for h in rng.uniform(1e-4, 1.0, 200):
-            wbar = modulus_bar(spec, h, 1.0)
+            wbar = modulus_bar(spec, h)
             floor = min(0.2 * h**1.5, 0.8)
             assert floor - 1e-15 <= wbar <= 0.8
 
@@ -96,6 +118,13 @@ class TestOracleBandwidth:
         spec = explicit_modulus(lambda h: 0.0, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
         # W-bar(h0) = 0.1 < L(h0)^(-1/2) = 0.707
         assert oracle_bandwidth(grid, spec, grid_cfg(j_max=2)) is None
+
+    def test_modulus_h0_must_match_grid(self):
+        cfg = grid_cfg(j_max=2)
+        grid = build_grid(all_at_x_sample(100), cfg)
+        spec = holder_modulus(0.5, 1.0, 0.5 * cfg.h0)
+        with pytest.raises(ValueError, match="h0"):
+            oracle_bandwidth(grid, spec, cfg)
 
     def test_closed_form_scan_all_data_at_x(self):
         n = 50

@@ -3,6 +3,7 @@ values (mpmath, 40 digits), Monte Carlo bound checks at unit-test scale, the
 analytic lemmas, and the tail functional.  The full 1e5-replication matrices
 live in the acceptance suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,10 +29,10 @@ from lepski import (
     empirical_pi,
     gamma_lambda,
     gaussian_noise,
+    grid_statistics,
     iid_regression_spec,
     lambda_max,
     mc_stability,
-    mc_uniform_stability,
     pi_statistic,
     simulate_ensemble,
     stability_matrix,
@@ -296,14 +297,28 @@ class TestAdmissibleA:
         rules = (noise, [ConstantScale()], [FixedT(10)])
         with pytest.raises(ValueError):
             mc_stability(noise, ConstantScale(), FixedT(10), a=a, lam=0.01, n_rep=10)
-        if isinstance(a, tuple):
-            with pytest.raises(ValueError):
-                mc_uniform_stability(noise, ConstantScale(), FixedT(10), *a, lam=0.01, n_rep=10)
-            with pytest.raises(ValueError):
-                stability_matrix(*rules, [1.0], [0.01], 10, uniform_ranges=[a])
-        else:
-            with pytest.raises(ValueError):
-                stability_matrix(*rules, [a], [0.01], 10)
+        with pytest.raises(ValueError):
+            stability_matrix(*rules, [1.0, a], [0.01], 10)
+
+
+class TestMatrixRanges:
+    def test_ranges_are_cells_of_a_values(self):
+        # a range in a_values is one more cell, evaluated on the pair's ensemble
+        # exactly as mc_stability evaluates it; only its rule carries "|uniform"
+        noise = gaussian_noise()
+        scales, stops, lams = [ConstantScale(1.0), AdaptedScale()], [FixedT(30)], [0.01, 0.05]
+        cells = [0.5, (1.0, 100.0)]
+        reports = stability_matrix(noise, scales, stops, cells, lams, 300, 9)
+        expected = []
+        for sc in scales:
+            for st in stops:
+                for lam in lams:
+                    for a in cells:
+                        rule = f"{sc.name}|{st.name}" + ("|uniform" if isinstance(a, tuple) else "")
+                        rep = mc_stability(noise, sc, st, a, lam, 300, 9)
+                        expected.append(dataclasses.replace(rep, rule=rule))
+        assert reports == expected
+        assert [r.rule.endswith("|uniform") for r in reports] == [False, True] * 4
 
 
 class TestUniformStability:
@@ -312,8 +327,8 @@ class TestUniformStability:
         # factor in the bound degenerates to one
         noise = gaussian_noise()
         a = 3.0
-        uni = mc_uniform_stability(noise, ConstantScale(1.0), FixedT(100),
-                                   a0=a, a1=a, lam=0.04, n_rep=5000, seed=10)
+        uni = mc_stability(noise, ConstantScale(1.0), FixedT(100),
+                           a=(a, a), lam=0.04, n_rep=5000, seed=10)
         point = mc_stability(noise, ConstantScale(1.0), FixedT(100), a=a,
                              lam=0.02, n_rep=5000, seed=10)
         assert uni.mc_estimate == pytest.approx(point.mc_estimate, rel=1e-14)
@@ -321,16 +336,16 @@ class TestUniformStability:
 
     def test_uniform_bound_passes(self):
         noise = gaussian_noise()
-        rep = mc_uniform_stability(noise, ConstantScale(1.0), FixedT(100),
-                                   a0=1.0, a1=100.0, lam=0.04, n_rep=20_000, seed=11)
+        rep = mc_stability(noise, ConstantScale(1.0), FixedT(100),
+                           a=(1.0, 100.0), lam=0.04, n_rep=20_000, seed=11)
         assert rep.passed
         assert rep.bound == pytest.approx(
             (1.0 + c_lambda(noise.mu, noise.gamma, 0.04)) * (1.0 + math.log(100.0)), rel=1e-14)
 
     def test_zero_martingale_paths_give_one(self):
         noise = gaussian_noise()
-        rep = mc_uniform_stability(noise, ConstantScale(0.0), FixedT(20),
-                                   a0=1.0, a1=10.0, lam=0.05, n_rep=200, seed=12)
+        rep = mc_stability(noise, ConstantScale(0.0), FixedT(20),
+                           a=(1.0, 10.0), lam=0.05, n_rep=200, seed=12)
         assert rep.mc_estimate == 1.0
 
     def test_interior_maximum_formula(self):
@@ -371,6 +386,21 @@ class TestPiTail:
         est_big, _ = empirical_pi(self._process(), self._cfg(), 0, [2.0, 4.0, 8.0],
                                   n_rep=500, seed=4)
         assert est_big[0] >= est_big[1] >= est_big[2]
+
+    def test_matches_inline_formula(self):
+        # reference: the statistic with Z = sqrt(a)|M|/(a + L) written out inline
+        spec, cfg = self._process(), self._cfg()
+        for r in range(20):
+            sample = lepski.simulate(spec, (57, r))
+            stats = grid_statistics(sample, cfg)
+            prof, i0 = stats.profile, r % 4
+            hs, l = prof.bandwidths[i0:], prof.l_values[i0:]
+            ps, m = prof.psi_values[i0:], stats.m_values[i0:]
+            lo = ps * cfg.u0**-2.0
+            hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
+            a_eff = np.clip(l, lo, hi)
+            z = np.sqrt(a_eff) * np.abs(m) / (a_eff + l)
+            assert pi_statistic(sample, cfg, i0) == float(np.max(z / np.sqrt(ps)))
 
     def test_i0_restriction_reduces_statistic(self):
         spec = self._process()
