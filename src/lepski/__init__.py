@@ -39,10 +39,9 @@ from .rates import (
     ExplicitModulus,
     HolderModulus,
     RateReport,
+    check_modulus,
     deterministic_hw,
     empirical_hw,
-    explicit_modulus,
-    holder_modulus,
     modulus_bar,
     omega_prime_event,
     oracle_bandwidth,

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
 from .model_core import GridConfig, write_sample_csv
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
-from .rates import Modulus, holder_modulus, modulus_bar, rate_report
+from .rates import HolderModulus, check_modulus, modulus_bar, rate_report
 from .selection import select_bandwidth
 from . import dgp
 from . import stability as stab
@@ -164,7 +164,7 @@ class CampaignConfig:
 
     raw: dict
     grid: GridConfig
-    modulus: Optional[Modulus]
+    modulus: Optional[HolderModulus]
     n_ladder: list
     n_rep: int
     master_seed: int
@@ -192,16 +192,21 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
         try:
             if m.get("kind", "holder") != "holder":
                 raise ConfigError("only the holder modulus is configurable from JSON")
-            modulus = holder_modulus(
-                float(m["s"]), float(m.get("scale", 1.0)), grid.h0,
-                delta0=grid.delta0, alpha0=grid.alpha0, u0=grid.u0)
+            modulus = HolderModulus(float(m["s"]), float(m.get("scale", 1.0)))
+            check_modulus(modulus, grid)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad modulus configuration: {exc}") from exc
 
     n_ladder = list(doc.get("n_ladder", []))
     if not n_ladder or any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be nonempty and strictly increasing")
-    n_rep = int(doc.get("n_rep", 1))
+    try:
+        n_rep = int(doc.get("n_rep", 1))
+        make_process(doc["process"], n_ladder[0])  # a check only: cells rebuild from raw
+    except KeyError as exc:
+        raise ConfigError(f"missing process configuration: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad process or n_rep: {exc}") from exc
     if n_rep < 1:
         raise ConfigError("n_rep must be at least 1")
 
@@ -322,7 +327,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
         row["h_star"] = h_star
         row["omega_prime"] = rep_rates.omega_prime
         if h_star is not None:
-            row["wbar_h_star"] = modulus_bar(cfg.modulus, h_star)
+            row["wbar_h_star"] = modulus_bar(cfg.modulus, h_star, grid)
         if not rep_rates.omega_prime and row["error"] is None:
             row["error"] = "omega_prime_false"
         rate_row.update(
@@ -364,7 +369,12 @@ def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
 # ------------------------------------------------------------------
 
 def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
-    """One sample CSV per (n, rep) cell; returns the paths in (n, rep) order."""
+    """One sample CSV per (n, rep) cell; returns the paths in (n, rep) order.
+
+    Samples are written as CSV only, so any other format is a ConfigError.
+    """
+    if set(cfg.formats) - {"csv"}:
+        raise ConfigError(f"simulate writes CSV only; got formats {cfg.formats}")
     cfg.outputs.mkdir(parents=True, exist_ok=True)
     return _run_cells(cfg, _simulate_cell, jobs)
 

@@ -2,7 +2,9 @@
 
 Subcommands: simulate, estimate, tail-risk, rates, verify-stability.
 Every command takes --config PATH plus optional --seed, --out, --jobs and
---format overrides (environment: LEPSKI_SEED, LEPSKI_JOBS).  Exit codes:
+--format overrides (environment: LEPSKI_SEED, LEPSKI_JOBS).  --format
+replaces the config's `formats` list only when it is given; simulate writes
+CSV only and rejects any other format.  Exit codes:
 0 success, 2 config error, 3 acceptance-red, 4 IO failure.
 """
 
@@ -50,8 +52,8 @@ def _common(body):
                       help="Output directory override.")(fn)
     fn = click.option("--jobs", type=int, default=None,
                       help="Worker count (env: LEPSKI_JOBS); output is byte-identical for any value.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default="csv", show_default=True)(fn)
+    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
+                      help="Output format; overrides the config's formats when given.")(fn)
     return fn
 
 
@@ -67,7 +69,8 @@ def _resolve(seed, jobs):
 
 def _load(config_path, seed, out, fmt):
     cfg = campaign.load_campaign(config_path, seed=seed, out=out)
-    cfg.formats = [fmt]
+    if fmt is not None:
+        cfg.formats = [fmt]
     return cfg
 
 
@@ -127,7 +130,7 @@ def verify_stability(config_path, seed, out, jobs, fmt):
     """Run the stability bound matrix; nonzero exit when any cell is red."""
     s, _ = _resolve(seed, jobs)
     doc = campaign.read_config(config_path)
-    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt)
+    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt or "csv")
     n_red = sum(1 for r in res["rows"] if not r["pass"])
     click.echo(f"wrote {len(res['rows'])} stability rows to {res['path']}")
     if n_red:

@@ -261,11 +261,12 @@ class TransientWalk(Regression):
     drift: float
     step_sd: float
 
-    def covariates(self, rng) -> np.ndarray:
-        n = _fixed_n(self.stopping)
-        if n is None:
+    def __post_init__(self):
+        if not isinstance(self.stopping, FixedN):
             raise ValueError("transient walk supports fixed-length sampling only")
-        steps = self.drift + self.step_sd * rng.standard_normal(n - 1)
+
+    def covariates(self, rng) -> np.ndarray:
+        steps = self.drift + self.step_sd * rng.standard_normal(self.stopping.n - 1)
         return (self.x_start + np.concatenate([[0.0], np.cumsum(steps)])).reshape(-1, 1)
 
 
@@ -287,13 +288,15 @@ class Autoregressive:
 
     px_form = None
 
+    def __post_init__(self):
+        if not isinstance(self.stopping, FixedN):
+            raise ValueError("autoregressive sampling supports fixed length only")
+
     def f_true(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(x) @ self.ar_matrix.T)[:, self.y_coord]
 
     def sample(self, rng: np.random.Generator) -> SamplePath:
-        n = _fixed_n(self.stopping)
-        if n is None:
-            raise ValueError("autoregressive sampling supports fixed length only")
+        n = self.stopping.n
         a = self.ar_matrix
         x = np.zeros((n + 1, a.shape[0]))
         for k in range(1, n + 1):

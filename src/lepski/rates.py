@@ -1,7 +1,9 @@
 """Modulus envelopes, oracle bandwidths and the deterministic rate.
 
-A modulus W is a `HolderModulus` or an `ExplicitModulus`; `modulus_bar`
-floors and caps either kind with the fields the two share.
+A modulus W is a `HolderModulus` or an `ExplicitModulus`, each holding only
+its shape.  The floor delta0 (h/h0)^alpha0 and the cap u0 belong to the
+`GridConfig`: `modulus_bar` clamps either kind with them, and `check_modulus`
+tests a modulus against them.
 
 Two bandwidth notions live here.  The grid oracle H* balances the stochastic
 level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
@@ -28,25 +30,9 @@ REL_TOL = 1e-10
 # modulus specification
 # ------------------------------------------------------------------
 
-@dataclass(kw_only=True)
-class Modulus:
-    """The floor delta0 (h/h0)^alpha0 and the cap u0 that `modulus_bar` applies
-    on (0, h0], mirroring the grid configuration; each kind supplies w(h)."""
-
-    h0: float = 1.0
-    delta0: float = 0.1
-    alpha0: float = 2.0
-    u0: float = 1.0
-
-
 @dataclass
-class HolderModulus(Modulus):
-    """w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w defaults to 1.
-
-    The constructor checks, on a log grid of 1000 points in (0, h0], that w
-    is nondecreasing, w(h) >= delta0 (h/h0)^alpha0 and w(h) <= u0;
-    violations raise ValueError.
-    """
+class HolderModulus:
+    """w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w defaults to 1."""
 
     s: float
     scale: float
@@ -55,14 +41,6 @@ class HolderModulus(Modulus):
     def __post_init__(self):
         if not (0 < self.s <= 1) or self.scale <= 0:
             raise ValueError("need 0 < s <= 1 and scale > 0")
-        hs = np.exp(np.linspace(np.log(self.h0) - 12.0, np.log(self.h0), 1000))
-        w = self.w(hs)
-        if np.any(np.diff(w) < 0):
-            raise ValueError("modulus must be increasing on (0, h0]")
-        if np.any(w < self.delta0 * (hs / self.h0) ** self.alpha0 - 1e-12):
-            raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
-        if np.any(w > self.u0 * (1 + 1e-12)):
-            raise ValueError("modulus exceeds the cap u0 on (0, h0]")
 
     def w(self, h):
         """Raw modulus value(s) W(h), before flooring and capping."""
@@ -74,7 +52,7 @@ class HolderModulus(Modulus):
 
 
 @dataclass
-class ExplicitModulus(Modulus):
+class ExplicitModulus:
     """W given by any harness-supplied callable h -> W(h) on scalars (e.g. the
     literal sup of the bias proxy increments); no shape is assumed."""
 
@@ -86,23 +64,26 @@ class ExplicitModulus(Modulus):
         return out if out.ndim else float(out)
 
 
-def holder_modulus(s: float, scale: float = 1.0, h0: float = 1.0, *,
-                   delta0: float = 0.1, alpha0: float = 2.0, u0: float = 1.0,
-                   ell_w=None) -> HolderModulus:
-    return HolderModulus(s, scale, ell_w, h0=h0, delta0=delta0, alpha0=alpha0, u0=u0)
+def check_modulus(w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig) -> None:
+    """Raise ValueError unless, on a log grid of 1000 points in (0, h0], W is
+    nondecreasing, W(h) >= delta0 (h/h0)^alpha0 and W(h) <= u0, all read from
+    the grid."""
+    hs = np.exp(np.linspace(np.log(cfg.h0) - 12.0, np.log(cfg.h0), 1000))
+    w = w_spec.w(hs)
+    if np.any(np.diff(w) < 0):
+        raise ValueError("modulus must be increasing on (0, h0]")
+    if np.any(w < cfg.delta0 * (hs / cfg.h0) ** cfg.alpha0 - 1e-12):
+        raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
+    if np.any(w > cfg.u0 * (1 + 1e-12)):
+        raise ValueError("modulus exceeds the cap u0 on (0, h0]")
 
 
-def explicit_modulus(w_func, h0: float = 1.0, *, delta0: float = 0.1,
-                     alpha0: float = 2.0, u0: float = 1.0) -> ExplicitModulus:
-    return ExplicitModulus(w_func, h0=h0, delta0=delta0, alpha0=alpha0, u0=u0)
-
-
-def modulus_bar(w_spec: Modulus, h):
+def modulus_bar(w_spec: HolderModulus | ExplicitModulus, h, cfg: GridConfig):
     """Clamped modulus: [W(h) or the floor delta0 (h/h0)^alpha0, whichever is
-    larger] capped at u0."""
+    larger] capped at u0, with h0, delta0, alpha0 and u0 read from the grid."""
     h = np.asarray(h, dtype=float)
-    floor = w_spec.delta0 * (h / w_spec.h0) ** w_spec.alpha0
-    out = np.minimum(np.maximum(w_spec.w(h), floor), w_spec.u0)
+    floor = cfg.delta0 * (h / cfg.h0) ** cfg.alpha0
+    out = np.minimum(np.maximum(w_spec.w(h), floor), cfg.u0)
     return out if out.ndim else float(out)
 
 
@@ -110,34 +91,32 @@ def modulus_bar(w_spec: Modulus, h):
 # grid oracle bandwidth and events
 # ------------------------------------------------------------------
 
-def oracle_bandwidth(profile: OccupationProfile, w_spec: Modulus,
+def oracle_bandwidth(profile: OccupationProfile, w_spec: HolderModulus | ExplicitModulus,
                      cfg: GridConfig) -> Optional[float]:
-    """H* = min{h in grid : (psi(h)/L(h))^(1/2) <= W-bar(h)}.
+    """H* = min{h in grid : (psi(h)/L(h))^(1/2) <= W-bar(h)}, with W-bar floored
+    and capped by the grid's own h0, delta0, alpha0 and u0.
 
     None when h0 already fails, i.e. off the event {L(h0)^(-1/2) <= W-bar(h0)}.
-    The modulus floors W at its own h0, so it must be the grid's h0.
     """
-    if w_spec.h0 != cfg.h0:
-        raise ValueError(f"modulus h0 = {w_spec.h0} differs from the grid's h0 = {cfg.h0}")
-    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths))
+    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths, cfg))
     return None if j is None else float(profile.bandwidths[j])
 
 
-def omega_prime_event(profile: OccupationProfile, w_spec: Modulus,
+def omega_prime_event(profile: OccupationProfile, w_spec: HolderModulus | ExplicitModulus,
                       cfg: GridConfig) -> bool:
-    """{L(h0)^(-1/2) <= W-bar(h0)} and {W(H*) <= u0}; the second condition is
-    evaluated only when H* exists."""
+    """{L(h0)^(-1/2) <= W-bar(h0)} and {W(H*) <= u0}, with W-bar and u0 from the
+    grid; the second condition is evaluated only when H* exists."""
     h_star = oracle_bandwidth(profile, w_spec, cfg)
     if h_star is None:
         return False
-    return bool(w_spec.w(h_star) <= w_spec.u0)
+    return bool(w_spec.w(h_star) <= cfg.u0)
 
 
 # ------------------------------------------------------------------
 # continuum bandwidths
 # ------------------------------------------------------------------
 
-def _excess(level, h, w_spec: Modulus, cfg: GridConfig):
+def _excess(level, h, w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig):
     """F(h) = level * w(h)^2 - psi(h): nonnegative exactly where the level
     (psi(h)/level)^(1/2) is at most w(h).  Elementwise for arrays."""
     return level * w_spec.w(h) ** 2 - psi(h, cfg)
@@ -174,7 +153,7 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
 
 
 def empirical_hw(sample: SamplePath, cfg: GridConfig,
-                 w_spec: Modulus) -> Optional[float]:
+                 w_spec: HolderModulus | ExplicitModulus) -> Optional[float]:
     """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0.
 
     Requires a constant sigma across the sample.  L is a right-continuous
@@ -210,8 +189,8 @@ def empirical_hw(sample: SamplePath, cfg: GridConfig,
                            left if left > 0 else None)
 
 
-def deterministic_hw(px_model: Callable[[float], float], w_spec: Modulus,
-                     n: int, sigma: float, cfg: GridConfig) -> float:
+def deterministic_hw(px_model: Callable[[float], float],
+                     w_spec: HolderModulus | ExplicitModulus, n: int, sigma: float, cfg: GridConfig) -> float:
     """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
     E L(h) = n * P_X[x-h, x+h] / sigma^2.
 
@@ -256,7 +235,8 @@ class RateReport:
     ratio: Optional[float] = None
 
 
-def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: Modulus,
+def rate_report(sample: SamplePath, cfg: GridConfig,
+                w_spec: HolderModulus | ExplicitModulus,
                 px_model: Optional[Callable[[float], float]] = None) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 

@@ -34,15 +34,12 @@ class SelectionResult:
 
     `defined` is False when even h0 fails the level condition at u0 (the event
     {L(h0)^(-1/2) <= u0} does not hold); all other fields are then None.
-    admissible_flags traces the selection condition per grid element;
-    elements below the anchor H_{u0} are never candidates and read False.
     """
 
     defined: bool
     h_hat: Optional[float] = None
     f_hat: Optional[float] = None
     h_u0: Optional[float] = None
-    admissible_flags: Optional[np.ndarray] = None
 
 
 def bandwidth_at_level(profile: OccupationProfile, u: float) -> Optional[float]:
@@ -74,12 +71,10 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
 
     thresholds = cfg.nu * prof.levels
     f_hat = stats.f_hat
-    flags = np.zeros(len(prof), dtype=bool)
-    for j in range(j_anchor + 1):
-        flags[j] = np.all(
-            np.abs(f_hat[j] - f_hat[j : j_anchor + 1]) <= thresholds[j : j_anchor + 1]
-        )
-    j_hat = int(np.argmax(flags))  # first admissible = largest bandwidth; anchor always passes
+    # first admissible = largest bandwidth; the anchor always passes
+    j_hat = next(j for j in range(j_anchor + 1)
+                 if np.all(np.abs(f_hat[j] - f_hat[j : j_anchor + 1])
+                           <= thresholds[j : j_anchor + 1]))
 
     h_hat = float(prof.bandwidths[j_hat])
     return SelectionResult(
@@ -87,7 +82,6 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
         h_hat=h_hat,
         f_hat=kernel_estimate(sample, cfg.x_point, h_hat),
         h_u0=float(prof.bandwidths[j_anchor]),
-        admissible_flags=flags,
     )
 
 
@@ -110,7 +104,6 @@ def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     feasible = [j for j, h in enumerate(hs) if level(h) <= cfg.u0]
     anchor = max(feasible)  # min over bandwidths = max over grid indices
 
-    flags = np.zeros(len(hs), dtype=bool)
     admissible = []
     for j in range(anchor + 1):
         ok = True
@@ -121,7 +114,6 @@ def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
             )
             if gap > cfg.nu * level(hs[jp]):
                 ok = False
-        flags[j] = ok
         if ok:
             admissible.append(j)
     j_hat = min(admissible)
@@ -130,5 +122,4 @@ def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
         h_hat=hs[j_hat],
         f_hat=kernel_estimate(sample, cfg.x_point, hs[j_hat]),
         h_u0=hs[anchor],
-        admissible_flags=flags,
     )

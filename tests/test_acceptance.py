@@ -32,6 +32,7 @@ from lepski import (
     FirstCrossing,
     FixedT,
     GridConfig,
+    HolderModulus,
     SamplePath,
     brute_force_select,
     build_grid,
@@ -40,7 +41,6 @@ from lepski import (
     deterministic_hw,
     gaussian_noise,
     grid_statistics,
-    holder_modulus,
     iid_regression_spec,
     mixing_ar1_spec,
     modulus_bar,
@@ -274,7 +274,7 @@ def test_a5_oracle_equivalence_and_transient_stall():
     # contrast: the mixing design does shrink over the same ladder
     zero_f = lambda r: np.zeros(np.atleast_2d(r).shape[0])
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.8, j_max=25)
-    w = holder_modulus(0.5, 1.0, 1.0)
+    w = HolderModulus(0.5, 1.0)
     med = {}
     for n in (250, 4000):
         vals = []
@@ -283,7 +283,7 @@ def test_a5_oracle_equivalence_and_transient_stall():
                          (MASTER, n, r))
             prof = build_grid(s, cfg)
             h_star = oracle_bandwidth(prof, w, cfg)
-            vals.append(modulus_bar(w, h_star))
+            vals.append(modulus_bar(w, h_star, cfg))
         med[n] = float(np.median(vals))
     report("A5 (mixing contrast)", med[4000] < 0.8 * med[250],
            f"mixing medians {round(med[250], 4)} -> {round(med[4000], 4)}")
@@ -296,7 +296,7 @@ def test_a6_rate_equivalence_mixing_ar1():
     spec = mixing_ar1_spec(lambda r: np.zeros(np.atleast_2d(r).shape[0]),
                            rho=0.5, sigma=1.0, stopping=FixedN(n))
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
-    w = holder_modulus(0.5, 1.0, cfg.h0)
+    w = HolderModulus(0.5, 1.0)
     px = spec.px_form
     contained = omega0_fail = 0
     for r in range(n_rep):
@@ -323,7 +323,7 @@ def test_a7_deterministic_rate_scaling():
     results = []
     for s, tau in ((0.5, 0.0), (1.0, 0.0), (0.5, 1.0)):
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=0.02, j_max=10)
-        w = holder_modulus(s, 1.0, cfg.h0)
+        w = HolderModulus(s, 1.0)
         px = (uniform_design(0.0, 1.0) if tau == 0.0
               else power_law_design(0.0, 1.0, tau=tau)).interval_prob
         ns = np.array([2.0**k for k in range(10, 21)])
@@ -350,7 +350,7 @@ def test_a8_tail_decay_of_adaptive_estimator():
 
     n, n_rep = 10_000, 2000
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=b, nu=nu_thr, j_max=60)
-    w = holder_modulus(0.5, 1.0, cfg.h0)
+    w = HolderModulus(0.5, 1.0)
     f = lambda rows: np.abs(np.atleast_2d(rows)[:, 0]) ** 0.5
     spec = iid_regression_spec(f, gaussian_noise(mu), design=uniform_design(0.0, 1.0), n=n)
 
@@ -359,7 +359,7 @@ def test_a8_tail_decay_of_adaptive_estimator():
         sample = simulate(spec, (MASTER + 8, r))
         sel = select_bandwidth(sample, cfg)
         rep = rate_report(sample, cfg, w)
-        wbar = modulus_bar(w, rep.h_star) if rep.h_star is not None else None
+        wbar = modulus_bar(w, rep.h_star, cfg) if rep.h_star is not None else None
         rows.append({"omega_prime": rep.omega_prime, "risk": abs(sel.f_hat),
                      "wbar_h_star": wbar})
 

@@ -81,6 +81,16 @@ class TestSimulate:
                 assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
 
+    def test_non_csv_format_exit_2_writes_nothing(self, tmp_path):
+        # samples are CSV only: --format json, or formats json in the config, is refused
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, n_ladder=[30], n_rep=2))
+        assert run_cli("simulate", "--config", str(cfg), "--format", "json").exit_code == 2
+        cfg = write_config(tmp_path, base_config(out, n_ladder=[30], n_rep=2, formats=["json"]))
+        assert run_cli("simulate", "--config", str(cfg)).exit_code == 2
+        assert not out.exists()
+
+
 class TestEstimate:
     def test_headers_golden(self, tmp_path):
         out = tmp_path / "out"
@@ -129,6 +139,35 @@ class TestEstimate:
         assert res.exit_code == 0
         rows = json.loads((out / "estimate.json").read_text())
         assert len(rows) == 2 and rows[0]["n"] == 40
+
+    def test_config_formats_kept_without_format_flag(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out, n_ladder=[40], n_rep=2, formats=["json"]))
+        assert run_cli("estimate", "--config", str(cfg)).exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["estimate.json", "rate_report.json"]
+        assert run_cli("estimate", "--config", str(cfg), "--format", "csv").exit_code == 0
+        assert (out / "estimate.csv").exists() and (out / "rate_report.csv").exists()
+
+    @pytest.mark.parametrize("process", [
+        {"kind": "mixing_ar1", "rho": 0.5},
+        {"kind": "transient_walk", "drift": 0.5, "step_sd": 0.3},
+        {"kind": "autoregressive", "ar_matrix": [[0.5]]},
+        {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 1.5}},
+    ], ids=["mixing_ar1", "transient_walk", "autoregressive", "iid_budget"])
+    def test_jobs_determinism_across_process_kinds(self, tmp_path, process):
+        # cells rebuild their process from the raw document in each worker
+        process = {"f_true": {"name": "zero"},
+                   "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            doc = base_config(out, n_ladder=[40, 120], n_rep=3, process=process)
+            cfg = write_config(tmp_path, doc, f"c{jobs}.json")
+            res = run_cli("estimate", "--config", str(cfg), "--jobs", jobs)
+            assert res.exit_code == 0, res.output
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["estimate.csv", "rate_report.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_transient_rows_flag_omega(self, tmp_path):
         out = tmp_path / "out"
@@ -291,6 +330,44 @@ class TestExitCodes:
         doc = base_config(tmp_path / "out", n_ladder=[])
         p = write_config(tmp_path, doc)
         assert run_cli("estimate", "--config", str(p)).exit_code == 2
+
+    @pytest.mark.parametrize("change", [
+        {"process": None},
+        {"process": {"kind": "mixing_ar1", "rho": 1.5}},
+        {"process": {"kind": "autoregressive", "ar_matrix": [[0.5, 0.1]]}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"tau": -2.0}}}},
+        {"process": {"kind": "iid_regression", "noise": {"family": "gaussian", "mu": 0.7}}},
+        {"process": {"kind": "transient_walk", "stopping": {"rule": "budget"}}},
+        {"n_rep": "x"},
+    ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
+            "walk_budget", "n_rep_x"])
+    def test_malformed_process_exit_2_at_load(self, tmp_path, change):
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=2)
+        doc.update(change)
+        if doc["process"] is None:
+            del doc["process"]
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modulus, grid", [
+        ({"s": 0.5, "scale": 3.0}, {}),
+        ({"s": 1.0, "scale": 0.05}, {}),
+        ({"s": 0.5, "scale": 1.0}, {"u0": 0.5}),
+    ], ids=["cap", "floor", "grid_u0"])
+    def test_inadmissible_modulus_exit_2(self, tmp_path, modulus, grid):
+        # the floor and cap come from the grid: s 0.5, scale 1 is admissible
+        # under u0 = 1 and exceeds the cap of a grid whose u0 is 0.5
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=2)
+        doc["modulus"].update(modulus)
+        doc["grid"].update(grid)
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert "cap" in res.output or "floor" in res.output
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         res = run_cli("estimate", "--config", str(tmp_path / "nope.json"))

@@ -169,6 +169,15 @@ class TestAutoregressive:
         np.testing.assert_allclose(s.truth_values(), 0.5 * s.x_obs[:, 0], rtol=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda stop: transient_walk_spec(zero_f, stopping=stop),
+    lambda stop: autoregressive_spec([[0.5]], stopping=stop),
+], ids=["transient_walk", "autoregressive"])
+def test_fixed_length_kinds_reject_budget_at_construction(build):
+    with pytest.raises(ValueError, match="fixed"):
+        build(budget_stop(lambda hist: 1.0, 50.0))
+
+
 class TestResiduals:
     def test_noiseless_residuals_zero(self):
         spec = iid_regression_spec(zero_f, silent_noise(), n=100)

@@ -16,10 +16,9 @@ from lepski import (
     SamplePath,
     TooFewSamples,
     build_grid,
+    check_modulus,
     deterministic_hw,
     empirical_hw,
-    explicit_modulus,
-    holder_modulus,
     mixing_ar1_spec,
     modulus_bar,
     omega_prime_event,
@@ -40,33 +39,31 @@ def grid_cfg(**kw):
 
 class TestModulusSpec:
     def test_holder_validates(self):
-        holder_modulus(0.5, 1.0, 1.0)  # fine: h^0.5 within [0.1 h^2, 1]
+        check_modulus(HolderModulus(0.5, 1.0), grid_cfg())  # fine: h^0.5 within [0.1 h^2, 1]
 
     def test_rejects_cap_violation(self):
         with pytest.raises(ValueError):
-            holder_modulus(0.5, 3.0, 1.0, u0=1.0)  # w(h0) = 3 > u0
+            check_modulus(HolderModulus(0.5, 3.0), grid_cfg(u0=1.0))  # w(h0) = 3 > u0
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
-            holder_modulus(0.5, 1.0, 1.0, ell_w=lambda h: h**-0.9)
+            check_modulus(HolderModulus(0.5, 1.0, ell_w=lambda h: h**-0.9), grid_cfg())
 
     def test_rejects_floor_violation(self):
         # w(h) = 0.05 h is below 0.1 h^2 near h = h0 = 1
         with pytest.raises(ValueError):
-            holder_modulus(1.0, 0.05, 1.0, delta0=0.1, alpha0=2.0)
+            check_modulus(HolderModulus(1.0, 0.05), grid_cfg(delta0=0.1, alpha0=2.0))
 
-    def test_kinds_share_only_floor_and_cap(self):
-        holder = {f.name for f in fields(HolderModulus)}
-        explicit = {f.name for f in fields(ExplicitModulus)}
-        assert holder & explicit == {"h0", "delta0", "alpha0", "u0"}
-        assert holder - explicit == {"s", "scale", "ell_w"}
-        assert explicit - holder == {"w_func"}
+    def test_kinds_share_no_field(self):
+        # h0, delta0, alpha0 and u0 live on the grid alone
+        assert {f.name for f in fields(HolderModulus)} == {"s", "scale", "ell_w"}
+        assert {f.name for f in fields(ExplicitModulus)} == {"w_func"}
 
     def test_explicit_w_applies_a_scalar_callable_elementwise(self):
         def w_func(h):  # scalars only: math.sqrt and the branch reject arrays
             return 0.5 if h < 0.25 else math.sqrt(h)
 
-        spec = explicit_modulus(w_func, 1.0)
+        spec = ExplicitModulus(w_func)
         hs = np.geomspace(1e-3, 1.0, 50)
         out = spec.w(hs)
         assert out.dtype == float and out.shape == hs.shape
@@ -77,25 +74,25 @@ class TestModulusSpec:
 
 class TestModulusBar:
     def test_zero_modulus_hits_floor(self):
-        spec = explicit_modulus(lambda h: 0.0, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
+        spec, cfg = ExplicitModulus(lambda h: 0.0), grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
         for h in (0.1, 0.5, 1.0):
-            assert modulus_bar(spec, h) == min(0.1 * h**2, 1.0)
+            assert modulus_bar(spec, h, cfg) == min(0.1 * h**2, 1.0)
 
     def test_large_modulus_capped(self):
-        spec = explicit_modulus(lambda h: 7.0, 1.0, u0=1.0)
-        assert modulus_bar(spec, 0.3) == 1.0
+        assert modulus_bar(ExplicitModulus(lambda h: 7.0), 0.3, grid_cfg(u0=1.0)) == 1.0
 
     def test_hand_check(self):
         # delta0=0.1, alpha0=2, u0=1, h=h0/2, W=0.01: max(0.01, 0.025) ^ 1 = 0.025
-        spec = explicit_modulus(lambda h: 0.01, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
-        assert modulus_bar(spec, 0.5) == pytest.approx(0.025, rel=1e-15)
+        cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
+        assert modulus_bar(ExplicitModulus(lambda h: 0.01), 0.5, cfg) == pytest.approx(
+            0.025, rel=1e-15)
 
     def test_ordering_property(self):
         rng = np.random.default_rng(2)
-        spec = explicit_modulus(lambda h: abs(math.sin(40 * h)), 1.0,
-                                delta0=0.2, alpha0=1.5, u0=0.8)
+        spec = ExplicitModulus(lambda h: abs(math.sin(40 * h)))
+        cfg = grid_cfg(delta0=0.2, alpha0=1.5, u0=0.8)
         for h in rng.uniform(1e-4, 1.0, 200):
-            wbar = modulus_bar(spec, h)
+            wbar = modulus_bar(spec, h, cfg)
             floor = min(0.2 * h**1.5, 0.8)
             assert floor - 1e-15 <= wbar <= 0.8
 
@@ -107,30 +104,23 @@ def all_at_x_sample(n, seed=0):
 
 class TestOracleBandwidth:
     def test_capped_modulus_selects_smallest(self):
-        cfg = grid_cfg(j_max=4)
+        cfg = grid_cfg(j_max=4, u0=1.0)
         grid = build_grid(all_at_x_sample(100), cfg)
-        spec = explicit_modulus(lambda h: 10.0, cfg.h0, u0=1.0)  # W-bar = 1 everywhere
+        spec = ExplicitModulus(lambda h: 10.0)  # W-bar = 1 everywhere
         # levels sqrt(psi/100) <= 1 on the whole grid, so the min is the last element
         assert oracle_bandwidth(grid, spec, cfg) == grid.bandwidths[-1]
 
     def test_undefined_off_event(self):
-        grid = build_grid(all_at_x_sample(2), grid_cfg(j_max=2))
-        spec = explicit_modulus(lambda h: 0.0, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
+        cfg = grid_cfg(j_max=2, delta0=0.1, alpha0=2.0, u0=1.0)
+        grid = build_grid(all_at_x_sample(2), cfg)
         # W-bar(h0) = 0.1 < L(h0)^(-1/2) = 0.707
-        assert oracle_bandwidth(grid, spec, grid_cfg(j_max=2)) is None
-
-    def test_modulus_h0_must_match_grid(self):
-        cfg = grid_cfg(j_max=2)
-        grid = build_grid(all_at_x_sample(100), cfg)
-        spec = holder_modulus(0.5, 1.0, 0.5 * cfg.h0)
-        with pytest.raises(ValueError, match="h0"):
-            oracle_bandwidth(grid, spec, cfg)
+        assert oracle_bandwidth(grid, ExplicitModulus(lambda h: 0.0), cfg) is None
 
     def test_closed_form_scan_all_data_at_x(self):
         n = 50
         cfg = grid_cfg(q=0.6, b=1.3, j_max=10)
         grid = build_grid(all_at_x_sample(n), cfg)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         # independent scan of the explicit sequence
         expected = None
         for j in range(len(grid)):
@@ -144,21 +134,19 @@ class TestOracleBandwidth:
 class TestOmegaPrime:
     def test_no_data_near_x_false(self):
         s = SamplePath([[9.0]], [0.0], [1.0])
-        cfg = grid_cfg()
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
-        rep = rate_report(s, cfg, spec)
+        rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0))
         assert rep.omega_prime is False and rep.omega_0 is False
 
     def test_zero_modulus_ample_data_true(self):
-        grid = build_grid(all_at_x_sample(100), grid_cfg())
-        spec = explicit_modulus(lambda h: 0.0, 1.0, delta0=0.1, alpha0=2.0, u0=1.0)
-        assert omega_prime_event(grid, spec, grid_cfg())
+        cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
+        grid = build_grid(all_at_x_sample(100), cfg)
+        assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.0), cfg)
 
     def test_boundary_equality_included(self):
         # L(h0) = 4 and W-bar(h0) = 1/2 exactly: the <= convention keeps the event
-        grid = build_grid(all_at_x_sample(4), grid_cfg(j_max=1))
-        spec = explicit_modulus(lambda h: 0.5, 1.0, delta0=0.01, u0=1.0)
-        assert omega_prime_event(grid, spec, grid_cfg(j_max=1))
+        cfg = grid_cfg(j_max=1, delta0=0.01, u0=1.0)
+        grid = build_grid(all_at_x_sample(4), cfg)
+        assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.5), cfg)
 
 
 def piecewise_scan_hw(sample, cfg, w_spec):
@@ -209,21 +197,21 @@ class TestEmpiricalHw:
         # F(h) = h - psi(h) crosses zero exactly at h0 = 1
         s = SamplePath([[0.3], [10.0]], [0.0, 0.0], [1.0, 1.0])
         cfg = grid_cfg()
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         hw = empirical_hw(s, cfg, spec)
         assert hw == pytest.approx(1.0, rel=1e-9)
 
     def test_omega0_fails(self):
         s = SamplePath([[0.3]], [0.0], [1.0])  # L(h0) = 1 < w(h0)^(-2) = 4
         cfg = grid_cfg()
-        spec = holder_modulus(0.5, 0.5, cfg.h0)
+        spec = HolderModulus(0.5, 0.5)
         assert empirical_hw(s, cfg, spec) is None
 
     def test_all_points_at_x_matches_bisection_oracle(self):
         n, sigma = 40, 1.0
         s = all_at_x_sample(n)
         cfg = grid_cfg(b=1.0)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         hw = empirical_hw(s, cfg, spec)
         # independent oracle: solve psi(h) = (n / sigma^2) w(h)^2 by brentq
         root = brentq(lambda h: (n / sigma**2) * h - psi(h, cfg), 1e-9, 1.0,
@@ -235,7 +223,7 @@ class TestEmpiricalHw:
         # 0.5, level 2 feasible at the jump itself
         s = SamplePath([[0.05], [0.5]], [0.0, 0.0], [1.0, 1.0])
         cfg = grid_cfg(b=0.2)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         # F at 0.5 with level 1: 0.5 - psi(0.5) = 0.5 - 1.139 < 0
         # F at 0.5 with level 2: 1.0 - 1.139 < 0  -> crossing later in last piece
         hw = empirical_hw(s, cfg, spec)
@@ -246,15 +234,15 @@ class TestEmpiricalHw:
     def test_rejects_heteroscedastic(self):
         s = SamplePath([[0.1], [0.2]], [0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            empirical_hw(s, grid_cfg(), holder_modulus(0.5, 1.0, 1.0))
+            empirical_hw(s, grid_cfg(), HolderModulus(0.5, 1.0))
 
     def test_matches_piecewise_scan_exactly(self):
         # covariates on a 0.02 lattice in [-1.2, 1.2]: tied distances (x and -x,
         # repeats), points exactly at x and points beyond h0 = 1
         rng = np.random.default_rng(20101029)
-        moduli = [holder_modulus(s, scale, 1.0) for s, scale in
+        moduli = [HolderModulus(s, scale) for s, scale in
                   ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
-        moduli.append(explicit_modulus(lambda h: min(1.0, 2.0 * h**0.5), 1.0))
+        moduli.append(ExplicitModulus(lambda h: min(1.0, 2.0 * h**0.5)))
         outcomes = {"none": 0, "jump": 0, "inside": 0}
         for case in range(300):
             n = int(rng.choice([1, 3, 10, 50, 300, 3000]))
@@ -275,14 +263,14 @@ class TestEmpiricalHw:
 class TestDeterministicHw:
     def test_boundary_sample_size_gives_h0(self):
         cfg = grid_cfg()
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         px = uniform_design(0.0, 1.0).interval_prob  # P[I_h] = h
         # boundary: n = sigma^2 / (P(h0) w(h0)^2) = 1
         assert deterministic_hw(px, spec, 1, 1.0, cfg) == pytest.approx(1.0, rel=1e-9)
 
     def test_too_few_samples_raises(self):
         cfg = grid_cfg()
-        spec = holder_modulus(0.5, 0.5, cfg.h0)  # w(h0) = 0.5 -> need n >= 4
+        spec = HolderModulus(0.5, 0.5)  # w(h0) = 0.5 -> need n >= 4
         px = uniform_design(0.0, 1.0).interval_prob
         with pytest.raises(TooFewSamples):
             deterministic_hw(px, spec, 3, 1.0, cfg)
@@ -290,14 +278,14 @@ class TestDeterministicHw:
 
     def test_nonincreasing_in_n(self):
         cfg = grid_cfg(b=0.5)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         px = uniform_design(0.0, 1.0).interval_prob
         hws = [deterministic_hw(px, spec, n, 1.0, cfg) for n in (10, 100, 1000, 10**4, 10**5)]
         assert all(h2 <= h1 for h1, h2 in zip(hws, hws[1:]))
 
     def test_matches_brentq_oracle(self):
         cfg = grid_cfg(b=0.7)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         px = uniform_design(0.0, 1.0).interval_prob
         for n in (50, 500, 5000):
             root = brentq(lambda h: n * h * h - psi(h, cfg), 1e-8, 1.0, xtol=1e-14)
@@ -307,7 +295,7 @@ class TestDeterministicHw:
         # log-log slope of h_w against sigma^2/n approaches 1/(2s + tau + 1);
         # small b keeps the slowly varying psi factor out of the fit
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=0.02, j_max=8)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         px = uniform_design(0.0, 1.0).interval_prob
         ns = np.array([2.0**k for k in range(10, 21, 2)])
         hws = np.array([deterministic_hw(px, spec, int(n), 1.0, cfg) for n in ns])
@@ -322,7 +310,7 @@ class TestRateReport:
         x = np.array([0.3, 5.0, 5.1, 5.2, 5.3, 5.4])
         s = SamplePath(x, np.zeros(6), np.ones(6))
         cfg = grid_cfg()
-        spec = holder_modulus(0.5, 0.5, cfg.h0)
+        spec = HolderModulus(0.5, 0.5)
         rep = rate_report(s, cfg, spec, uniform_design(0.0, 1.0).interval_prob)
         assert rep.omega_0 is False
         assert rep.rate_random is None and rep.ratio is None
@@ -333,7 +321,7 @@ class TestRateReport:
         n = 30
         s = all_at_x_sample(n)
         cfg = grid_cfg(b=0.8)
-        spec = holder_modulus(0.5, 1.0, cfg.h0)
+        spec = HolderModulus(0.5, 1.0)
         point_mass = DesignLaw(
             name="point_mass",
             sampler=lambda rng, m: np.zeros((m, 1)),
@@ -353,7 +341,7 @@ class TestRateReport:
         x = rng.uniform(-1.0, 1.0, 500)
         s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
         cfg = grid_cfg()
-        rep = rate_report(s, cfg, holder_modulus(0.5, 1.0, cfg.h0),
+        rep = rate_report(s, cfg, HolderModulus(0.5, 1.0),
                           uniform_design(0.0, 1.0).interval_prob)
         assert rep.omega_0 and rep.h_star is not None
         assert rep.h_w_emp is None and rep.rate_random is None
@@ -363,7 +351,7 @@ class TestRateReport:
         spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
                                  rho=0.5, stopping=FixedN(2000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
-        w = holder_modulus(0.5, 1.0, cfg.h0)
+        w = HolderModulus(0.5, 1.0)
         px = spec_p.px_form
         inside = 0
         total = 40
@@ -382,7 +370,7 @@ class TestBandwidthEmbedding:
         spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
                                  rho=0.5, stopping=FixedN(10_000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
-        w = holder_modulus(0.5, 1.0, cfg.h0)
+        w = HolderModulus(0.5, 1.0)
         px = spec_p.px_form
         checked_upper = checked_lower = 0
         for rep_i in range(25):
