@@ -2,8 +2,9 @@
 
 A campaign is one JSON document describing a process, a grid, a modulus and a
 replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
-(master_seed, n, rep), and cells may run across a worker pool that hands them
-back in (n, rep) order, so files are byte-stable for any --jobs.
+(master_seed, n, rep), and cells run on the package's one worker pool,
+`stability.pool_map`, which hands them back in (n, rep) order, so files are
+byte-stable for any --jobs.  `verify-stability` runs on the same pool.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -176,6 +176,14 @@ class CampaignConfig:
         return make_process(self.raw["process"], n)
 
 
+def _master_seed(doc: dict, seed) -> int:
+    """The seed override when given, else the config's master_seed (default 0)."""
+    try:
+        return int(seed if seed is not None else doc.get("master_seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"master_seed must be an integer: {exc}") from exc
+
+
 def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
     try:
         grid_doc = dict(doc["grid"])
@@ -197,20 +205,26 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad modulus configuration: {exc}") from exc
 
-    n_ladder = list(doc.get("n_ladder", []))
-    if not n_ladder or any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
-        raise ConfigError("n_ladder must be nonempty and strictly increasing")
+    n_ladder = doc.get("n_ladder", [])
+    if (not isinstance(n_ladder, list) or not n_ladder
+            or not all(isinstance(n, (int, float)) for n in n_ladder)
+            or any(b <= a for a, b in zip(n_ladder, n_ladder[1:]))):
+        raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     try:
         n_rep = int(doc.get("n_rep", 1))
-        make_process(doc["process"], n_ladder[0])  # a check only: cells rebuild from raw
+        # a check only: cells rebuild their process from raw
+        process = make_process(doc["process"], n_ladder[0])
     except KeyError as exc:
         raise ConfigError(f"missing process configuration: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad process or n_rep: {exc}") from exc
     if n_rep < 1:
         raise ConfigError("n_rep must be at least 1")
+    if process.dim != grid.dim:
+        raise ConfigError(f"the grid point has dimension {grid.dim}, "
+                          f"the process {process.dim}")
 
-    master_seed = int(seed if seed is not None else doc.get("master_seed", 0))
+    master_seed = _master_seed(doc, seed)
     outputs = Path(out if out is not None else doc.get("outputs", "out"))
     return CampaignConfig(
         raw=doc, grid=grid, modulus=modulus, n_ladder=n_ladder, n_rep=n_rep,
@@ -351,12 +365,9 @@ def _simulate_cell(cfg: CampaignConfig, n: int, rep: int) -> Path:
 
 def _run_cells(cfg: CampaignConfig, cell, jobs: int) -> list:
     """cell(cfg, n, rep) for every (n, rep), in (n, rep) order for any worker
-    count: the ladder is increasing and map keeps the input order."""
+    count: the ladder is increasing and pool_map keeps the input order."""
     ns, reps = zip(*[(n, rep) for n in cfg.n_ladder for rep in range(cfg.n_rep)])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cell, [cfg] * len(ns), ns, reps, chunksize=8))
-    return list(map(cell, [cfg] * len(ns), ns, reps))
+    return stab.pool_map(cell, [cfg] * len(ns), ns, reps, jobs=jobs)
 
 
 def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
@@ -509,45 +520,46 @@ def _make_scale(name: str):
 
 def _make_stop(doc):
     rule = doc.get("rule", "fixed")
-    try:
-        if rule == "fixed":
-            return stab.FixedT(int(doc.get("n", 1000)))
-        if rule == "crossing":
-            return stab.FirstCrossing(float(doc.get("c", 2.0)), int(doc.get("cap", 10_000)))
-        if rule == "randomized":
-            return stab.RandomizedStop(float(doc.get("p", 1e-3)), int(doc.get("cap", 10_000)))
-    except ValueError as exc:
-        raise ConfigError(f"bad stopping rule {doc!r}: {exc}") from exc
+    if rule == "fixed":
+        return stab.FixedT(int(doc.get("n", 1000)))
+    if rule == "crossing":
+        return stab.FirstCrossing(float(doc.get("c", 2.0)), int(doc.get("cap", 10_000)))
+    if rule == "randomized":
+        return stab.RandomizedStop(float(doc.get("p", 1e-3)), int(doc.get("cap", 10_000)))
     raise ConfigError(f"unknown stopping rule {rule!r}")
 
 
-def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") -> dict:
-    """Run the stability matrix described by the `stability` config section."""
+def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int = 1) -> dict:
+    """Run the stability matrix described by the `stability` config section.
+
+    fmt, when given, replaces the config's `formats`; returns the rows, the
+    reports and the written paths.
+    """
     sdoc = doc.get("stability")
     if not sdoc:
         raise ConfigError("verify-stability needs a stability section")
-    noise = make_noise(sdoc.get("noise", {}))
-    lambdas = [float(v) for v in sdoc.get("lambdas", [])]
-    if not lambdas:
-        raise ConfigError("stability section needs a nonempty lambdas list")
-    scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
-    stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
-    a_values = [float(a) for a in sdoc.get("a", [1.0])]
-    a_values += [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
     try:
+        noise = make_noise(sdoc.get("noise", {}))
+        lambdas = [float(v) for v in sdoc.get("lambdas", [])]
+        scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
+        stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
+        a_values = [float(a) for a in sdoc.get("a", [1.0])]
+        a_values += [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
         for lam in lambdas:
             stab._check_lambda(noise, lam)
         for a in a_values:
             stab._check_a(noise, a)
-    except ValueError as exc:
-        raise ConfigError(f"stability section outside the admissible range: {exc}") from exc
-    n_rep = int(sdoc.get("n_rep", 10_000))
+        n_rep = int(sdoc.get("n_rep", 10_000))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad stability section: {exc}") from exc
+    if not lambdas:
+        raise ConfigError("stability section needs a nonempty lambdas list")
     if n_rep < 1:
         raise ConfigError("stability n_rep must be at least 1")
-    master_seed = int(seed if seed is not None else doc.get("master_seed", 0))
+    master_seed = _master_seed(doc, seed)
 
     reports = stab.stability_matrix(noise, scales, stops, a_values, lambdas,
-                                    n_rep, master_seed)
+                                    n_rep, master_seed, jobs)
     rows = []
     for r in reports:
         a_repr = r.a if not isinstance(r.a, tuple) else f"{r.a[0]:g}:{r.a[1]:g}"
@@ -558,6 +570,7 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt: str = "csv") ->
             "pass": r.passed, "master_seed": master_seed,
         })
     outputs = Path(out if out is not None else doc.get("outputs", "out"))
-    [path] = _write_formats(outputs, [fmt], "stability", STABILITY_HEADER, rows)
-    return {"rows": rows, "reports": reports, "path": path,
+    formats = [fmt] if fmt is not None else list(doc.get("formats", ["csv"]))
+    paths = _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)
+    return {"rows": rows, "reports": reports, "paths": paths,
             "all_pass": all(r.passed for r in reports)}

@@ -128,11 +128,11 @@ def rates(config_path, seed, out, jobs, fmt):
 @_common
 def verify_stability(config_path, seed, out, jobs, fmt):
     """Run the stability bound matrix; nonzero exit when any cell is red."""
-    s, _ = _resolve(seed, jobs)
+    s, j = _resolve(seed, jobs)
     doc = campaign.read_config(config_path)
-    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt or "csv")
+    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt, jobs=j)
     n_red = sum(1 for r in res["rows"] if not r["pass"])
-    click.echo(f"wrote {len(res['rows'])} stability rows to {res['path']}")
+    click.echo(f"wrote {len(res['rows'])} stability rows to {', '.join(map(str, res['paths']))}")
     if n_red:
         click.echo(f"acceptance-red: {n_red} cells violate their bound", err=True)
         sys.exit(EXIT_RED)

@@ -197,6 +197,7 @@ class Regression:
     stopping: object
 
     px_form = None
+    dim = 1  # covariate dimension
 
     def sample(self, rng: np.random.Generator) -> SamplePath:
         x = self.covariates(rng)
@@ -291,6 +292,10 @@ class Autoregressive:
     def __post_init__(self):
         if not isinstance(self.stopping, FixedN):
             raise ValueError("autoregressive sampling supports fixed length only")
+
+    @property
+    def dim(self) -> int:
+        return self.ar_matrix.shape[0]
 
     def f_true(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(x) @ self.ar_matrix.T)[:, self.y_coord]

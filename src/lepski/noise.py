@@ -8,6 +8,7 @@ stability bounds are stated in terms of (alpha, mu, gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,6 +39,22 @@ class NoiseSpec:
             raise ValueError("need mu > 0 and gamma > 1")
 
 
+# Named samplers, not lambdas or closures, so that a NoiseSpec pickles for a worker.
+
+def _standard_normal(rng, size):
+    return rng.standard_normal(size)
+
+
+def _random_sign(rng, size):
+    return rng.choice([-1.0, 1.0], size=size)
+
+
+def _truncated_laplace(z, rng, size):
+    """Laplace magnitudes truncated to [0, cut], z = 1 - e^(-cut), with random signs."""
+    mag = -np.log1p(-rng.random(size) * z)  # inverse CDF of the truncated exponential
+    return _random_sign(rng, size) * mag
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal distribution function Phi(z) = erfc(-z/sqrt(2))/2."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -55,15 +72,13 @@ def gaussian_noise(mu: float = 0.25, alpha: int = 2) -> NoiseSpec:
         gamma = (1.0 - 2.0 * mu) ** -0.5
     else:
         gamma = 2.0 * math.exp(mu**2 / 2.0) * normal_cdf(mu)
-    return NoiseSpec("gaussian", alpha, mu, gamma,
-                     lambda rng, size: rng.standard_normal(size), 1.0)
+    return NoiseSpec("gaussian", alpha, mu, gamma, _standard_normal, 1.0)
 
 
 def two_point_noise(mu: float = 0.5, alpha: int = 2) -> NoiseSpec:
     """Symmetric two-point innovations zeta = +-1: E exp(mu |zeta|^alpha) = e^mu."""
     gamma = math.exp(mu)
-    return NoiseSpec("two_point", alpha, mu, gamma,
-                     lambda rng, size: rng.choice([-1.0, 1.0], size=size), 1.0)
+    return NoiseSpec("two_point", alpha, mu, gamma, _random_sign, 1.0)
 
 
 def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
@@ -79,15 +94,9 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
     z = 1.0 - math.exp(-cut)
     gamma = (1.0 - math.exp(-(1.0 - mu) * cut)) / ((1.0 - mu) * z)
     variance = 2.0 - (cut**2 + 2.0 * cut) * math.exp(-cut) / z
-
-    def sampler(rng, size):
-        u = rng.random(size)
-        mag = -np.log1p(-u * z)  # inverse CDF of the truncated exponential
-        sign = rng.choice([-1.0, 1.0], size=size)
-        return sign * mag
-
     # the name carries cut so that the stability random-stream key tells cuts apart
-    return NoiseSpec(f"truncated_laplace(cut={cut:g})", 1, mu, gamma, sampler, variance)
+    return NoiseSpec(f"truncated_laplace(cut={cut:g})", 1, mu, gamma,
+                     functools.partial(_truncated_laplace, z), variance)
 
 
 def c_mu(alpha: int, mu: float) -> float:

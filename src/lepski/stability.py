@@ -11,7 +11,8 @@ stopping time T and every a > 0,
 with V_n = sum s_{k-1}^2 and the closed-form constants implemented below.
 Replications run in fixed-size blocks with seeds split from a master seed, so
 aggregation is order-independent and results are reproducible for any worker
-count.
+count.  `pool_map` is the package's one worker pool: `stability_matrix` runs
+its (scale, stop) ensembles on it, and `campaign` its (n, rep) cells.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +32,16 @@ from .model_core import GridConfig, SamplePath, grid_statistics, z_statistic
 from .noise import NoiseSpec
 
 _BLOCK_PATHS = 16384
+
+
+def pool_map(fn, *iterables, jobs: int = 1) -> list:
+    """list(map(fn, *iterables)), on one pool of at most `jobs` worker processes
+    (about four chunks each) when jobs > 1; results keep the input order."""
+    n = min(map(len, iterables))
+    if min(jobs, n) <= 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        return list(pool.map(fn, *iterables, chunksize=max(1, n // (4 * jobs))))
 
 
 # ==================================================================
@@ -300,7 +312,6 @@ class StabilityReport:
     bound: float
     passed: bool
     censor_rate: float = 0.0
-    seed: object = None
 
 
 def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
@@ -318,13 +329,13 @@ def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
 
 
 def _report(values: np.ndarray, bound: float, noise: NoiseSpec, ens: Ensemble, *,
-            lam, a, rule, seed) -> StabilityReport:
+            lam, a, rule) -> StabilityReport:
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return StabilityReport(
         alpha=noise.alpha, mu=noise.mu, gamma=noise.gamma, lam=lam, a=a, rule=rule,
         n_rep=values.size, mc_estimate=est, mc_stderr=se, bound=bound,
-        passed=bool(est + 3.0 * se <= bound), censor_rate=ens.censor_rate, seed=seed,
+        passed=bool(est + 3.0 * se <= bound), censor_rate=ens.censor_rate,
     )
 
 
@@ -373,12 +384,12 @@ def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
     bound = _check_lambda(noise, lam) * _check_a(noise, a)
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
     values = _functional_values(ens, noise.alpha, a, lam)
-    return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name, seed=seed)
+    return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name)
 
 
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
                      a_values: Sequence, lambdas: Sequence[float],
-                     n_rep: int, master_seed=0) -> list[StabilityReport]:
+                     n_rep: int, master_seed=0, jobs: int = 1) -> list[StabilityReport]:
     """Run the full (scales x stopping x a x lambda) matrix.
 
     One path ensemble is simulated per (scales, stopping) pair and reused for
@@ -387,21 +398,28 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     the matrix tractable at n_rep = 1e5.  Each lambda's cells are a_values in
     order: a float a > 0 checks the pointwise bound at a, a pair (a0, a1) the
     uniform bound over that range (rule suffix "|uniform"; see `mc_stability`).
+
+    A pair's ensemble, one `simulate_ensemble` call, is the unit of work that
+    `pool_map` spreads over `jobs` workers; its seeds come from its own rule,
+    so the reports do not depend on jobs.  At jobs > 1 a `CensoredPathsWarning`
+    is raised in the worker: forked workers inherit the caller's filters, so it
+    reaches stderr, but the caller's `catch_warnings(record=True)` misses it.
     """
     bounds = [_check_lambda(noise, lam) for lam in lambdas]
     factors = [_check_a(noise, a) for a in a_values]
+    pairs = [(scales, stop) for scales in scale_rules for stop in stop_rules]
+    k = len(pairs)
+    ensembles = pool_map(simulate_ensemble, [noise] * k, [p[0] for p in pairs],
+                         [p[1] for p in pairs], [n_rep] * k, [master_seed] * k, jobs=jobs)
     reports = []
-    for scales in scale_rules:
-        for stop in stop_rules:
-            ens = simulate_ensemble(noise, scales, stop, n_rep, master_seed)
-            rule = f"{scales.name}|{stop.name}"
-            for lam, bound in zip(lambdas, bounds):
-                for a, factor in zip(a_values, factors):
-                    values = _functional_values(ens, noise.alpha, a, lam)
-                    reports.append(_report(
-                        values, bound * factor, noise, ens, lam=lam, a=a,
-                        rule=f"{rule}|uniform" if isinstance(a, tuple) else rule,
-                        seed=master_seed))
+    for (scales, stop), ens in zip(pairs, ensembles):
+        rule = f"{scales.name}|{stop.name}"
+        for lam, bound in zip(lambdas, bounds):
+            for a, factor in zip(a_values, factors):
+                values = _functional_values(ens, noise.alpha, a, lam)
+                reports.append(_report(
+                    values, bound * factor, noise, ens, lam=lam, a=a,
+                    rule=f"{rule}|uniform" if isinstance(a, tuple) else rule))
     return reports
 
 

@@ -14,6 +14,7 @@ A10 byte-identical campaign outputs across worker counts
 
 import json
 import math
+import os
 import time
 import warnings
 
@@ -80,7 +81,7 @@ def a1_matrix():
         warnings.simplefilter("ignore", CensoredPathsWarning)
         reports = stability_matrix(
             noise, SCALES(), STOPS(), [*A_VALUES, (1.0, 100.0)], A1_LAMBDAS,
-            n_rep=100_000, master_seed=MASTER)
+            n_rep=100_000, master_seed=MASTER, jobs=os.cpu_count())
     return reports, time.monotonic() - t0
 
 
@@ -105,7 +106,7 @@ def test_a2_stability_bound_alpha1_cosh():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CensoredPathsWarning)
         reports = stability_matrix(noise, SCALES(), STOPS(), A_VALUES, lambdas,
-                                   n_rep=100_000, master_seed=MASTER + 1)
+                                   n_rep=100_000, master_seed=MASTER + 1, jobs=os.cpu_count())
     assert len(reports) == 72
     n_red = sum(1 for r in reports if not r.passed)
     worst = max(reports, key=lambda r: (r.mc_estimate + 3 * r.mc_stderr) / r.bound)

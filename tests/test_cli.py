@@ -47,6 +47,20 @@ def run_cli(*args):
     return CliRunner().invoke(main, list(args))
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every worker pool the package opens during the test."""
+    sizes = []
+
+    class SpyPool(lepski.stability.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(lepski.stability, "ProcessPoolExecutor", SpyPool)
+    return sizes
+
+
 class TestSimulate:
     def test_writes_one_file_per_cell(self, tmp_path):
         out = tmp_path / "out"
@@ -58,21 +72,13 @@ class TestSimulate:
         s = read_sample_csv(files[0])
         assert s.n_stop == 100
 
-    def test_seed_repeat_identical_files(self, tmp_path, monkeypatch):
+    def test_seed_repeat_identical_files(self, tmp_path, pool_sizes):
         # a repeat at --jobs 1 and a run on a two-worker pool match byte for byte
-        pools = []
-
-        class SpyPool(campaign.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(campaign, "ProcessPoolExecutor", SpyPool)
         outs = [tmp_path / f"run{k}" for k in range(3)]
         for k, (out, jobs) in enumerate(zip(outs, ("1", "1", "2"))):
             cfg = write_config(tmp_path, base_config(out, n_ladder=[30, 60], n_rep=3), f"c{k}.json")
             assert run_cli("simulate", "--config", str(cfg), "--jobs", jobs).exit_code == 0
-        assert pools == [2]
+        assert pool_sizes == [2]
         names = sorted(p.name for p in outs[0].iterdir())
         assert len(names) == 6
         for out in outs[1:]:
@@ -296,15 +302,46 @@ class TestVerifyStability:
         {"uniform_a": [[0.0, 10.0]]},
         {"uniform_a": [[10.0, 1.0]]},
         {"noise": {"family": "truncated_laplace", "mu": 0.5}, "uniform_a": [[1, 100]]},
+        {"master_seed": "x"},
+        {"lambdas": ["a"]},
+        {"n_rep": "x"},
+        {"stability": [1]},
+        {"stopping": ["fixed"]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
-            "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1"])
+            "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
+            "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
-        doc["stability"].update(change)
+        # master_seed and stability are keys of the document, the rest of its section
+        for key, value in change.items():
+            (doc if key in ("master_seed", "stability") else doc["stability"])[key] = value
         res = run_cli("verify-stability", "--config", str(write_config(tmp_path, doc)))
         assert res.exit_code == 2, res.output
         assert not (out / "stability.csv").exists()
+
+    def test_config_formats_kept_without_format_flag(self, tmp_path):
+        out = tmp_path / "out"
+        doc = dict(self.stab_config(out, n_rep=200), formats=["json"])
+        cfg = write_config(tmp_path, doc)
+        assert run_cli("verify-stability", "--config", str(cfg)).exit_code == 0
+        assert [p.name for p in out.iterdir()] == ["stability.json"]
+        assert len(json.loads((out / "stability.json").read_text())) == 12
+        assert run_cli("verify-stability", "--config", str(cfg), "--format", "csv").exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["stability.csv", "stability.json"]
+
+    def test_jobs_determinism_one_pool(self, tmp_path, pool_sizes):
+        # --jobs 2 runs the (scale, stop) ensembles on one two-worker pool and
+        # writes the bytes that --jobs 1 writes
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            cfg = write_config(tmp_path, self.stab_config(out, n_rep=2000), f"c{jobs}.json")
+            res = run_cli("verify-stability", "--config", str(cfg), "--jobs", jobs)
+            assert res.exit_code == 0, res.output
+            written.append((out / "stability.csv").read_bytes())
+        assert pool_sizes == [2]
+        assert written[0] == written[1]
 
     def test_determinism_given_seed(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -340,8 +377,13 @@ class TestExitCodes:
         {"process": {"kind": "iid_regression", "noise": {"family": "gaussian", "mu": 0.7}}},
         {"process": {"kind": "transient_walk", "stopping": {"rule": "budget"}}},
         {"n_rep": "x"},
+        {"master_seed": "x"},
+        {"n_ladder": ["a", "b"]},
+        {"process": "abc"},
+        {"process": {"kind": "autoregressive", "ar_matrix": [[0.5, 0.1], [0.0, 0.5]]}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
-            "walk_budget", "n_rep_x"])
+            "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
+            "ar_dim2_scalar_x"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2)

@@ -35,3 +35,12 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_one_process_pool():
+    # every worker pool of the package is the one that stability.pool_map opens
+    calls = [module for module in sorted(p.name for p in SRC.glob("*.py"))
+             for node in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProcessPoolExecutor"]
+    assert calls == ["stability.py"]

@@ -321,6 +321,21 @@ class TestMatrixRanges:
         assert [r.rule.endswith("|uniform") for r in reports] == [False, True] * 4
 
 
+class TestMatrixJobs:
+    @pytest.mark.parametrize("noise, a_values", [
+        (gaussian_noise(), [0.5, (1.0, 100.0)]),
+        (two_point_noise(), [0.5, (1.0, 100.0)]),
+        (truncated_laplace_noise(mu=0.5, cut=3.0), [0.5, 5.0]),
+    ], ids=["gaussian", "two_point", "truncated_laplace"])
+    def test_reports_do_not_depend_on_jobs(self, noise, a_values):
+        # every pair's ensemble crosses to a worker and back; the noise must pickle
+        rules = ([ConstantScale(1.0), AdaptedScale()], [FixedT(30), RandomizedStop(0.1, 50)])
+        reports = [stability_matrix(noise, *rules, a_values, [0.01, 0.03], 400, 11, jobs=jobs)
+                   for jobs in (1, 2)]
+        assert len(reports[0]) == 16
+        assert reports[0] == reports[1]
+
+
 class TestUniformStability:
     def test_degenerate_range_matches_pointwise_estimate(self):
         # a0 = a1 reduces to the pointwise functional at lambda/2; the log
