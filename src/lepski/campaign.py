@@ -184,6 +184,23 @@ def _master_seed(doc: dict, seed) -> int:
         raise ConfigError(f"master_seed must be an integer: {exc}") from exc
 
 
+OUTPUT_FORMATS = ("csv", "json")  # the formats write_rows writes
+
+
+def _formats(doc: dict) -> list:
+    """The document's output formats, checked at load: a list of known names."""
+    formats = doc.get("formats", ["csv"])
+    if not (isinstance(formats, list) and all(f in OUTPUT_FORMATS for f in formats)):
+        raise ConfigError(f"formats must be a list drawn from {list(OUTPUT_FORMATS)}; "
+                          f"got {formats!r}")
+    return list(formats)
+
+
+def _numbers(value) -> bool:
+    """Whether a config value is a list of numbers."""
+    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+
+
 def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
     try:
         grid_doc = dict(doc["grid"])
@@ -206,8 +223,7 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
             raise ConfigError(f"bad modulus configuration: {exc}") from exc
 
     n_ladder = doc.get("n_ladder", [])
-    if (not isinstance(n_ladder, list) or not n_ladder
-            or not all(isinstance(n, (int, float)) for n in n_ladder)
+    if (not _numbers(n_ladder) or not n_ladder
             or any(b <= a for a, b in zip(n_ladder, n_ladder[1:]))):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     try:
@@ -224,13 +240,16 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
         raise ConfigError(f"the grid point has dimension {grid.dim}, "
                           f"the process {process.dim}")
 
+    t_grid = doc.get("t_grid", [])
+    if not _numbers(t_grid):
+        raise ConfigError(f"t_grid must be a list of numbers; got {t_grid!r}")
+
     master_seed = _master_seed(doc, seed)
     outputs = Path(out if out is not None else doc.get("outputs", "out"))
     return CampaignConfig(
         raw=doc, grid=grid, modulus=modulus, n_ladder=n_ladder, n_rep=n_rep,
-        master_seed=master_seed, outputs=outputs,
-        formats=list(doc.get("formats", ["csv"])),
-        t_grid=[float(t) for t in doc.get("t_grid", [])] or None,
+        master_seed=master_seed, outputs=outputs, formats=_formats(doc),
+        t_grid=[float(t) for t in t_grid] or None,
     )
 
 
@@ -266,6 +285,8 @@ def _fmt(v) -> str:
 
 
 def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
+    if fmt not in OUTPUT_FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -273,13 +294,11 @@ def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(row[k]) for k in header])
-    elif fmt == "json":
+    else:
         payload = [{k: row[k] for k in header} for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1, default=float)
             fh.write("\n")
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
 
 
 def _write_formats(outputs: Path, formats: list, stem: str, header: list, rows: list) -> list:
@@ -557,6 +576,9 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
     if n_rep < 1:
         raise ConfigError("stability n_rep must be at least 1")
     master_seed = _master_seed(doc, seed)
+    formats = _formats(doc)  # checked even when fmt replaces it, as for campaigns
+    if fmt is not None:
+        formats = [fmt]
 
     reports = stab.stability_matrix(noise, scales, stops, a_values, lambdas,
                                     n_rep, master_seed, jobs)
@@ -570,7 +592,6 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
             "pass": r.passed, "master_seed": master_seed,
         })
     outputs = Path(out if out is not None else doc.get("outputs", "out"))
-    formats = [fmt] if fmt is not None else list(doc.get("formats", ["csv"]))
     paths = _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)
     return {"rows": rows, "reports": reports, "paths": paths,
             "all_pass": all(r.passed for r in reports)}

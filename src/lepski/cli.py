@@ -52,7 +52,7 @@ def _common(body):
                       help="Output directory override.")(fn)
     fn = click.option("--jobs", type=int, default=None,
                       help="Worker count (env: LEPSKI_JOBS); output is byte-identical for any value.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
+    fn = click.option("--format", "fmt", type=click.Choice(campaign.OUTPUT_FORMATS), default=None,
                       help="Output format; overrides the config's formats when given.")(fn)
     return fn
 

@@ -119,6 +119,8 @@ class GridConfig:
             raise ValueError("b, nu, u0, delta0, alpha0 must all be positive")
         if self.j_max < 1:
             raise ValueError("j_max must be at least 1")
+        if not self.h0 * self.q ** self.j_max >= np.finfo(float).tiny:  # _shells reads h_j as h0 q^j
+            raise ValueError("the deepest bandwidth h0 q^j_max underflows")
 
     @property
     def dim(self) -> int:
@@ -157,7 +159,7 @@ class OccupationProfile:
 
 @dataclass
 class GridStats:
-    """OccupationProfile plus per-bandwidth kernel statistics (one sorted pass).
+    """OccupationProfile plus per-bandwidth kernel statistics (one shell pass).
 
     f_tilde and m_values are populated only when the sample carries a truth
     handle; m_values holds the martingale parts M(h_j).
@@ -220,43 +222,58 @@ def z_statistic(m, l, a):
 # grid construction
 # ------------------------------------------------------------------
 
+def _shells(dist: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
+    """Deepest closed grid ball holding each distance, max{j : bandwidths[j] >= d},
+    or -1 when d > h0.  x = log(d/h0) / log q errs far less than 1/2, so
+    floor(x + 1/2) - 1 is that ball or the next one out; one exact comparison
+    settles which.  In place: at n = 1e5 a new temporary costs as much as its math."""
+    x = dist / bandwidths[0]
+    with np.errstate(divide="ignore"):  # d = 0 lies in every ball
+        np.log(x, out=x)
+    x *= (bandwidths.size - 1) / np.log(bandwidths[-1] / bandwidths[0])
+    x += 0.5
+    np.fmax(np.floor(x, out=x), 0.0, out=x)  # fmax also sends NaN outside every ball
+    j = np.minimum(x, bandwidths.size, out=x).astype(np.intp)  # the estimate + 1
+    j += np.append(bandwidths, -np.inf)[j] >= dist  # d <= h_{estimate+1}: one deeper
+    j -= 1
+    return j
+
+
 def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     """Occupation profile and kernel statistics for every realized grid bandwidth.
 
-    Works on the distance order: weights, weighted responses (and weighted
-    truth values when available) are accumulated as prefix sums over sorted
-    distances, so all grid values come out of one O(n log n) pass.
+    Weights, weighted responses (and weighted truth values when available)
+    are summed per shell (`_shells`) with `np.bincount` and accumulated from
+    the innermost shell outwards: a few O(n) passes and no sort.
 
     Raises
     ------
     GridEmpty
         when L(h0) = 0, i.e. no observation within h0 of the estimation point.
     """
-    dist = sample.distances(cfg.x_point)
-    order = np.argsort(dist, kind="stable")
-    ds = dist[order]
-    inv_var = sample.sigma[order] ** -2.0
-    cum_w = np.cumsum(inv_var)
-    cum_wy = np.cumsum(inv_var * sample.y_obs[order])
-
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
-    counts = np.searchsorted(ds, bandwidths, side="right")
-    if counts[0] == 0:
+    bins = _shells(sample.distances(cfg.x_point), bandwidths)
+    bins += 1  # bin 0 holds the distances beyond h0
+    # the realized grid runs from h0 down to the deepest occupied shell
+    last = int(bins.max())
+    if last == 0:
         raise GridEmpty("no observation within h0 of the estimation point")
-    # L is monotone in h, so the realized grid is the prefix with counts > 0
-    keep = np.flatnonzero(counts > 0)
-    last = keep[-1] + 1
-    bandwidths, counts = bandwidths[:last], counts[:last]
+    inv_var = sample.sigma ** -2.0
 
-    l_values = cum_w[counts - 1]
+    def ball_sums(values):
+        return np.cumsum(np.bincount(bins, values)[:0:-1])[::-1]
+
+    bandwidths = bandwidths[:last]
+    l_values = ball_sums(inv_var)
     psi_values = psi(bandwidths, cfg)
-    f_hat = cum_wy[counts - 1] / l_values
+    wy = ball_sums(inv_var * sample.y_obs)
+    f_hat = wy / l_values
 
     f_tilde = m_values = None
     if sample.truth is not None:
-        cum_wf = np.cumsum(inv_var * sample.truth_values()[order])
-        f_tilde = cum_wf[counts - 1] / l_values
-        m_values = (cum_wy - cum_wf)[counts - 1]
+        wf = ball_sums(inv_var * sample.truth_values())
+        f_tilde = wf / l_values
+        m_values = wy - wf
 
     profile = OccupationProfile(bandwidths, l_values, psi_values)
     return GridStats(profile, f_hat, f_tilde, m_values)

@@ -8,9 +8,9 @@ tests a modulus against them.
 Two bandwidth notions live here.  The grid oracle H* balances the stochastic
 level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
 The continuum bandwidths H_w (empirical) and h_w (deterministic, replacing L
-by its expectation) are minima over h in (0, h0]; both are located exactly,
-up to a relative bisection tolerance of 1e-10, by exploiting that
-L(h) w(h)^2 - psi(h) is increasing in h.
+by its expectation) are minima over h in (0, h0], located up to a relative
+bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
+h; H_w reads it at the grid first and scans the pieces of L in one shell only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridEmpty, TooFewSamples
-from .model_core import GridConfig, OccupationProfile, SamplePath, build_grid, psi
+from .model_core import GridConfig, OccupationProfile, SamplePath, _shells, build_grid, psi
 
 REL_TOL = 1e-10
 
@@ -123,9 +123,10 @@ def _excess(level, h, w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig):
 
 
 def _constant_sigma(sample: SamplePath) -> Optional[float]:
-    """The common noise scale of the sample, or None when sigma varies."""
+    """The common noise scale of the sample, or None when sigma varies (by more
+    than a relative 1e-12: np.allclose's test at a fifth of its cost)."""
     sig = sample.sigma
-    return float(sig[0]) if np.allclose(sig, sig[0], rtol=1e-12, atol=0.0) else None
+    return float(sig[0]) if np.all(np.abs(sig - sig[0]) <= 1e-12 * sig[0]) else None
 
 
 def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
@@ -158,24 +159,33 @@ def empirical_hw(sample: SamplePath, cfg: GridConfig,
 
     Requires a constant sigma across the sample.  L is a right-continuous
     nondecreasing step function of h, so F(h) = L(h) w(h)^2 - psi(h) is
-    increasing.  F is evaluated at both ends of every flat piece at once; on
-    the first piece where F reaches zero, the answer is its left end (a
-    realized distance) when F is already nonnegative there, and otherwise
-    the root of F inside the piece, found by bisection to relative 1e-10.
+    nondecreasing, and F at the grid h_j = h0 q^j brackets H_w in one shell
+    (h_{j+1}, h_j] or in (0, h_J].  On the first flat piece of L in there where
+    F reaches zero, the answer is its left end (a realized distance) when F is
+    already nonnegative there, else the root of F inside, by bisection to 1e-10.
     """
     sigma = _constant_sigma(sample)
     if sigma is None:
         raise ValueError("the empirical continuum bandwidth assumes a constant sigma")
 
     dist = sample.distances(cfg.x_point)
-    lefts, counts = np.unique(dist[dist <= cfg.h0], return_counts=True)
-    if lefts.size == 0:
-        return None  # L(h0) = 0
-    levels = np.cumsum(counts) * sigma ** -2.0
-    rights = np.append(lefts[1:], cfg.h0)
-    right_ok = _excess(levels, rights, w_spec, cfg) >= 0
-    if not right_ok[-1]:
+    bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
+    shell = _shells(dist, bandwidths)
+    # C_j = #{d <= h_j}: L(h_j) = C_j sigma^-2 as on the pieces below
+    counts = np.cumsum(np.bincount(shell + 1, minlength=bandwidths.size + 1)[:0:-1])[::-1]
+    grid_ok = _excess(counts * sigma ** -2.0, bandwidths, w_spec, cfg) >= 0
+    if not grid_ok[0]:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
+    j = int(np.flatnonzero(grid_ok)[-1])
+    # the pieces meeting (h_{j+1}, h_j]: the first starts at the largest distance
+    # <= h_{j+1}, the last ends at the smallest distance in (h_j, h0], or at h0
+    inner = dist[shell > j]
+    lefts, n_at = np.unique(dist[shell == j], return_counts=True)
+    if inner.size:
+        lefts, n_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([0], n_at))
+    levels = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
+    rights = np.append(lefts[1:], dist[(shell >= 0) & (shell < j)].min(initial=cfg.h0))
+    right_ok = _excess(levels, rights, w_spec, cfg) >= 0
 
     pos = lefts > 0  # psi(0) is infinite: a piece starting at zero has no feasible left end
     left_ok = np.zeros_like(pos)

@@ -307,18 +307,23 @@ class TestVerifyStability:
         {"n_rep": "x"},
         {"stability": [1]},
         {"stopping": ["fixed"]},
+        {"formats": "json"},
+        {"formats": ["xml"]},
+        {"formats": [1]},
+        {"formats": ["csv", "xml"]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
-            "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str"])
+            "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
+            "formats_str", "formats_xml", "formats_int", "formats_csv_xml"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
-        # master_seed and stability are keys of the document, the rest of its section
+        # master_seed, formats and stability are keys of the document, the rest of its section
         for key, value in change.items():
-            (doc if key in ("master_seed", "stability") else doc["stability"])[key] = value
+            (doc if key in ("master_seed", "formats", "stability") else doc["stability"])[key] = value
         res = run_cli("verify-stability", "--config", str(write_config(tmp_path, doc)))
         assert res.exit_code == 2, res.output
-        assert not (out / "stability.csv").exists()
+        assert not out.exists()
 
     def test_config_formats_kept_without_format_flag(self, tmp_path):
         out = tmp_path / "out"
@@ -381,9 +386,16 @@ class TestExitCodes:
         {"n_ladder": ["a", "b"]},
         {"process": "abc"},
         {"process": {"kind": "autoregressive", "ar_matrix": [[0.5, 0.1], [0.0, 0.5]]}},
+        {"formats": "json"},
+        {"formats": ["xml"]},
+        {"formats": [1]},
+        {"formats": ["csv", "xml"]},
+        {"t_grid": 5},
+        {"t_grid": ["a"]},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
-            "ar_dim2_scalar_x"])
+            "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
+            "formats_csv_xml", "t_grid_scalar", "t_grid_str"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2)

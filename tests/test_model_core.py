@@ -27,6 +27,7 @@ from lepski import (
     write_sample_csv,
     z_statistic,
 )
+from lepski.model_core import _shells
 
 
 def cfg_at_zero(h0=1.0, q=0.5, b=1.0, j_max=5, **kw):
@@ -300,7 +301,74 @@ class TestZStatistic:
 # grid statistics coherence and CSV round trip
 # ------------------------------------------------------------------
 
+def sorted_prefix_grid(sample, cfg):
+    """Grid bandwidths, L, f_hat, f_tilde and M by prefix sums over the sorted
+    distances: the reference for the shell-indexed `grid_statistics`."""
+    dist = sample.distances(cfg.x_point)
+    order = np.argsort(dist, kind="stable")
+    inv_var = sample.sigma[order] ** -2.0
+    cum_w = np.cumsum(inv_var)
+    cum_wy = np.cumsum(inv_var * sample.y_obs[order])
+    cum_wf = np.cumsum(inv_var * sample.truth_values()[order])
+    bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
+    counts = np.searchsorted(dist[order], bandwidths, side="right")
+    if counts[0] == 0:
+        raise GridEmpty("no observation within h0")
+    keep = counts > 0  # a prefix: L is monotone in h
+    idx = counts[keep] - 1
+    return (bandwidths[keep], cum_w[idx], cum_wy[idx] / cum_w[idx],
+            cum_wf[idx] / cum_w[idx], (cum_wy - cum_wf)[idx])
+
+
+class TestShells:
+    @pytest.mark.parametrize("q, j_max", [(0.9, 60), (0.5, 10), (0.99, 200), (0.9, 1)])
+    def test_matches_searchsorted(self, q, j_max):
+        h = 0.7 * q ** np.arange(j_max + 1, dtype=float)
+        d = np.concatenate([h, np.nextafter(h, 0.0), np.nextafter(h, np.inf),
+                            [0.0, 0.7 * 1.5, np.inf],
+                            np.random.default_rng(1).uniform(0.0, 0.7 * 1.2, 200_000)])
+        expected = j_max - np.searchsorted(h[::-1], d, side="left")
+        assert np.array_equal(_shells(d, h), expected)
+        assert _shells(h, h).tolist() == list(range(j_max + 1))  # d = h_j lies in ball j
+
+
 class TestGridStatistics:
+    @pytest.mark.parametrize("unit_sigma", [True, False])
+    @pytest.mark.parametrize("q, j_max", [(0.9, 60), (0.5, 3), (0.7, 10)])
+    def test_matches_sorted_prefix_sums(self, unit_sigma, q, j_max):
+        rng = np.random.default_rng(11)
+        f = lambda rows: np.sin(3.0 * np.atleast_2d(rows)[:, 0])
+        h = q ** np.arange(j_max + 1, dtype=float)
+        for n in (1, 7, 300, 20_000):
+            # a 0.02 lattice (ties, points at x) plus points exactly at +-h_j
+            x = np.concatenate([rng.integers(-60, 61, n) / 50.0, h[: n], -h[: n // 2]])
+            m = x.size
+            sig = np.ones(m) if unit_sigma else rng.uniform(0.3, 3.0, m)
+            s = SamplePath(x, f(x.reshape(-1, 1)) + rng.standard_normal(m), sig, truth=f)
+            cfg = cfg_at_zero(q=q, j_max=j_max)
+            bw, l_ref, f_ref, ft_ref, m_ref = sorted_prefix_grid(s, cfg)
+            stats = grid_statistics(s, cfg)
+            assert np.array_equal(stats.profile.bandwidths, bw)
+            if unit_sigma:
+                assert np.array_equal(stats.profile.l_values, l_ref)
+            np.testing.assert_allclose(stats.profile.l_values, l_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(stats.f_hat, f_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stats.f_tilde, ft_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(stats.m_values, m_ref, rtol=1e-10, atol=1e-10)
+
+    def test_grid_empty_beyond_h0(self):
+        s = SamplePath([[1.5], [-2.0], [np.nextafter(1.0, 2.0)]], np.zeros(3), np.ones(3))
+        with pytest.raises(GridEmpty):
+            grid_statistics(s, cfg_at_zero())
+
+    def test_point_at_a_grid_bandwidth_counts_in_its_ball(self):
+        # h_2 = 0.25 exactly: the closed ball of radius h_2 holds the point
+        s = SamplePath([[0.25], [-0.9]], [2.0, 4.0], [1.0, 1.0])
+        stats = grid_statistics(s, cfg_at_zero(q=0.5, j_max=5))
+        np.testing.assert_array_equal(stats.profile.bandwidths, [1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(stats.profile.l_values, [2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(stats.f_hat, [3.0, 2.0, 2.0])
+
     def test_matches_pointwise_operations(self):
         rng = np.random.default_rng(3)
         f = lambda rows: np.atleast_2d(rows)[:, 0] ** 2
@@ -357,3 +425,9 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SamplePath(np.zeros((0, 1)), [], [])
+
+    def test_rejects_an_underflowing_grid(self):
+        # 0.01^200 = 0 in floats: the stored grid would stop being h0 q^j
+        with pytest.raises(ValueError):
+            GridConfig(x_point=[0.0], h0=1.0, q=0.01, j_max=200)
+        GridConfig(x_point=[0.0], h0=1.0, q=0.01, j_max=150)  # 1e-300 is a normal float

@@ -238,12 +238,13 @@ class TestEmpiricalHw:
 
     def test_matches_piecewise_scan_exactly(self):
         # covariates on a 0.02 lattice in [-1.2, 1.2]: tied distances (x and -x,
-        # repeats), points exactly at x and points beyond h0 = 1
+        # repeats), points exactly at x and at h_1 = 0.5, and points beyond h0 = 1;
+        # the coarse grid (j_max = 3) also puts H_w below its deepest bandwidth
         rng = np.random.default_rng(20101029)
         moduli = [HolderModulus(s, scale) for s, scale in
                   ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
         moduli.append(ExplicitModulus(lambda h: min(1.0, 2.0 * h**0.5)))
-        outcomes = {"none": 0, "jump": 0, "inside": 0}
+        outcomes = {"none": 0, "jump": 0, "inside": 0, "below_coarse_grid": 0}
         for case in range(300):
             n = int(rng.choice([1, 3, 10, 50, 300, 3000]))
             x = rng.integers(-60, 61, n) / 50.0
@@ -251,12 +252,14 @@ class TestEmpiricalHw:
                 x[0] = 0.0
             sigma = float(rng.choice([0.5, 1.0, 2.0]))
             s = SamplePath(x, np.zeros(n), np.full(n, sigma))
-            cfg = grid_cfg(b=float(rng.choice([0.2, 1.0, 3.0])))
+            b = float(rng.choice([0.2, 1.0, 3.0]))
             w = moduli[case % len(moduli)]
-            hw = empirical_hw(s, cfg, w)
-            assert hw == piecewise_scan_hw(s, cfg, w), case
+            for cfg in (grid_cfg(b=b), grid_cfg(b=b, j_max=3)):
+                hw = empirical_hw(s, cfg, w)
+                assert hw == piecewise_scan_hw(s, cfg, w), (case, cfg.j_max)
             key = "none" if hw is None else "jump" if np.any(np.abs(x) == hw) else "inside"
             outcomes[key] += 1
+            outcomes["below_coarse_grid"] += hw is not None and hw < cfg.h0 * cfg.q**3
         assert min(outcomes.values()) > 0, outcomes
 
 

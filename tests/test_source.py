@@ -37,10 +37,20 @@ def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def calls_to(name: str) -> list:
+    """The package's modules, __init__.py included, once per call they make to
+    a function or method called name."""
+    return [module for module in sorted(p.name for p in SRC.glob("*.py"))
+            for node in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
 def test_one_process_pool():
     # every worker pool of the package is the one that stability.pool_map opens
-    calls = [module for module in sorted(p.name for p in SRC.glob("*.py"))
-             for node in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProcessPoolExecutor"]
-    assert calls == ["stability.py"]
+    assert calls_to("ProcessPoolExecutor") == ["stability.py"]
+
+
+def test_no_sort_of_the_sample():
+    # grid statistics and H_w index distances by grid shell, so nothing argsorts
+    assert calls_to("argsort") == []
