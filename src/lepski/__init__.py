@@ -16,9 +16,8 @@ from .errors import (
 )
 from .model_core import (
     GridConfig,
-    OccupationProfile,
+    GridStats,
     SamplePath,
-    build_grid,
     grid_statistics,
     kernel_estimate,
     martingale_part,

@@ -2,14 +2,18 @@
 and the rectangular-kernel estimators built on them.
 
 All estimators use the closed Euclidean ball |X - x| <= h and inverse-variance
-weights 1/sigma_{k-1}^2.  Everything here is a pure function of immutable
-inputs and safe to call from any number of workers.
+weights 1/sigma_{k-1}^2.  `grid_statistics` builds `GridStats`, the one view
+of a sample at the estimation point: the realized grid with L, psi and f_hat
+on it, and the distances and grid shells from which `GridStats.ball_sums`
+forms any other sum over the grid balls.  Everything here is a pure function
+of immutable inputs and safe to call from any number of workers.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,8 +73,8 @@ class SamplePath:
             raise ValueError("a sample must contain at least one observation")
         if not (self.y_obs.size == n and self.sigma.size == n):
             raise ValueError("x_obs, y_obs and sigma must have identical length")
-        if not np.all(np.isfinite(self.y_obs)):
-            raise ValueError("responses must be finite")
+        if not (np.all(np.isfinite(self.x_obs)) and np.all(np.isfinite(self.y_obs))):
+            raise ValueError("covariates and responses must be finite")
         if not (np.all(np.isfinite(self.sigma)) and np.all(self.sigma > 0)):
             raise ValueError("sigma entries must be strictly positive and finite")
 
@@ -113,12 +117,15 @@ class GridConfig:
 
     def __post_init__(self):
         self.x_point = _as_point(self.x_point)
-        if not (self.h0 > 0 and 0 < self.q < 1):
-            raise ValueError("need h0 > 0 and 0 < q < 1")
-        if min(self.b, self.nu, self.u0, self.delta0, self.alpha0) <= 0:
-            raise ValueError("b, nu, u0, delta0, alpha0 must all be positive")
-        if self.j_max < 1:
-            raise ValueError("j_max must be at least 1")
+        if not np.all(np.isfinite(self.x_point)):
+            raise ValueError("the estimation point must be finite")
+        if not all(0 < v < np.inf for v in (self.h0, self.b, self.nu, self.u0,
+                                            self.delta0, self.alpha0)):
+            raise ValueError("h0, b, nu, u0, delta0 and alpha0 must be positive and finite")
+        if not 0 < self.q < 1:
+            raise ValueError("need 0 < q < 1")
+        if not (isinstance(self.j_max, Integral) and self.j_max >= 1):
+            raise ValueError(f"j_max must be an integer of at least 1; got {self.j_max!r}")
         if not self.h0 * self.q ** self.j_max >= np.finfo(float).tiny:  # _shells reads h_j as h0 q^j
             raise ValueError("the deepest bandwidth h0 q^j_max underflows")
 
@@ -128,20 +135,31 @@ class GridConfig:
 
 
 @dataclass
-class OccupationProfile:
-    """The realized grid {h_j : L(h_j) > 0} with cached occupation and threshold values.
+class GridStats:
+    """The view of a sample at the estimation point x: the realized grid
+    {h_j = h0 q^j : L(h_j) > 0, j <= j_max} with L, psi and f_hat on it.
 
     Bandwidths are stored in descending order (h_0 first); l_values is
     nonincreasing along the array and every entry is positive; psi_values
-    is increasing along the array with psi_values[0] == 1.
+    is increasing along the array with psi_values[0] == 1.  dist holds
+    |X_{k-1} - x| and bins the shell of each observation: j + 1 for the
+    deepest grid ball j that holds it, 0 beyond h0.
     """
 
     bandwidths: np.ndarray
-    l_values: np.ndarray
     psi_values: np.ndarray
+    dist: np.ndarray
+    bins: np.ndarray
+    l_values: np.ndarray = field(init=False)
+    f_hat: np.ndarray = field(init=False)
 
     def __len__(self) -> int:
         return self.bandwidths.size
+
+    def ball_sums(self, values=None) -> np.ndarray:
+        """sum_k v_k 1{|X_{k-1} - x| <= h_j} for every realized h_j, v = values
+        (the number of observations in each ball when None)."""
+        return np.cumsum(np.bincount(self.bins, values)[:0:-1])[::-1]
 
     @property
     def levels(self) -> np.ndarray:
@@ -155,20 +173,6 @@ class OccupationProfile:
         if not feasible[0]:
             return None
         return int(np.flatnonzero(feasible)[-1])
-
-
-@dataclass
-class GridStats:
-    """OccupationProfile plus per-bandwidth kernel statistics (one shell pass).
-
-    f_tilde and m_values are populated only when the sample carries a truth
-    handle; m_values holds the martingale parts M(h_j).
-    """
-
-    profile: OccupationProfile
-    f_hat: np.ndarray
-    f_tilde: Optional[np.ndarray] = None
-    m_values: Optional[np.ndarray] = None
 
 
 # ------------------------------------------------------------------
@@ -240,11 +244,12 @@ def _shells(dist: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
 
 
 def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
-    """Occupation profile and kernel statistics for every realized grid bandwidth.
+    """The view of the sample at cfg.x_point, with L and f_hat on every
+    realized grid bandwidth.
 
-    Weights, weighted responses (and weighted truth values when available)
-    are summed per shell (`_shells`) with `np.bincount` and accumulated from
-    the innermost shell outwards: a few O(n) passes and no sort.
+    Weights and weighted responses are summed per shell (`_shells`) with
+    `np.bincount` and accumulated from the innermost shell outwards: a few
+    O(n) passes and no sort.
 
     Raises
     ------
@@ -252,36 +257,18 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
         when L(h0) = 0, i.e. no observation within h0 of the estimation point.
     """
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
-    bins = _shells(sample.distances(cfg.x_point), bandwidths)
+    dist = sample.distances(cfg.x_point)
+    bins = _shells(dist, bandwidths)
     bins += 1  # bin 0 holds the distances beyond h0
     # the realized grid runs from h0 down to the deepest occupied shell
     last = int(bins.max())
     if last == 0:
         raise GridEmpty("no observation within h0 of the estimation point")
+    stats = GridStats(bandwidths[:last], psi(bandwidths[:last], cfg), dist, bins)
     inv_var = sample.sigma ** -2.0
-
-    def ball_sums(values):
-        return np.cumsum(np.bincount(bins, values)[:0:-1])[::-1]
-
-    bandwidths = bandwidths[:last]
-    l_values = ball_sums(inv_var)
-    psi_values = psi(bandwidths, cfg)
-    wy = ball_sums(inv_var * sample.y_obs)
-    f_hat = wy / l_values
-
-    f_tilde = m_values = None
-    if sample.truth is not None:
-        wf = ball_sums(inv_var * sample.truth_values())
-        f_tilde = wf / l_values
-        m_values = wy - wf
-
-    profile = OccupationProfile(bandwidths, l_values, psi_values)
-    return GridStats(profile, f_hat, f_tilde, m_values)
-
-
-def build_grid(sample: SamplePath, cfg: GridConfig) -> OccupationProfile:
-    """The realized geometric grid: all h_j = h0 q^j with L(h_j) > 0, j <= j_max."""
-    return grid_statistics(sample, cfg).profile
+    stats.l_values = stats.ball_sums(inv_var)
+    stats.f_hat = stats.ball_sums(inv_var * sample.y_obs) / stats.l_values
+    return stats
 
 
 # ------------------------------------------------------------------

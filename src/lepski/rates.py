@@ -10,7 +10,9 @@ level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
 The continuum bandwidths H_w (empirical) and h_w (deterministic, replacing L
 by its expectation) are minima over h in (0, h0], located up to a relative
 bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
-h; H_w reads it at the grid first and scans the pieces of L in one shell only.
+h.  H_w is read off the sample's `GridStats` view and its common sigma, both
+supplied by the caller: first at the grid, then on the pieces of L in one
+shell only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GridEmpty, TooFewSamples
-from .model_core import GridConfig, OccupationProfile, SamplePath, _shells, build_grid, psi
+from .model_core import GridConfig, GridStats, SamplePath, grid_statistics, psi
 
 REL_TOL = 1e-10
 
@@ -91,22 +93,22 @@ def modulus_bar(w_spec: HolderModulus | ExplicitModulus, h, cfg: GridConfig):
 # grid oracle bandwidth and events
 # ------------------------------------------------------------------
 
-def oracle_bandwidth(profile: OccupationProfile, w_spec: HolderModulus | ExplicitModulus,
+def oracle_bandwidth(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
                      cfg: GridConfig) -> Optional[float]:
     """H* = min{h in grid : (psi(h)/L(h))^(1/2) <= W-bar(h)}, with W-bar floored
     and capped by the grid's own h0, delta0, alpha0 and u0.
 
     None when h0 already fails, i.e. off the event {L(h0)^(-1/2) <= W-bar(h0)}.
     """
-    j = profile.last_feasible(modulus_bar(w_spec, profile.bandwidths, cfg))
-    return None if j is None else float(profile.bandwidths[j])
+    j = stats.last_feasible(modulus_bar(w_spec, stats.bandwidths, cfg))
+    return None if j is None else float(stats.bandwidths[j])
 
 
-def omega_prime_event(profile: OccupationProfile, w_spec: HolderModulus | ExplicitModulus,
+def omega_prime_event(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
                       cfg: GridConfig) -> bool:
     """{L(h0)^(-1/2) <= W-bar(h0)} and {W(H*) <= u0}, with W-bar and u0 from the
     grid; the second condition is evaluated only when H* exists."""
-    h_star = oracle_bandwidth(profile, w_spec, cfg)
+    h_star = oracle_bandwidth(stats, w_spec, cfg)
     if h_star is None:
         return False
     return bool(w_spec.w(h_star) <= cfg.u0)
@@ -153,38 +155,32 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
     return hi
 
 
-def empirical_hw(sample: SamplePath, cfg: GridConfig,
-                 w_spec: HolderModulus | ExplicitModulus) -> Optional[float]:
-    """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0.
+def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus | ExplicitModulus,
+                 cfg: GridConfig) -> Optional[float]:
+    """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0,
+    for the sample seen by stats, whose observations share the noise scale sigma.
 
-    Requires a constant sigma across the sample.  L is a right-continuous
-    nondecreasing step function of h, so F(h) = L(h) w(h)^2 - psi(h) is
-    nondecreasing, and F at the grid h_j = h0 q^j brackets H_w in one shell
-    (h_{j+1}, h_j] or in (0, h_J].  On the first flat piece of L in there where
-    F reaches zero, the answer is its left end (a realized distance) when F is
-    already nonnegative there, else the root of F inside, by bisection to 1e-10.
+    L is a right-continuous nondecreasing step function of h, so F(h) =
+    L(h) w(h)^2 - psi(h) is nondecreasing, and F at the grid h_j = h0 q^j
+    brackets H_w in one shell (h_{j+1}, h_j] or in (0, h_J].  On the first flat
+    piece of L in there where F reaches zero, the answer is its left end (a
+    realized distance) when F is already nonnegative there, else the root of F
+    inside, by bisection to 1e-10.
     """
-    sigma = _constant_sigma(sample)
-    if sigma is None:
-        raise ValueError("the empirical continuum bandwidth assumes a constant sigma")
-
-    dist = sample.distances(cfg.x_point)
-    bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
-    shell = _shells(dist, bandwidths)
-    # C_j = #{d <= h_j}: L(h_j) = C_j sigma^-2 as on the pieces below
-    counts = np.cumsum(np.bincount(shell + 1, minlength=bandwidths.size + 1)[:0:-1])[::-1]
-    grid_ok = _excess(counts * sigma ** -2.0, bandwidths, w_spec, cfg) >= 0
+    dist, bins = stats.dist, stats.bins  # bin j + 1 holds shell j, bin 0 lies beyond h0
+    # L(h_j) = C_j sigma^-2 with C_j = #{d <= h_j}, as on the pieces below
+    grid_ok = _excess(stats.ball_sums() * sigma ** -2.0, stats.bandwidths, w_spec, cfg) >= 0
     if not grid_ok[0]:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
     j = int(np.flatnonzero(grid_ok)[-1])
     # the pieces meeting (h_{j+1}, h_j]: the first starts at the largest distance
     # <= h_{j+1}, the last ends at the smallest distance in (h_j, h0], or at h0
-    inner = dist[shell > j]
-    lefts, n_at = np.unique(dist[shell == j], return_counts=True)
+    inner = dist[bins > j + 1]
+    lefts, n_at = np.unique(dist[bins == j + 1], return_counts=True)
     if inner.size:
         lefts, n_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([0], n_at))
     levels = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
-    rights = np.append(lefts[1:], dist[(shell >= 0) & (shell < j)].min(initial=cfg.h0))
+    rights = np.append(lefts[1:], dist[(bins > 0) & (bins <= j)].min(initial=cfg.h0))
     right_ok = _excess(levels, rights, w_spec, cfg) >= 0
 
     pos = lefts > 0  # psi(0) is infinite: a piece starting at zero has no feasible left end
@@ -250,20 +246,22 @@ def rate_report(sample: SamplePath, cfg: GridConfig,
                 px_model: Optional[Callable[[float], float]] = None) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 
-    Both continuum bandwidths need a constant sigma, so h_w_emp, h_w, the
-    rates and the ratio are None for a heteroscedastic sample; the
-    deterministic part also needs a closed-form design probability.  Omega_0
-    failures are flagged, never raised, so campaign rows are retained.
+    The sample's view is built once (`grid_statistics`) and serves H*,
+    Omega' and H_w.  Both continuum bandwidths need a constant sigma, so
+    h_w_emp, h_w, the rates and the ratio are None for a heteroscedastic
+    sample; the deterministic part also needs a closed-form design
+    probability.  Omega_0 failures are flagged, never raised, so campaign
+    rows are retained.
     """
     n = sample.n_stop
     try:
-        profile = build_grid(sample, cfg)
+        stats = grid_statistics(sample, cfg)
     except GridEmpty:
         return RateReport(n=n, omega_0=False, omega_prime=False)
 
-    h_star = oracle_bandwidth(profile, w_spec, cfg)
-    omega_p = omega_prime_event(profile, w_spec, cfg)
-    l_h0 = float(profile.l_values[0])
+    h_star = oracle_bandwidth(stats, w_spec, cfg)
+    omega_p = omega_prime_event(stats, w_spec, cfg)
+    l_h0 = float(stats.l_values[0])
     omega_0 = l_h0 ** -0.5 <= float(w_spec.w(cfg.h0))
 
     report = RateReport(n=n, omega_0=bool(omega_0), omega_prime=omega_p, h_star=h_star)
@@ -272,7 +270,7 @@ def rate_report(sample: SamplePath, cfg: GridConfig,
         return report
 
     if omega_0:
-        hw_emp = empirical_hw(sample, cfg, w_spec)
+        hw_emp = empirical_hw(stats, sigma, w_spec, cfg)
         if hw_emp is not None:
             report.h_w_emp = hw_emp
             report.rate_random = float(w_spec.w(hw_emp))

@@ -18,9 +18,8 @@ import numpy as np
 
 from .model_core import (
     GridConfig,
-    OccupationProfile,
+    GridStats,
     SamplePath,
-    build_grid,
     grid_statistics,
     kernel_estimate,
     occupation_time,
@@ -42,7 +41,7 @@ class SelectionResult:
     h_u0: Optional[float] = None
 
 
-def bandwidth_at_level(profile: OccupationProfile, u: float) -> Optional[float]:
+def bandwidth_at_level(stats: GridStats, u: float) -> Optional[float]:
     """H_u = min{h in grid : (psi(h)/L(h))^(1/2) <= u}, or None when h0 already fails.
 
     The level (psi/L)^(1/2) increases strictly along the grid (psi grows, L
@@ -52,8 +51,8 @@ def bandwidth_at_level(profile: OccupationProfile, u: float) -> Optional[float]:
     """
     if u <= 0:
         raise ValueError("level u must be positive")
-    j = profile.last_feasible(u)
-    return None if j is None else float(profile.bandwidths[j])
+    j = stats.last_feasible(u)
+    return None if j is None else float(stats.bandwidths[j])
 
 
 def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
@@ -64,24 +63,23 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     brute-force oracle bit for bit.
     """
     stats = grid_statistics(sample, cfg)
-    prof = stats.profile
-    j_anchor = prof.last_feasible(cfg.u0)
+    j_anchor = stats.last_feasible(cfg.u0)
     if j_anchor is None:
         return SelectionResult(defined=False)
 
-    thresholds = cfg.nu * prof.levels
+    thresholds = cfg.nu * stats.levels
     f_hat = stats.f_hat
     # first admissible = largest bandwidth; the anchor always passes
     j_hat = next(j for j in range(j_anchor + 1)
                  if np.all(np.abs(f_hat[j] - f_hat[j : j_anchor + 1])
                            <= thresholds[j : j_anchor + 1]))
 
-    h_hat = float(prof.bandwidths[j_hat])
+    h_hat = float(stats.bandwidths[j_hat])
     return SelectionResult(
         defined=True,
         h_hat=h_hat,
         f_hat=kernel_estimate(sample, cfg.x_point, h_hat),
-        h_u0=float(prof.bandwidths[j_anchor]),
+        h_u0=float(stats.bandwidths[j_anchor]),
     )
 
 
@@ -93,8 +91,7 @@ def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     times (no caching, no early exit); the maximum admissible h wins.
     O(|grid|^2) estimator evaluations; testing oracle for `select_bandwidth`.
     """
-    grid = build_grid(sample, cfg)
-    hs = [float(h) for h in grid.bandwidths]
+    hs = [float(h) for h in grid_statistics(sample, cfg).bandwidths]
 
     def level(h):
         return np.sqrt(psi(h, cfg) / occupation_time(sample, cfg.x_point, h))

@@ -433,19 +433,18 @@ def pi_statistic(sample: SamplePath, cfg: GridConfig, i0: int = 0) -> float:
     I(h) = [u0^(-2), delta0^(-2) (h/h0)^(-2 alpha0)].  After substituting
     a~ = a psi(h), the map a~ -> sqrt(a~) |M| / (a~ + L) peaks at a~ = L, so
     the inner supremum is evaluated at L clipped to psi(h) * I(h).
-    Grid entries with L = 0 contribute zero and are dropped by construction.
+    M(h) sums sigma_{k-1}^(-2) (Y_k - f(X_{k-1})) over the ball, so the sample
+    must carry its truth.  Grid entries with L = 0 contribute zero and are
+    dropped by construction.
     """
     stats = grid_statistics(sample, cfg)
-    prof = stats.profile
-    if stats.m_values is None:
-        raise ValueError("pi statistic needs the sample truth to extract M(h)")
     sel = slice(i0, None)
-    hs = prof.bandwidths[sel]
+    hs = stats.bandwidths[sel]
     if hs.size == 0:
         return 0.0
-    l = prof.l_values[sel]
-    ps = prof.psi_values[sel]
-    m = stats.m_values[sel]
+    l = stats.l_values[sel]
+    ps = stats.psi_values[sel]
+    m = stats.ball_sums(sample.sigma ** -2.0 * (sample.y_obs - sample.truth_values()))[sel]
     lo = ps * cfg.u0**-2.0
     hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
     z = z_statistic(m, l, np.clip(l, lo, hi))

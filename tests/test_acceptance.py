@@ -36,7 +36,6 @@ from lepski import (
     HolderModulus,
     SamplePath,
     brute_force_select,
-    build_grid,
     check_lemma_cosh_sup,
     check_lemma_moment,
     deterministic_hw,
@@ -282,8 +281,7 @@ def test_a5_oracle_equivalence_and_transient_stall():
         for r in range(120):
             s = simulate(mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(n)),
                          (MASTER, n, r))
-            prof = build_grid(s, cfg)
-            h_star = oracle_bandwidth(prof, w, cfg)
+            h_star = oracle_bandwidth(grid_statistics(s, cfg), w, cfg)
             vals.append(modulus_bar(w, h_star, cfg))
         med[n] = float(np.median(vals))
     report("A5 (mixing contrast)", med[4000] < 0.8 * med[250],

@@ -392,14 +392,21 @@ class TestExitCodes:
         {"formats": ["csv", "xml"]},
         {"t_grid": 5},
         {"t_grid": ["a"]},
+        {"grid": {"x": float("nan")}},
+        {"grid": {"b": float("nan")}},
+        {"grid": {"h0": float("inf")}},
+        {"grid": {"j_max": 2.5}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
-            "formats_csv_xml", "t_grid_scalar", "t_grid_str"])
+            "formats_csv_xml", "t_grid_scalar", "t_grid_str",
+            "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
+        # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2)
-        doc.update(change)
+        doc["grid"].update(change.get("grid", {}))
+        doc.update({k: v for k, v in change.items() if k != "grid"})
         if doc["process"] is None:
             del doc["process"]
         res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))

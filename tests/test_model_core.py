@@ -16,13 +16,13 @@ from lepski import (
     GridEmpty,
     NoTruth,
     SamplePath,
-    build_grid,
     grid_statistics,
     kernel_estimate,
     martingale_part,
     occupation_time,
     psi,
     read_sample_csv,
+    select_bandwidth,
     tilde_estimate,
     write_sample_csv,
     z_statistic,
@@ -129,7 +129,7 @@ class TestPsi:
         # rounding of the log evaluation
         s = SamplePath(np.zeros(5), np.zeros(5), np.ones(5))
         cfg = cfg_at_zero(q=0.7, b=1.7, j_max=40)
-        grid = build_grid(s, cfg)
+        grid = grid_statistics(s, cfg)
         inc = np.diff(grid.psi_values)
         assert grid.psi_values[0] == 1.0
         np.testing.assert_allclose(inc, -cfg.b * math.log(cfg.q), rtol=0, atol=1e-12)
@@ -142,19 +142,19 @@ class TestPsi:
 class TestBuildGrid:
     def test_all_points_at_x(self):
         s = SamplePath(np.zeros(3), np.zeros(3), np.ones(3))
-        grid = build_grid(s, cfg_at_zero(j_max=3))
+        grid = grid_statistics(s, cfg_at_zero(j_max=3))
         np.testing.assert_allclose(grid.bandwidths, [1.0, 0.5, 0.25, 0.125])
         assert np.all(grid.l_values == 3.0)
 
     def test_empty_grid_raises(self):
         s = SamplePath([[2.0]], [0.0], [1.0])
         with pytest.raises(GridEmpty):
-            build_grid(s, cfg_at_zero())
+            grid_statistics(s, cfg_at_zero())
 
     def test_hand_enumerated_two_point_grid(self):
         # distances 0.9 h0 and 0.4 h0 with q = 0.5: only h0 and h0/2 survive
         s = SamplePath([[0.9], [0.4]], [0.0, 0.0], [1.0, 1.0])
-        grid = build_grid(s, cfg_at_zero(q=0.5, j_max=4))
+        grid = grid_statistics(s, cfg_at_zero(q=0.5, j_max=4))
         np.testing.assert_allclose(grid.bandwidths, [1.0, 0.5])
         np.testing.assert_allclose(grid.l_values, [2.0, 1.0])
 
@@ -163,7 +163,7 @@ class TestBuildGrid:
     def test_profile_invariants(self, s):
         # h0 = 5 > sqrt(18): every point of [-3, 3]^d lies in the ball, so the grid is never empty
         cfg = GridConfig(x_point=np.zeros(s.dim), h0=5.0, q=0.6, j_max=12)
-        grid = build_grid(s, cfg)
+        grid = grid_statistics(s, cfg)
         assert np.all(grid.l_values > 0)
         assert np.all(np.diff(grid.l_values) <= 0)
         assert np.all(np.diff(grid.psi_values) > 0)
@@ -320,6 +320,14 @@ def sorted_prefix_grid(sample, cfg):
             cum_wf[idx] / cum_w[idx], (cum_wy - cum_wf)[idx])
 
 
+def tilde_and_martingale(sample, stats):
+    """f_tilde and M on the realized grid, read from the view by `ball_sums`."""
+    inv_var = sample.sigma ** -2.0
+    f = sample.truth_values()
+    return (stats.ball_sums(inv_var * f) / stats.l_values,
+            stats.ball_sums(inv_var * (sample.y_obs - f)))
+
+
 class TestShells:
     @pytest.mark.parametrize("q, j_max", [(0.9, 60), (0.5, 10), (0.99, 200), (0.9, 1)])
     def test_matches_searchsorted(self, q, j_max):
@@ -348,13 +356,14 @@ class TestGridStatistics:
             cfg = cfg_at_zero(q=q, j_max=j_max)
             bw, l_ref, f_ref, ft_ref, m_ref = sorted_prefix_grid(s, cfg)
             stats = grid_statistics(s, cfg)
-            assert np.array_equal(stats.profile.bandwidths, bw)
+            f_tilde, m_values = tilde_and_martingale(s, stats)
+            assert np.array_equal(stats.bandwidths, bw)
             if unit_sigma:
-                assert np.array_equal(stats.profile.l_values, l_ref)
-            np.testing.assert_allclose(stats.profile.l_values, l_ref, rtol=1e-12, atol=0)
+                assert np.array_equal(stats.l_values, l_ref)
+            np.testing.assert_allclose(stats.l_values, l_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(stats.f_hat, f_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(stats.f_tilde, ft_ref, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(stats.m_values, m_ref, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(f_tilde, ft_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(m_values, m_ref, rtol=1e-10, atol=1e-10)
 
     def test_grid_empty_beyond_h0(self):
         s = SamplePath([[1.5], [-2.0], [np.nextafter(1.0, 2.0)]], np.zeros(3), np.ones(3))
@@ -365,8 +374,8 @@ class TestGridStatistics:
         # h_2 = 0.25 exactly: the closed ball of radius h_2 holds the point
         s = SamplePath([[0.25], [-0.9]], [2.0, 4.0], [1.0, 1.0])
         stats = grid_statistics(s, cfg_at_zero(q=0.5, j_max=5))
-        np.testing.assert_array_equal(stats.profile.bandwidths, [1.0, 0.5, 0.25])
-        np.testing.assert_array_equal(stats.profile.l_values, [2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(stats.bandwidths, [1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(stats.l_values, [2.0, 1.0, 1.0])
         np.testing.assert_array_equal(stats.f_hat, [3.0, 2.0, 2.0])
 
     def test_matches_pointwise_operations(self):
@@ -377,14 +386,38 @@ class TestGridStatistics:
                        rng.uniform(0.5, 2, 50), truth=f)
         cfg = cfg_at_zero(q=0.7, j_max=10)
         stats = grid_statistics(s, cfg)
-        for j, h in enumerate(stats.profile.bandwidths):
+        f_tilde, m_values = tilde_and_martingale(s, stats)
+        for j, h in enumerate(stats.bandwidths):
             h = float(h)
-            assert stats.profile.l_values[j] == pytest.approx(
+            assert stats.l_values[j] == pytest.approx(
                 occupation_time(s, 0.0, h), rel=1e-12)
             assert stats.f_hat[j] == pytest.approx(kernel_estimate(s, 0.0, h), rel=1e-12)
-            assert stats.f_tilde[j] == pytest.approx(tilde_estimate(s, 0.0, h), rel=1e-12)
-            assert stats.m_values[j] == pytest.approx(
+            assert f_tilde[j] == pytest.approx(tilde_estimate(s, 0.0, h), rel=1e-12)
+            assert m_values[j] == pytest.approx(
                 martingale_part(s, 0.0, h), rel=1e-10, abs=1e-10)
+
+    def test_never_reads_the_truth(self):
+        # the view and the selection rule use responses only: a truth that
+        # raises when called must not be reached
+        def truth(rows):
+            raise AssertionError("the truth was evaluated")
+
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, 200)
+        s = SamplePath(x, rng.standard_normal(200), np.ones(200), truth=truth)
+        cfg = cfg_at_zero(q=0.7, j_max=10)
+        assert len(grid_statistics(s, cfg)) > 0
+        assert select_bandwidth(s, cfg).defined
+
+    def test_ball_sums_hand_check(self):
+        # distances 0.25, 0.9, 0 and 2 on the grid 1, 1/2, ..., 1/32: the point at 2
+        # lies in no ball, the one at 0.9 only in the first, the others in three or all
+        s = SamplePath([[0.25], [-0.9], [0.0], [2.0]], np.zeros(4), [1.0, 2.0, 1.0, 1.0])
+        stats = grid_statistics(s, cfg_at_zero(q=0.5, j_max=5))
+        np.testing.assert_array_equal(stats.ball_sums(), [3, 2, 2, 1, 1, 1])
+        np.testing.assert_array_equal(stats.ball_sums(np.arange(4.0)),
+                                      [3.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(stats.l_values, [2.25, 2.0, 2.0, 1.0, 1.0, 1.0])
 
 
 class TestCsvRoundTrip:
@@ -421,6 +454,25 @@ class TestValidation:
     def test_rejects_nonfinite_response(self):
         with pytest.raises(ValueError):
             SamplePath([[0.0]], [np.inf], [1.0])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.1, np.inf], [0.0, -np.inf, 0.1],
+                                   [[0.0, np.nan], [0.1, 0.2], [0.3, 0.4]]],
+                             ids=["nan_inf", "minus_inf", "nan_2d"])
+    def test_rejects_nonfinite_covariate(self, x):
+        # a NaN or infinite covariate lies in no ball: L and f_hat would silently drop it
+        with pytest.raises(ValueError, match="covariates"):
+            SamplePath(x, [5.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("change", [
+        {"x_point": [np.nan]}, {"x_point": [0.0, np.inf]},
+        {"h0": np.inf}, {"h0": np.nan}, {"b": np.nan}, {"nu": np.inf}, {"u0": np.nan},
+        {"delta0": np.inf}, {"alpha0": np.nan}, {"q": np.nan},
+        {"j_max": 2.5}, {"j_max": 3.0}, {"j_max": 0},
+    ], ids=["x_nan", "x_inf", "h0_inf", "h0_nan", "b_nan", "nu_inf", "u0_nan",
+            "delta0_inf", "alpha0_nan", "q_nan", "j_max_frac", "j_max_float", "j_max_0"])
+    def test_rejects_bad_grid(self, change):
+        with pytest.raises(ValueError):
+            GridConfig(**dict(dict(x_point=[0.0], h0=1.0, q=0.5, j_max=5), **change))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,14 @@ from lepski import (
     DesignLaw,
     ExplicitModulus,
     GridConfig,
+    GridEmpty,
     HolderModulus,
     SamplePath,
     TooFewSamples,
-    build_grid,
     check_modulus,
     deterministic_hw,
     empirical_hw,
+    grid_statistics,
     mixing_ar1_spec,
     modulus_bar,
     omega_prime_event,
@@ -27,6 +28,7 @@ from lepski import (
     simulate,
     uniform_design,
 )
+from lepski import model_core, rates
 from lepski.dgp import FixedN
 from lepski.model_core import psi
 
@@ -105,21 +107,21 @@ def all_at_x_sample(n, seed=0):
 class TestOracleBandwidth:
     def test_capped_modulus_selects_smallest(self):
         cfg = grid_cfg(j_max=4, u0=1.0)
-        grid = build_grid(all_at_x_sample(100), cfg)
+        grid = grid_statistics(all_at_x_sample(100), cfg)
         spec = ExplicitModulus(lambda h: 10.0)  # W-bar = 1 everywhere
         # levels sqrt(psi/100) <= 1 on the whole grid, so the min is the last element
         assert oracle_bandwidth(grid, spec, cfg) == grid.bandwidths[-1]
 
     def test_undefined_off_event(self):
         cfg = grid_cfg(j_max=2, delta0=0.1, alpha0=2.0, u0=1.0)
-        grid = build_grid(all_at_x_sample(2), cfg)
+        grid = grid_statistics(all_at_x_sample(2), cfg)
         # W-bar(h0) = 0.1 < L(h0)^(-1/2) = 0.707
         assert oracle_bandwidth(grid, ExplicitModulus(lambda h: 0.0), cfg) is None
 
     def test_closed_form_scan_all_data_at_x(self):
         n = 50
         cfg = grid_cfg(q=0.6, b=1.3, j_max=10)
-        grid = build_grid(all_at_x_sample(n), cfg)
+        grid = grid_statistics(all_at_x_sample(n), cfg)
         spec = HolderModulus(0.5, 1.0)
         # independent scan of the explicit sequence
         expected = None
@@ -139,13 +141,13 @@ class TestOmegaPrime:
 
     def test_zero_modulus_ample_data_true(self):
         cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
-        grid = build_grid(all_at_x_sample(100), cfg)
+        grid = grid_statistics(all_at_x_sample(100), cfg)
         assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.0), cfg)
 
     def test_boundary_equality_included(self):
         # L(h0) = 4 and W-bar(h0) = 1/2 exactly: the <= convention keeps the event
         cfg = grid_cfg(j_max=1, delta0=0.01, u0=1.0)
-        grid = build_grid(all_at_x_sample(4), cfg)
+        grid = grid_statistics(all_at_x_sample(4), cfg)
         assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.5), cfg)
 
 
@@ -191,6 +193,16 @@ def piecewise_scan_hw(sample, cfg, w_spec):
     raise AssertionError("F(h0) >= 0, so some piece is feasible")
 
 
+def hw_of(sample, cfg, w_spec):
+    """empirical_hw on the sample's view, with its common sigma; None when the
+    grid is empty, as L(h0) = 0 fails Omega_0."""
+    try:
+        stats = grid_statistics(sample, cfg)
+    except GridEmpty:
+        return None
+    return empirical_hw(stats, float(sample.sigma[0]), w_spec, cfg)
+
+
 class TestEmpiricalHw:
     def test_single_observation_root(self):
         # one point at distance r, everything else far; sigma = 1, w(h) = sqrt(h):
@@ -198,21 +210,21 @@ class TestEmpiricalHw:
         s = SamplePath([[0.3], [10.0]], [0.0, 0.0], [1.0, 1.0])
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 1.0)
-        hw = empirical_hw(s, cfg, spec)
+        hw = hw_of(s, cfg, spec)
         assert hw == pytest.approx(1.0, rel=1e-9)
 
     def test_omega0_fails(self):
         s = SamplePath([[0.3]], [0.0], [1.0])  # L(h0) = 1 < w(h0)^(-2) = 4
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)
-        assert empirical_hw(s, cfg, spec) is None
+        assert hw_of(s, cfg, spec) is None
 
     def test_all_points_at_x_matches_bisection_oracle(self):
         n, sigma = 40, 1.0
         s = all_at_x_sample(n)
         cfg = grid_cfg(b=1.0)
         spec = HolderModulus(0.5, 1.0)
-        hw = empirical_hw(s, cfg, spec)
+        hw = hw_of(s, cfg, spec)
         # independent oracle: solve psi(h) = (n / sigma^2) w(h)^2 by brentq
         root = brentq(lambda h: (n / sigma**2) * h - psi(h, cfg), 1e-9, 1.0,
                       xtol=1e-14, rtol=1e-13)
@@ -226,15 +238,10 @@ class TestEmpiricalHw:
         spec = HolderModulus(0.5, 1.0)
         # F at 0.5 with level 1: 0.5 - psi(0.5) = 0.5 - 1.139 < 0
         # F at 0.5 with level 2: 1.0 - 1.139 < 0  -> crossing later in last piece
-        hw = empirical_hw(s, cfg, spec)
+        hw = hw_of(s, cfg, spec)
         lev = 2.0
         root = brentq(lambda h: lev * h - psi(h, cfg), 0.5, 1.0, xtol=1e-14)
         assert hw == pytest.approx(root, rel=1e-9)
-
-    def test_rejects_heteroscedastic(self):
-        s = SamplePath([[0.1], [0.2]], [0.0, 0.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            empirical_hw(s, grid_cfg(), HolderModulus(0.5, 1.0))
 
     def test_matches_piecewise_scan_exactly(self):
         # covariates on a 0.02 lattice in [-1.2, 1.2]: tied distances (x and -x,
@@ -255,7 +262,7 @@ class TestEmpiricalHw:
             b = float(rng.choice([0.2, 1.0, 3.0]))
             w = moduli[case % len(moduli)]
             for cfg in (grid_cfg(b=b), grid_cfg(b=b, j_max=3)):
-                hw = empirical_hw(s, cfg, w)
+                hw = hw_of(s, cfg, w)
                 assert hw == piecewise_scan_hw(s, cfg, w), (case, cfg.j_max)
             key = "none" if hw is None else "jump" if np.any(np.abs(x) == hw) else "inside"
             outcomes[key] += 1
@@ -350,6 +357,31 @@ class TestRateReport:
         assert rep.h_w_emp is None and rep.rate_random is None
         assert rep.h_w is None and rep.rate_det is None and rep.ratio is None
 
+    def test_one_view_per_report(self, monkeypatch):
+        # H*, Omega' and H_w read one view: one pass over the covariates, one
+        # shell pass and one test of sigma per report
+        calls = {"distances": 0, "_shells": 0, "_constant_sigma": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(SamplePath, "distances")
+        counting(model_core, "_shells")
+        counting(rates, "_constant_sigma")
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, 2000)
+        s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
+        rep = rate_report(s, grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0),
+                          uniform_design(0.0, 1.0).interval_prob)
+        assert rep.h_w_emp is not None and rep.ratio is not None
+        assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
+
     def test_mixing_design_ratio_contained(self):
         spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
                                  rho=0.5, stopping=FixedN(2000))
@@ -384,7 +416,7 @@ class TestBandwidthEmbedding:
             from lepski import occupation_time
 
             l_at = occupation_time(sample, [0.0], hw)
-            hw_emp = empirical_hw(sample, cfg, w)
+            hw_emp = hw_of(sample, cfg, w)
             assert hw_emp is not None
             for eps in (0.1, 0.25, 0.5):
                 if l_at >= el / (1 + eps) ** w.s:

@@ -11,7 +11,7 @@ from lepski import (
     SamplePath,
     bandwidth_at_level,
     brute_force_select,
-    build_grid,
+    grid_statistics,
     select_bandwidth,
 )
 
@@ -66,7 +66,7 @@ class TestBandwidthAtLevel:
         # H_u = h0 q^{j*} with j* = floor((u^2 n - 1)/log 2) clipped to the grid
         n, j_max = 7, 10
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.5, b=1.0, j_max=j_max)
-        grid = build_grid(all_at_x_sample(n), cfg)
+        grid = grid_statistics(all_at_x_sample(n), cfg)
         for u in (0.4, 0.6, 0.9, 1.3, 5.0):
             if u**2 * n < 1:
                 assert bandwidth_at_level(grid, u) is None
@@ -76,12 +76,12 @@ class TestBandwidthAtLevel:
 
     def test_huge_u_gives_smallest_grid_element(self):
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.5, j_max=6)
-        grid = build_grid(all_at_x_sample(5), cfg)
+        grid = grid_statistics(all_at_x_sample(5), cfg)
         assert bandwidth_at_level(grid, 1e6) == grid.bandwidths[-1]
 
     def test_tiny_u_undefined(self):
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.5, j_max=6)
-        grid = build_grid(all_at_x_sample(4), cfg)  # L(h0) = 4, need u >= 1/2
+        grid = grid_statistics(all_at_x_sample(4), cfg)  # L(h0) = 4, need u >= 1/2
         assert bandwidth_at_level(grid, 0.49) is None
         assert bandwidth_at_level(grid, 0.5) is not None  # boundary included
 
@@ -90,7 +90,7 @@ class TestBandwidthAtLevel:
         for trial in range(50):
             sample, cfg = random_instance(1000 + trial)
             try:
-                grid = build_grid(sample, cfg)
+                grid = grid_statistics(sample, cfg)
             except Exception:
                 continue
             us = np.sort(rng.uniform(0.05, 4.0, 5))
@@ -136,7 +136,7 @@ class TestSelectBandwidth:
                 continue
             if not res.defined:
                 continue
-            grid = build_grid(sample, cfg)
+            grid = grid_statistics(sample, cfg)
             assert res.h_hat in grid.bandwidths
             assert res.h_u0 in grid.bandwidths
             assert res.h_hat >= res.h_u0

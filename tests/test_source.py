@@ -46,6 +46,25 @@ def calls_to(name: str) -> list:
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
 
+def private_imports(source: str) -> list:
+    """Private names (a leading underscore) that a module imports from another
+    module of the package, with their line numbers."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_checker_flags_a_private_import():
+    source = "from .model_core import a, _b\nfrom numpy import _c\nimport _d\n"
+    assert private_imports(source) == [(1, "_b")]
+
+
+def test_no_private_cross_module_import():
+    # a module's private helpers are its own: others reach them through its API
+    found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_one_process_pool():
     # every worker pool of the package is the one that stability.pool_map opens
     assert calls_to("ProcessPoolExecutor") == ["stability.py"]

@@ -408,9 +408,10 @@ class TestPiTail:
         for r in range(20):
             sample = lepski.simulate(spec, (57, r))
             stats = grid_statistics(sample, cfg)
-            prof, i0 = stats.profile, r % 4
-            hs, l = prof.bandwidths[i0:], prof.l_values[i0:]
-            ps, m = prof.psi_values[i0:], stats.m_values[i0:]
+            eps = sample.y_obs - sample.truth_values()
+            i0 = r % 4
+            hs, l = stats.bandwidths[i0:], stats.l_values[i0:]
+            ps, m = stats.psi_values[i0:], stats.ball_sums(sample.sigma ** -2.0 * eps)[i0:]
             lo = ps * cfg.u0**-2.0
             hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
             a_eff = np.clip(l, lo, hi)
