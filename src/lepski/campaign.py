@@ -5,6 +5,10 @@ replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
 (master_seed, n, rep), and cells run on the package's one worker pool,
 `stability.pool_map`, which hands them back in (n, rep) order, so files are
 byte-stable for any --jobs.  `verify-stability` runs on the same pool.
+
+The deterministic bandwidth h_w depends on a cell only through its sample
+size and common sigma, so `CampaignConfig.h_w` memoizes it per (n, sigma).
+Each copy of the config, as pickled to a worker, fills its own memo.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
+from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime, TooFewSamples
 from .model_core import GridConfig, write_sample_csv
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
-from .rates import HolderModulus, check_modulus, modulus_bar, rate_report
+from .rates import HolderModulus, check_modulus, deterministic_hw, modulus_bar, rate_report
 from .selection import select_bandwidth
 from . import dgp
 from . import stability as stab
@@ -171,9 +175,25 @@ class CampaignConfig:
     outputs: Path
     formats: list = field(default_factory=lambda: ["csv"])
     t_grid: Optional[list] = None
+    _h_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def process_for(self, n: int) -> dgp.Regression | dgp.Autoregressive:
         return make_process(self.raw["process"], n)
+
+    def h_w(self, n: int, sigma: float) -> Optional[float]:
+        """`deterministic_hw` of the process's design law at sample size n and
+        noise scale sigma, computed once per pair; None where h_w does not
+        exist (too few samples, or no closed-form design law)."""
+        key = (n, sigma)
+        if key not in self._h_w:
+            px = self.process_for(self.n_ladder[0]).px_form
+            try:
+                hw = None if px is None else deterministic_hw(px, self.modulus, n, sigma,
+                                                              self.grid)
+            except TooFewSamples:
+                hw = None
+            self._h_w[key] = hw
+        return self._h_w[key]
 
 
 def _master_seed(doc: dict, seed) -> int:
@@ -228,8 +248,9 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     try:
         n_rep = int(doc.get("n_rep", 1))
-        # a check only: cells rebuild their process from raw
-        process = make_process(doc["process"], n_ladder[0])
+        # a check of every rung's stopping rule only: cells rebuild their process from raw
+        for n in n_ladder:
+            process = make_process(doc["process"], n)
     except KeyError as exc:
         raise ConfigError(f"missing process configuration: {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -355,7 +376,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
         row["error"] = "anchor_undefined"
 
     if cfg.modulus is not None:
-        rep_rates = rate_report(sample, grid, cfg.modulus, spec.px_form)
+        rep_rates = rate_report(sample, grid, cfg.modulus, cfg.h_w)
         h_star = rep_rates.h_star
         row["h_star"] = h_star
         row["omega_prime"] = rep_rates.omega_prime

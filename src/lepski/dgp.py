@@ -11,9 +11,11 @@ small class per process kind, each holding only its own fields:
 The three regression kinds share `Regression.sample`, which draws
 `covariates(rng)`, then zeta, then sigma and Y; `Autoregressive` draws its
 own sample, because its noise drives the covariates.  Covariates come for a
-`FixedN` length or, under a `BudgetStop`, one at a time.  `simulate` returns
-a `SamplePath` with the truth attached and the sigma column set to the
-model's observed noise-scale upper bound.  Identical seeds give
+`FixedN` length or, under a `BudgetStop`, one at a time.  The mixing chain of
+fixed length is one draw of its n normals followed by the recursion; under a
+budget it steps, since each draw waits on a cost decision.  `simulate`
+returns a `SamplePath` with the truth attached and the sigma column set to
+the model's observed noise-scale upper bound.  Identical seeds give
 bit-identical samples.
 """
 
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,6 +123,10 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
 @dataclass
 class FixedN:
     n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not (isinstance(self.n, Integral) and self.n >= 1):
+            raise ValueError(f"a fixed length must be an integer of at least 1; got {self.n!r}")
 
 
 @dataclass
@@ -229,7 +236,11 @@ class MixingAr1(Regression):
     """Stationary chain x_k = rho x_{k-1} + sqrt(1 - rho^2) xi_k started in N(0, 1).
 
     design is the chain's stationary law near the estimation point; it gives
-    px_form but draws nothing.
+    px_form but draws nothing.  A fixed-length chain draws x_0 and its n - 1
+    innovations in one call and then runs the recursion over Python floats:
+    the same draws and the same two roundings per step as the stepwise chain
+    that a budget rule drives, so both leave bit-identical covariates and the
+    generator at the same position.
     """
 
     rho: float
@@ -247,10 +258,14 @@ class MixingAr1(Regression):
             x = self.rho * x + c * rng.standard_normal()
 
     def covariates(self, rng) -> np.ndarray:
-        chain = self._chain(rng)
         n = _fixed_n(self.stopping)
         if n is not None:
-            return np.fromiter(islice(chain, n), float, n).reshape(-1, 1)
+            z = rng.standard_normal(n)
+            rho = self.rho
+            chain = accumulate((math.sqrt(1.0 - rho**2) * z[1:]).tolist(),
+                               lambda x, step: rho * x + step, initial=float(z[0]))
+            return np.fromiter(chain, float, n).reshape(-1, 1)
+        chain = self._chain(rng)
         return run_budget_stop(self.stopping, lambda k, hist: next(chain), 1)
 
 

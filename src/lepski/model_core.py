@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Callable, Optional
 
@@ -81,6 +82,11 @@ class SamplePath:
     @property
     def n_stop(self) -> int:
         return self.x_obs.shape[0]
+
+    @cached_property
+    def inv_var(self) -> np.ndarray:
+        """The inverse-variance weights sigma_{k-1}^(-2), formed once per sample."""
+        return self.sigma ** -2.0
 
     @property
     def dim(self) -> int:
@@ -188,7 +194,7 @@ def _ball_sum(sample: SamplePath, x_point, h: float, values=None, *,
     mask = sample.distances(x_point) <= h
     if mean and not mask.any():
         raise EmptyWindow(f"no observation within h={h} of the estimation point")
-    w = sample.sigma[mask] ** -2.0
+    w = sample.inv_var[mask]
     if values is None:
         return float(np.sum(w))
     total = np.sum(w * values[mask])
@@ -265,9 +271,8 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     if last == 0:
         raise GridEmpty("no observation within h0 of the estimation point")
     stats = GridStats(bandwidths[:last], psi(bandwidths[:last], cfg), dist, bins)
-    inv_var = sample.sigma ** -2.0
-    stats.l_values = stats.ball_sums(inv_var)
-    stats.f_hat = stats.ball_sums(inv_var * sample.y_obs) / stats.l_values
+    stats.l_values = stats.ball_sums(sample.inv_var)
+    stats.f_hat = stats.ball_sums(sample.inv_var * sample.y_obs) / stats.l_values
     return stats
 
 

@@ -41,8 +41,9 @@ class HolderModulus:
     ell_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (0 < self.s <= 1) or self.scale <= 0:
-            raise ValueError("need 0 < s <= 1 and scale > 0")
+        if not (0 < self.s <= 1 and 0 < self.scale < np.inf):  # NaN fails both
+            raise ValueError(f"need 0 < s <= 1 and a finite scale > 0; "
+                             f"got s={self.s!r}, scale={self.scale!r}")
 
     def w(self, h):
         """Raw modulus value(s) W(h), before flooring and capping."""
@@ -125,10 +126,14 @@ def _excess(level, h, w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig):
 
 
 def _constant_sigma(sample: SamplePath) -> Optional[float]:
-    """The common noise scale of the sample, or None when sigma varies (by more
-    than a relative 1e-12: np.allclose's test at a fifth of its cost)."""
+    """The common noise scale of the sample, or None when sigma varies by more
+    than a relative 1e-12 from its first entry.  Rounded subtraction is
+    monotone, so testing the extremes decides |sigma_k - sigma_0| <= tol for
+    every k, with no temporary array."""
     sig = sample.sigma
-    return float(sig[0]) if np.all(np.abs(sig - sig[0]) <= 1e-12 * sig[0]) else None
+    s0 = sig[0]
+    tol = 1e-12 * s0
+    return float(s0) if sig.max() - s0 <= tol and s0 - sig.min() <= tol else None
 
 
 def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
@@ -243,15 +248,20 @@ class RateReport:
 
 def rate_report(sample: SamplePath, cfg: GridConfig,
                 w_spec: HolderModulus | ExplicitModulus,
-                px_model: Optional[Callable[[float], float]] = None) -> RateReport:
+                h_w_of: Optional[Callable[[int, float], Optional[float]]] = None
+                ) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 
     The sample's view is built once (`grid_statistics`) and serves H*,
     Omega' and H_w.  Both continuum bandwidths need a constant sigma, so
     h_w_emp, h_w, the rates and the ratio are None for a heteroscedastic
-    sample; the deterministic part also needs a closed-form design
-    probability.  Omega_0 failures are flagged, never raised, so campaign
-    rows are retained.
+    sample.  h_w_of(n, sigma) gives the deterministic bandwidth for the
+    sample's size and common sigma, typically `deterministic_hw` on the
+    process's design law; it raises TooFewSamples or returns None where h_w
+    does not exist, and without it h_w is None.  It depends on the sample
+    through (n, sigma) only, so a caller may compute it once per pair.
+    Omega_0 failures are flagged, never raised, so campaign rows are
+    retained.
     """
     n = sample.n_stop
     try:
@@ -275,12 +285,13 @@ def rate_report(sample: SamplePath, cfg: GridConfig,
             report.h_w_emp = hw_emp
             report.rate_random = float(w_spec.w(hw_emp))
 
-    if px_model is not None:
+    if h_w_of is not None:
         try:
-            report.h_w = deterministic_hw(px_model, w_spec, n, sigma, cfg)
-            report.rate_det = float(w_spec.w(report.h_w))
+            report.h_w = h_w_of(n, sigma)
         except TooFewSamples:
             pass
+        if report.h_w is not None:
+            report.rate_det = float(w_spec.w(report.h_w))
 
     if report.rate_random is not None and report.rate_det is not None:
         report.ratio = report.rate_random / report.rate_det

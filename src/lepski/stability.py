@@ -444,7 +444,7 @@ def pi_statistic(sample: SamplePath, cfg: GridConfig, i0: int = 0) -> float:
         return 0.0
     l = stats.l_values[sel]
     ps = stats.psi_values[sel]
-    m = stats.ball_sums(sample.sigma ** -2.0 * (sample.y_obs - sample.truth_values()))[sel]
+    m = stats.ball_sums(sample.inv_var * (sample.y_obs - sample.truth_values()))[sel]
     lo = ps * cfg.u0**-2.0
     hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
     z = z_statistic(m, l, np.clip(l, lo, hi))

@@ -300,7 +300,7 @@ def test_a6_rate_equivalence_mixing_ar1():
     contained = omega0_fail = 0
     for r in range(n_rep):
         sample = simulate(spec, (MASTER + 6, r))
-        rep = rate_report(sample, cfg, w, px)
+        rep = rate_report(sample, cfg, w, lambda m, sd: deterministic_hw(px, w, m, sd, cfg))
         if not rep.omega_0:
             omega0_fail += 1
             continue

@@ -175,6 +175,43 @@ class TestEstimate:
         assert sorted(outputs[0]) == ["estimate.csv", "rate_report.csv"]
         assert outputs[0] == outputs[1]
 
+    def test_deterministic_bandwidth_once_per_rung(self, tmp_path, monkeypatch):
+        # h_w depends on a cell only through (n, sigma): 3 rungs x 4 reps at
+        # --jobs 1 compute it 3 times and write the rate rows of one call per cell
+        calls = []
+
+        def spy(px, w_spec, n, sigma, grid):
+            calls.append((n, sigma))
+            return deterministic_hw(px, w_spec, n, sigma, grid)
+
+        monkeypatch.setattr(campaign, "deterministic_hw", spy)
+        outs = [tmp_path / "memo", tmp_path / "per_cell"]
+        doc = base_config(outs[0], n_ladder=[40, 80, 160], n_rep=4)
+        assert run_cli("estimate", "--config", str(write_config(tmp_path, doc)),
+                       "--jobs", "1").exit_code == 0
+        assert calls == [(40, 1.0), (80, 1.0), (160, 1.0)]
+
+        px = uniform_design(0.0, 1.0).interval_prob
+        monkeypatch.setattr(campaign.CampaignConfig, "h_w", lambda cfg, n, sigma: spy(
+            px, cfg.modulus, n, sigma, cfg.grid))
+        doc["outputs"] = str(outs[1])
+        assert run_cli("estimate", "--config", str(write_config(tmp_path, doc)),
+                       "--jobs", "1").exit_code == 0
+        assert len(calls) == 3 + 12
+        for name in ("estimate.csv", "rate_report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_budget_rungs_keep_floats_and_key_h_w_by_sample_size(self, tmp_path):
+        # under cost 1.5 the budgets 40.5 and 120.5 stop at n = 27 and 80
+        doc = base_config(tmp_path / "out", n_ladder=[40.5, 120.5], n_rep=2)
+        doc["process"]["stopping"] = {"rule": "budget", "cost": 1.5}
+        cfg = campaign.parse_campaign(doc)
+        rows = [c["rate"] for c in campaign.run_estimate_cells(cfg)]
+        px = uniform_design(0.0, 1.0).interval_prob
+        expected = [deterministic_hw(px, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
+        assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
+        assert sorted(cfg._h_w) == [(27, 1.0), (80, 1.0)]
+
     def test_transient_rows_flag_omega(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[200], n_rep=3)
@@ -396,11 +433,20 @@ class TestExitCodes:
         {"grid": {"b": float("nan")}},
         {"grid": {"h0": float("inf")}},
         {"grid": {"j_max": 2.5}},
+        {"n_ladder": [0, 10]},
+        {"n_ladder": [-5, 10]},
+        {"n_ladder": [2.5, 10]},
+        {"n_ladder": [2.5, 10], "process": {"kind": "mixing_ar1"}},
+        {"n_ladder": [10, 20.5]},
+        {"n_ladder": [True, 5]},
+        {"modulus": {"kind": "holder", "s": 0.5, "scale": float("nan")}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
             "formats_csv_xml", "t_grid_scalar", "t_grid_str",
-            "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac"])
+            "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac",
+            "n_ladder_zero", "n_ladder_negative", "n_ladder_frac", "mixing_n_ladder_frac",
+            "n_ladder_second_rung_frac", "n_ladder_bool", "modulus_scale_nan"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"

@@ -82,17 +82,20 @@ class TestMixingAr1:
         assert abs(x.var() - 1.0) < 4 * math.sqrt(2.0 / n_eff)
 
     def test_recursion_exact(self):
-        # X_k = rho X_{k-1} + sqrt(1-rho^2) xi_k reproduced against a direct loop
+        # X_k = rho X_{k-1} + sqrt(1-rho^2) xi_k reproduced against a loop of one
+        # draw per step; Y = zeta, drawn after the chain, pins the generator's
+        # position.  n = 1 leaves the recursion no step to take
         rho = 0.3
-        spec = mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(200))
-        x = simulate(spec, 5).x_obs[:, 0]
-        rng = np.random.default_rng(5)
-        x0 = rng.standard_normal()
-        xi = rng.standard_normal(199)
-        manual = [x0]
-        for e in xi:
-            manual.append(rho * manual[-1] + math.sqrt(1 - rho**2) * e)
-        np.testing.assert_array_equal(x, manual)
+        for n in (1, 2, 200):
+            spec = mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n))
+            s = simulate(spec, 5)
+            rng = np.random.default_rng(5)
+            manual = [rng.standard_normal()]
+            for _ in range(n - 1):
+                manual.append(rho * manual[-1] + math.sqrt(1 - rho**2) * rng.standard_normal())
+            zeta = spec.noise.sampler(rng, n)
+            np.testing.assert_array_equal(s.x_obs[:, 0], manual)
+            np.testing.assert_array_equal(s.y_obs, zeta)
 
     def test_budget_and_fixed_length_share_one_recursion(self):
         # unit cost with budget n takes n observations; the rejected (n+1)-th
@@ -115,6 +118,16 @@ class TestMixingAr1:
         for h in (0.25, 0.5, 0.75):
             emp = np.mean(np.abs(x) <= h)
             assert emp == pytest.approx(law.interval_prob(h), abs=0.005)
+
+
+class TestFixedN:
+    @pytest.mark.parametrize("n", [0, -5, 2.5, 10.0, "10", None, True])
+    def test_refuses_all_but_an_integer_of_at_least_one(self, n):
+        with pytest.raises(ValueError, match="fixed length"):
+            FixedN(n)
+
+    def test_accepts_numpy_integers(self):
+        assert FixedN(np.int64(3)).n == 3
 
 
 class TestGaussianDesign:

@@ -51,6 +51,13 @@ class TestModulusSpec:
         with pytest.raises(ValueError):
             check_modulus(HolderModulus(0.5, 1.0, ell_w=lambda h: h**-0.9), grid_cfg())
 
+    @pytest.mark.parametrize("s, scale", [(0.5, math.nan), (0.5, math.inf),
+                                          (math.nan, 1.0), (math.inf, 1.0)])
+    def test_holder_refuses_non_finite(self, s, scale):
+        # a NaN scale passed "scale <= 0" and every later comparison
+        with pytest.raises(ValueError, match="finite"):
+            HolderModulus(s, scale)
+
     def test_rejects_floor_violation(self):
         # w(h) = 0.05 h is below 0.1 h^2 near h = h0 = 1
         with pytest.raises(ValueError):
@@ -131,6 +138,27 @@ class TestOracleBandwidth:
             if 1 + j * cfg.b * math.log(1 / cfg.q) <= n * wbar**2:
                 expected = h
         assert oracle_bandwidth(grid, spec, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+class TestConstantSigma:
+    @pytest.mark.parametrize("s0", [1.0, 0.5, 3.7, 1e-3, 2.0**40])
+    def test_matches_elementwise_test(self, s0):
+        # sigma entries at s0 +- tol and up to two ulps either side of each:
+        # the extremes decide what |sigma_k - s0| <= tol decides per entry
+        tol = 1e-12 * s0
+        outcomes = set()
+        for edge, away in ((s0 + tol, np.inf), (s0 - tol, -np.inf)):
+            for ulps in range(-2, 3):
+                v = edge
+                for _ in range(abs(ulps)):
+                    v = np.nextafter(v, away if ulps > 0 else -away)
+                for sig in ([s0, v], [v, s0], [s0, v, s0, 2 * s0 - v]):
+                    sig = np.array(sig)
+                    old = np.all(np.abs(sig - sig[0]) <= 1e-12 * sig[0])
+                    s = SamplePath(np.zeros(sig.size), np.zeros(sig.size), sig)
+                    assert rates._constant_sigma(s) == (float(sig[0]) if old else None)
+                    outcomes.add(bool(old))
+        assert outcomes == {True, False}
 
 
 class TestOmegaPrime:
@@ -321,7 +349,8 @@ class TestRateReport:
         s = SamplePath(x, np.zeros(6), np.ones(6))
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)
-        rep = rate_report(s, cfg, spec, uniform_design(0.0, 1.0).interval_prob)
+        px = uniform_design(0.0, 1.0).interval_prob
+        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(px, spec, n, sd, cfg))
         assert rep.omega_0 is False
         assert rep.rate_random is None and rep.ratio is None
         assert rep.rate_det is not None  # the deterministic side still exists
@@ -339,7 +368,8 @@ class TestRateReport:
             tau=-1.0,
             ell_x=lambda h: 1.0,
         )
-        rep = rate_report(s, cfg, spec, point_mass.interval_prob)
+        px = point_mass.interval_prob
+        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(px, spec, n, sd, cfg))
         assert rep.omega_0
         assert rep.h_w_emp == pytest.approx(rep.h_w, rel=1e-8)
         assert rep.ratio == pytest.approx(1.0, rel=1e-8)
@@ -351,8 +381,9 @@ class TestRateReport:
         x = rng.uniform(-1.0, 1.0, 500)
         s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
         cfg = grid_cfg()
-        rep = rate_report(s, cfg, HolderModulus(0.5, 1.0),
-                          uniform_design(0.0, 1.0).interval_prob)
+        w = HolderModulus(0.5, 1.0)
+        px = uniform_design(0.0, 1.0).interval_prob
+        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
         assert rep.omega_0 and rep.h_star is not None
         assert rep.h_w_emp is None and rep.rate_random is None
         assert rep.h_w is None and rep.rate_det is None and rep.ratio is None
@@ -377,8 +408,9 @@ class TestRateReport:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1.0, 1.0, 2000)
         s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
-        rep = rate_report(s, grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0),
-                          uniform_design(0.0, 1.0).interval_prob)
+        cfg, w = grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0)
+        px = uniform_design(0.0, 1.0).interval_prob
+        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
         assert rep.h_w_emp is not None and rep.ratio is not None
         assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
 
@@ -392,7 +424,7 @@ class TestRateReport:
         total = 40
         for rep_i in range(total):
             sample = simulate(spec_p, (99, rep_i))
-            rep = rate_report(sample, cfg, w, px)
+            rep = rate_report(sample, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
             if rep.ratio is not None and 0.25 <= rep.ratio <= 4.0:
                 inside += 1
         assert inside >= 0.9 * total
