@@ -6,9 +6,11 @@ replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
 `stability.pool_map`, which hands them back in (n, rep) order, so files are
 byte-stable for any --jobs.  `verify-stability` runs on the same pool.
 
-The deterministic bandwidth h_w depends on a cell only through its sample
-size and common sigma, so `CampaignConfig.h_w` memoizes it per (n, sigma).
-Each copy of the config, as pickled to a worker, fills its own memo.
+The grid's x is the one estimation point, for L and for the deterministic
+bandwidth h_w alike; a design's `x` is where the law is centred.  h_w depends
+on a cell only through its sample size and common sigma, so
+`CampaignConfig.h_w` memoizes it per (n, sigma).  Each copy of the config, as
+pickled to a worker, fills its own memo.
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ def make_noise(doc) -> NoiseSpec:
 
 
 def make_design(doc) -> dgp.DesignLaw:
+    """The named design law; params.x is where it is centred (default 0)."""
     name = doc.get("name", "uniform")
     params = doc.get("params", {})
     x = float(params.get("x", 0.0))
@@ -132,8 +135,7 @@ def make_process(doc, n: int) -> dgp.Regression | dgp.Autoregressive:
     if kind == "mixing_ar1":
         return dgp.mixing_ar1_spec(
             f_true, rho=float(doc.get("rho", 0.5)), noise=noise,
-            sigma=float(doc.get("sigma", 1.0)), stopping=stopping,
-            x=float(doc.get("x", 0.0)))
+            sigma=float(doc.get("sigma", 1.0)), stopping=stopping)
     if kind == "transient_walk":
         return dgp.transient_walk_spec(
             f_true, noise, x_start=float(doc.get("x_start", 0.0)),
@@ -183,13 +185,13 @@ class CampaignConfig:
     def h_w(self, n: int, sigma: float) -> Optional[float]:
         """`deterministic_hw` of the process's design law at sample size n and
         noise scale sigma, computed once per pair; None where h_w does not
-        exist (too few samples, or no closed-form design law)."""
+        exist (too few samples, or no design law)."""
         key = (n, sigma)
         if key not in self._h_w:
-            px = self.process_for(self.n_ladder[0]).px_form
+            design = self.process_for(self.n_ladder[0]).design
             try:
-                hw = None if px is None else deterministic_hw(px, self.modulus, n, sigma,
-                                                              self.grid)
+                hw = None if design is None else deterministic_hw(design, self.modulus, n,
+                                                                  sigma, self.grid)
             except TooFewSamples:
                 hw = None
             self._h_w[key] = hw
@@ -260,6 +262,11 @@ def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
     if process.dim != grid.dim:
         raise ConfigError(f"the grid point has dimension {grid.dim}, "
                           f"the process {process.dim}")
+    x_point = grid.x_point.tolist()
+    x_mixing = doc["process"].get("x", x_point)
+    if isinstance(process, dgp.MixingAr1) and x_mixing not in (x_point, *x_point):
+        raise ConfigError(f"the grid's x {x_point} is the estimation point; "
+                          f"a mixing_ar1 x may only restate it, got {x_mixing!r}")
 
     t_grid = doc.get("t_grid", [])
     if not _numbers(t_grid):
@@ -496,8 +503,8 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
     """
     if cfg.modulus is None:
         raise ConfigError("rates needs a modulus section")
-    if cfg.process_for(cfg.n_ladder[0]).px_form is None:
-        raise ConfigError("rates needs a process with a closed-form design law")
+    if cfg.process_for(cfg.n_ladder[0]).design is None:
+        raise ConfigError("rates needs a process with a design law")
     cells = run_estimate_cells(cfg, jobs)
     by_n = {}
     for c in cells:
@@ -586,9 +593,9 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
         a_values = [float(a) for a in sdoc.get("a", [1.0])]
         a_values += [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
         for lam in lambdas:
-            stab._check_lambda(noise, lam)
+            stab.check_lambda(noise, lam)
         for a in a_values:
-            stab._check_a(noise, a)
+            stab.check_a(noise, a)
         n_rep = int(sdoc.get("n_rep", 10_000))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad stability section: {exc}") from exc

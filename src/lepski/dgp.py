@@ -4,7 +4,7 @@ small class per process kind, each holding only its own fields:
 - `IidRegression`: iid covariates from a `DesignLaw`, heteroscedastic through
   its noise scale;
 - `MixingAr1`: a stationary Gaussian AR(1) chain, whose N(0, 1) marginal is
-  the design law near the estimation point;
+  its design law;
 - `TransientWalk`: a drifting walk that leaves every neighbourhood for good;
 - `Autoregressive`: a vector autoregression, where Y_k is a coordinate of X_k.
 
@@ -17,6 +17,10 @@ budget it steps, since each draw waits on a cost decision.  `simulate`
 returns a `SamplePath` with the truth attached and the sigma column set to
 the model's observed noise-scale upper bound.  Identical seeds give
 bit-identical samples.
+
+A design law's x is where the law is centred, not the estimation point: that
+point belongs to the grid, and the deterministic rate evaluates the law's
+interval probability there.  Each kind checks its own fields at construction.
 """
 
 from __future__ import annotations
@@ -43,49 +47,44 @@ def _rng(seed) -> np.random.Generator:
 
 
 # ------------------------------------------------------------------
-# design laws (distribution of the covariates near the estimation point)
+# design laws (distribution of the covariates around their centre)
 # ------------------------------------------------------------------
 
 @dataclass
 class DesignLaw:
     """Sampling law of the covariates with its closed-form interval probability.
 
-    interval_prob(h) = P_X[|X - x| <= h]; (tau, ell_x) declare the regular
-    variation P_X[I_h] = h^(tau+1) ell_x(h).  `check_declaration` verifies the
-    declared pair against the closed form on a log grid.
+    interval_prob(x, h) = P_X[|X - x| <= h] at any point x; the estimation
+    point is the grid's, so the deterministic rate passes it in.
     """
 
     name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]  # -> (n, d)
-    interval_prob: Callable[[float], float]
-    tau: float
-    ell_x: Callable[[float], float]
+    interval_prob: Callable[[float, float], float]
 
-    def check_declaration(self, h0: float, n_points: int = 50,
-                          rtol: float = 0.01) -> bool:
-        hs = np.exp(np.linspace(np.log(h0) - 6.0, np.log(h0), n_points))
-        for h in hs:
-            ratio = self.interval_prob(float(h)) / (h ** (self.tau + 1.0) * self.ell_x(float(h)))
-            if not (1.0 - rtol <= ratio <= 1.0 + rtol):
-                return False
-        return True
+
+def _interval_prob(centre: float, cdf: Callable[[float], float]):
+    """(x, h) -> cdf(x - c + h) - cdf(x - c - h) for a law centred at c, with
+    cdf the distribution function of X - c up to an additive constant.  At
+    x = c an odd cdf gives exactly 2 cdf(h)."""
+    return lambda x, h: cdf(x - centre + h) - cdf(x - centre - h)
 
 
 def uniform_design(x: float = 0.0, radius: float = 1.0) -> DesignLaw:
-    """X uniform on [x - radius, x + radius]: tau = 0, ell_x = 1/radius."""
+    """X uniform on [x - radius, x + radius], centred at x."""
     return DesignLaw(
         name="uniform",
         sampler=lambda rng, n: rng.uniform(x - radius, x + radius, (n, 1)),
-        interval_prob=lambda h: min(h, radius) / radius,
-        tau=0.0,
-        ell_x=lambda h: 1.0 / radius,
+        interval_prob=_interval_prob(
+            x, lambda t: min(max(t, -radius), radius) / (2.0 * radius)),
     )
 
 
 def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> DesignLaw:
-    """Density proportional to |y - x|^tau on [x - radius, x + radius].
+    """Density proportional to |y - x|^tau on [x - radius, x + radius], centred at x.
 
-    P_X[I_h] = (h/radius)^(tau+1) for h <= radius, sampled by inverse transform.
+    P_X[|X - x| <= h] = (h/radius)^(tau+1) for h <= radius, sampled by inverse
+    transform.
     """
     if tau <= -1:
         raise ValueError("need tau > -1 for a normalizable density")
@@ -99,20 +98,18 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
     return DesignLaw(
         name=f"power_law(tau={tau:g})",
         sampler=sampler,
-        interval_prob=lambda h: min(1.0, c * h ** (tau + 1.0)),
-        tau=tau,
-        ell_x=lambda h: c,
+        interval_prob=_interval_prob(
+            x, lambda t: math.copysign(min(1.0, c * abs(t) ** (tau + 1.0)), t) / 2.0),
     )
 
 
 def gaussian_design(x: float = 0.0) -> DesignLaw:
-    """X standard normal (also the stationary law of the mixing AR(1) chain)."""
+    """X normal with mean x and variance 1; centred at 0 it is the stationary
+    law of the mixing AR(1) chain."""
     return DesignLaw(
         name="gaussian",
-        sampler=lambda rng, n: rng.standard_normal((n, 1)),
-        interval_prob=lambda h: normal_cdf(x + h) - normal_cdf(x - h),
-        tau=0.0,
-        ell_x=lambda h: (normal_cdf(x + h) - normal_cdf(x - h)) / h,
+        sampler=lambda rng, n: x + rng.standard_normal((n, 1)),
+        interval_prob=_interval_prob(x, normal_cdf),
     )
 
 
@@ -159,21 +156,24 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
 
     draw_next(k, history) produces X_k given the history rows X_0..X_{k-1}.
     Pricing observation k hands the rule exactly the rows X_0..X_{k-1}, so
-    adaptedness is enforced by construction.
+    adaptedness is enforced by construction.  Rows go into a buffer that
+    doubles when full, and both callables get row-prefix views of it: rows
+    already handed out are never written again.
     """
-    history = np.empty((0, dim))
-    spent = 0.0
-    while history.shape[0] < rule.n_max:
-        x_next = np.asarray(draw_next(history.shape[0], history), dtype=float).reshape(1, dim)
-        candidate = np.vstack([history, x_next])
-        cost = float(rule.cost_fn(candidate))
+    buf = np.empty((64, dim))
+    k, spent = 0, 0.0
+    while k < rule.n_max:
+        if k == buf.shape[0]:
+            buf = np.concatenate([buf, np.empty_like(buf)])
+        buf[k] = np.asarray(draw_next(k, buf[:k]), dtype=float).reshape(dim)
+        cost = float(rule.cost_fn(buf[:k + 1]))
         if spent + cost > rule.budget:
             break
         spent += cost
-        history = candidate
-    if history.shape[0] == 0:
+        k += 1
+    if k == 0:
         raise ValueError("budget too small for a single observation")
-    return history
+    return buf[:k].copy()
 
 
 # ------------------------------------------------------------------
@@ -193,9 +193,9 @@ class Regression:
     """Y_k = f_true(X_{k-1}) + s_scale(X_{k-1}) zeta_k on a kind's covariates.
 
     f_true is vectorized over (n, d) rows; s_scale maps covariate rows to the
-    positive noise scale observed as sigma_{k-1}.  px_form, the closed-form
-    design probability used by the deterministic rate, is None unless the
-    kind has a design law.
+    positive noise scale observed as sigma_{k-1}.  design, the covariates'
+    `DesignLaw` that the deterministic rate reads, is None for a kind
+    without one.
     """
 
     f_true: Callable[[np.ndarray], np.ndarray]
@@ -203,7 +203,6 @@ class Regression:
     s_scale: Callable[[np.ndarray], np.ndarray]
     stopping: object
 
-    px_form = None
     dim = 1  # covariate dimension
 
     def sample(self, rng: np.random.Generator) -> SamplePath:
@@ -220,10 +219,6 @@ class IidRegression(Regression):
 
     design: DesignLaw
 
-    @property
-    def px_form(self) -> Callable[[float], float]:
-        return self.design.interval_prob
-
     def covariates(self, rng) -> np.ndarray:
         n = _fixed_n(self.stopping)
         if n is not None:
@@ -235,8 +230,8 @@ class IidRegression(Regression):
 class MixingAr1(Regression):
     """Stationary chain x_k = rho x_{k-1} + sqrt(1 - rho^2) xi_k started in N(0, 1).
 
-    design is the chain's stationary law near the estimation point; it gives
-    px_form but draws nothing.  A fixed-length chain draws x_0 and its n - 1
+    design is the chain's stationary law N(0, 1); it draws nothing.  |rho| < 1
+    is checked at construction.  A fixed-length chain draws x_0 and its n - 1
     innovations in one call and then runs the recursion over Python floats:
     the same draws and the same two roundings per step as the stepwise chain
     that a budget rule drives, so both leave bit-identical covariates and the
@@ -244,29 +239,23 @@ class MixingAr1(Regression):
     """
 
     rho: float
-    design: DesignLaw
 
-    @property
-    def px_form(self) -> Callable[[float], float]:
-        return self.design.interval_prob
+    design = gaussian_design()
 
-    def _chain(self, rng):
-        c = math.sqrt(1.0 - self.rho**2)
-        x = rng.standard_normal()  # exact stationary start, no burn-in needed
-        while True:
-            yield x
-            x = self.rho * x + c * rng.standard_normal()
+    def __post_init__(self):
+        if not abs(self.rho) < 1:  # NaN fails too
+            raise ValueError(f"|rho| < 1 is required for stationarity; got rho={self.rho!r}")
 
     def covariates(self, rng) -> np.ndarray:
+        rho, c = self.rho, math.sqrt(1.0 - self.rho**2)
         n = _fixed_n(self.stopping)
-        if n is not None:
+        if n is not None:  # x_0 is an exact stationary start, no burn-in needed
             z = rng.standard_normal(n)
-            rho = self.rho
-            chain = accumulate((math.sqrt(1.0 - rho**2) * z[1:]).tolist(),
-                               lambda x, step: rho * x + step, initial=float(z[0]))
+            chain = accumulate((c * z[1:]).tolist(), lambda x, step: rho * x + step,
+                               initial=float(z[0]))
             return np.fromiter(chain, float, n).reshape(-1, 1)
-        chain = self._chain(rng)
-        return run_budget_stop(self.stopping, lambda k, hist: next(chain), 1)
+        return run_budget_stop(self.stopping, lambda k, hist: rng.standard_normal() if k == 0
+                               else rho * hist[-1, 0] + c * rng.standard_normal(), 1)
 
 
 @dataclass
@@ -276,6 +265,8 @@ class TransientWalk(Regression):
     x_start: float
     drift: float
     step_sd: float
+
+    design = None
 
     def __post_init__(self):
         if not isinstance(self.stopping, FixedN):
@@ -292,7 +283,7 @@ class Autoregressive:
 
     The noise drives the covariates, so this kind draws its own sample: the
     covariates are X_0..X_{n-1} and Y_k is coordinate y_coord of X_k, whose
-    conditional mean is f_true.
+    conditional mean is f_true.  ar_matrix must be square.
     """
 
     ar_matrix: np.ndarray
@@ -302,9 +293,12 @@ class Autoregressive:
     y_coord: int = 0
     magnitude_guard: float = 1e6
 
-    px_form = None
+    design = None
 
     def __post_init__(self):
+        self.ar_matrix = np.atleast_2d(np.asarray(self.ar_matrix, dtype=float))
+        if self.ar_matrix.shape != (self.dim, self.dim):
+            raise ValueError(f"ar_matrix must be square; got shape {self.ar_matrix.shape}")
         if not isinstance(self.stopping, FixedN):
             raise ValueError("autoregressive sampling supports fixed length only")
 
@@ -339,12 +333,9 @@ def iid_regression_spec(f_true, noise: Optional[NoiseSpec] = None, *,
 
 
 def mixing_ar1_spec(f_true, rho: float = 0.5, noise: Optional[NoiseSpec] = None, *,
-                    sigma: float = 1.0, stopping=None, n: int = 1000,
-                    x: float = 0.0) -> MixingAr1:
-    if not abs(rho) < 1:
-        raise ValueError("|rho| < 1 is required for stationarity")
+                    sigma: float = 1.0, stopping=None, n: int = 1000) -> MixingAr1:
     return MixingAr1(f_true, noise or gaussian_noise(), constant_scale(sigma),
-                     stopping or FixedN(n), rho, gaussian_design(x))
+                     stopping or FixedN(n), rho)
 
 
 def transient_walk_spec(f_true, noise: Optional[NoiseSpec] = None, *,
@@ -358,10 +349,7 @@ def transient_walk_spec(f_true, noise: Optional[NoiseSpec] = None, *,
 def autoregressive_spec(ar_matrix, s_scale=None, noise: Optional[NoiseSpec] = None, *,
                         y_coord: int = 0, stopping=None, n: int = 1000,
                         magnitude_guard: float = 1e6) -> Autoregressive:
-    a = np.atleast_2d(np.asarray(ar_matrix, dtype=float))
-    if a.shape != (a.shape[0], a.shape[0]):
-        raise ValueError("ar_matrix must be square")
-    return Autoregressive(a, noise or gaussian_noise(), s_scale or constant_scale(1.0),
+    return Autoregressive(ar_matrix, noise or gaussian_noise(), s_scale or constant_scale(1.0),
                           stopping or FixedN(n), y_coord, magnitude_guard)
 
 

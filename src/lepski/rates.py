@@ -12,7 +12,8 @@ by its expectation) are minima over h in (0, h0], located up to a relative
 bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
 h.  H_w is read off the sample's `GridStats` view and its common sigma, both
 supplied by the caller: first at the grid, then on the pieces of L in one
-shell only.
+shell only.  h_w reads the design law at the grid's estimation point, the
+same x at which the view measures L; a design's own x is only its centre.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dgp import DesignLaw
 from .errors import GridEmpty, TooFewSamples
 from .model_core import GridConfig, GridStats, SamplePath, grid_statistics, psi
 
@@ -200,19 +202,20 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus | Explici
                            left if left > 0 else None)
 
 
-def deterministic_hw(px_model: Callable[[float], float],
-                     w_spec: HolderModulus | ExplicitModulus, n: int, sigma: float, cfg: GridConfig) -> float:
+def deterministic_hw(design: DesignLaw, w_spec: HolderModulus | ExplicitModulus,
+                     n: int, sigma: float, cfg: GridConfig) -> float:
     """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
-    E L(h) = n * P_X[x-h, x+h] / sigma^2.
+    E L(h) = n * P_X[x-h, x+h] / sigma^2 at the grid's point x, where the
+    one-dimensional design law gives P_X in closed form.
 
-    px_model maps h to the closed-form design probability P_X([x-h, x+h]).
     Raises TooFewSamples when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the
     threshold below which h_w does not exist.  Returns 0.0 for a degenerate
     design whose expected occupation does not vanish near 0.
     """
+    (x,) = cfg.x_point.tolist()
 
     def G(h):
-        return _excess(n * px_model(h) / sigma**2, h, w_spec, cfg)
+        return _excess(n * design.interval_prob(x, h) / sigma**2, h, w_spec, cfg)
 
     if G(cfg.h0) < 0:
         raise TooFewSamples(

@@ -339,7 +339,7 @@ def _report(values: np.ndarray, bound: float, noise: NoiseSpec, ens: Ensemble, *
     )
 
 
-def _check_lambda(noise: NoiseSpec, lam: float) -> float:
+def check_lambda(noise: NoiseSpec, lam: float) -> float:
     """Validate lambda for the noise's alpha branch and return the bound 1 + c."""
     if noise.alpha == 1:
         return 1.0 + c_prime_lambda(noise.mu, noise.gamma, lam)
@@ -347,7 +347,7 @@ def _check_lambda(noise: NoiseSpec, lam: float) -> float:
     return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
 
 
-def _check_a(noise: NoiseSpec, a) -> float:
+def check_a(noise: NoiseSpec, a) -> float:
     """Validate a > 0, or a uniform range 0 < a0 <= a1 under alpha = 2, and
     return the factor on 1 + c: one, or 1 + log(a1/a0) for a range."""
     if not isinstance(a, tuple):
@@ -381,7 +381,7 @@ def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
     The per-path supremum is evaluated in closed form (maximum at a = V
     clipped to [a0, a1]).
     """
-    bound = _check_lambda(noise, lam) * _check_a(noise, a)
+    bound = check_lambda(noise, lam) * check_a(noise, a)
     ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
     values = _functional_values(ens, noise.alpha, a, lam)
     return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name)
@@ -405,8 +405,8 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     is raised in the worker: forked workers inherit the caller's filters, so it
     reaches stderr, but the caller's `catch_warnings(record=True)` misses it.
     """
-    bounds = [_check_lambda(noise, lam) for lam in lambdas]
-    factors = [_check_a(noise, a) for a in a_values]
+    bounds = [check_lambda(noise, lam) for lam in lambdas]
+    factors = [check_a(noise, a) for a in a_values]
     pairs = [(scales, stop) for scales in scale_rules for stop in stop_rules]
     k = len(pairs)
     ensembles = pool_map(simulate_ensemble, [noise] * k, [p[0] for p in pairs],

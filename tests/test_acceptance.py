@@ -296,11 +296,11 @@ def test_a6_rate_equivalence_mixing_ar1():
                            rho=0.5, sigma=1.0, stopping=FixedN(n))
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
     w = HolderModulus(0.5, 1.0)
-    px = spec.px_form
+    design = spec.design
     contained = omega0_fail = 0
     for r in range(n_rep):
         sample = simulate(spec, (MASTER + 6, r))
-        rep = rate_report(sample, cfg, w, lambda m, sd: deterministic_hw(px, w, m, sd, cfg))
+        rep = rate_report(sample, cfg, w, lambda m, sd: deterministic_hw(design, w, m, sd, cfg))
         if not rep.omega_0:
             omega0_fail += 1
             continue
@@ -323,10 +323,10 @@ def test_a7_deterministic_rate_scaling():
     for s, tau in ((0.5, 0.0), (1.0, 0.0), (0.5, 1.0)):
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=0.02, j_max=10)
         w = HolderModulus(s, 1.0)
-        px = (uniform_design(0.0, 1.0) if tau == 0.0
-              else power_law_design(0.0, 1.0, tau=tau)).interval_prob
+        design = (uniform_design(0.0, 1.0) if tau == 0.0
+                  else power_law_design(0.0, 1.0, tau=tau))
         ns = np.array([2.0**k for k in range(10, 21)])
-        hws = np.array([deterministic_hw(px, w, int(m), 1.0, cfg) for m in ns])
+        hws = np.array([deterministic_hw(design, w, int(m), 1.0, cfg) for m in ns])
         x = 1.0 / ns  # sigma = 1
         slope_h, _ = fit_loglog_slope(x, hws)
         slope_w, _ = fit_loglog_slope(x, w.w(hws))

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.stats import norm
 
 import lepski
-from lepski import campaign, deterministic_hw, uniform_design
+from lepski import DesignLaw, campaign, deterministic_hw, uniform_design
 from lepski.cli import main
 from lepski.model_core import read_sample_csv
 
@@ -35,6 +36,11 @@ def base_config(out, n_ladder=(40, 80), n_rep=3, seed=1234, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def power_law_cdf(y):
+    """P[X <= y] for the density |y| on [-1, 1] (tau = 1, radius 1, centre 0)."""
+    return (1.0 + np.sign(y) * min(abs(y), 1.0) ** 2) / 2.0
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -180,9 +186,9 @@ class TestEstimate:
         # --jobs 1 compute it 3 times and write the rate rows of one call per cell
         calls = []
 
-        def spy(px, w_spec, n, sigma, grid):
+        def spy(design, w_spec, n, sigma, grid):
             calls.append((n, sigma))
-            return deterministic_hw(px, w_spec, n, sigma, grid)
+            return deterministic_hw(design, w_spec, n, sigma, grid)
 
         monkeypatch.setattr(campaign, "deterministic_hw", spy)
         outs = [tmp_path / "memo", tmp_path / "per_cell"]
@@ -191,9 +197,9 @@ class TestEstimate:
                        "--jobs", "1").exit_code == 0
         assert calls == [(40, 1.0), (80, 1.0), (160, 1.0)]
 
-        px = uniform_design(0.0, 1.0).interval_prob
+        design = uniform_design(0.0, 1.0)
         monkeypatch.setattr(campaign.CampaignConfig, "h_w", lambda cfg, n, sigma: spy(
-            px, cfg.modulus, n, sigma, cfg.grid))
+            design, cfg.modulus, n, sigma, cfg.grid))
         doc["outputs"] = str(outs[1])
         assert run_cli("estimate", "--config", str(write_config(tmp_path, doc)),
                        "--jobs", "1").exit_code == 0
@@ -207,8 +213,8 @@ class TestEstimate:
         doc["process"]["stopping"] = {"rule": "budget", "cost": 1.5}
         cfg = campaign.parse_campaign(doc)
         rows = [c["rate"] for c in campaign.run_estimate_cells(cfg)]
-        px = uniform_design(0.0, 1.0).interval_prob
-        expected = [deterministic_hw(px, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
+        design = uniform_design(0.0, 1.0)
+        expected = [deterministic_hw(design, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
         assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
         assert sorted(cfg._h_w) == [(27, 1.0), (80, 1.0)]
 
@@ -273,11 +279,38 @@ class TestRates:
         doc["process"]["s_scale"]["params"]["value"] = 3.0
         cfg = campaign.parse_campaign(doc)
         row = campaign.run_rates(cfg)["rows"][0]
-        px = uniform_design(0.0, 1.0).interval_prob
-        expected = deterministic_hw(px, cfg.modulus, 4000, 3.0, cfg.grid)
+        design = uniform_design(0.0, 1.0)
+        expected = deterministic_hw(design, cfg.modulus, 4000, 3.0, cfg.grid)
         assert row["h_w"] == expected
         assert row["h_w"] == pytest.approx(0.0879, abs=5e-5)
         assert row["rate_det"] == cfg.modulus.w(expected)
+
+    @pytest.mark.parametrize("process, n, prob, h_w", [
+        ({"kind": "mixing_ar1", "rho": 0.5}, 1000,
+         lambda h: norm.cdf(1.0 + h) - norm.cdf(1.0 - h), 0.08467),
+        ({"kind": "iid_regression",
+          "design": {"name": "power_law", "params": {"x": 0.0, "radius": 1.0, "tau": 1.0}}},
+         10_000, lambda h: power_law_cdf(1.0 + h) - power_law_cdf(1.0 - h), 0.02206),
+    ], ids=["mixing", "power_law"])
+    def test_deterministic_bandwidth_at_the_grid_point(self, tmp_path, process, n, prob, h_w):
+        # the design law is read at the grid's x = 1, away from its centre 0;
+        # the reference probabilities are computed here, not by the package.
+        # Read at the centre instead, h_w would be 0.0680 and 0.0714
+        doc = base_config(tmp_path / "out", n_ladder=[n], n_rep=1)
+        doc["grid"]["x"] = 1.0
+        doc["process"] = {"f_true": {"name": "zero"},
+                          "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
+        cfg = campaign.parse_campaign(doc)
+        reference = DesignLaw("reference", None, lambda x, h: float(prob(h)))
+        expected = deterministic_hw(reference, cfg.modulus, n, 1.0, cfg.grid)
+        assert cfg.h_w(n, 1.0) == pytest.approx(expected, rel=1e-9)
+        assert cfg.h_w(n, 1.0) == pytest.approx(h_w, abs=5e-6)
+
+    def test_mixing_x_equal_to_the_grid_loads(self, tmp_path):
+        doc = base_config(tmp_path / "out", n_ladder=[40], n_rep=1)
+        doc["grid"]["x"] = 0.5
+        doc["process"] = {"kind": "mixing_ar1", "x": 0.5}
+        assert campaign.parse_campaign(doc).grid.x_point.tolist() == [0.5]
 
     def test_no_output_formats_still_writes_the_fit(self, tmp_path):
         out = tmp_path / "never_created"
@@ -440,13 +473,15 @@ class TestExitCodes:
         {"n_ladder": [10, 20.5]},
         {"n_ladder": [True, 5]},
         {"modulus": {"kind": "holder", "s": 0.5, "scale": float("nan")}},
+        {"process": {"kind": "mixing_ar1", "x": 1.0}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
             "formats_csv_xml", "t_grid_scalar", "t_grid_str",
             "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac",
             "n_ladder_zero", "n_ladder_negative", "n_ladder_frac", "mixing_n_ladder_frac",
-            "n_ladder_second_rung_frac", "n_ladder_bool", "modulus_scale_nan"])
+            "n_ladder_second_rung_frac", "n_ladder_bool", "modulus_scale_nan",
+            "mixing_x_ne_grid"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"

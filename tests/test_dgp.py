@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest, norm
+from scipy.stats import kstest, norm, uniform
 
 from lepski import (
+    Autoregressive,
     ExplosiveChain,
+    MixingAr1,
     NoiseSpec,
     autoregressive_spec,
     budget_stop,
@@ -22,7 +24,7 @@ from lepski import (
     transient_walk_spec,
     uniform_design,
 )
-from lepski.dgp import FixedN, run_budget_stop
+from lepski.dgp import FixedN, constant_scale, run_budget_stop
 from lepski.noise import normal_cdf
 
 
@@ -106,10 +108,15 @@ class TestMixingAr1:
         budget = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=rule), 8)
         np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
 
-    def test_px_form_matches_declaration(self):
-        assert gaussian_design(0.0).check_declaration(1.0)
-        assert uniform_design(0.0, 2.0).check_declaration(2.0)
-        assert power_law_design(0.0, 1.0, tau=1.0).check_declaration(1.0)
+    def test_design_is_the_stationary_law(self):
+        spec = mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(10))
+        assert spec.design.name == "gaussian"
+        assert spec.design.interval_prob(0.0, 1.0) == normal_cdf(1.0) - normal_cdf(-1.0)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan")])
+    def test_direct_construction_refuses_a_nonstationary_rho(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            MixingAr1(zero_f, gaussian_noise(), constant_scale(1.0), FixedN(10), rho)
 
     def test_power_law_design_empirical(self):
         law = power_law_design(0.0, 1.0, tau=1.0)
@@ -117,7 +124,7 @@ class TestMixingAr1:
         x = law.sampler(rng, 200_000)[:, 0]
         for h in (0.25, 0.5, 0.75):
             emp = np.mean(np.abs(x) <= h)
-            assert emp == pytest.approx(law.interval_prob(h), abs=0.005)
+            assert emp == pytest.approx(law.interval_prob(0.0, h), abs=0.005)
 
 
 class TestFixedN:
@@ -141,12 +148,54 @@ class TestGaussianDesign:
         # ulp of numbers below one, so at small h they may differ by eps in
         # absolute terms: 2.6e-10 relative at h = 1e-6, x = -1.3
         eps = np.finfo(float).eps
-        law = gaussian_design(x)
+        law = gaussian_design()
         for h in np.geomspace(1e-6, 5.0, 200):
             h = float(h)
             ref = norm.cdf(x + h) - norm.cdf(x - h)
-            assert law.interval_prob(h) == pytest.approx(ref, rel=1e-12, abs=2 * eps)
-            assert law.ell_x(h) == pytest.approx(ref / h, rel=1e-12, abs=2 * eps / h)
+            assert law.interval_prob(x, h) == pytest.approx(ref, rel=1e-12, abs=2 * eps)
+
+
+def power_law_cdf(y, centre, radius, tau):
+    """P[X <= y] for the density proportional to |y - centre|^tau on
+    [centre - radius, centre + radius]."""
+    t = np.clip((y - centre) / radius, -1.0, 1.0)
+    return 0.5 + 0.5 * np.sign(t) * np.abs(t) ** (tau + 1.0)
+
+
+class TestDesignLawOffCentre:
+    # P[|X - x| <= h] at points x away from the law's centre c, including
+    # intervals that stick out of the support and ones that miss it
+    POINTS = [(-0.4, 0.3), (0.5, 0.0), (1.1, 0.2)]  # (c, x)
+    HS = np.geomspace(1e-4, 4.0, 60)
+
+    @pytest.mark.parametrize("c, x", POINTS)
+    def test_uniform_against_scipy(self, c, x):
+        law, ref = uniform_design(c, 0.8), uniform(loc=c - 0.8, scale=1.6)
+        for h in self.HS:
+            expected = ref.cdf(x + h) - ref.cdf(x - h)
+            assert law.interval_prob(x, float(h)) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=1e-15)
+
+    @pytest.mark.parametrize("c, x", POINTS)
+    def test_gaussian_against_scipy(self, c, x):
+        law = gaussian_design(c)
+        for h in self.HS:
+            expected = norm.cdf(x + h, loc=c) - norm.cdf(x - h, loc=c)
+            assert law.interval_prob(x, float(h)) == pytest.approx(expected, rel=1e-10,
+                                                                   abs=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c, x", POINTS)
+    def test_power_law_against_its_cdf(self, c, x, tau):
+        law = power_law_design(c, 0.8, tau=tau)
+        for h in self.HS:
+            expected = (power_law_cdf(x + h, c, 0.8, tau) - power_law_cdf(x - h, c, 0.8, tau))
+            assert law.interval_prob(x, float(h)) == pytest.approx(expected, rel=1e-12,
+                                                                   abs=1e-15)
+
+    def test_gaussian_samples_around_its_centre(self):
+        x = gaussian_design(2.0).sampler(np.random.default_rng(4), 100_000)[:, 0]
+        assert kstest(x, "norm", args=(2.0,)).statistic < 0.01
 
 
 class TestTransientWalk:
@@ -175,6 +224,11 @@ class TestAutoregressive:
         expected = s.truth_values()
         resid = s.y_obs - expected
         assert abs(resid.mean()) < 4 / math.sqrt(s.n_stop)
+
+    @pytest.mark.parametrize("a", [[[0.5, 0.1]], [[[0.5]]]], ids=["1x2", "1x1x1"])
+    def test_direct_construction_refuses_a_non_square_matrix(self, a):
+        with pytest.raises(ValueError, match="square"):
+            Autoregressive(np.array(a), gaussian_noise(), constant_scale(1.0), FixedN(10))
 
     def test_ar1_scalar_is_regression_on_past(self):
         spec = autoregressive_spec([[0.5]], stopping=FixedN(300))
@@ -259,3 +313,23 @@ class TestBudgetStop:
         assert sizes == [1, 2, 3, 4, 5, 6]  # priced obs 1..6, rejected the 6th
         for k, h in enumerate(seen, start=1):
             np.testing.assert_array_equal(h[:, 0], np.arange(k, dtype=float))
+
+    def test_handed_out_rows_stay_put_as_the_history_grows(self):
+        # both callables get views of the growing history; rows they were
+        # handed are never rewritten, across several doublings of its buffer
+        drawn, priced = [], []
+
+        def draw(k, hist):
+            drawn.append(hist)
+            return np.array([float(k), -float(k)])
+
+        def cost(hist):
+            priced.append(hist)
+            return 1.0
+
+        x = run_budget_stop(budget_stop(cost, 300.0), draw, 2)
+        np.testing.assert_array_equal(x, np.column_stack([np.arange(300.0), -np.arange(300.0)]))
+        assert [h.shape[0] for h in drawn] == list(range(301))
+        assert [h.shape[0] for h in priced] == list(range(1, 302))
+        for h in drawn + priced:
+            np.testing.assert_array_equal(h[:, 0], np.arange(h.shape[0], dtype=float))

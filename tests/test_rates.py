@@ -302,41 +302,41 @@ class TestDeterministicHw:
     def test_boundary_sample_size_gives_h0(self):
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob  # P[I_h] = h
+        design = uniform_design(0.0, 1.0)  # P[I_h] = h
         # boundary: n = sigma^2 / (P(h0) w(h0)^2) = 1
-        assert deterministic_hw(px, spec, 1, 1.0, cfg) == pytest.approx(1.0, rel=1e-9)
+        assert deterministic_hw(design, spec, 1, 1.0, cfg) == pytest.approx(1.0, rel=1e-9)
 
     def test_too_few_samples_raises(self):
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)  # w(h0) = 0.5 -> need n >= 4
-        px = uniform_design(0.0, 1.0).interval_prob
+        design = uniform_design(0.0, 1.0)
         with pytest.raises(TooFewSamples):
-            deterministic_hw(px, spec, 3, 1.0, cfg)
-        deterministic_hw(px, spec, 4, 1.0, cfg)
+            deterministic_hw(design, spec, 3, 1.0, cfg)
+        deterministic_hw(design, spec, 4, 1.0, cfg)
 
     def test_nonincreasing_in_n(self):
         cfg = grid_cfg(b=0.5)
         spec = HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob
-        hws = [deterministic_hw(px, spec, n, 1.0, cfg) for n in (10, 100, 1000, 10**4, 10**5)]
+        design = uniform_design(0.0, 1.0)
+        hws = [deterministic_hw(design, spec, n, 1.0, cfg) for n in (10, 100, 1000, 10**4, 10**5)]
         assert all(h2 <= h1 for h1, h2 in zip(hws, hws[1:]))
 
     def test_matches_brentq_oracle(self):
         cfg = grid_cfg(b=0.7)
         spec = HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob
+        design = uniform_design(0.0, 1.0)
         for n in (50, 500, 5000):
             root = brentq(lambda h: n * h * h - psi(h, cfg), 1e-8, 1.0, xtol=1e-14)
-            assert deterministic_hw(px, spec, n, 1.0, cfg) == pytest.approx(root, rel=1e-9)
+            assert deterministic_hw(design, spec, n, 1.0, cfg) == pytest.approx(root, rel=1e-9)
 
     def test_scaling_exponent_small_ladder(self):
         # log-log slope of h_w against sigma^2/n approaches 1/(2s + tau + 1);
         # small b keeps the slowly varying psi factor out of the fit
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=0.02, j_max=8)
         spec = HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob
+        design = uniform_design(0.0, 1.0)
         ns = np.array([2.0**k for k in range(10, 21, 2)])
-        hws = np.array([deterministic_hw(px, spec, int(n), 1.0, cfg) for n in ns])
+        hws = np.array([deterministic_hw(design, spec, int(n), 1.0, cfg) for n in ns])
         slope = np.polyfit(np.log(1.0 / ns), np.log(hws), 1)[0]
         assert abs(slope - 0.5) < 0.02
 
@@ -349,8 +349,8 @@ class TestRateReport:
         s = SamplePath(x, np.zeros(6), np.ones(6))
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)
-        px = uniform_design(0.0, 1.0).interval_prob
-        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(px, spec, n, sd, cfg))
+        design = uniform_design(0.0, 1.0)
+        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(design, spec, n, sd, cfg))
         assert rep.omega_0 is False
         assert rep.rate_random is None and rep.ratio is None
         assert rep.rate_det is not None  # the deterministic side still exists
@@ -364,12 +364,9 @@ class TestRateReport:
         point_mass = DesignLaw(
             name="point_mass",
             sampler=lambda rng, m: np.zeros((m, 1)),
-            interval_prob=lambda h: 1.0,
-            tau=-1.0,
-            ell_x=lambda h: 1.0,
+            interval_prob=lambda x, h: 1.0,
         )
-        px = point_mass.interval_prob
-        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(px, spec, n, sd, cfg))
+        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(point_mass, spec, n, sd, cfg))
         assert rep.omega_0
         assert rep.h_w_emp == pytest.approx(rep.h_w, rel=1e-8)
         assert rep.ratio == pytest.approx(1.0, rel=1e-8)
@@ -382,8 +379,8 @@ class TestRateReport:
         s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
         cfg = grid_cfg()
         w = HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob
-        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
+        design = uniform_design(0.0, 1.0)
+        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
         assert rep.omega_0 and rep.h_star is not None
         assert rep.h_w_emp is None and rep.rate_random is None
         assert rep.h_w is None and rep.rate_det is None and rep.ratio is None
@@ -409,8 +406,8 @@ class TestRateReport:
         x = rng.uniform(-1.0, 1.0, 2000)
         s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
         cfg, w = grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0)
-        px = uniform_design(0.0, 1.0).interval_prob
-        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
+        design = uniform_design(0.0, 1.0)
+        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
         assert rep.h_w_emp is not None and rep.ratio is not None
         assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
 
@@ -419,12 +416,12 @@ class TestRateReport:
                                  rho=0.5, stopping=FixedN(2000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
-        px = spec_p.px_form
+        design = spec_p.design
         inside = 0
         total = 40
         for rep_i in range(total):
             sample = simulate(spec_p, (99, rep_i))
-            rep = rate_report(sample, cfg, w, lambda n, sd: deterministic_hw(px, w, n, sd, cfg))
+            rep = rate_report(sample, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
             if rep.ratio is not None and 0.25 <= rep.ratio <= 4.0:
                 inside += 1
         assert inside >= 0.9 * total
@@ -438,13 +435,13 @@ class TestBandwidthEmbedding:
                                  rho=0.5, stopping=FixedN(10_000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
-        px = spec_p.px_form
+        design = spec_p.design
         checked_upper = checked_lower = 0
         for rep_i in range(25):
             sample = simulate(spec_p, (7, rep_i))
             n = sample.n_stop
-            hw = deterministic_hw(px, w, n, 1.0, cfg)
-            el = n * px(hw)
+            hw = deterministic_hw(design, w, n, 1.0, cfg)
+            el = n * design.interval_prob(0.0, hw)
             from lepski import occupation_time
 
             l_at = occupation_time(sample, [0.0], hw)

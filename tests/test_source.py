@@ -46,22 +46,41 @@ def calls_to(name: str) -> list:
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
 
-def private_imports(source: str) -> list:
-    """Private names (a leading underscore) that a module imports from another
-    module of the package, with their line numbers."""
-    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level > 0
-            for alias in node.names if alias.name.startswith("_")]
+def private_uses(source: str) -> list:
+    """Private names (a leading underscore, not a dunder) of another module of
+    the package that a module imports, or reads as attributes of a package
+    module it imported (`from . import dgp` then `dgp._name`), with their line
+    numbers."""
+    tree = ast.parse(source)
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    modules = {alias.asname or alias.name for node in relative if node.module is None
+               for alias in node.names}
+    imported = [(node.lineno, alias.name) for node in relative for alias in node.names]
+    read = [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+    return sorted((line, name) for line, name in imported + read
+                  if name.rpartition(".")[2].startswith("_")
+                  and not name.rpartition(".")[2].startswith("__"))
 
 
 def test_checker_flags_a_private_import():
     source = "from .model_core import a, _b\nfrom numpy import _c\nimport _d\n"
-    assert private_imports(source) == [(1, "_b")]
+    assert private_uses(source) == [(1, "_b")]
+
+
+def test_checker_flags_a_private_module_attribute():
+    source = ("import numpy as np\nfrom . import dgp, stability as stab\n"
+              "from .rates import psi\n"
+              "dgp._rng(0)\nstab.check_a\nnp._x\npsi._y\nstab.__name__\n"
+              "x = stab._check_lambda\n")
+    assert private_uses(source) == [(4, "dgp._rng"), (9, "stab._check_lambda")]
 
 
 def test_no_private_cross_module_import():
     # a module's private helpers are its own: others reach them through its API
-    found = {p.name: private_imports(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    found = {p.name: private_uses(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
 
 
