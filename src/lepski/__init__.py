@@ -83,7 +83,6 @@ from .dgp import (
     Regression,
     TransientWalk,
     autoregressive_spec,
-    budget_stop,
     gaussian_design,
     iid_regression_spec,
     martingale_residuals,

@@ -6,6 +6,15 @@ replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
 `stability.pool_map`, which hands them back in (n, rep) order, so files are
 byte-stable for any --jobs.  `verify-stability` runs on the same pool.
 
+Every config section is read the same way: a section's keys are the keywords
+of its constructor, which its name picks from a table (the process "kind",
+the noise "family", a stopping "rule", the modulus "kind", or the "name" of
+a function or design law, whose keywords sit in "params").  The two command
+documents' keys are the keywords of `_campaign` and `_stability_document`.
+So each default lives once, in the constructor, and an unknown name or key,
+or a value its constructor refuses, is a ConfigError (exit 2) when the
+document loads.
+
 The grid's x is the one estimation point, for L and for the deterministic
 bandwidth h_w alike; a design's `x` is where the law is centred.  h_w depends
 on a cell only through its sample size and common sigma, so
@@ -34,130 +43,128 @@ from . import stability as stab
 
 
 # ------------------------------------------------------------------
-# registries: JSON names -> callables
+# config sections: name -> constructor tables and their one reader
 # ------------------------------------------------------------------
 
-def _f_zero(params):
-    return lambda x: np.zeros(np.atleast_2d(x).shape[0])
+def _call(what: str, make, params, *args):
+    """make(*args, **params) for the JSON object params: a key that is no
+    keyword of make, or a value that make refuses, is a ConfigError."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"the {what} must be a JSON object; got {params!r}")
+    try:
+        return make(*args, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _f_constant(params):
-    c = float(params.get("value", 1.0))
-    return lambda x: np.full(np.atleast_2d(x).shape[0], c)
+def _build(what: str, table: dict, section, key: str, default=None, *args):
+    """The constructor that section[key], or default, names in table, called
+    by `_call` on the section's other keys.  Under key "name" those keys sit
+    in a "params" object, the section's only other key."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {what} must be a JSON object; got {section!r}")
+    params = dict(section)
+    name = params.pop(key, default)
+    if key == "name":
+        params, rest = params.pop("params", {}), params
+        if rest:
+            raise ConfigError(f"unknown keys {sorted(rest)} in the {what}")
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"unknown {what} {name!r}; know {sorted(table)}")
+    return _call(f"{what} {name!r}", table[name], params, *args)
 
 
-def _f_linear(params):
-    slope = float(params.get("slope", 1.0))
-    intercept = float(params.get("intercept", 0.0))
+def _f_constant(value: float = 1.0):
+    value = float(value)
+    return lambda x: np.full(np.atleast_2d(x).shape[0], value)
+
+
+def _f_linear(slope: float = 1.0, intercept: float = 0.0):
+    slope, intercept = float(slope), float(intercept)
     return lambda x: intercept + slope * np.atleast_2d(x)[:, 0]
 
 
-def _f_holder_cusp(params):
-    # |y - x|^s cusp: Holder with exponent s and constant `scale`, worst case at x
-    s = float(params.get("s", 0.5))
-    scale = float(params.get("scale", 1.0))
-    at = float(params.get("at", 0.0))
+def _f_holder_cusp(s: float = 0.5, scale: float = 1.0, at: float = 0.0):
+    # |y - at|^s cusp: Holder with exponent s and constant `scale`, worst case at `at`
+    s, scale, at = float(s), float(scale), float(at)
     return lambda x: scale * np.abs(np.atleast_2d(x)[:, 0] - at) ** s
 
 
-def _f_sine(params):
-    amp = float(params.get("amp", 1.0))
-    freq = float(params.get("freq", 1.0))
+def _f_sine(amp: float = 1.0, freq: float = 1.0):
+    amp, freq = float(amp), float(freq)
     return lambda x: amp * np.sin(freq * np.atleast_2d(x)[:, 0])
 
 
-F_REGISTRY = {
-    "zero": _f_zero,
-    "constant": _f_constant,
-    "linear": _f_linear,
-    "holder_cusp": _f_holder_cusp,
-    "sine": _f_sine,
-}
+def _affine_abs(a: float = 1.0, b: float = 0.5):
+    a, b = float(a), float(b)
+    return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
+
+
+def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
+    """A constant cost per observation; a budget campaign's ladder holds budgets."""
+    cost = float(cost)
+    return dgp.BudgetStop(lambda hist: cost, float(budget))
+
+
+def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
+    """mixing_ar1_spec; x may only restate the grid's x, as `_campaign` checks."""
+    return dgp.mixing_ar1_spec(**params)
+
+
+def _grid(x=0.0, **params) -> GridConfig:
+    """GridConfig, with the estimation point under "x"."""
+    return GridConfig(x, **params)
+
+
+_F_TRUE = {"zero": lambda: dgp.zero_function, "constant": _f_constant,
+           "linear": _f_linear, "holder_cusp": _f_holder_cusp, "sine": _f_sine}
+_S_SCALES = {"constant": dgp.constant_scale, "affine_abs": _affine_abs}
+_DESIGNS = {"uniform": dgp.uniform_design, "power_law": dgp.power_law_design,
+            "gaussian": dgp.gaussian_design}
+_NOISES = {"gaussian": gaussian_noise, "two_point": two_point_noise,
+           "truncated_laplace": truncated_laplace_noise}
+_STOPPING = {"fixed": dgp.FixedN, "budget": _budget_stop}  # called with the ladder's n
+_PROCESSES = {"iid_regression": dgp.iid_regression_spec, "mixing_ar1": _mixing_ar1,
+              "transient_walk": dgp.transient_walk_spec,
+              "autoregressive": dgp.autoregressive_spec}
+_MODULI = {"holder": HolderModulus}
+_SCALE_RULES = {"constant": stab.ConstantScale, "alternating": stab.AlternatingScale,
+                "adapted": stab.AdaptedScale, "zero": lambda: stab.ConstantScale(0.0)}
+_STOP_RULES = {"fixed": stab.FixedT, "crossing": stab.FirstCrossing,
+               "randomized": stab.RandomizedStop}
 
 
 def make_f_true(doc) -> callable:
-    name = doc.get("name")
-    if name not in F_REGISTRY:
-        raise ConfigError(f"unknown regression function {name!r}; know {sorted(F_REGISTRY)}")
-    return F_REGISTRY[name](doc.get("params", {}))
+    return _build("regression function", _F_TRUE, doc, "name")
 
 
 def make_s_scale(doc):
-    name = doc.get("name", "constant")
-    params = doc.get("params", {})
-    if name == "constant":
-        return dgp.constant_scale(float(params.get("value", 1.0)))
-    if name == "affine_abs":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 0.5))
-        return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
-    raise ConfigError(f"unknown scale function {name!r}")
-
-
-def make_noise(doc) -> NoiseSpec:
-    family = doc.get("family", "gaussian")
-    alpha = int(doc.get("alpha", 2))
-    mu = float(doc.get("mu", 0.25))
-    if family == "gaussian":
-        return gaussian_noise(mu=mu, alpha=alpha)
-    if family == "two_point":
-        return two_point_noise(mu=mu, alpha=alpha)
-    if family == "truncated_laplace":
-        return truncated_laplace_noise(mu=mu, cut=float(doc.get("cut", 5.0)))
-    raise ConfigError(f"unknown noise family {family!r}")
+    return _build("scale function", _S_SCALES, doc, "name", "constant")
 
 
 def make_design(doc) -> dgp.DesignLaw:
-    """The named design law; params.x is where it is centred (default 0)."""
-    name = doc.get("name", "uniform")
-    params = doc.get("params", {})
-    x = float(params.get("x", 0.0))
-    if name == "uniform":
-        return dgp.uniform_design(x, float(params.get("radius", 1.0)))
-    if name == "power_law":
-        return dgp.power_law_design(x, float(params.get("radius", 1.0)),
-                                    float(params.get("tau", 1.0)))
-    if name == "gaussian":
-        return dgp.gaussian_design(x)
-    raise ConfigError(f"unknown design law {name!r}")
+    """The named design law; params.x is where it is centred."""
+    return _build("design law", _DESIGNS, doc, "name", "uniform")
 
 
-def make_process(doc, n: int) -> dgp.Regression | dgp.Autoregressive:
-    kind = doc.get("kind")
-    f_true = make_f_true(doc.get("f_true", {"name": "zero"}))
-    noise = make_noise(doc.get("noise", {}))
-    stopping = _make_stopping(doc.get("stopping"), n)
-    if kind == "iid_regression":
-        return dgp.iid_regression_spec(
-            f_true, noise, design=make_design(doc.get("design", {})),
-            s_scale=make_s_scale(doc.get("s_scale", {"name": "constant"})),
-            stopping=stopping)
-    if kind == "mixing_ar1":
-        return dgp.mixing_ar1_spec(
-            f_true, rho=float(doc.get("rho", 0.5)), noise=noise,
-            sigma=float(doc.get("sigma", 1.0)), stopping=stopping)
-    if kind == "transient_walk":
-        return dgp.transient_walk_spec(
-            f_true, noise, x_start=float(doc.get("x_start", 0.0)),
-            drift=float(doc.get("drift", 0.5)),
-            step_sd=float(doc.get("step_sd", 0.5)),
-            sigma=float(doc.get("sigma", 1.0)), stopping=stopping)
-    if kind == "autoregressive":
-        return dgp.autoregressive_spec(
-            doc.get("ar_matrix", [[0.5]]),
-            s_scale=make_s_scale(doc.get("s_scale", {"name": "constant"})),
-            noise=noise, y_coord=int(doc.get("y_coord", 0)), stopping=stopping)
-    raise ConfigError(f"unknown process kind {kind!r}")
+def make_noise(doc) -> NoiseSpec:
+    return _build("noise family", _NOISES, doc, "family", "gaussian")
 
 
-def _make_stopping(doc, n: int):
-    if doc is None or doc.get("rule", "fixed") == "fixed":
-        return dgp.FixedN(n)
-    if doc.get("rule") == "budget":
-        cost = float(doc.get("cost", 1.0))
-        # n doubles as the budget along the ladder for budget campaigns
-        return dgp.budget_stop(lambda hist: cost, float(n))
-    raise ConfigError(f"unknown stopping rule {doc!r}")
+def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
+    """The process at ladder rung n: the spec helper that its kind names,
+    called on its other keys once its f_true, noise, design and s_scale
+    sections and its stopping rule at n are built."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"the process must be a JSON object; got {doc!r}")
+    params = dict(doc)
+    for key, make in (("f_true", make_f_true), ("noise", make_noise),
+                      ("design", make_design), ("s_scale", make_s_scale)):
+        if key in params:
+            params[key] = make(params[key])
+    params["stopping"] = _build("stopping rule", _STOPPING, params.get("stopping", {}),
+                                "rule", "fixed", n)
+    return _build("process kind", _PROCESSES, params, "kind")
 
 
 # ------------------------------------------------------------------
@@ -198,20 +205,11 @@ class CampaignConfig:
         return self._h_w[key]
 
 
-def _master_seed(doc: dict, seed) -> int:
-    """The seed override when given, else the config's master_seed (default 0)."""
-    try:
-        return int(seed if seed is not None else doc.get("master_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"master_seed must be an integer: {exc}") from exc
-
-
 OUTPUT_FORMATS = ("csv", "json")  # the formats write_rows writes
 
 
-def _formats(doc: dict) -> list:
+def _formats(formats) -> list:
     """The document's output formats, checked at load: a list of known names."""
-    formats = doc.get("formats", ["csv"])
     if not (isinstance(formats, list) and all(f in OUTPUT_FORMATS for f in formats)):
         raise ConfigError(f"formats must be a list drawn from {list(OUTPUT_FORMATS)}; "
                           f"got {formats!r}")
@@ -224,59 +222,38 @@ def _numbers(value) -> bool:
 
 
 def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
-    try:
-        grid_doc = dict(doc["grid"])
-        x_point = grid_doc.pop("x", 0.0)
-        grid = GridConfig(x_point=np.atleast_1d(x_point), **grid_doc)
-    except KeyError as exc:
-        raise ConfigError(f"missing grid configuration: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid configuration: {exc}") from exc
+    """The campaign document; seed and out, when given, replace its
+    master_seed and outputs."""
+    return _call("campaign document", _campaign, doc, doc, seed, out)
 
-    modulus = None
-    if "modulus" in doc:
-        m = doc["modulus"]
-        try:
-            if m.get("kind", "holder") != "holder":
-                raise ConfigError("only the holder modulus is configurable from JSON")
-            modulus = HolderModulus(float(m["s"]), float(m.get("scale", 1.0)))
-            check_modulus(modulus, grid)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad modulus configuration: {exc}") from exc
 
-    n_ladder = doc.get("n_ladder", [])
+def _campaign(raw, seed, out, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
+              master_seed=0, outputs="out", formats=["csv"], t_grid=[]) -> CampaignConfig:
+    # here and in the stability readers a list or dict default is the JSON
+    # value that a missing key stands for; no reader mutates it
+    grid = _call("grid", _grid, grid)
+    if modulus is not None:
+        modulus = _build("modulus kind", _MODULI, modulus, "kind", "holder")
+        check_modulus(modulus, grid)
     if (not _numbers(n_ladder) or not n_ladder
             or any(b <= a for a, b in zip(n_ladder, n_ladder[1:]))):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
-    try:
-        n_rep = int(doc.get("n_rep", 1))
-        # a check of every rung's stopping rule only: cells rebuild their process from raw
-        for n in n_ladder:
-            process = make_process(doc["process"], n)
-    except KeyError as exc:
-        raise ConfigError(f"missing process configuration: {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad process or n_rep: {exc}") from exc
-    if n_rep < 1:
-        raise ConfigError("n_rep must be at least 1")
-    if process.dim != grid.dim:
-        raise ConfigError(f"the grid point has dimension {grid.dim}, "
-                          f"the process {process.dim}")
+    dgp.check_count(n_rep, "n_rep")
+    # a check of every rung's stopping rule only: cells rebuild their process from raw
+    for n in n_ladder:
+        built = make_process(process, n)
+    if built.dim != grid.dim:
+        raise ConfigError(f"the grid point has dimension {grid.dim}, the process {built.dim}")
     x_point = grid.x_point.tolist()
-    x_mixing = doc["process"].get("x", x_point)
-    if isinstance(process, dgp.MixingAr1) and x_mixing not in (x_point, *x_point):
+    if isinstance(built, dgp.MixingAr1) and process.get("x", x_point) not in (x_point, *x_point):
         raise ConfigError(f"the grid's x {x_point} is the estimation point; "
-                          f"a mixing_ar1 x may only restate it, got {x_mixing!r}")
-
-    t_grid = doc.get("t_grid", [])
+                          f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not _numbers(t_grid):
         raise ConfigError(f"t_grid must be a list of numbers; got {t_grid!r}")
-
-    master_seed = _master_seed(doc, seed)
-    outputs = Path(out if out is not None else doc.get("outputs", "out"))
     return CampaignConfig(
-        raw=doc, grid=grid, modulus=modulus, n_ladder=n_ladder, n_rep=n_rep,
-        master_seed=master_seed, outputs=outputs, formats=_formats(doc),
+        raw=raw, grid=grid, modulus=modulus, n_ladder=n_ladder, n_rep=n_rep,
+        master_seed=int(master_seed if seed is None else seed),
+        outputs=Path(outputs if out is None else out), formats=_formats(formats),
         t_grid=[float(t) for t in t_grid] or None,
     )
 
@@ -551,65 +528,15 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
 # stability campaigns
 # ------------------------------------------------------------------
 
-_SCALE_RULES = {
-    "constant": stab.ConstantScale,
-    "alternating": stab.AlternatingScale,
-    "adapted": stab.AdaptedScale,
-    "zero": lambda: stab.ConstantScale(0.0),
-}
-
-
-def _make_scale(name: str):
-    if name not in _SCALE_RULES:
-        raise ConfigError(f"unknown scale rule {name!r}")
-    return _SCALE_RULES[name]()
-
-
-def _make_stop(doc):
-    rule = doc.get("rule", "fixed")
-    if rule == "fixed":
-        return stab.FixedT(int(doc.get("n", 1000)))
-    if rule == "crossing":
-        return stab.FirstCrossing(float(doc.get("c", 2.0)), int(doc.get("cap", 10_000)))
-    if rule == "randomized":
-        return stab.RandomizedStop(float(doc.get("p", 1e-3)), int(doc.get("cap", 10_000)))
-    raise ConfigError(f"unknown stopping rule {rule!r}")
-
-
 def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int = 1) -> dict:
     """Run the stability matrix described by the `stability` config section.
 
-    fmt, when given, replaces the config's `formats`; returns the rows, the
-    reports and the written paths.
+    seed and out, when given, replace the document's master_seed and outputs,
+    and fmt its `formats`; returns the rows, the reports and the written paths.
     """
-    sdoc = doc.get("stability")
-    if not sdoc:
-        raise ConfigError("verify-stability needs a stability section")
-    try:
-        noise = make_noise(sdoc.get("noise", {}))
-        lambdas = [float(v) for v in sdoc.get("lambdas", [])]
-        scales = [_make_scale(s) for s in sdoc.get("scales", ["constant"])]
-        stops = [_make_stop(s) for s in sdoc.get("stopping", [{"rule": "fixed", "n": 1000}])]
-        a_values = [float(a) for a in sdoc.get("a", [1.0])]
-        a_values += [tuple(float(v) for v in pair) for pair in sdoc.get("uniform_a", [])]
-        for lam in lambdas:
-            stab.check_lambda(noise, lam)
-        for a in a_values:
-            stab.check_a(noise, a)
-        n_rep = int(sdoc.get("n_rep", 10_000))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad stability section: {exc}") from exc
-    if not lambdas:
-        raise ConfigError("stability section needs a nonempty lambdas list")
-    if n_rep < 1:
-        raise ConfigError("stability n_rep must be at least 1")
-    master_seed = _master_seed(doc, seed)
-    formats = _formats(doc)  # checked even when fmt replaces it, as for campaigns
-    if fmt is not None:
-        formats = [fmt]
-
-    reports = stab.stability_matrix(noise, scales, stops, a_values, lambdas,
-                                    n_rep, master_seed, jobs)
+    matrix, master_seed, outputs, formats = _call("stability document", _stability_document,
+                                                  doc, seed, out, fmt)
+    reports = stab.stability_matrix(**matrix, master_seed=master_seed, jobs=jobs)
     rows = []
     for r in reports:
         a_repr = r.a if not isinstance(r.a, tuple) else f"{r.a[0]:g}:{r.a[1]:g}"
@@ -619,7 +546,36 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
             "estimate": r.mc_estimate, "stderr": r.mc_stderr, "bound": r.bound,
             "pass": r.passed, "master_seed": master_seed,
         })
-    outputs = Path(out if out is not None else doc.get("outputs", "out"))
     paths = _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)
     return {"rows": rows, "reports": reports, "paths": paths,
             "all_pass": all(r.passed for r in reports)}
+
+
+def _stability_document(seed, out, fmt, /, *, stability, master_seed=0, outputs="out",
+                        formats=["csv"]) -> tuple:
+    """(stability_matrix keywords, master seed, output directory, formats)."""
+    formats = _formats(formats)  # checked even when fmt replaces it, as for campaigns
+    return (_call("stability section", _stability_section, stability),
+            int(master_seed if seed is None else seed), Path(outputs if out is None else out),
+            formats if fmt is None else [fmt])
+
+
+def _stability_section(*, lambdas, noise={}, scales=["constant"], stopping=[{}], a=[1.0],
+                       uniform_a=[], n_rep=10_000) -> dict:
+    """The keywords of `stab.stability_matrix` but the seed and jobs; the
+    scales are rule names, the stopping entries sections."""
+    noise = make_noise(noise)
+    lambdas = [float(v) for v in lambdas]
+    if not lambdas:
+        raise ConfigError("stability section needs a nonempty lambdas list")
+    a_values = [float(v) for v in a] + [tuple(float(v) for v in pair) for pair in uniform_a]
+    for lam in lambdas:
+        stab.check_lambda(noise, lam)
+    for value in a_values:
+        stab.check_a(noise, value)
+    return {"noise": noise, "lambdas": lambdas, "a_values": a_values,
+            "n_rep": dgp.check_count(n_rep, "stability n_rep"),
+            "scale_rules": [_build("scale rule", _SCALE_RULES, {"rule": s}, "rule")
+                            for s in scales],
+            "stop_rules": [_build("stopping rule", _STOP_RULES, s, "rule", "fixed")
+                           for s in stopping]}

@@ -6,6 +6,11 @@ Every command takes --config PATH plus optional --seed, --out, --jobs and
 replaces the config's `formats` list only when it is given; simulate writes
 CSV only and rejects any other format.  Exit codes:
 0 success, 2 config error, 3 acceptance-red, 4 IO failure.
+
+The config is JSON.  A section's keys are the keywords of the constructor
+that the section names (see `campaign`).  A key that nothing reads, an
+unknown name, a value that its constructor refuses and a non-integer
+LEPSKI_SEED or LEPSKI_JOBS each exit 2 before any cell runs.
 """
 
 from __future__ import annotations
@@ -58,10 +63,13 @@ def _common(body):
 
 
 def _resolve(seed, jobs):
-    if seed is None and os.environ.get("LEPSKI_SEED"):
-        seed = int(os.environ["LEPSKI_SEED"])
-    if jobs is None:
-        jobs = int(os.environ.get("LEPSKI_JOBS", "1"))
+    try:
+        if seed is None and os.environ.get("LEPSKI_SEED"):
+            seed = int(os.environ["LEPSKI_SEED"])
+        if jobs is None:
+            jobs = int(os.environ.get("LEPSKI_JOBS", "1"))
+    except ValueError as exc:
+        raise ConfigError(f"LEPSKI_SEED and LEPSKI_JOBS must be integers: {exc}") from exc
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     return seed, jobs

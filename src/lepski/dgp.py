@@ -72,6 +72,7 @@ def _interval_prob(centre: float, cdf: Callable[[float], float]):
 
 def uniform_design(x: float = 0.0, radius: float = 1.0) -> DesignLaw:
     """X uniform on [x - radius, x + radius], centred at x."""
+    x, radius = float(x), float(radius)
     return DesignLaw(
         name="uniform",
         sampler=lambda rng, n: rng.uniform(x - radius, x + radius, (n, 1)),
@@ -86,6 +87,7 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
     P_X[|X - x| <= h] = (h/radius)^(tau+1) for h <= radius, sampled by inverse
     transform.
     """
+    x, radius, tau = float(x), float(radius), float(tau)
     if tau <= -1:
         raise ValueError("need tau > -1 for a normalizable density")
 
@@ -106,6 +108,7 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
 def gaussian_design(x: float = 0.0) -> DesignLaw:
     """X normal with mean x and variance 1; centred at 0 it is the stationary
     law of the mixing AR(1) chain."""
+    x = float(x)
     return DesignLaw(
         name="gaussian",
         sampler=lambda rng, n: x + rng.standard_normal((n, 1)),
@@ -117,18 +120,28 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
 # stopping rules for the sampling stage
 # ------------------------------------------------------------------
 
+def check_count(value, what: str):
+    """value, if it is an integer of at least 1 and no bool; else ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
+        raise ValueError(f"{what} must be an integer of at least 1; got {value!r}")
+    return value
+
+
 @dataclass
 class FixedN:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not (isinstance(self.n, Integral) and self.n >= 1):
-            raise ValueError(f"a fixed length must be an integer of at least 1; got {self.n!r}")
+        check_count(self.n, "a fixed length")
+
+
+BUDGET_N_MAX = 1_000_000  # observations a budget rule may take at most
 
 
 @dataclass
 class BudgetStop:
-    """Stop once the cumulative observation cost would exceed the budget.
+    """Stop once the cumulative observation cost would exceed the budget:
+    N is the largest k whose cumulative cost stays within it.
 
     cost_fn receives the covariate history X_0..X_{k-1} (shape (k, d)) and
     returns the cost of observation k, so the decision whether to take the
@@ -137,17 +150,10 @@ class BudgetStop:
 
     cost_fn: Callable[[np.ndarray], float]
     budget: float
-    n_max: int = 1_000_000
 
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-
-
-def budget_stop(cost_per_obs: Callable[[np.ndarray], float], budget: float,
-                n_max: int = 1_000_000) -> BudgetStop:
-    """Stopping rule: N = largest k whose cumulative cost stays within budget."""
-    return BudgetStop(cost_per_obs, budget, n_max)
 
 
 def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.ndarray],
@@ -162,7 +168,7 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
     """
     buf = np.empty((64, dim))
     k, spent = 0, 0.0
-    while k < rule.n_max:
+    while k < BUDGET_N_MAX:
         if k == buf.shape[0]:
             buf = np.concatenate([buf, np.empty_like(buf)])
         buf[k] = np.asarray(draw_next(k, buf[:k]), dtype=float).reshape(dim)
@@ -181,7 +187,13 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
 # ------------------------------------------------------------------
 
 def constant_scale(value: float = 1.0):
-    return lambda x: np.full(x.shape[0], float(value))
+    value = float(value)
+    return lambda x: np.full(x.shape[0], value)
+
+
+def zero_function(x: np.ndarray) -> np.ndarray:
+    """f = 0, the regression kinds' default f_true."""
+    return np.zeros(np.atleast_2d(x).shape[0])
 
 
 def _fixed_n(stopping) -> Optional[int]:
@@ -269,12 +281,17 @@ class TransientWalk(Regression):
     design = None
 
     def __post_init__(self):
+        self.x_start, self.drift, self.step_sd = map(float, (self.x_start, self.drift,
+                                                             self.step_sd))
         if not isinstance(self.stopping, FixedN):
             raise ValueError("transient walk supports fixed-length sampling only")
 
     def covariates(self, rng) -> np.ndarray:
         steps = self.drift + self.step_sd * rng.standard_normal(self.stopping.n - 1)
         return (self.x_start + np.concatenate([[0.0], np.cumsum(steps)])).reshape(-1, 1)
+
+
+MAGNITUDE_GUARD = 1e6  # an autoregressive |X_k| beyond it is an ExplosiveChain
 
 
 @dataclass
@@ -291,7 +308,6 @@ class Autoregressive:
     s_scale: Callable[[np.ndarray], np.ndarray]
     stopping: object
     y_coord: int = 0
-    magnitude_guard: float = 1e6
 
     design = None
 
@@ -301,6 +317,10 @@ class Autoregressive:
             raise ValueError(f"ar_matrix must be square; got shape {self.ar_matrix.shape}")
         if not isinstance(self.stopping, FixedN):
             raise ValueError("autoregressive sampling supports fixed length only")
+        if isinstance(self.y_coord, bool) or not (isinstance(self.y_coord, Integral)
+                                                  and -self.dim <= self.y_coord < self.dim):
+            raise ValueError(f"y_coord must index one of the {self.dim} coordinates; "
+                             f"got {self.y_coord!r}")
 
     @property
     def dim(self) -> int:
@@ -317,40 +337,36 @@ class Autoregressive:
             prev = x[k - 1]
             scale = float(self.s_scale(prev.reshape(1, -1))[0])
             x[k] = a @ prev + scale * self.noise.sampler(rng, a.shape[0])
-            if np.max(np.abs(x[k])) > self.magnitude_guard:
-                raise ExplosiveChain(
-                    f"|X_{k}| exceeded the magnitude guard {self.magnitude_guard:g}")
+            if np.max(np.abs(x[k])) > MAGNITUDE_GUARD:
+                raise ExplosiveChain(f"|X_{k}| exceeded the magnitude guard {MAGNITUDE_GUARD:g}")
         covs = x[:-1]
         sig = np.asarray(self.s_scale(covs), dtype=float)
         return SamplePath(covs, x[1:, self.y_coord], sig, truth=self.f_true)
 
 
-def iid_regression_spec(f_true, noise: Optional[NoiseSpec] = None, *,
-                        design: Optional[DesignLaw] = None, s_scale=None,
-                        stopping=None, n: int = 1000) -> IidRegression:
-    return IidRegression(f_true, noise or gaussian_noise(), s_scale or constant_scale(1.0),
-                         stopping or FixedN(n), design or uniform_design())
+def iid_regression_spec(f_true=None, noise: Optional[NoiseSpec] = None, *, stopping,
+                        design: Optional[DesignLaw] = None, s_scale=None) -> IidRegression:
+    return IidRegression(f_true or zero_function, noise or gaussian_noise(),
+                         s_scale or constant_scale(1.0), stopping, design or uniform_design())
 
 
-def mixing_ar1_spec(f_true, rho: float = 0.5, noise: Optional[NoiseSpec] = None, *,
-                    sigma: float = 1.0, stopping=None, n: int = 1000) -> MixingAr1:
-    return MixingAr1(f_true, noise or gaussian_noise(), constant_scale(sigma),
-                     stopping or FixedN(n), rho)
+def mixing_ar1_spec(f_true=None, rho: float = 0.5, noise: Optional[NoiseSpec] = None, *,
+                    stopping, sigma: float = 1.0) -> MixingAr1:
+    return MixingAr1(f_true or zero_function, noise or gaussian_noise(),
+                     constant_scale(sigma), stopping, rho)
 
 
-def transient_walk_spec(f_true, noise: Optional[NoiseSpec] = None, *,
-                        x_start: float = 0.0, drift: float = 0.5,
-                        step_sd: float = 0.5, sigma: float = 1.0,
-                        stopping=None, n: int = 1000) -> TransientWalk:
-    return TransientWalk(f_true, noise or gaussian_noise(), constant_scale(sigma),
-                         stopping or FixedN(n), x_start, drift, step_sd)
+def transient_walk_spec(f_true=None, noise: Optional[NoiseSpec] = None, *, stopping,
+                        x_start: float = 0.0, drift: float = 0.5, step_sd: float = 0.5,
+                        sigma: float = 1.0) -> TransientWalk:
+    return TransientWalk(f_true or zero_function, noise or gaussian_noise(),
+                         constant_scale(sigma), stopping, x_start, drift, step_sd)
 
 
-def autoregressive_spec(ar_matrix, s_scale=None, noise: Optional[NoiseSpec] = None, *,
-                        y_coord: int = 0, stopping=None, n: int = 1000,
-                        magnitude_guard: float = 1e6) -> Autoregressive:
+def autoregressive_spec(ar_matrix=((0.5,),), s_scale=None, noise: Optional[NoiseSpec] = None,
+                        *, stopping, y_coord: int = 0) -> Autoregressive:
     return Autoregressive(ar_matrix, noise or gaussian_noise(), s_scale or constant_scale(1.0),
-                          stopping or FixedN(n), y_coord, magnitude_guard)
+                          stopping, y_coord)
 
 
 def simulate(spec, seed) -> SamplePath:

@@ -33,10 +33,11 @@ class NoiseSpec:
     variance: float
 
     def __post_init__(self):
-        if self.alpha not in (1, 2):
-            raise ValueError("alpha must be 1 or 2")
+        if isinstance(self.alpha, (bool, float)) or self.alpha not in (1, 2):
+            raise ValueError(f"alpha must be the integer 1 or 2; got {self.alpha!r}")
         if not (self.mu > 0 and self.gamma > 1):
             raise ValueError("need mu > 0 and gamma > 1")
+        self.mu = float(self.mu)  # its repr keys the stability streams
 
 
 # Named samplers, not lambdas or closures, so that a NoiseSpec pickles for a worker.

@@ -39,7 +39,7 @@ class HolderModulus:
     """w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w defaults to 1."""
 
     s: float
-    scale: float
+    scale: float = 1.0
     ell_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):

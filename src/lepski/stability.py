@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dgp import simulate
+from .dgp import check_count, simulate
 from .errors import CensoredPathsWarning
 from .model_core import GridConfig, SamplePath, grid_statistics, z_statistic
 from .noise import NoiseSpec
@@ -128,11 +128,10 @@ class AdaptedScale:
 
 @dataclass
 class FixedT:
-    n: int
+    n: int = 1000
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError(f"FixedT needs n >= 1, got {self.n}")
+        check_count(self.n, "FixedT's n")
 
     @property
     def name(self):
@@ -150,8 +149,8 @@ class FirstCrossing:
     cap: int = 10_000
 
     def __post_init__(self):
-        if not self.cap >= 1:
-            raise ValueError(f"FirstCrossing needs cap >= 1, got {self.cap}")
+        self.c = float(self.c)
+        check_count(self.cap, "FirstCrossing's cap")
 
     @property
     def name(self):
@@ -169,8 +168,9 @@ class RandomizedStop:
     cap: int = 10_000
 
     def __post_init__(self):
-        if not (0 < self.p <= 1 and self.cap >= 1):
-            raise ValueError(f"RandomizedStop needs 0 < p <= 1 and cap >= 1, got {self}")
+        if not 0 < self.p <= 1:
+            raise ValueError(f"RandomizedStop needs 0 < p <= 1, got {self.p!r}")
+        check_count(self.cap, "RandomizedStop's cap")
 
     @property
     def name(self):

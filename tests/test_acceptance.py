@@ -351,7 +351,8 @@ def test_a8_tail_decay_of_adaptive_estimator():
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=b, nu=nu_thr, j_max=60)
     w = HolderModulus(0.5, 1.0)
     f = lambda rows: np.abs(np.atleast_2d(rows)[:, 0]) ** 0.5
-    spec = iid_regression_spec(f, gaussian_noise(mu), design=uniform_design(0.0, 1.0), n=n)
+    spec = iid_regression_spec(f, gaussian_noise(mu), design=uniform_design(0.0, 1.0),
+                               stopping=FixedN(n))
 
     rows = []
     for r in range(n_rep):

@@ -167,9 +167,11 @@ class TestEstimate:
         {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 1.5}},
     ], ids=["mixing_ar1", "transient_walk", "autoregressive", "iid_budget"])
     def test_jobs_determinism_across_process_kinds(self, tmp_path, process):
-        # cells rebuild their process from the raw document in each worker
-        process = {"f_true": {"name": "zero"},
-                   "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
+        # cells rebuild their process from the raw document in each worker;
+        # an autoregressive f_true is its matrix, so it takes no f_true key
+        process = {"noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
+        if process["kind"] != "autoregressive":
+            process["f_true"] = {"name": "zero"}
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
@@ -381,10 +383,16 @@ class TestVerifyStability:
         {"formats": ["xml"]},
         {"formats": [1]},
         {"formats": ["csv", "xml"]},
+        {"n_rep": 300.7},
+        {"n_rep": True},
+        {"scale": ["constant"]},
+        {"stopping": [{"rule": "crossing", "C": 3}]},
+        {"stopping": [{"rule": "fixed", "n": 2.5}]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
-            "formats_str", "formats_xml", "formats_int", "formats_csv_xml"])
+            "formats_str", "formats_xml", "formats_int", "formats_csv_xml",
+            "n_rep_frac", "n_rep_bool", "scale_for_scales", "crossing_C", "fixed2.5"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -474,6 +482,18 @@ class TestExitCodes:
         {"n_ladder": [True, 5]},
         {"modulus": {"kind": "holder", "s": 0.5, "scale": float("nan")}},
         {"process": {"kind": "mixing_ar1", "x": 1.0}},
+        {"n_rep": 2.5},
+        {"n_rep": True},
+        {"process": {"kind": "mixing_ar1", "rh0": 0.9}},
+        {"process": {"kind": "iid_regression", "desing": {"name": "gaussian"}}},
+        {"process": {"kind": "iid_regression",
+                     "noise": {"family": "truncated_laplace", "alpha": 2}}},
+        {"process": {"kind": "mixing_ar1", "design": {"name": "gaussian"}}},
+        {"modulus": {"kind": "holder", "s": 0.5, "scal": 1.0}},
+        {"n_reps": 2},
+        {"process": {"kind": "mixing_ar1", "sigma": "abc"}},
+        {"process": {"kind": "transient_walk", "drift": "a"}},
+        {"process": {"kind": "autoregressive", "y_coord": 1}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -481,7 +501,9 @@ class TestExitCodes:
             "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac",
             "n_ladder_zero", "n_ladder_negative", "n_ladder_frac", "mixing_n_ladder_frac",
             "n_ladder_second_rung_frac", "n_ladder_bool", "modulus_scale_nan",
-            "mixing_x_ne_grid"])
+            "mixing_x_ne_grid", "n_rep_frac", "n_rep_bool", "mixing_rh0", "iid_desing",
+            "laplace_alpha", "mixing_design", "modulus_scal", "top_n_reps",
+            "mixing_sigma_str", "walk_drift_str", "ar_y_coord_out_of_range"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -511,9 +533,88 @@ class TestExitCodes:
         assert "cap" in res.output or "floor" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [("LEPSKI_JOBS", "two"), ("LEPSKI_SEED", "abc")])
+    def test_non_integer_environment_exit_2(self, tmp_path, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        docs = {"estimate": base_config(tmp_path / "out"),
+                "verify-stability": TestVerifyStability().stab_config(tmp_path / "out", n_rep=100)}
+        for command, doc in docs.items():
+            res = run_cli(command, "--config", str(write_config(tmp_path, doc)))
+            assert res.exit_code == 2, (command, res.output)
+            assert name in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         res = run_cli("estimate", "--config", str(tmp_path / "nope.json"))
         assert res.exit_code in (2, 4)  # unreadable config
+
+
+def built_values(obj):
+    """What a built config object does, so that two of them compare by value."""
+    rng, x = np.random.default_rng(0), np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    if isinstance(obj, lepski.NoiseSpec):
+        return obj.name, obj.alpha, obj.mu, obj.gamma, obj.variance, obj.sampler(rng, 5).tolist()
+    if isinstance(obj, DesignLaw):
+        return obj.name, obj.interval_prob(0.3, 0.5), obj.sampler(rng, 5).tolist()
+    if hasattr(obj, "sample"):  # a process
+        s = lepski.simulate(obj, 0)
+        return type(obj), s.x_obs.tolist(), s.y_obs.tolist(), s.sigma.tolist()
+    if callable(obj):  # a regression or scale function
+        return obj(x).tolist()
+    return type(obj), vars(obj)
+
+
+def stability_rule(key, **section):
+    """The first scale or stopping rule that a stability section builds."""
+    return campaign._stability_section(lambdas=[0.01], **section)[key][0]
+
+
+FIXED = lepski.FixedN(30)
+
+
+class TestSectionDefaults:
+    # a section that names its constructor and sets nothing else builds what
+    # the library constructor builds with no arguments (a Hoelder modulus
+    # needs its s): the readers keep no defaults of their own
+    @pytest.mark.parametrize("read, library", [
+        (lambda: campaign.make_noise({"family": "gaussian"}), lepski.gaussian_noise),
+        (lambda: campaign.make_noise({"family": "two_point"}), lepski.two_point_noise),
+        (lambda: campaign.make_noise({"family": "truncated_laplace"}),
+         lepski.truncated_laplace_noise),
+        (lambda: campaign.make_design({"name": "uniform"}), lepski.uniform_design),
+        (lambda: campaign.make_design({"name": "power_law"}), lepski.power_law_design),
+        (lambda: campaign.make_design({"name": "gaussian"}), lepski.gaussian_design),
+        (lambda: campaign.make_s_scale({"name": "constant"}), lepski.dgp.constant_scale),
+        (lambda: campaign.make_f_true({"name": "zero"}), lambda: lepski.dgp.zero_function),
+        (lambda: campaign.make_process({"kind": "iid_regression"}, 30),
+         lambda: lepski.iid_regression_spec(stopping=FIXED)),
+        (lambda: campaign.make_process({"kind": "mixing_ar1"}, 30),
+         lambda: lepski.mixing_ar1_spec(stopping=FIXED)),
+        (lambda: campaign.make_process({"kind": "transient_walk"}, 30),
+         lambda: lepski.transient_walk_spec(stopping=FIXED)),
+        (lambda: campaign.make_process({"kind": "autoregressive"}, 30),
+         lambda: lepski.autoregressive_spec(stopping=FIXED)),
+        (lambda: campaign.make_process({"kind": "mixing_ar1", "stopping": {"rule": "fixed"}}, 30),
+         lambda: lepski.mixing_ar1_spec(stopping=FIXED)),
+        (lambda: campaign.parse_campaign(base_config("out", modulus={"s": 0.5})).modulus,
+         lambda: lepski.HolderModulus(0.5)),
+        (lambda: stability_rule("stop_rules", stopping=[{"rule": "fixed"}]), lepski.FixedT),
+        (lambda: stability_rule("stop_rules", stopping=[{"rule": "crossing"}]),
+         lepski.FirstCrossing),
+        (lambda: stability_rule("stop_rules", stopping=[{"rule": "randomized"}]),
+         lepski.RandomizedStop),
+        (lambda: stability_rule("stop_rules"), lepski.FixedT),
+        (lambda: stability_rule("scale_rules", scales=["constant"]), lepski.ConstantScale),
+        (lambda: stability_rule("scale_rules", scales=["alternating"]), lepski.AlternatingScale),
+        (lambda: stability_rule("scale_rules", scales=["adapted"]), lepski.AdaptedScale),
+        (lambda: stability_rule("scale_rules"), lepski.ConstantScale),
+    ], ids=["gaussian", "two_point", "truncated_laplace", "uniform", "power_law",
+            "gaussian_design", "constant_scale", "zero", "iid_regression", "mixing_ar1",
+            "transient_walk", "autoregressive", "fixed_n", "holder", "fixed_t", "crossing",
+            "randomized", "default_stop", "constant", "alternating", "adapted",
+            "default_scale"])
+    def test_name_alone_builds_the_library_default(self, read, library):
+        assert built_values(read()) == built_values(library())
 
 
 class TestImport:

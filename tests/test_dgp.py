@@ -13,7 +13,6 @@ from lepski import (
     MixingAr1,
     NoiseSpec,
     autoregressive_spec,
-    budget_stop,
     gaussian_design,
     gaussian_noise,
     iid_regression_spec,
@@ -24,7 +23,7 @@ from lepski import (
     transient_walk_spec,
     uniform_design,
 )
-from lepski.dgp import FixedN, constant_scale, run_budget_stop
+from lepski.dgp import BudgetStop, FixedN, constant_scale, run_budget_stop
 from lepski.noise import normal_cdf
 
 
@@ -40,14 +39,14 @@ def silent_noise():
 
 class TestSimulate:
     def test_noiseless_zero_function(self):
-        spec = iid_regression_spec(zero_f, silent_noise(), n=50)
+        spec = iid_regression_spec(zero_f, silent_noise(), stopping=FixedN(50))
         s = simulate(spec, 0)
         assert np.all(s.y_obs == 0.0)
         assert np.all(s.sigma == 1.0)  # sigma stays a positive upper bound
 
     def test_fixed_n_exact(self):
         for n in (1, 7, 500):
-            spec = iid_regression_spec(zero_f, n=n)
+            spec = iid_regression_spec(zero_f, stopping=FixedN(n))
             assert simulate(spec, 1).n_stop == n
 
     def test_seed_reproducibility_bit_identical(self):
@@ -62,7 +61,7 @@ class TestSimulate:
 
     def test_truth_attached(self):
         f = lambda rows: 2.0 * np.atleast_2d(rows)[:, 0]
-        spec = iid_regression_spec(f, n=20)
+        spec = iid_regression_spec(f, stopping=FixedN(20))
         s = simulate(spec, 3)
         np.testing.assert_allclose(s.truth_values(), 2.0 * s.x_obs[:, 0])
 
@@ -104,7 +103,7 @@ class TestMixingAr1:
         # draw comes after them, so the covariates match bit for bit
         n, rho = 300, 0.6
         fixed = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n)), 8)
-        rule = budget_stop(lambda hist: 1.0, float(n))
+        rule = BudgetStop(lambda hist: 1.0, float(n))
         budget = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=rule), 8)
         np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
 
@@ -211,7 +210,7 @@ class TestTransientWalk:
 
 class TestAutoregressive:
     def test_explosive_chain_guard(self):
-        spec = autoregressive_spec([[1.8]], stopping=FixedN(200), magnitude_guard=1e3)
+        spec = autoregressive_spec([[1.8]], stopping=FixedN(200))
         with pytest.raises(ExplosiveChain):
             simulate(spec, 2)
 
@@ -242,17 +241,17 @@ class TestAutoregressive:
 ], ids=["transient_walk", "autoregressive"])
 def test_fixed_length_kinds_reject_budget_at_construction(build):
     with pytest.raises(ValueError, match="fixed"):
-        build(budget_stop(lambda hist: 1.0, 50.0))
+        build(BudgetStop(lambda hist: 1.0, 50.0))
 
 
 class TestResiduals:
     def test_noiseless_residuals_zero(self):
-        spec = iid_regression_spec(zero_f, silent_noise(), n=100)
+        spec = iid_regression_spec(zero_f, silent_noise(), stopping=FixedN(100))
         np.testing.assert_array_equal(martingale_residuals(simulate(spec, 0)), 0.0)
 
     def test_unit_scale_residuals_are_innovations(self):
         f = lambda rows: np.atleast_2d(rows)[:, 0] ** 2
-        spec = iid_regression_spec(f, gaussian_noise(), n=10_000)
+        spec = iid_regression_spec(f, gaussian_noise(), stopping=FixedN(10_000))
         s = simulate(spec, 9)
         eps = martingale_residuals(s)
         assert abs(eps.mean()) < 4 / math.sqrt(s.n_stop)
@@ -269,16 +268,16 @@ class TestResiduals:
 
 class TestBudgetStop:
     def test_constant_cost_floor(self):
-        spec = iid_regression_spec(zero_f, stopping=budget_stop(lambda hist: 2.0, 17.0))
+        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 2.0, 17.0))
         assert simulate(spec, 0).n_stop == 8  # floor(17/2)
 
     def test_unit_cost_fractional_budget(self):
-        spec = iid_regression_spec(zero_f, stopping=budget_stop(lambda hist: 1.0, 10.5))
+        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 1.0, 10.5))
         assert simulate(spec, 0).n_stop == 10
 
     def test_state_dependent_cost_replay_oracle(self):
         # cost of observation k is 1 + |X_{k-1}|; replay the same path directly
-        rule = budget_stop(lambda hist: 1.0 + abs(hist[-1, 0]), 25.0)
+        rule = BudgetStop(lambda hist: 1.0 + abs(hist[-1, 0]), 25.0)
         spec = iid_regression_spec(zero_f, stopping=rule,
                                    design=uniform_design(0.0, 2.0))
         s = simulate(spec, 33)
@@ -292,7 +291,7 @@ class TestBudgetStop:
         assert spent[-1] + 1.0 + abs(draws[s.n_stop]) > 25.0
 
     def test_budget_too_small_raises(self):
-        spec = iid_regression_spec(zero_f, stopping=budget_stop(lambda hist: 5.0, 1.0))
+        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 5.0, 1.0))
         with pytest.raises(ValueError):
             simulate(spec, 0)
 
@@ -305,7 +304,7 @@ class TestBudgetStop:
             seen.append(hist.copy())
             return 1.0
 
-        rule = budget_stop(spy, 5.5)
+        rule = BudgetStop(spy, 5.5)
         draw = lambda k, hist: np.array([float(k)])
         x = run_budget_stop(rule, draw, 1)
         assert x.shape == (5, 1)
@@ -327,7 +326,7 @@ class TestBudgetStop:
             priced.append(hist)
             return 1.0
 
-        x = run_budget_stop(budget_stop(cost, 300.0), draw, 2)
+        x = run_budget_stop(BudgetStop(cost, 300.0), draw, 2)
         np.testing.assert_array_equal(x, np.column_stack([np.arange(300.0), -np.arange(300.0)]))
         assert [h.shape[0] for h in drawn] == list(range(301))
         assert [h.shape[0] for h in priced] == list(range(1, 302))

@@ -17,6 +17,7 @@ from lepski import (
     CensoredPathsWarning,
     ConstantScale,
     FirstCrossing,
+    FixedN,
     FixedT,
     GridConfig,
     NoiseSpec,
@@ -380,7 +381,8 @@ class TestUniformStability:
 class TestPiTail:
     def _process(self):
         f = lambda rows: np.zeros(np.atleast_2d(rows).shape[0])
-        return iid_regression_spec(f, gaussian_noise(), design=uniform_design(0.0, 1.0), n=60)
+        return iid_regression_spec(f, gaussian_noise(), design=uniform_design(0.0, 1.0),
+                                   stopping=FixedN(60))
 
     def _cfg(self):
         return GridConfig(x_point=[0.0], h0=1.0, q=0.7, j_max=12)
