@@ -82,14 +82,10 @@ from .dgp import (
     MixingAr1,
     Regression,
     TransientWalk,
-    autoregressive_spec,
     gaussian_design,
-    iid_regression_spec,
     martingale_residuals,
-    mixing_ar1_spec,
     power_law_design,
     simulate,
-    transient_walk_spec,
     uniform_design,
 )
 

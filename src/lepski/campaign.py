@@ -9,11 +9,11 @@ byte-stable for any --jobs.  `verify-stability` runs on the same pool.
 Every config section is read the same way: a section's keys are the keywords
 of its constructor, which its name picks from a table (the process "kind",
 the noise "family", a stopping "rule", the modulus "kind", or the "name" of
-a function or design law, whose keywords sit in "params").  The two command
-documents' keys are the keywords of `_campaign` and `_stability_document`.
-So each default lives once, in the constructor, and an unknown name or key,
-or a value its constructor refuses, is a ConfigError (exit 2) when the
-document loads.
+a function or design law, whose keywords sit in "params"); a process kind
+names its `dgp` class.  The command documents' keys are the keywords of
+`_campaign` or `_stability_document` and `_run_keys`.  So each default lives
+once, in the constructor, and an unknown name or key, or a value its
+constructor refuses, is a ConfigError (exit 2) when the document loads.
 
 The grid's x is the one estimation point, for L and for the deterministic
 bandwidth h_w alike; a design's `x` is where the law is centred.  h_w depends
@@ -75,40 +75,42 @@ def _build(what: str, table: dict, section, key: str, default=None, *args):
 
 
 def _f_constant(value: float = 1.0):
-    value = float(value)
+    [value] = dgp.check_finite(value)
     return lambda x: np.full(np.atleast_2d(x).shape[0], value)
 
 
 def _f_linear(slope: float = 1.0, intercept: float = 0.0):
-    slope, intercept = float(slope), float(intercept)
+    slope, intercept = dgp.check_finite(slope, intercept)
     return lambda x: intercept + slope * np.atleast_2d(x)[:, 0]
 
 
 def _f_holder_cusp(s: float = 0.5, scale: float = 1.0, at: float = 0.0):
     # |y - at|^s cusp: Holder with exponent s and constant `scale`, worst case at `at`
-    s, scale, at = float(s), float(scale), float(at)
+    s, scale, at = dgp.check_finite(s, scale, at)
     return lambda x: scale * np.abs(np.atleast_2d(x)[:, 0] - at) ** s
 
 
 def _f_sine(amp: float = 1.0, freq: float = 1.0):
-    amp, freq = float(amp), float(freq)
+    amp, freq = dgp.check_finite(amp, freq)
     return lambda x: amp * np.sin(freq * np.atleast_2d(x)[:, 0])
 
 
 def _affine_abs(a: float = 1.0, b: float = 0.5):
-    a, b = float(a), float(b)
+    a, [b] = dgp.check_positive(a, "a"), dgp.check_finite(b)
+    if b < 0:
+        raise ValueError(f"b must be at least 0; got {b!r}")
     return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
 
 
 def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
     """A constant cost per observation; a budget campaign's ladder holds budgets."""
-    cost = float(cost)
+    cost = dgp.check_positive(cost, "cost")
     return dgp.BudgetStop(lambda hist: cost, float(budget))
 
 
 def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
-    """mixing_ar1_spec; x may only restate the grid's x, as `_campaign` checks."""
-    return dgp.mixing_ar1_spec(**params)
+    """MixingAr1; x may only restate the grid's x, as `_campaign` checks."""
+    return dgp.MixingAr1(**params)
 
 
 def _grid(x=0.0, **params) -> GridConfig:
@@ -124,9 +126,8 @@ _DESIGNS = {"uniform": dgp.uniform_design, "power_law": dgp.power_law_design,
 _NOISES = {"gaussian": gaussian_noise, "two_point": two_point_noise,
            "truncated_laplace": truncated_laplace_noise}
 _STOPPING = {"fixed": dgp.FixedN, "budget": _budget_stop}  # called with the ladder's n
-_PROCESSES = {"iid_regression": dgp.iid_regression_spec, "mixing_ar1": _mixing_ar1,
-              "transient_walk": dgp.transient_walk_spec,
-              "autoregressive": dgp.autoregressive_spec}
+_PROCESSES = {"iid_regression": dgp.IidRegression, "mixing_ar1": _mixing_ar1,
+              "transient_walk": dgp.TransientWalk, "autoregressive": dgp.Autoregressive}
 _MODULI = {"holder": HolderModulus}
 _SCALE_RULES = {"constant": stab.ConstantScale, "alternating": stab.AlternatingScale,
                 "adapted": stab.AdaptedScale, "zero": lambda: stab.ConstantScale(0.0)}
@@ -152,9 +153,9 @@ def make_noise(doc) -> NoiseSpec:
 
 
 def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
-    """The process at ladder rung n: the spec helper that its kind names,
-    called on its other keys once its f_true, noise, design and s_scale
-    sections and its stopping rule at n are built."""
+    """The process at ladder rung n: the class that its kind names, called on
+    its other keys once its f_true, noise, design and s_scale sections and
+    its stopping rule at n are built."""
     if not isinstance(doc, dict):
         raise ConfigError(f"the process must be a JSON object; got {doc!r}")
     params = dict(doc)
@@ -221,14 +222,22 @@ def _numbers(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
 
 
-def parse_campaign(doc: dict, *, seed=None, out=None) -> CampaignConfig:
-    """The campaign document; seed and out, when given, replace its
-    master_seed and outputs."""
-    return _call("campaign document", _campaign, doc, doc, seed, out)
+def parse_campaign(doc: dict, *, seed=None, out=None, fmt=None) -> CampaignConfig:
+    """The campaign document; seed, out and fmt, when given, replace its
+    master_seed, outputs and formats."""
+    return _call("campaign document", _campaign, doc, doc, seed, out, fmt)
 
 
-def _campaign(raw, seed, out, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
-              master_seed=0, outputs="out", formats=["csv"], t_grid=[]) -> CampaignConfig:
+def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"]) -> tuple:
+    """(master seed, output directory, formats) of a command document, with seed,
+    out and fmt in their place when given; its own seed and formats are checked anyway."""
+    formats, master_seed = _formats(formats), dgp.check_count(master_seed, "master_seed", 0)
+    seed = master_seed if seed is None else dgp.check_count(seed, "the seed override", 0)
+    return int(seed), Path(outputs if out is None else out), formats if fmt is None else [fmt]
+
+
+def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
+              t_grid=[], **run) -> CampaignConfig:
     # here and in the stability readers a list or dict default is the JSON
     # value that a missing key stands for; no reader mutates it
     grid = _call("grid", _grid, grid)
@@ -250,12 +259,8 @@ def _campaign(raw, seed, out, /, *, process, grid, n_ladder, modulus=None, n_rep
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not _numbers(t_grid):
         raise ConfigError(f"t_grid must be a list of numbers; got {t_grid!r}")
-    return CampaignConfig(
-        raw=raw, grid=grid, modulus=modulus, n_ladder=n_ladder, n_rep=n_rep,
-        master_seed=int(master_seed if seed is None else seed),
-        outputs=Path(outputs if out is None else out), formats=_formats(formats),
-        t_grid=[float(t) for t in t_grid] or None,
-    )
+    return CampaignConfig(raw, grid, modulus, n_ladder, n_rep, *_run_keys(seed, out, fmt, **run),
+                          t_grid=[float(t) for t in t_grid] or None)
 
 
 def read_config(path) -> dict:
@@ -267,8 +272,8 @@ def read_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def load_campaign(path, *, seed=None, out=None) -> CampaignConfig:
-    return parse_campaign(read_config(path), seed=seed, out=out)
+def load_campaign(path, *, seed=None, out=None, fmt=None) -> CampaignConfig:
+    return parse_campaign(read_config(path), seed=seed, out=out, fmt=fmt)
 
 
 def cell_seed(master_seed: int, n: int, rep: int) -> tuple:
@@ -551,13 +556,10 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
             "all_pass": all(r.passed for r in reports)}
 
 
-def _stability_document(seed, out, fmt, /, *, stability, master_seed=0, outputs="out",
-                        formats=["csv"]) -> tuple:
+def _stability_document(seed, out, fmt, /, *, stability, **run) -> tuple:
     """(stability_matrix keywords, master seed, output directory, formats)."""
-    formats = _formats(formats)  # checked even when fmt replaces it, as for campaigns
     return (_call("stability section", _stability_section, stability),
-            int(master_seed if seed is None else seed), Path(outputs if out is None else out),
-            formats if fmt is None else [fmt])
+            *_run_keys(seed, out, fmt, **run))
 
 
 def _stability_section(*, lambdas, noise={}, scales=["constant"], stopping=[{}], a=[1.0],

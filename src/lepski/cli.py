@@ -75,13 +75,6 @@ def _resolve(seed, jobs):
     return seed, jobs
 
 
-def _load(config_path, seed, out, fmt):
-    cfg = campaign.load_campaign(config_path, seed=seed, out=out)
-    if fmt is not None:
-        cfg.formats = [fmt]
-    return cfg
-
-
 @click.group()
 def main():
     """Adaptive kernel regression campaigns and stability verification."""
@@ -92,7 +85,7 @@ def main():
 def simulate(config_path, seed, out, jobs, fmt):
     """Write one sample CSV per (n, rep) cell."""
     s, j = _resolve(seed, jobs)
-    cfg = _load(config_path, s, out, fmt)
+    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
     paths = campaign.run_simulate(cfg, j)
     click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")
 
@@ -102,7 +95,7 @@ def simulate(config_path, seed, out, jobs, fmt):
 def estimate(config_path, seed, out, jobs, fmt):
     """Run selection and rate diagnostics for every replication."""
     s, j = _resolve(seed, jobs)
-    cfg = _load(config_path, s, out, fmt)
+    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
     res = campaign.run_estimate(cfg, j)
     click.echo(f"wrote {len(res['rows'])} estimate rows to {cfg.outputs}")
 
@@ -112,7 +105,7 @@ def estimate(config_path, seed, out, jobs, fmt):
 def tail_risk(config_path, seed, out, jobs, fmt):
     """Empirical tail of the risk against the random rate over the config's t_grid."""
     s, j = _resolve(seed, jobs)
-    cfg = _load(config_path, s, out, fmt)
+    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
     res = campaign.run_tail_risk(cfg, j)
     click.echo(f"wrote tail table ({len(res['rows'])} thresholds) to {cfg.outputs}")
 
@@ -122,7 +115,7 @@ def tail_risk(config_path, seed, out, jobs, fmt):
 def rates(config_path, seed, out, jobs, fmt):
     """Deterministic-rate ladder with containment frequencies and scaling fit."""
     s, j = _resolve(seed, jobs)
-    cfg = _load(config_path, s, out, fmt)
+    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
     res = campaign.run_rates(cfg, j)
     if res["fit"]:
         click.echo(

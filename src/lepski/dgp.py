@@ -20,13 +20,14 @@ bit-identical samples.
 
 A design law's x is where the law is centred, not the estimation point: that
 point belongs to the grid, and the deterministic rate evaluates the law's
-interval probability there.  Each kind checks its own fields at construction.
+interval probability there.  A kind's keyword-only fields carry its defaults
+(only `stopping` is required), and it checks them at construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral
 from typing import Callable, Optional
@@ -44,6 +45,22 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, (tuple, list)):
         return np.random.default_rng(np.random.SeedSequence(tuple(int(s) for s in seed)))
     return np.random.default_rng(seed)
+
+
+def check_finite(*values) -> list:
+    """The values as floats, if each is finite; else ValueError."""
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"parameters must be finite; got {values}")
+    return values
+
+
+def check_positive(value, what: str) -> float:
+    """float(value), if 0 < value < inf; else ValueError."""
+    value = float(value)
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{what} must be positive and finite; got {value!r}")
+    return value
 
 
 # ------------------------------------------------------------------
@@ -72,7 +89,7 @@ def _interval_prob(centre: float, cdf: Callable[[float], float]):
 
 def uniform_design(x: float = 0.0, radius: float = 1.0) -> DesignLaw:
     """X uniform on [x - radius, x + radius], centred at x."""
-    x, radius = float(x), float(radius)
+    [x], radius = check_finite(x), check_positive(radius, "radius")
     return DesignLaw(
         name="uniform",
         sampler=lambda rng, n: rng.uniform(x - radius, x + radius, (n, 1)),
@@ -87,9 +104,9 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
     P_X[|X - x| <= h] = (h/radius)^(tau+1) for h <= radius, sampled by inverse
     transform.
     """
-    x, radius, tau = float(x), float(radius), float(tau)
-    if tau <= -1:
-        raise ValueError("need tau > -1 for a normalizable density")
+    [x], radius, tau = check_finite(x), check_positive(radius, "radius"), float(tau)
+    if not -1 < tau < math.inf:
+        raise ValueError(f"need a finite tau > -1 for a normalizable density; got {tau!r}")
 
     def sampler(rng, n):
         mag = radius * rng.random(n) ** (1.0 / (tau + 1.0))
@@ -108,7 +125,7 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
 def gaussian_design(x: float = 0.0) -> DesignLaw:
     """X normal with mean x and variance 1; centred at 0 it is the stationary
     law of the mixing AR(1) chain."""
-    x = float(x)
+    [x] = check_finite(x)
     return DesignLaw(
         name="gaussian",
         sampler=lambda rng, n: x + rng.standard_normal((n, 1)),
@@ -120,10 +137,10 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
 # stopping rules for the sampling stage
 # ------------------------------------------------------------------
 
-def check_count(value, what: str):
-    """value, if it is an integer of at least 1 and no bool; else ValueError."""
-    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
-        raise ValueError(f"{what} must be an integer of at least 1; got {value!r}")
+def check_count(value, what: str, least: int = 1):
+    """value, if it is an integer of at least `least` and no bool; else ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{what} must be an integer of at least {least}; got {value!r}")
     return value
 
 
@@ -152,8 +169,7 @@ class BudgetStop:
     budget: float
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        check_positive(self.budget, "budget")
 
 
 def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.ndarray],
@@ -187,7 +203,7 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
 # ------------------------------------------------------------------
 
 def constant_scale(value: float = 1.0):
-    value = float(value)
+    value = check_positive(value, "a noise scale")
     return lambda x: np.full(x.shape[0], value)
 
 
@@ -200,20 +216,19 @@ def _fixed_n(stopping) -> Optional[int]:
     return stopping.n if isinstance(stopping, FixedN) else None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Regression:
     """Y_k = f_true(X_{k-1}) + s_scale(X_{k-1}) zeta_k on a kind's covariates.
 
-    f_true is vectorized over (n, d) rows; s_scale maps covariate rows to the
-    positive noise scale observed as sigma_{k-1}.  design, the covariates'
-    `DesignLaw` that the deterministic rate reads, is None for a kind
-    without one.
+    f_true is vectorized over (n, d) rows; s_scale, set by each kind, maps
+    covariate rows to the positive noise scale observed as sigma_{k-1}.
+    design, the covariates' `DesignLaw` that the deterministic rate reads,
+    is None for a kind without one.
     """
 
-    f_true: Callable[[np.ndarray], np.ndarray]
-    noise: NoiseSpec
-    s_scale: Callable[[np.ndarray], np.ndarray]
     stopping: object
+    f_true: Callable[[np.ndarray], np.ndarray] = zero_function
+    noise: NoiseSpec = field(default_factory=gaussian_noise)
 
     dim = 1  # covariate dimension
 
@@ -225,11 +240,12 @@ class Regression:
         return SamplePath(x, y, sig, truth=self.f_true)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IidRegression(Regression):
-    """Covariates drawn iid from a design law."""
+    """Covariates drawn iid from a design law, heteroscedastic through s_scale."""
 
-    design: DesignLaw
+    s_scale: Callable[[np.ndarray], np.ndarray] = field(default_factory=constant_scale)
+    design: DesignLaw = field(default_factory=uniform_design)
 
     def covariates(self, rng) -> np.ndarray:
         n = _fixed_n(self.stopping)
@@ -238,25 +254,28 @@ class IidRegression(Regression):
         return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0], 1)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MixingAr1(Regression):
     """Stationary chain x_k = rho x_{k-1} + sqrt(1 - rho^2) xi_k started in N(0, 1).
 
-    design is the chain's stationary law N(0, 1); it draws nothing.  |rho| < 1
-    is checked at construction.  A fixed-length chain draws x_0 and its n - 1
-    innovations in one call and then runs the recursion over Python floats:
-    the same draws and the same two roundings per step as the stepwise chain
-    that a budget rule drives, so both leave bit-identical covariates and the
-    generator at the same position.
+    sigma is the constant noise scale, and design the chain's stationary law
+    N(0, 1), which draws nothing.  |rho| < 1 is checked at construction.  A
+    fixed-length chain draws x_0 and its n - 1 innovations in one call and
+    then runs the recursion over Python floats: the same draws and the same
+    two roundings per step as the stepwise chain that a budget rule drives,
+    so both leave bit-identical covariates and the generator at the same
+    position.
     """
 
-    rho: float
+    rho: float = 0.5
+    sigma: float = 1.0
 
     design = gaussian_design()
 
     def __post_init__(self):
         if not abs(self.rho) < 1:  # NaN fails too
             raise ValueError(f"|rho| < 1 is required for stationarity; got rho={self.rho!r}")
+        self.s_scale = constant_scale(self.sigma)
 
     def covariates(self, rng) -> np.ndarray:
         rho, c = self.rho, math.sqrt(1.0 - self.rho**2)
@@ -270,21 +289,26 @@ class MixingAr1(Regression):
                                else rho * hist[-1, 0] + c * rng.standard_normal(), 1)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TransientWalk(Regression):
-    """Drifting walk x_k = x_{k-1} + drift + step_sd xi_k from x_start; fixed length only."""
+    """Drifting walk x_k = x_{k-1} + drift + step_sd xi_k from x_start, with the
+    constant noise scale sigma; fixed length only."""
 
-    x_start: float
-    drift: float
-    step_sd: float
+    x_start: float = 0.0
+    drift: float = 0.5
+    step_sd: float = 0.5
+    sigma: float = 1.0
 
     design = None
 
     def __post_init__(self):
-        self.x_start, self.drift, self.step_sd = map(float, (self.x_start, self.drift,
-                                                             self.step_sd))
+        self.x_start, self.drift, self.step_sd = check_finite(self.x_start, self.drift,
+                                                              self.step_sd)
+        if self.step_sd < 0:
+            raise ValueError(f"step_sd must be at least 0; got {self.step_sd!r}")
         if not isinstance(self.stopping, FixedN):
             raise ValueError("transient walk supports fixed-length sampling only")
+        self.s_scale = constant_scale(self.sigma)
 
     def covariates(self, rng) -> np.ndarray:
         steps = self.drift + self.step_sd * rng.standard_normal(self.stopping.n - 1)
@@ -294,7 +318,7 @@ class TransientWalk(Regression):
 MAGNITUDE_GUARD = 1e6  # an autoregressive |X_k| beyond it is an ExplosiveChain
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Autoregressive:
     """X_k = A X_{k-1} + s_scale(X_{k-1}) zeta_k from X_0 = 0, fixed length only.
 
@@ -303,10 +327,10 @@ class Autoregressive:
     conditional mean is f_true.  ar_matrix must be square.
     """
 
-    ar_matrix: np.ndarray
-    noise: NoiseSpec
-    s_scale: Callable[[np.ndarray], np.ndarray]
     stopping: object
+    ar_matrix: np.ndarray = ((0.5,),)
+    noise: NoiseSpec = field(default_factory=gaussian_noise)
+    s_scale: Callable[[np.ndarray], np.ndarray] = field(default_factory=constant_scale)
     y_coord: int = 0
 
     design = None
@@ -342,31 +366,6 @@ class Autoregressive:
         covs = x[:-1]
         sig = np.asarray(self.s_scale(covs), dtype=float)
         return SamplePath(covs, x[1:, self.y_coord], sig, truth=self.f_true)
-
-
-def iid_regression_spec(f_true=None, noise: Optional[NoiseSpec] = None, *, stopping,
-                        design: Optional[DesignLaw] = None, s_scale=None) -> IidRegression:
-    return IidRegression(f_true or zero_function, noise or gaussian_noise(),
-                         s_scale or constant_scale(1.0), stopping, design or uniform_design())
-
-
-def mixing_ar1_spec(f_true=None, rho: float = 0.5, noise: Optional[NoiseSpec] = None, *,
-                    stopping, sigma: float = 1.0) -> MixingAr1:
-    return MixingAr1(f_true or zero_function, noise or gaussian_noise(),
-                     constant_scale(sigma), stopping, rho)
-
-
-def transient_walk_spec(f_true=None, noise: Optional[NoiseSpec] = None, *, stopping,
-                        x_start: float = 0.0, drift: float = 0.5, step_sd: float = 0.5,
-                        sigma: float = 1.0) -> TransientWalk:
-    return TransientWalk(f_true or zero_function, noise or gaussian_noise(),
-                         constant_scale(sigma), stopping, x_start, drift, step_sd)
-
-
-def autoregressive_spec(ar_matrix=((0.5,),), s_scale=None, noise: Optional[NoiseSpec] = None,
-                        *, stopping, y_coord: int = 0) -> Autoregressive:
-    return Autoregressive(ar_matrix, noise or gaussian_noise(), s_scale or constant_scale(1.0),
-                          stopping, y_coord)
 
 
 def simulate(spec, seed) -> SamplePath:

@@ -92,6 +92,8 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
     """
     if not 0 < mu < 1:
         raise ValueError("truncated Laplace certification needs 0 < mu < 1")
+    if not 0 < cut < math.inf:  # NaN fails too
+        raise ValueError(f"need 0 < cut < inf; got cut={cut!r}")
     z = 1.0 - math.exp(-cut)
     gamma = (1.0 - math.exp(-(1.0 - mu) * cut)) / ((1.0 - mu) * z)
     variance = 2.0 - (cut**2 + 2.0 * cut) * math.exp(-cut) / z

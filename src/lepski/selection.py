@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import GridEmpty
 from .model_core import (
     GridConfig,
     GridStats,
@@ -86,12 +87,16 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
 def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     """Literal evaluation of the defining set of the selection rule.
 
-    For every candidate h >= H_{u0} in the grid, every h' in [H_{u0}, h] is
-    checked pairwise with freshly recomputed kernel estimates and occupation
-    times (no caching, no early exit); the maximum admissible h wins.
+    The grid {h0 q^j : L(h0 q^j) > 0} is built here.  For every candidate
+    h >= H_{u0} in it, every h' in [H_{u0}, h] is checked pairwise with freshly
+    recomputed kernel estimates and occupation times (no caching, no early
+    exit); the maximum admissible h wins.
     O(|grid|^2) estimator evaluations; testing oracle for `select_bandwidth`.
     """
-    hs = [float(h) for h in grid_statistics(sample, cfg).bandwidths]
+    grid = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
+    hs = [float(h) for h in grid if occupation_time(sample, cfg.x_point, h) > 0]
+    if not hs:
+        raise GridEmpty("no observation within h0 of the estimation point")
 
     def level(h):
         return np.sqrt(psi(h, cfg) / occupation_time(sample, cfg.x_point, h))

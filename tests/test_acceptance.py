@@ -34,6 +34,8 @@ from lepski import (
     FixedT,
     GridConfig,
     HolderModulus,
+    IidRegression,
+    MixingAr1,
     SamplePath,
     brute_force_select,
     check_lemma_cosh_sup,
@@ -41,8 +43,6 @@ from lepski import (
     deterministic_hw,
     gaussian_noise,
     grid_statistics,
-    iid_regression_spec,
-    mixing_ar1_spec,
     modulus_bar,
     oracle_bandwidth,
     power_law_design,
@@ -279,7 +279,7 @@ def test_a5_oracle_equivalence_and_transient_stall():
     for n in (250, 4000):
         vals = []
         for r in range(120):
-            s = simulate(mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(n)),
+            s = simulate(MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(n)),
                          (MASTER, n, r))
             h_star = oracle_bandwidth(grid_statistics(s, cfg), w, cfg)
             vals.append(modulus_bar(w, h_star, cfg))
@@ -292,8 +292,8 @@ def test_a5_oracle_equivalence_and_transient_stall():
 def test_a6_rate_equivalence_mixing_ar1():
     t0 = time.monotonic()
     n, n_rep = 10_000, 500
-    spec = mixing_ar1_spec(lambda r: np.zeros(np.atleast_2d(r).shape[0]),
-                           rho=0.5, sigma=1.0, stopping=FixedN(n))
+    spec = MixingAr1(f_true=lambda r: np.zeros(np.atleast_2d(r).shape[0]),
+                     rho=0.5, sigma=1.0, stopping=FixedN(n))
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
     w = HolderModulus(0.5, 1.0)
     design = spec.design
@@ -351,8 +351,8 @@ def test_a8_tail_decay_of_adaptive_estimator():
     cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=b, nu=nu_thr, j_max=60)
     w = HolderModulus(0.5, 1.0)
     f = lambda rows: np.abs(np.atleast_2d(rows)[:, 0]) ** 0.5
-    spec = iid_regression_spec(f, gaussian_noise(mu), design=uniform_design(0.0, 1.0),
-                               stopping=FixedN(n))
+    spec = IidRegression(f_true=f, noise=gaussian_noise(mu), design=uniform_design(0.0, 1.0),
+                         stopping=FixedN(n))
 
     rows = []
     for r in range(n_rep):

@@ -17,6 +17,9 @@ from lepski.cli import main
 from lepski.model_core import read_sample_csv
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def base_config(out, n_ladder=(40, 80), n_rep=3, seed=1234, **extra):
     doc = {
         "process": {
@@ -388,11 +391,15 @@ class TestVerifyStability:
         {"scale": ["constant"]},
         {"stopping": [{"rule": "crossing", "C": 3}]},
         {"stopping": [{"rule": "fixed", "n": 2.5}]},
+        {"master_seed": 3.7},
+        {"master_seed": -1},
+        {"master_seed": True},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
             "formats_str", "formats_xml", "formats_int", "formats_csv_xml",
-            "n_rep_frac", "n_rep_bool", "scale_for_scales", "crossing_C", "fixed2.5"])
+            "n_rep_frac", "n_rep_bool", "scale_for_scales", "crossing_C", "fixed2.5",
+            "master_seed_frac", "master_seed_negative", "master_seed_bool"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -494,6 +501,67 @@ class TestExitCodes:
         {"process": {"kind": "mixing_ar1", "sigma": "abc"}},
         {"process": {"kind": "transient_walk", "drift": "a"}},
         {"process": {"kind": "autoregressive", "y_coord": 1}},
+        {"master_seed": 3.7},
+        {"master_seed": -1},
+        {"master_seed": True},
+        {"process": {"kind": "mixing_ar1", "sigma": 0}},
+        {"process": {"kind": "mixing_ar1", "sigma": -1.0}},
+        {"process": {"kind": "mixing_ar1", "sigma": NAN}},
+        {"process": {"kind": "transient_walk", "sigma": 0}},
+        {"process": {"kind": "transient_walk", "sigma": INF}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "constant",
+                                                           "params": {"value": 0}}}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "constant",
+                                                           "params": {"value": INF}}}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "affine_abs",
+                                                           "params": {"a": -1.0}}}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "affine_abs",
+                                                           "params": {"a": NAN}}}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "affine_abs",
+                                                           "params": {"b": -0.5}}}},
+        {"process": {"kind": "iid_regression", "s_scale": {"name": "affine_abs",
+                                                           "params": {"b": INF}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "uniform", "params": {"x": NAN}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "uniform", "params": {"radius": 0}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "uniform", "params": {"radius": -1.0}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "uniform", "params": {"radius": INF}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"x": INF}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"radius": 0}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"tau": NAN}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"tau": INF}}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "gaussian", "params": {"x": NAN}}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "constant", "params": {"value": NAN}}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "linear", "params": {"slope": INF}}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "holder_cusp", "params": {"s": NAN}}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "sine", "params": {"amp": NAN}}}},
+        {"process": {"kind": "transient_walk", "x_start": NAN}},
+        {"process": {"kind": "transient_walk", "drift": NAN}},
+        {"process": {"kind": "transient_walk", "step_sd": -1.0}},
+        {"process": {"kind": "transient_walk", "step_sd": INF}},
+        {"process": {"kind": "iid_regression",
+                     "noise": {"family": "truncated_laplace", "cut": 0}}},
+        {"process": {"kind": "iid_regression",
+                     "noise": {"family": "truncated_laplace", "cut": INF}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 0}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": NAN}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": INF}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget"}},
+         "n_ladder": [NAN]},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget"}},
+         "n_ladder": [INF]},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -503,7 +571,18 @@ class TestExitCodes:
             "n_ladder_second_rung_frac", "n_ladder_bool", "modulus_scale_nan",
             "mixing_x_ne_grid", "n_rep_frac", "n_rep_bool", "mixing_rh0", "iid_desing",
             "laplace_alpha", "mixing_design", "modulus_scal", "top_n_reps",
-            "mixing_sigma_str", "walk_drift_str", "ar_y_coord_out_of_range"])
+            "mixing_sigma_str", "walk_drift_str", "ar_y_coord_out_of_range",
+            "master_seed_frac", "master_seed_negative", "master_seed_bool",
+            "mixing_sigma0", "mixing_sigma_negative", "mixing_sigma_nan", "walk_sigma0",
+            "walk_sigma_inf", "constant_scale0", "constant_scale_inf", "affine_a_negative",
+            "affine_a_nan", "affine_b_negative", "affine_b_inf", "uniform_x_nan",
+            "uniform_radius0", "uniform_radius_negative", "uniform_radius_inf",
+            "power_law_x_inf", "power_law_radius0", "power_law_tau_nan", "power_law_tau_inf",
+            "gaussian_x_nan", "f_constant_nan", "f_linear_slope_inf", "f_cusp_s_nan",
+            "f_sine_amp_nan", "walk_x_start_nan", "walk_drift_nan", "walk_step_sd_negative",
+            "walk_step_sd_inf", "laplace_cut0", "laplace_cut_inf",
+            "budget_cost0", "budget_cost_nan", "budget_cost_inf", "budget_rung_nan",
+            "budget_rung_inf"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -542,6 +621,19 @@ class TestExitCodes:
             res = run_cli(command, "--config", str(write_config(tmp_path, doc)))
             assert res.exit_code == 2, (command, res.output)
             assert name in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, env", [(["--seed", "-1"], {}), ([], {"LEPSKI_SEED": "-1"})],
+                             ids=["flag", "env"])
+    def test_negative_seed_override_exit_2(self, tmp_path, monkeypatch, args, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        docs = {"estimate": base_config(tmp_path / "out"),
+                "verify-stability": TestVerifyStability().stab_config(tmp_path / "out", n_rep=100)}
+        for command, doc in docs.items():
+            res = run_cli(command, "--config", str(write_config(tmp_path, doc)), *args)
+            assert res.exit_code == 2, (command, res.output)
+            assert "seed" in res.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -587,15 +679,15 @@ class TestSectionDefaults:
         (lambda: campaign.make_s_scale({"name": "constant"}), lepski.dgp.constant_scale),
         (lambda: campaign.make_f_true({"name": "zero"}), lambda: lepski.dgp.zero_function),
         (lambda: campaign.make_process({"kind": "iid_regression"}, 30),
-         lambda: lepski.iid_regression_spec(stopping=FIXED)),
+         lambda: lepski.IidRegression(stopping=FIXED)),
         (lambda: campaign.make_process({"kind": "mixing_ar1"}, 30),
-         lambda: lepski.mixing_ar1_spec(stopping=FIXED)),
+         lambda: lepski.MixingAr1(stopping=FIXED)),
         (lambda: campaign.make_process({"kind": "transient_walk"}, 30),
-         lambda: lepski.transient_walk_spec(stopping=FIXED)),
+         lambda: lepski.TransientWalk(stopping=FIXED)),
         (lambda: campaign.make_process({"kind": "autoregressive"}, 30),
-         lambda: lepski.autoregressive_spec(stopping=FIXED)),
+         lambda: lepski.Autoregressive(stopping=FIXED)),
         (lambda: campaign.make_process({"kind": "mixing_ar1", "stopping": {"rule": "fixed"}}, 30),
-         lambda: lepski.mixing_ar1_spec(stopping=FIXED)),
+         lambda: lepski.MixingAr1(stopping=FIXED)),
         (lambda: campaign.parse_campaign(base_config("out", modulus={"s": 0.5})).modulus,
          lambda: lepski.HolderModulus(0.5)),
         (lambda: stability_rule("stop_rules", stopping=[{"rule": "fixed"}]), lepski.FixedT),

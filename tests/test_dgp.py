@@ -10,17 +10,15 @@ from scipy.stats import kstest, norm, uniform
 from lepski import (
     Autoregressive,
     ExplosiveChain,
+    IidRegression,
     MixingAr1,
     NoiseSpec,
-    autoregressive_spec,
+    TransientWalk,
     gaussian_design,
     gaussian_noise,
-    iid_regression_spec,
     martingale_residuals,
-    mixing_ar1_spec,
     power_law_design,
     simulate,
-    transient_walk_spec,
     uniform_design,
 )
 from lepski.dgp import BudgetStop, FixedN, constant_scale, run_budget_stop
@@ -39,18 +37,18 @@ def silent_noise():
 
 class TestSimulate:
     def test_noiseless_zero_function(self):
-        spec = iid_regression_spec(zero_f, silent_noise(), stopping=FixedN(50))
+        spec = IidRegression(f_true=zero_f, noise=silent_noise(), stopping=FixedN(50))
         s = simulate(spec, 0)
         assert np.all(s.y_obs == 0.0)
         assert np.all(s.sigma == 1.0)  # sigma stays a positive upper bound
 
     def test_fixed_n_exact(self):
         for n in (1, 7, 500):
-            spec = iid_regression_spec(zero_f, stopping=FixedN(n))
+            spec = IidRegression(f_true=zero_f, stopping=FixedN(n))
             assert simulate(spec, 1).n_stop == n
 
     def test_seed_reproducibility_bit_identical(self):
-        spec = mixing_ar1_spec(zero_f, rho=0.7, stopping=FixedN(300))
+        spec = MixingAr1(f_true=zero_f, rho=0.7, stopping=FixedN(300))
         a = simulate(spec, 42)
         b = simulate(spec, 42)
         np.testing.assert_array_equal(a.x_obs, b.x_obs)
@@ -61,21 +59,21 @@ class TestSimulate:
 
     def test_truth_attached(self):
         f = lambda rows: 2.0 * np.atleast_2d(rows)[:, 0]
-        spec = iid_regression_spec(f, stopping=FixedN(20))
+        spec = IidRegression(f_true=f, stopping=FixedN(20))
         s = simulate(spec, 3)
         np.testing.assert_allclose(s.truth_values(), 2.0 * s.x_obs[:, 0])
 
 
 class TestMixingAr1:
     def test_stationary_marginal_ks(self):
-        spec = mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(100_000))
+        spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(100_000))
         s = simulate(spec, 7)
         stat = kstest(s.x_obs[:, 0], "norm").statistic
         assert stat < 0.02
 
     def test_stationary_mean_and_variance(self):
         rho, n = 0.5, 100_000
-        spec = mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n))
+        spec = MixingAr1(f_true=zero_f, rho=rho, stopping=FixedN(n))
         x = simulate(spec, 11).x_obs[:, 0]
         # effective sample size under AR(1) correlation
         n_eff = n * (1 - rho) / (1 + rho)
@@ -88,7 +86,7 @@ class TestMixingAr1:
         # position.  n = 1 leaves the recursion no step to take
         rho = 0.3
         for n in (1, 2, 200):
-            spec = mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n))
+            spec = MixingAr1(f_true=zero_f, rho=rho, stopping=FixedN(n))
             s = simulate(spec, 5)
             rng = np.random.default_rng(5)
             manual = [rng.standard_normal()]
@@ -102,20 +100,20 @@ class TestMixingAr1:
         # unit cost with budget n takes n observations; the rejected (n+1)-th
         # draw comes after them, so the covariates match bit for bit
         n, rho = 300, 0.6
-        fixed = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=FixedN(n)), 8)
+        fixed = simulate(MixingAr1(f_true=zero_f, rho=rho, stopping=FixedN(n)), 8)
         rule = BudgetStop(lambda hist: 1.0, float(n))
-        budget = simulate(mixing_ar1_spec(zero_f, rho=rho, stopping=rule), 8)
+        budget = simulate(MixingAr1(f_true=zero_f, rho=rho, stopping=rule), 8)
         np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
 
     def test_design_is_the_stationary_law(self):
-        spec = mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(10))
+        spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(10))
         assert spec.design.name == "gaussian"
         assert spec.design.interval_prob(0.0, 1.0) == normal_cdf(1.0) - normal_cdf(-1.0)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan")])
     def test_direct_construction_refuses_a_nonstationary_rho(self, rho):
         with pytest.raises(ValueError, match="rho"):
-            MixingAr1(zero_f, gaussian_noise(), constant_scale(1.0), FixedN(10), rho)
+            MixingAr1(f_true=zero_f, noise=gaussian_noise(), stopping=FixedN(10), rho=rho)
 
     def test_power_law_design_empirical(self):
         law = power_law_design(0.0, 1.0, tau=1.0)
@@ -199,8 +197,8 @@ class TestDesignLawOffCentre:
 
 class TestTransientWalk:
     def test_walk_leaves_neighbourhood(self):
-        spec = transient_walk_spec(zero_f, x_start=0.0, drift=0.5, step_sd=0.3,
-                                   stopping=FixedN(2000))
+        spec = TransientWalk(f_true=zero_f, x_start=0.0, drift=0.5, step_sd=0.3,
+                             stopping=FixedN(2000))
         s = simulate(spec, 1)
         near = np.abs(s.x_obs[:, 0]) <= 1.0
         assert near[0]                      # starts at the estimation point
@@ -210,13 +208,13 @@ class TestTransientWalk:
 
 class TestAutoregressive:
     def test_explosive_chain_guard(self):
-        spec = autoregressive_spec([[1.8]], stopping=FixedN(200))
+        spec = Autoregressive(ar_matrix=[[1.8]], stopping=FixedN(200))
         with pytest.raises(ExplosiveChain):
             simulate(spec, 2)
 
     def test_vector_ar_shapes_and_truth(self):
         a = [[0.5, 0.1], [0.0, 0.3]]
-        spec = autoregressive_spec(a, y_coord=0, stopping=FixedN(400))
+        spec = Autoregressive(ar_matrix=a, y_coord=0, stopping=FixedN(400))
         s = simulate(spec, 3)
         assert s.dim == 2 and s.n_stop == 400
         # Y_k is the observed coordinate of X_k; truth is the conditional mean map
@@ -227,17 +225,18 @@ class TestAutoregressive:
     @pytest.mark.parametrize("a", [[[0.5, 0.1]], [[[0.5]]]], ids=["1x2", "1x1x1"])
     def test_direct_construction_refuses_a_non_square_matrix(self, a):
         with pytest.raises(ValueError, match="square"):
-            Autoregressive(np.array(a), gaussian_noise(), constant_scale(1.0), FixedN(10))
+            Autoregressive(ar_matrix=np.array(a), noise=gaussian_noise(),
+                           s_scale=constant_scale(1.0), stopping=FixedN(10))
 
     def test_ar1_scalar_is_regression_on_past(self):
-        spec = autoregressive_spec([[0.5]], stopping=FixedN(300))
+        spec = Autoregressive(ar_matrix=[[0.5]], stopping=FixedN(300))
         s = simulate(spec, 4)
         np.testing.assert_allclose(s.truth_values(), 0.5 * s.x_obs[:, 0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("build", [
-    lambda stop: transient_walk_spec(zero_f, stopping=stop),
-    lambda stop: autoregressive_spec([[0.5]], stopping=stop),
+    lambda stop: TransientWalk(f_true=zero_f, stopping=stop),
+    lambda stop: Autoregressive(ar_matrix=[[0.5]], stopping=stop),
 ], ids=["transient_walk", "autoregressive"])
 def test_fixed_length_kinds_reject_budget_at_construction(build):
     with pytest.raises(ValueError, match="fixed"):
@@ -246,12 +245,12 @@ def test_fixed_length_kinds_reject_budget_at_construction(build):
 
 class TestResiduals:
     def test_noiseless_residuals_zero(self):
-        spec = iid_regression_spec(zero_f, silent_noise(), stopping=FixedN(100))
+        spec = IidRegression(f_true=zero_f, noise=silent_noise(), stopping=FixedN(100))
         np.testing.assert_array_equal(martingale_residuals(simulate(spec, 0)), 0.0)
 
     def test_unit_scale_residuals_are_innovations(self):
         f = lambda rows: np.atleast_2d(rows)[:, 0] ** 2
-        spec = iid_regression_spec(f, gaussian_noise(), stopping=FixedN(10_000))
+        spec = IidRegression(f_true=f, noise=gaussian_noise(), stopping=FixedN(10_000))
         s = simulate(spec, 9)
         eps = martingale_residuals(s)
         assert abs(eps.mean()) < 4 / math.sqrt(s.n_stop)
@@ -259,7 +258,7 @@ class TestResiduals:
 
     def test_martingale_orthogonality_smoke(self):
         # eps_k g(X_{k-1}) averages to O(n^{-1/2}) for adapted g
-        spec = mixing_ar1_spec(zero_f, rho=0.5, stopping=FixedN(100_000))
+        spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(100_000))
         s = simulate(spec, 21)
         eps = martingale_residuals(s)
         g = np.tanh(s.x_obs[:, 0])
@@ -268,18 +267,18 @@ class TestResiduals:
 
 class TestBudgetStop:
     def test_constant_cost_floor(self):
-        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 2.0, 17.0))
+        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 2.0, 17.0))
         assert simulate(spec, 0).n_stop == 8  # floor(17/2)
 
     def test_unit_cost_fractional_budget(self):
-        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 1.0, 10.5))
+        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 1.0, 10.5))
         assert simulate(spec, 0).n_stop == 10
 
     def test_state_dependent_cost_replay_oracle(self):
         # cost of observation k is 1 + |X_{k-1}|; replay the same path directly
         rule = BudgetStop(lambda hist: 1.0 + abs(hist[-1, 0]), 25.0)
-        spec = iid_regression_spec(zero_f, stopping=rule,
-                                   design=uniform_design(0.0, 2.0))
+        spec = IidRegression(f_true=zero_f, stopping=rule,
+                             design=uniform_design(0.0, 2.0))
         s = simulate(spec, 33)
         spent = np.cumsum(1.0 + np.abs(s.x_obs[:, 0]))
         assert np.all(spent <= 25.0)
@@ -291,7 +290,7 @@ class TestBudgetStop:
         assert spent[-1] + 1.0 + abs(draws[s.n_stop]) > 25.0
 
     def test_budget_too_small_raises(self):
-        spec = iid_regression_spec(zero_f, stopping=BudgetStop(lambda hist: 5.0, 1.0))
+        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 5.0, 1.0))
         with pytest.raises(ValueError):
             simulate(spec, 0)
 

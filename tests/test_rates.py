@@ -14,13 +14,13 @@ from lepski import (
     GridConfig,
     GridEmpty,
     HolderModulus,
+    MixingAr1,
     SamplePath,
     TooFewSamples,
     check_modulus,
     deterministic_hw,
     empirical_hw,
     grid_statistics,
-    mixing_ar1_spec,
     modulus_bar,
     omega_prime_event,
     oracle_bandwidth,
@@ -412,8 +412,8 @@ class TestRateReport:
         assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
 
     def test_mixing_design_ratio_contained(self):
-        spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
-                                 rho=0.5, stopping=FixedN(2000))
+        spec_p = MixingAr1(f_true=lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
+                           rho=0.5, stopping=FixedN(2000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
         design = spec_p.design
@@ -431,8 +431,8 @@ class TestBandwidthEmbedding:
     def test_embedding_implication(self):
         # where L(h_w) >= E L(h_w)/(1+eps)^s the empirical bandwidth is at most
         # (1+eps) h_w, and symmetrically below; premise failures are skipped
-        spec_p = mixing_ar1_spec(lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
-                                 rho=0.5, stopping=FixedN(10_000))
+        spec_p = MixingAr1(f_true=lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
+                           rho=0.5, stopping=FixedN(10_000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
         design = spec_p.design

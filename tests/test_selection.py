@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import lepski
 from lepski import (
     GridConfig,
+    GridEmpty,
     SamplePath,
     bandwidth_at_level,
     brute_force_select,
@@ -196,6 +198,29 @@ class TestBruteForceOracle:
         assert res.defined
         assert res.h_hat == 0.5
         assert_same_selection(res, select_bandwidth(s, cfg))
+
+    def test_builds_its_own_grid(self, monkeypatch):
+        # the oracle checks the fast path, so it must not take its grid from it
+        cases = [random_instance(trial) for trial in range(40)]
+        cases.append((SamplePath([[5.0]], [1.0], [1.0]), GridConfig(x_point=[0.0], h0=1.0)))
+        before = []
+        for sample, cfg in cases:
+            try:
+                before.append(brute_force_select(sample, cfg))
+            except GridEmpty:
+                before.append(GridEmpty)
+
+        def broken(sample, cfg):
+            raise AssertionError("grid_statistics called")
+
+        monkeypatch.setattr(lepski.selection, "grid_statistics", broken)
+        for (sample, cfg), want in zip(cases, before):
+            if want is GridEmpty:
+                with pytest.raises(GridEmpty):
+                    brute_force_select(sample, cfg)
+            else:
+                assert_same_selection(brute_force_select(sample, cfg), want)
+        assert before[-1] is GridEmpty and any(r is not GridEmpty and r.defined for r in before)
 
     def test_oracle_equivalence_randomized(self):
         # the acceptance suite runs 10^4 instances; keep a fast slice here

@@ -20,6 +20,7 @@ from lepski import (
     FixedN,
     FixedT,
     GridConfig,
+    IidRegression,
     NoiseSpec,
     RandomizedStop,
     c_lambda,
@@ -31,7 +32,6 @@ from lepski import (
     gamma_lambda,
     gaussian_noise,
     grid_statistics,
-    iid_regression_spec,
     lambda_max,
     mc_stability,
     pi_statistic,
@@ -381,8 +381,8 @@ class TestUniformStability:
 class TestPiTail:
     def _process(self):
         f = lambda rows: np.zeros(np.atleast_2d(rows).shape[0])
-        return iid_regression_spec(f, gaussian_noise(), design=uniform_design(0.0, 1.0),
-                                   stopping=FixedN(60))
+        return IidRegression(f_true=f, noise=gaussian_noise(), design=uniform_design(0.0, 1.0),
+                             stopping=FixedN(60))
 
     def _cfg(self):
         return GridConfig(x_point=[0.0], h0=1.0, q=0.7, j_max=12)
