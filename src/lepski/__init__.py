@@ -11,7 +11,6 @@ from .errors import (
     GridEmpty,
     InsufficientOmegaPrime,
     LepskiError,
-    NoTruth,
     TooFewSamples,
 )
 from .model_core import (
@@ -20,22 +19,16 @@ from .model_core import (
     SamplePath,
     grid_statistics,
     kernel_estimate,
-    martingale_part,
     occupation_time,
     psi,
-    read_sample_csv,
-    tilde_estimate,
     write_sample_csv,
-    z_statistic,
 )
 from .selection import (
     SelectionResult,
-    bandwidth_at_level,
     brute_force_select,
     select_bandwidth,
 )
 from .rates import (
-    ExplicitModulus,
     HolderModulus,
     RateReport,
     check_modulus,
@@ -48,7 +41,6 @@ from .rates import (
 )
 from .noise import (
     NoiseSpec,
-    c_mu,
     gaussian_noise,
     truncated_laplace_noise,
     two_point_noise,
@@ -65,11 +57,8 @@ from .stability import (
     c_prime_lambda,
     check_lemma_cosh_sup,
     check_lemma_moment,
-    empirical_pi,
     gamma_lambda,
     lambda_max,
-    mc_stability,
-    pi_statistic,
     simulate_ensemble,
     stability_matrix,
 )
@@ -83,7 +72,6 @@ from .dgp import (
     Regression,
     TransientWalk,
     gaussian_design,
-    martingale_residuals,
     power_law_design,
     simulate,
     uniform_design,

@@ -324,7 +324,7 @@ class Autoregressive:
 
     The noise drives the covariates, so this kind draws its own sample: the
     covariates are X_0..X_{n-1} and Y_k is coordinate y_coord of X_k, whose
-    conditional mean is f_true.  ar_matrix must be square.
+    conditional mean is f_true.  ar_matrix must be square and finite.
     """
 
     stopping: object
@@ -339,6 +339,7 @@ class Autoregressive:
         self.ar_matrix = np.atleast_2d(np.asarray(self.ar_matrix, dtype=float))
         if self.ar_matrix.shape != (self.dim, self.dim):
             raise ValueError(f"ar_matrix must be square; got shape {self.ar_matrix.shape}")
+        check_finite(*self.ar_matrix.flat)
         if not isinstance(self.stopping, FixedN):
             raise ValueError("autoregressive sampling supports fixed length only")
         if isinstance(self.y_coord, bool) or not (isinstance(self.y_coord, Integral)
@@ -371,8 +372,3 @@ class Autoregressive:
 def simulate(spec, seed) -> SamplePath:
     """Draw one sample path; the returned SamplePath carries the truth handle."""
     return spec.sample(_rng(seed))
-
-
-def martingale_residuals(sample: SamplePath) -> np.ndarray:
-    """Extract eps_k = Y_k - f(X_{k-1}); requires the truth handle."""
-    return sample.y_obs - sample.truth_values()

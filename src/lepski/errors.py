@@ -13,10 +13,6 @@ class EmptyWindow(LepskiError):
     """Requested a kernel average over a window with zero occupation time."""
 
 
-class NoTruth(LepskiError):
-    """Operation needs the hidden regression function but the sample carries none."""
-
-
 class TooFewSamples(LepskiError):
     """Sample size below the threshold where the deterministic bandwidth exists."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyWindow, GridEmpty, NoTruth
+from .errors import EmptyWindow, GridEmpty
 
 
 def _as_rows(x, dim: Optional[int] = None) -> np.ndarray:
@@ -57,7 +57,7 @@ class SamplePath:
         Observed noise-scale upper bounds sigma_0, ..., sigma_{N-1}; all > 0.
     truth : callable, optional
         Hidden regression function, vectorized over (n, d) rows.  Present only
-        for simulated data; enables the bias proxy and risk evaluation.
+        for simulated data; enables risk evaluation.
     """
 
     x_obs: np.ndarray
@@ -91,12 +91,6 @@ class SamplePath:
     @property
     def dim(self) -> int:
         return self.x_obs.shape[1]
-
-    def truth_values(self) -> np.ndarray:
-        """f(X_0), ..., f(X_{N-1}); raises when no truth is attached."""
-        if self.truth is None:
-            raise NoTruth("sample carries no regression truth")
-        return np.asarray(self.truth(self.x_obs), dtype=float).reshape(-1)
 
     def distances(self, x_point) -> np.ndarray:
         """Euclidean distances |X_{k-1} - x| for k = 1..N."""
@@ -220,14 +214,6 @@ def psi(h, cfg: GridConfig):
     return 1.0 + cfg.b * np.log(cfg.h0 / h)
 
 
-def z_statistic(m, l, a):
-    """Regularized self-normalized statistic Z = sqrt(a) |m| / (a + l), elementwise."""
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(l) < 0):
-        raise ValueError(f"Z needs a > 0 and occupation time l >= 0; got a={a}, l={l}")
-    z = np.sqrt(a) * np.abs(m) / (a + l)
-    return z if isinstance(z, np.ndarray) else float(z)
-
-
 # ------------------------------------------------------------------
 # grid construction
 # ------------------------------------------------------------------
@@ -293,22 +279,6 @@ def kernel_estimate(sample: SamplePath, x_point, h: float) -> float:
     return _ball_sum(sample, x_point, h, sample.y_obs, mean=True)
 
 
-def tilde_estimate(sample: SamplePath, x_point, h: float) -> float:
-    """Bias proxy: the kernel weights of `kernel_estimate` applied to f(X_{k-1}).
-
-    Test-only oracle; requires the sample to carry its regression truth.
-    """
-    return _ball_sum(sample, x_point, h, sample.truth_values(), mean=True)
-
-
-def martingale_part(sample: SamplePath, x_point, h: float) -> float:
-    """Noise part M(h) = sum_k sigma_{k-1}^(-2) 1{|X_{k-1} - x| <= h} eps_k.
-
-    eps_k = Y_k - f(X_{k-1}); satisfies kernel - tilde = M(h)/L(h) when L(h) > 0.
-    """
-    return _ball_sum(sample, x_point, h, sample.y_obs - sample.truth_values())
-
-
 # ------------------------------------------------------------------
 # CSV serialization:  header  k,x_0..x_{d-1},y,sigma  one row per k = 1..N
 # ------------------------------------------------------------------
@@ -323,23 +293,3 @@ def write_sample_csv(sample: SamplePath, path) -> None:
             row += [repr(float(sample.y_obs[k])), repr(float(sample.sigma[k]))]
             writer.writerow(row)
 
-
-def read_sample_csv(path) -> SamplePath:
-    """Load a sample written by `write_sample_csv`; dimension inferred from the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        x_cols = [c for c in header if c.startswith("x_")]
-        d = len(x_cols)
-        if header != ["k"] + [f"x_{i}" for i in range(d)] + ["y", "sigma"]:
-            raise ValueError(f"unexpected sample header: {header}")
-        rows = list(reader)
-    n = len(rows)
-    x = np.empty((n, d))
-    y = np.empty(n)
-    sig = np.empty(n)
-    for i, row in enumerate(rows):
-        x[i] = [float(v) for v in row[1 : 1 + d]]
-        y[i] = float(row[1 + d])
-        sig[i] = float(row[2 + d])
-    return SamplePath(x, y, sig)

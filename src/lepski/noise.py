@@ -30,7 +30,6 @@ class NoiseSpec:
     mu: float
     gamma: float
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    variance: float
 
     def __post_init__(self):
         if isinstance(self.alpha, (bool, float)) or self.alpha not in (1, 2):
@@ -73,13 +72,13 @@ def gaussian_noise(mu: float = 0.25, alpha: int = 2) -> NoiseSpec:
         gamma = (1.0 - 2.0 * mu) ** -0.5
     else:
         gamma = 2.0 * math.exp(mu**2 / 2.0) * normal_cdf(mu)
-    return NoiseSpec("gaussian", alpha, mu, gamma, _standard_normal, 1.0)
+    return NoiseSpec("gaussian", alpha, mu, gamma, _standard_normal)
 
 
 def two_point_noise(mu: float = 0.5, alpha: int = 2) -> NoiseSpec:
     """Symmetric two-point innovations zeta = +-1: E exp(mu |zeta|^alpha) = e^mu."""
     gamma = math.exp(mu)
-    return NoiseSpec("two_point", alpha, mu, gamma, _random_sign, 1.0)
+    return NoiseSpec("two_point", alpha, mu, gamma, _random_sign)
 
 
 def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
@@ -87,8 +86,7 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
 
     With unit-rate magnitude density e^(-z)/(1 - e^(-cut)) on [0, cut]:
         E exp(mu |zeta|) = (1 - e^(-(1-mu) cut)) / ((1 - mu)(1 - e^(-cut)))
-        Var  = 2 - (cut^2 + 2 cut) e^(-cut) / (1 - e^(-cut))
-    (standard truncated-exponential integrals; mu < 1 required).
+    (a standard truncated-exponential integral; mu < 1 required).
     """
     if not 0 < mu < 1:
         raise ValueError("truncated Laplace certification needs 0 < mu < 1")
@@ -96,12 +94,7 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
         raise ValueError(f"need 0 < cut < inf; got cut={cut!r}")
     z = 1.0 - math.exp(-cut)
     gamma = (1.0 - math.exp(-(1.0 - mu) * cut)) / ((1.0 - mu) * z)
-    variance = 2.0 - (cut**2 + 2.0 * cut) * math.exp(-cut) / z
     # the name carries cut so that the stability random-stream key tells cuts apart
     return NoiseSpec(f"truncated_laplace(cut={cut:g})", 1, mu, gamma,
-                     functools.partial(_truncated_laplace, z), variance)
+                     functools.partial(_truncated_laplace, z))
 
-
-def c_mu(alpha: int, mu: float) -> float:
-    """Constant with <M>_n <= c_mu V_n under the moment assumption."""
-    return math.log(2.0) / mu if alpha == 2 else 2.0 / mu**2

@@ -1,9 +1,8 @@
 """Modulus envelopes, oracle bandwidths and the deterministic rate.
 
-A modulus W is a `HolderModulus` or an `ExplicitModulus`, each holding only
-its shape.  The floor delta0 (h/h0)^alpha0 and the cap u0 belong to the
-`GridConfig`: `modulus_bar` clamps either kind with them, and `check_modulus`
-tests a modulus against them.
+A modulus W is a `HolderModulus`, which holds only its shape.  The floor
+delta0 (h/h0)^alpha0 and the cap u0 belong to the `GridConfig`:
+`modulus_bar` clamps W with them, and `check_modulus` tests W against them.
 
 Two bandwidth notions live here.  The grid oracle H* balances the stochastic
 level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
@@ -56,20 +55,7 @@ class HolderModulus:
         return out if out.ndim else float(out)
 
 
-@dataclass
-class ExplicitModulus:
-    """W given by any harness-supplied callable h -> W(h) on scalars (e.g. the
-    literal sup of the bias proxy increments); no shape is assumed."""
-
-    w_func: Callable[[float], float]
-
-    def w(self, h):
-        """Raw modulus value(s) W(h): w_func applied to each element of h."""
-        out = np.vectorize(self.w_func, otypes=[float])(np.asarray(h, dtype=float))
-        return out if out.ndim else float(out)
-
-
-def check_modulus(w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig) -> None:
+def check_modulus(w_spec: HolderModulus, cfg: GridConfig) -> None:
     """Raise ValueError unless, on a log grid of 1000 points in (0, h0], W is
     nondecreasing, W(h) >= delta0 (h/h0)^alpha0 and W(h) <= u0, all read from
     the grid."""
@@ -83,7 +69,7 @@ def check_modulus(w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig) -> N
         raise ValueError("modulus exceeds the cap u0 on (0, h0]")
 
 
-def modulus_bar(w_spec: HolderModulus | ExplicitModulus, h, cfg: GridConfig):
+def modulus_bar(w_spec: HolderModulus, h, cfg: GridConfig):
     """Clamped modulus: [W(h) or the floor delta0 (h/h0)^alpha0, whichever is
     larger] capped at u0, with h0, delta0, alpha0 and u0 read from the grid."""
     h = np.asarray(h, dtype=float)
@@ -96,8 +82,7 @@ def modulus_bar(w_spec: HolderModulus | ExplicitModulus, h, cfg: GridConfig):
 # grid oracle bandwidth and events
 # ------------------------------------------------------------------
 
-def oracle_bandwidth(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
-                     cfg: GridConfig) -> Optional[float]:
+def oracle_bandwidth(stats: GridStats, w_spec: HolderModulus, cfg: GridConfig) -> Optional[float]:
     """H* = min{h in grid : (psi(h)/L(h))^(1/2) <= W-bar(h)}, with W-bar floored
     and capped by the grid's own h0, delta0, alpha0 and u0.
 
@@ -107,8 +92,7 @@ def oracle_bandwidth(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
     return None if j is None else float(stats.bandwidths[j])
 
 
-def omega_prime_event(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
-                      cfg: GridConfig) -> bool:
+def omega_prime_event(stats: GridStats, w_spec: HolderModulus, cfg: GridConfig) -> bool:
     """{L(h0)^(-1/2) <= W-bar(h0)} and {W(H*) <= u0}, with W-bar and u0 from the
     grid; the second condition is evaluated only when H* exists."""
     h_star = oracle_bandwidth(stats, w_spec, cfg)
@@ -121,7 +105,7 @@ def omega_prime_event(stats: GridStats, w_spec: HolderModulus | ExplicitModulus,
 # continuum bandwidths
 # ------------------------------------------------------------------
 
-def _excess(level, h, w_spec: HolderModulus | ExplicitModulus, cfg: GridConfig):
+def _excess(level, h, w_spec: HolderModulus, cfg: GridConfig):
     """F(h) = level * w(h)^2 - psi(h): nonnegative exactly where the level
     (psi(h)/level)^(1/2) is at most w(h).  Elementwise for arrays."""
     return level * w_spec.w(h) ** 2 - psi(h, cfg)
@@ -162,7 +146,7 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
     return hi
 
 
-def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus | ExplicitModulus,
+def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
                  cfg: GridConfig) -> Optional[float]:
     """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0,
     for the sample seen by stats, whose observations share the noise scale sigma.
@@ -202,7 +186,7 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus | Explici
                            left if left > 0 else None)
 
 
-def deterministic_hw(design: DesignLaw, w_spec: HolderModulus | ExplicitModulus,
+def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
                      n: int, sigma: float, cfg: GridConfig) -> float:
     """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
     E L(h) = n * P_X[x-h, x+h] / sigma^2 at the grid's point x, where the
@@ -249,8 +233,7 @@ class RateReport:
     ratio: Optional[float] = None
 
 
-def rate_report(sample: SamplePath, cfg: GridConfig,
-                w_spec: HolderModulus | ExplicitModulus,
+def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
                 h_w_of: Optional[Callable[[int, float], Optional[float]]] = None
                 ) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.

@@ -1,12 +1,15 @@
-"""Bandwidth selection: the level bandwidth H_u, the adaptive selection rule,
-and a literal brute-force selector kept as a testing oracle.
+"""Bandwidth selection: the adaptive selection rule, and a literal brute-force
+selector kept as a testing oracle.
 
-The rule picks the largest grid bandwidth h >= H_{u0} whose estimate stays
-within nu * (psi(h')/L(h'))^(1/2) of f_hat(h') for every grid h' in
-[H_{u0}, h].  Both endpoints of the interval are included, as is the
-degenerate comparison h' = h; deviations exactly at the threshold count as
-admissible.  The admissible set need not be an interval, so the maximum is
-taken literally over all admissible candidates, not over the largest prefix.
+The anchor H_{u0} is the smallest grid bandwidth whose level (psi/L)^(1/2)
+is at most u0; the level increases along the grid, so the feasible bandwidths
+form a prefix (`GridStats.last_feasible`).  The rule picks the largest grid
+bandwidth h >= H_{u0} whose estimate stays within nu * (psi(h')/L(h'))^(1/2)
+of f_hat(h') for every grid h' in [H_{u0}, h].  Both endpoints of the
+interval are included, as is the degenerate comparison h' = h; deviations
+exactly at the threshold count as admissible.  The admissible set need not be
+an interval, so the maximum is taken literally over all admissible
+candidates, not over the largest prefix.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .errors import GridEmpty
 from .model_core import (
     GridConfig,
-    GridStats,
     SamplePath,
     grid_statistics,
     kernel_estimate,
@@ -40,20 +42,6 @@ class SelectionResult:
     h_hat: Optional[float] = None
     f_hat: Optional[float] = None
     h_u0: Optional[float] = None
-
-
-def bandwidth_at_level(stats: GridStats, u: float) -> Optional[float]:
-    """H_u = min{h in grid : (psi(h)/L(h))^(1/2) <= u}, or None when h0 already fails.
-
-    The level (psi/L)^(1/2) increases strictly along the grid (psi grows, L
-    shrinks), so the feasible set is a prefix and its minimum is the last
-    feasible element.  Since psi(h0) = 1, feasibility of h0 is exactly the
-    event {L(h0)^(-1/2) <= u}.
-    """
-    if u <= 0:
-        raise ValueError("level u must be positive")
-    j = stats.last_feasible(u)
-    return None if j is None else float(stats.bandwidths[j])
 
 
 def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:

@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dgp import check_count, simulate
+from .dgp import check_count, check_finite
 from .errors import CensoredPathsWarning
-from .model_core import GridConfig, SamplePath, grid_statistics, z_statistic
+from .model_core import GridConfig, SamplePath, grid_statistics
 from .noise import NoiseSpec
 
 _BLOCK_PATHS = 16384
@@ -149,7 +149,7 @@ class FirstCrossing:
     cap: int = 10_000
 
     def __post_init__(self):
-        self.c = float(self.c)
+        [self.c] = check_finite(self.c)
         check_count(self.cap, "FirstCrossing's cap")
 
     @property
@@ -348,56 +348,44 @@ def check_lambda(noise: NoiseSpec, lam: float) -> float:
 
 
 def check_a(noise: NoiseSpec, a) -> float:
-    """Validate a > 0, or a uniform range 0 < a0 <= a1 under alpha = 2, and
-    return the factor on 1 + c: one, or 1 + log(a1/a0) for a range."""
+    """Validate a finite a > 0, or a uniform range 0 < a0 <= a1 < inf under
+    alpha = 2, and return the factor on 1 + c: one, or 1 + log(a1/a0) for a
+    range."""
     if not isinstance(a, tuple):
-        if not a > 0:
-            raise ValueError(f"a must be positive, got {a}")
+        if not 0 < a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {a}")
         return 1.0
     a0, a1 = a
-    if not 0 < a0 <= a1:
-        raise ValueError(f"need 0 < a0 <= a1, got {a}")
+    if not 0 < a0 <= a1 < math.inf:
+        raise ValueError(f"need 0 < a0 <= a1 < inf, got {a}")
     if noise.alpha != 2:
         raise ValueError("the uniform bound is stated for alpha = 2")
     return 1.0 + math.log(a1 / a0)
 
 
-def mc_stability(noise: NoiseSpec, scales, stop, a, lam: float,
-                 n_rep: int, seed=0) -> StabilityReport:
-    """Monte Carlo check of the stability bound for one (a, lambda) cell.
-
-    Simulates n_rep stopped paths, evaluates the exponential (alpha = 2) or
-    cosh (alpha = 1) functional at the terminal values, and compares the mean
-    plus three standard errors against the closed-form bound.  Censored paths
-    are evaluated at the cap, which is itself a finite stopping time, so the
-    bound applies to the capped rule exactly.
-
-    A range a = (a0, a1) checks the uniform-in-a version instead, for
-    alpha = 2 noise only:
-
-        E[sup_{a in [a0, a1]} exp((lambda/2) a M^2/(a+V)^2)]
-            <= (1 + c_lambda)(1 + log(a1/a0)).
-
-    The per-path supremum is evaluated in closed form (maximum at a = V
-    clipped to [a0, a1]).
-    """
-    bound = check_lambda(noise, lam) * check_a(noise, a)
-    ens = simulate_ensemble(noise, scales, stop, n_rep, seed)
-    values = _functional_values(ens, noise.alpha, a, lam)
-    return _report(values, bound, noise, ens, lam=lam, a=a, rule=stop.name)
-
-
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
                      a_values: Sequence, lambdas: Sequence[float],
                      n_rep: int, master_seed=0, jobs: int = 1) -> list[StabilityReport]:
-    """Run the full (scales x stopping x a x lambda) matrix.
+    """Run the full (scales x stopping x lambda x a) matrix of bound checks.
 
-    One path ensemble is simulated per (scales, stopping) pair and reused for
-    every (a, lambda) cell; the ensembles do not depend on a or lambda, so the
-    per-cell estimates are identical in law to fresh simulation while keeping
-    the matrix tractable at n_rep = 1e5.  Each lambda's cells are a_values in
-    order: a float a > 0 checks the pointwise bound at a, a pair (a0, a1) the
-    uniform bound over that range (rule suffix "|uniform"; see `mc_stability`).
+    One ensemble of n_rep stopped paths is simulated per (scales, stopping)
+    pair and reused for every (a, lambda) cell; the ensembles do not depend on
+    a or lambda, so the per-cell estimates are identical in law to fresh
+    simulation while keeping the matrix tractable at n_rep = 1e5.  A cell
+    evaluates the exponential (alpha = 2) or cosh (alpha = 1) functional at the
+    terminal values and compares the mean plus three standard errors with the
+    closed-form bound.  Censored paths are evaluated at the cap, which is
+    itself a finite stopping time, so the bound applies to the capped rule
+    exactly.
+
+    Each lambda's cells are a_values in order.  A float a > 0 checks the
+    pointwise bound at a; a range (a0, a1) the uniform-in-a bound, for
+    alpha = 2 only (rule suffix "|uniform"):
+
+        E[sup_{a in [a0, a1]} exp((lambda/2) a M^2/(a+V)^2)]
+            <= (1 + c_lambda)(1 + log(a1/a0)),
+
+    whose per-path supremum sits in closed form at a = V clipped to [a0, a1].
 
     A pair's ensemble, one `simulate_ensemble` call, is the unit of work that
     `pool_map` spreads over `jobs` workers; its seeds come from its own rule,
@@ -430,12 +418,13 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
 def pi_statistic(sample: SamplePath, cfg: GridConfig, i0: int = 0) -> float:
     """sup_{i >= i0} psi(h_i)^(-1/2) sup_{a in I(h_i)} Z(h_i, a psi(h_i)) for one sample.
 
-    I(h) = [u0^(-2), delta0^(-2) (h/h0)^(-2 alpha0)].  After substituting
-    a~ = a psi(h), the map a~ -> sqrt(a~) |M| / (a~ + L) peaks at a~ = L, so
-    the inner supremum is evaluated at L clipped to psi(h) * I(h).
-    M(h) sums sigma_{k-1}^(-2) (Y_k - f(X_{k-1})) over the ball, so the sample
-    must carry its truth.  Grid entries with L = 0 contribute zero and are
-    dropped by construction.
+    I(h) = [u0^(-2), delta0^(-2) (h/h0)^(-2 alpha0)] and Z(h, a) =
+    sqrt(a) |M(h)| / (a + L(h)).  After substituting a~ = a psi(h), the map
+    a~ -> sqrt(a~) |M| / (a~ + L) peaks at a~ = L, so the inner supremum is
+    evaluated at L clipped to psi(h) * I(h).  M(h) sums sigma_{k-1}^(-2)
+    (Y_k - f(X_{k-1})) over the ball, so the sample must carry its truth.
+    Grid entries with L = 0 contribute zero and are dropped by construction.
+    Not exported: no command reads it; its tests check the monotone tail.
     """
     stats = grid_statistics(sample, cfg)
     sel = slice(i0, None)
@@ -444,30 +433,13 @@ def pi_statistic(sample: SamplePath, cfg: GridConfig, i0: int = 0) -> float:
         return 0.0
     l = stats.l_values[sel]
     ps = stats.psi_values[sel]
-    m = stats.ball_sums(sample.inv_var * (sample.y_obs - sample.truth_values()))[sel]
+    truth = np.asarray(sample.truth(sample.x_obs), dtype=float).reshape(-1)
+    m = stats.ball_sums(sample.inv_var * (sample.y_obs - truth))[sel]
     lo = ps * cfg.u0**-2.0
     hi = ps * cfg.delta0**-2.0 * (hs / cfg.h0) ** (-2.0 * cfg.alpha0)
-    z = z_statistic(m, l, np.clip(l, lo, hi))
+    a = np.clip(l, lo, hi)
+    z = np.sqrt(a) * np.abs(m) / (a + l)
     return float(np.max(z / np.sqrt(ps)))
-
-
-def empirical_pi(process_spec, cfg: GridConfig, i0: int, thresholds,
-                 n_rep: int, seed=0):
-    """Monte Carlo estimate of the tail probability of the pi statistic.
-
-    Simulates n_rep samples from `process_spec`, computes the statistic once
-    per sample, and returns (estimates, stderrs) for every threshold; the
-    per-path statistic is shared across thresholds, so monotonicity in t
-    holds pathwise.
-    """
-    t = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    stats = np.empty(n_rep)
-    for r in range(n_rep):
-        sample = simulate(process_spec, _entropy(seed, r))
-        stats[r] = pi_statistic(sample, cfg, i0)
-    est = np.array([(stats > ti).mean() for ti in t])
-    se = np.sqrt(est * (1.0 - est) / n_rep)
-    return est, se
 
 
 # ==================================================================

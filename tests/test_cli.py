@@ -14,7 +14,6 @@ from scipy.stats import norm
 import lepski
 from lepski import DesignLaw, campaign, deterministic_hw, uniform_design
 from lepski.cli import main
-from lepski.model_core import read_sample_csv
 
 
 NAN, INF = float("nan"), float("inf")
@@ -78,8 +77,8 @@ class TestSimulate:
         assert res.exit_code == 0, res.output
         files = sorted(out.glob("sample_*.csv"))
         assert len(files) == 3
-        s = read_sample_csv(files[0])
-        assert s.n_stop == 100
+        rows = np.loadtxt(files[0], delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (100, 4)  # k, x_0, y, sigma
 
     def test_seed_repeat_identical_files(self, tmp_path, pool_sizes):
         # a repeat at --jobs 1 and a run on a two-worker pool match byte for byte
@@ -394,12 +393,19 @@ class TestVerifyStability:
         {"master_seed": 3.7},
         {"master_seed": -1},
         {"master_seed": True},
+        {"stopping": [{"rule": "crossing", "c": NAN, "cap": 20}]},
+        {"stopping": [{"rule": "crossing", "c": INF, "cap": 20}]},
+        {"stopping": [{"rule": "crossing", "c": -INF, "cap": 20}]},
+        {"a": [INF]},
+        {"uniform_a": [[1.0, INF]]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
             "formats_str", "formats_xml", "formats_int", "formats_csv_xml",
             "n_rep_frac", "n_rep_bool", "scale_for_scales", "crossing_C", "fixed2.5",
-            "master_seed_frac", "master_seed_negative", "master_seed_bool"])
+            "master_seed_frac", "master_seed_negative", "master_seed_bool",
+            "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
+            "uniform1:inf"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -562,6 +568,9 @@ class TestExitCodes:
          "n_ladder": [NAN]},
         {"process": {"kind": "iid_regression", "stopping": {"rule": "budget"}},
          "n_ladder": [INF]},
+        {"process": {"kind": "autoregressive", "ar_matrix": [[NAN]]}},
+        {"process": {"kind": "autoregressive", "ar_matrix": [[INF]]}},
+        {"process": {"kind": "autoregressive", "ar_matrix": [[-INF]]}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -582,7 +591,7 @@ class TestExitCodes:
             "f_sine_amp_nan", "walk_x_start_nan", "walk_drift_nan", "walk_step_sd_negative",
             "walk_step_sd_inf", "laplace_cut0", "laplace_cut_inf",
             "budget_cost0", "budget_cost_nan", "budget_cost_inf", "budget_rung_nan",
-            "budget_rung_inf"])
+            "budget_rung_inf", "ar_nan", "ar_inf", "ar_minus_inf"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -645,7 +654,7 @@ def built_values(obj):
     """What a built config object does, so that two of them compare by value."""
     rng, x = np.random.default_rng(0), np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
     if isinstance(obj, lepski.NoiseSpec):
-        return obj.name, obj.alpha, obj.mu, obj.gamma, obj.variance, obj.sampler(rng, 5).tolist()
+        return obj.name, obj.alpha, obj.mu, obj.gamma, obj.sampler(rng, 5).tolist()
     if isinstance(obj, DesignLaw):
         return obj.name, obj.interval_prob(0.3, 0.5), obj.sampler(rng, 5).tolist()
     if hasattr(obj, "sample"):  # a process

@@ -16,7 +16,6 @@ from lepski import (
     TransientWalk,
     gaussian_design,
     gaussian_noise,
-    martingale_residuals,
     power_law_design,
     simulate,
     uniform_design,
@@ -31,8 +30,7 @@ def zero_f(rows):
 
 def silent_noise():
     """zeta = 0 surely; a valid martingale increment with any mu and gamma > 1."""
-    return NoiseSpec("silent", 2, 0.25, 1.0001,
-                     lambda rng, size: np.zeros(size), 0.0)
+    return NoiseSpec("silent", 2, 0.25, 1.0001, lambda rng, size: np.zeros(size))
 
 
 class TestSimulate:
@@ -61,7 +59,7 @@ class TestSimulate:
         f = lambda rows: 2.0 * np.atleast_2d(rows)[:, 0]
         spec = IidRegression(f_true=f, stopping=FixedN(20))
         s = simulate(spec, 3)
-        np.testing.assert_allclose(s.truth_values(), 2.0 * s.x_obs[:, 0])
+        np.testing.assert_allclose(s.truth(s.x_obs), 2.0 * s.x_obs[:, 0])
 
 
 class TestMixingAr1:
@@ -218,7 +216,7 @@ class TestAutoregressive:
         s = simulate(spec, 3)
         assert s.dim == 2 and s.n_stop == 400
         # Y_k is the observed coordinate of X_k; truth is the conditional mean map
-        expected = s.truth_values()
+        expected = s.truth(s.x_obs)
         resid = s.y_obs - expected
         assert abs(resid.mean()) < 4 / math.sqrt(s.n_stop)
 
@@ -231,7 +229,7 @@ class TestAutoregressive:
     def test_ar1_scalar_is_regression_on_past(self):
         spec = Autoregressive(ar_matrix=[[0.5]], stopping=FixedN(300))
         s = simulate(spec, 4)
-        np.testing.assert_allclose(s.truth_values(), 0.5 * s.x_obs[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(s.truth(s.x_obs), 0.5 * s.x_obs[:, 0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("build", [
@@ -241,6 +239,11 @@ class TestAutoregressive:
 def test_fixed_length_kinds_reject_budget_at_construction(build):
     with pytest.raises(ValueError, match="fixed"):
         build(BudgetStop(lambda hist: 1.0, 50.0))
+
+
+def martingale_residuals(sample):
+    """eps_k = Y_k - f(X_{k-1})."""
+    return sample.y_obs - sample.truth(sample.x_obs)
 
 
 class TestResiduals:

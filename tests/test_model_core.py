@@ -14,20 +14,16 @@ from lepski import (
     EmptyWindow,
     GridConfig,
     GridEmpty,
-    NoTruth,
     SamplePath,
     grid_statistics,
     kernel_estimate,
-    martingale_part,
     occupation_time,
     psi,
-    read_sample_csv,
     select_bandwidth,
-    tilde_estimate,
     write_sample_csv,
-    z_statistic,
 )
 from lepski.model_core import _shells
+from oracles import martingale_part, tilde_estimate, truth_values, z_statistic
 
 
 def cfg_at_zero(h0=1.0, q=0.5, b=1.0, j_max=5, **kw):
@@ -232,13 +228,6 @@ class TestTildeAndMartingale:
         s = SamplePath([[0.1], [0.2]], [0.3, -0.1], [1.0, 1.0], truth=f)
         assert martingale_part(s, 0.0, 1.0) == pytest.approx(0.2, rel=1e-14)
 
-    def test_no_truth_raises(self):
-        s = SamplePath([[0.1]], [1.0], [1.0])
-        with pytest.raises(NoTruth):
-            tilde_estimate(s, 0.0, 1.0)
-        with pytest.raises(NoTruth):
-            martingale_part(s, 0.0, 1.0)
-
     @given(samples(with_truth=True), st.floats(0.1, 4))
     @settings(max_examples=80, deadline=None)
     def test_identity_kernel_minus_tilde(self, s, h):
@@ -309,7 +298,7 @@ def sorted_prefix_grid(sample, cfg):
     inv_var = sample.sigma[order] ** -2.0
     cum_w = np.cumsum(inv_var)
     cum_wy = np.cumsum(inv_var * sample.y_obs[order])
-    cum_wf = np.cumsum(inv_var * sample.truth_values()[order])
+    cum_wf = np.cumsum(inv_var * truth_values(sample)[order])
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
     counts = np.searchsorted(dist[order], bandwidths, side="right")
     if counts[0] == 0:
@@ -323,7 +312,7 @@ def sorted_prefix_grid(sample, cfg):
 def tilde_and_martingale(sample, stats):
     """f_tilde and M on the realized grid, read from the view by `ball_sums`."""
     inv_var = sample.sigma ** -2.0
-    f = sample.truth_values()
+    f = truth_values(sample)
     return (stats.ball_sums(inv_var * f) / stats.l_values,
             stats.ball_sums(inv_var * (sample.y_obs - f)))
 
@@ -428,12 +417,13 @@ class TestCsvRoundTrip:
                        rng.uniform(0.5, 2, 6))
         p = tmp_path / "sample.csv"
         write_sample_csv(s, p)
-        loaded = read_sample_csv(p)
-        assert loaded.dim == d
-        np.testing.assert_array_equal(loaded.x_obs, s.x_obs)
-        np.testing.assert_array_equal(loaded.y_obs, s.y_obs)
-        np.testing.assert_array_equal(loaded.sigma, s.sigma)
-        assert loaded.truth is None
+        # columns k, x_0..x_{d-1}, y, sigma; repr floats parse back exactly
+        loaded = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+        assert loaded.shape == (6, d + 3)
+        np.testing.assert_array_equal(loaded[:, 0], np.arange(1, 7))
+        np.testing.assert_array_equal(loaded[:, 1 : 1 + d], s.x_obs)
+        np.testing.assert_array_equal(loaded[:, 1 + d], s.y_obs)
+        np.testing.assert_array_equal(loaded[:, 2 + d], s.sigma)
 
     def test_header_format(self, tmp_path):
         s = SamplePath(np.zeros((2, 2)), np.ones(2), np.ones(2))

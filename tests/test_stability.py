@@ -3,7 +3,6 @@ values (mpmath, 40 digits), Monte Carlo bound checks at unit-test scale, the
 analytic lemmas, and the tail functional.  The full 1e5-replication matrices
 live in the acceptance suite."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,24 +23,21 @@ from lepski import (
     NoiseSpec,
     RandomizedStop,
     c_lambda,
-    c_mu,
     c_prime_lambda,
     check_lemma_cosh_sup,
     check_lemma_moment,
-    empirical_pi,
     gamma_lambda,
     gaussian_noise,
     grid_statistics,
     lambda_max,
-    mc_stability,
-    pi_statistic,
     simulate_ensemble,
     stability_matrix,
     truncated_laplace_noise,
     two_point_noise,
     uniform_design,
 )
-from lepski.stability import _CHUNK, _entropy, _rule_tag
+from lepski.stability import _CHUNK, _entropy, _rule_tag, pi_statistic
+from oracles import empirical_pi, truth_values
 
 
 class TestConstants:
@@ -119,10 +115,13 @@ class TestNoiseCertification:
 
     def test_samplers_centered_and_variance(self):
         rng = np.random.default_rng(0)
-        for noise in (gaussian_noise(), two_point_noise(), truncated_laplace_noise()):
+        cut = 5.0  # truncated Laplace: Var = 2 - (cut^2 + 2 cut) e^(-cut) / (1 - e^(-cut))
+        laplace_variance = 2.0 - (cut**2 + 2.0 * cut) * math.exp(-cut) / (1.0 - math.exp(-cut))
+        for noise, variance in ((gaussian_noise(), 1.0), (two_point_noise(), 1.0),
+                                (truncated_laplace_noise(cut=cut), laplace_variance)):
             z = noise.sampler(rng, 200_000)
-            assert abs(z.mean()) < 4 / math.sqrt(z.size) * math.sqrt(noise.variance)
-            assert z.var() == pytest.approx(noise.variance, rel=0.02)
+            assert abs(z.mean()) < 4 / math.sqrt(z.size) * math.sqrt(variance)
+            assert z.var() == pytest.approx(variance, rel=0.02)
 
     def test_truncated_laplace_empirical_moment(self):
         noise = truncated_laplace_noise()
@@ -130,11 +129,6 @@ class TestNoiseCertification:
         z = noise.sampler(rng, 400_000)
         est = np.exp(noise.mu * np.abs(z)).mean()
         assert est <= noise.gamma * 1.01
-
-    def test_predictable_variation_constant(self):
-        # <M>_n = Var(zeta) V_n for conditionally iid increments; Var <= c_mu
-        for noise in (gaussian_noise(), two_point_noise(), truncated_laplace_noise()):
-            assert noise.variance <= c_mu(noise.alpha, noise.mu)
 
     def test_stream_key_carries_truncation_cut(self):
         # noises differing only in cut must not share random streams
@@ -151,32 +145,31 @@ class TestNoiseCertification:
 class TestMcStability:
     def test_zero_scales_estimate_exactly_one(self):
         noise = gaussian_noise()
-        rep = mc_stability(noise, ConstantScale(0.0), FixedT(50), a=1.0,
-                           lam=0.01, n_rep=500, seed=3)
+        [rep] = stability_matrix(noise, [ConstantScale(0.0)], [FixedT(50)], [1.0], [0.01], 500, 3)
         assert rep.mc_estimate == 1.0 and rep.mc_stderr == 0.0 and rep.passed
 
     def test_fixed_time_gaussian_passes(self):
         noise = gaussian_noise(mu=0.25)  # gamma = sqrt(2)
-        rep = mc_stability(noise, ConstantScale(1.0), FixedT(200), a=5.0,
-                           lam=0.05, n_rep=20_000, seed=4)
+        [rep] = stability_matrix(noise, [ConstantScale(1.0)], [FixedT(200)], [5.0], [0.05],
+                                 20_000, 4)
         assert rep.passed
         assert rep.mc_estimate >= 1.0
         assert rep.bound == pytest.approx(1.0 + c_lambda(0.25, math.sqrt(2), 0.05), rel=1e-14)
 
     def test_alpha1_cosh_passes(self):
         noise = truncated_laplace_noise()
-        rep = mc_stability(noise, AlternatingScale(), FixedT(200), a=2.0,
-                           lam=0.3 * noise.mu, n_rep=20_000, seed=5)
+        [rep] = stability_matrix(noise, [AlternatingScale()], [FixedT(200)], [2.0],
+                                 [0.3 * noise.mu], 20_000, 5)
         assert rep.passed and rep.mc_estimate >= 1.0
 
     def test_lambda_validation(self):
         noise = gaussian_noise(mu=0.25)
         with pytest.raises(ValueError):
-            mc_stability(noise, ConstantScale(), FixedT(10), a=1.0,
-                         lam=lambda_max(0.25, noise.gamma), n_rep=10)
+            stability_matrix(noise, [ConstantScale()], [FixedT(10)], [1.0],
+                             [lambda_max(0.25, noise.gamma)], 10)
         with pytest.raises(ValueError):
-            mc_stability(truncated_laplace_noise(), ConstantScale(), FixedT(10),
-                         a=1.0, lam=0.51, n_rep=10)
+            stability_matrix(truncated_laplace_noise(), [ConstantScale()], [FixedT(10)],
+                             [1.0], [0.51], 10)
 
     def test_adversarial_crossing_all_uncensored_paths_cross(self):
         # the crossing boundary is hit slowly, so the cap warning is expected here
@@ -187,20 +180,19 @@ class TestMcStability:
         ratio = ens.m[ok] / np.sqrt(ens.v[ok])
         assert np.all(ratio >= 1.0)
         with pytest.warns(CensoredPathsWarning):
-            rep = mc_stability(noise, ConstantScale(1.0), stop, a=5.0, lam=0.03,
-                               n_rep=2000, seed=6)
+            [rep] = stability_matrix(noise, [ConstantScale(1.0)], [stop], [5.0], [0.03], 2000, 6)
         assert rep.passed
 
     def test_censored_paths_warning(self):
         noise = gaussian_noise()
         with pytest.warns(CensoredPathsWarning):
-            mc_stability(noise, ConstantScale(1.0), FirstCrossing(c=3.0, cap=50),
-                         a=1.0, lam=0.01, n_rep=500, seed=7)
+            stability_matrix(noise, [ConstantScale(1.0)], [FirstCrossing(c=3.0, cap=50)],
+                             [1.0], [0.01], 500, 7)
 
     def test_randomized_stop_passes(self):
         noise = gaussian_noise()
-        rep = mc_stability(noise, AdaptedScale(), RandomizedStop(p=0.01, cap=2000),
-                           a=0.5, lam=0.04, n_rep=10_000, seed=8)
+        [rep] = stability_matrix(noise, [AdaptedScale()], [RandomizedStop(p=0.01, cap=2000)],
+                                 [0.5], [0.04], 10_000, 8)
         assert rep.passed
 
     def test_ensemble_reproducible(self):
@@ -215,7 +207,7 @@ class TestMcStability:
 # compared with == against a scalar step loop.  At constant scale 1,
 # M_k / sqrt(V_k) = sqrt(k), so FirstCrossing(sqrt(t - 0.5)) stops at step t;
 # the targets and caps sit before, on and after the first chunk boundary.
-ONES = NoiseSpec("ones", 2, 0.25, 2.0, lambda rng, size: np.ones(size), 0.0)
+ONES = NoiseSpec("ones", 2, 0.25, 2.0, lambda rng, size: np.ones(size))
 KERNEL_SCALES = {  # rule, and its s_{k-1} as a function of (k, M_{k-1}, V_{k-1})
     "constant1": (ConstantScale(1.0), lambda k, m, v: 1.0),
     "constant0": (ConstantScale(0.0), lambda k, m, v: 0.0),
@@ -297,7 +289,7 @@ class TestAdmissibleA:
         monkeypatch.setattr(lepski.stability, "simulate_ensemble", no_paths)
         rules = (noise, [ConstantScale()], [FixedT(10)])
         with pytest.raises(ValueError):
-            mc_stability(noise, ConstantScale(), FixedT(10), a=a, lam=0.01, n_rep=10)
+            stability_matrix(*rules, [a], [0.01], 10)
         with pytest.raises(ValueError):
             stability_matrix(*rules, [1.0, a], [0.01], 10)
 
@@ -305,7 +297,7 @@ class TestAdmissibleA:
 class TestMatrixRanges:
     def test_ranges_are_cells_of_a_values(self):
         # a range in a_values is one more cell, evaluated on the pair's ensemble
-        # exactly as mc_stability evaluates it; only its rule carries "|uniform"
+        # exactly as a one-cell matrix evaluates it; only its rule carries "|uniform"
         noise = gaussian_noise()
         scales, stops, lams = [ConstantScale(1.0), AdaptedScale()], [FixedT(30)], [0.01, 0.05]
         cells = [0.5, (1.0, 100.0)]
@@ -316,8 +308,9 @@ class TestMatrixRanges:
                 for lam in lams:
                     for a in cells:
                         rule = f"{sc.name}|{st.name}" + ("|uniform" if isinstance(a, tuple) else "")
-                        rep = mc_stability(noise, sc, st, a, lam, 300, 9)
-                        expected.append(dataclasses.replace(rep, rule=rule))
+                        [rep] = stability_matrix(noise, [sc], [st], [a], [lam], 300, 9)
+                        assert rep.rule == rule
+                        expected.append(rep)
         assert reports == expected
         assert [r.rule.endswith("|uniform") for r in reports] == [False, True] * 4
 
@@ -343,25 +336,24 @@ class TestUniformStability:
         # factor in the bound degenerates to one
         noise = gaussian_noise()
         a = 3.0
-        uni = mc_stability(noise, ConstantScale(1.0), FixedT(100),
-                           a=(a, a), lam=0.04, n_rep=5000, seed=10)
-        point = mc_stability(noise, ConstantScale(1.0), FixedT(100), a=a,
-                             lam=0.02, n_rep=5000, seed=10)
+        rules = (noise, [ConstantScale(1.0)], [FixedT(100)])
+        [uni] = stability_matrix(*rules, [(a, a)], [0.04], 5000, 10)
+        [point] = stability_matrix(*rules, [a], [0.02], 5000, 10)
         assert uni.mc_estimate == pytest.approx(point.mc_estimate, rel=1e-14)
         assert uni.bound == pytest.approx(1.0 + c_lambda(noise.mu, noise.gamma, 0.04), rel=1e-14)
 
     def test_uniform_bound_passes(self):
         noise = gaussian_noise()
-        rep = mc_stability(noise, ConstantScale(1.0), FixedT(100),
-                           a=(1.0, 100.0), lam=0.04, n_rep=20_000, seed=11)
+        [rep] = stability_matrix(noise, [ConstantScale(1.0)], [FixedT(100)], [(1.0, 100.0)],
+                                 [0.04], 20_000, 11)
         assert rep.passed
         assert rep.bound == pytest.approx(
             (1.0 + c_lambda(noise.mu, noise.gamma, 0.04)) * (1.0 + math.log(100.0)), rel=1e-14)
 
     def test_zero_martingale_paths_give_one(self):
         noise = gaussian_noise()
-        rep = mc_stability(noise, ConstantScale(0.0), FixedT(20),
-                           a=(1.0, 10.0), lam=0.05, n_rep=200, seed=12)
+        [rep] = stability_matrix(noise, [ConstantScale(0.0)], [FixedT(20)], [(1.0, 10.0)],
+                                 [0.05], 200, 12)
         assert rep.mc_estimate == 1.0
 
     def test_interior_maximum_formula(self):
@@ -410,7 +402,7 @@ class TestPiTail:
         for r in range(20):
             sample = lepski.simulate(spec, (57, r))
             stats = grid_statistics(sample, cfg)
-            eps = sample.y_obs - sample.truth_values()
+            eps = sample.y_obs - truth_values(sample)
             i0 = r % 4
             hs, l = stats.bandwidths[i0:], stats.l_values[i0:]
             ps, m = stats.psi_values[i0:], stats.ball_sums(sample.sigma ** -2.0 * eps)[i0:]
