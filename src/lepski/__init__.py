@@ -11,7 +11,6 @@ from .errors import (
     GridEmpty,
     InsufficientOmegaPrime,
     LepskiError,
-    TooFewSamples,
 )
 from .model_core import (
     GridConfig,

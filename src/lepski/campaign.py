@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime, TooFewSamples
+from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
 from .model_core import GridConfig, write_sample_csv
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
 from .rates import HolderModulus, check_modulus, deterministic_hw, modulus_bar, rate_report
@@ -48,12 +48,13 @@ from . import stability as stab
 
 def _call(what: str, make, params, *args):
     """make(*args, **params) for the JSON object params: a key that is no
-    keyword of make, or a value that make refuses, is a ConfigError."""
+    keyword of make, or a value that make refuses or on which its arithmetic
+    overflows, is a ConfigError."""
     if not isinstance(params, dict):
         raise ConfigError(f"the {what} must be a JSON object; got {params!r}")
     try:
         return make(*args, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -87,6 +88,8 @@ def _f_linear(slope: float = 1.0, intercept: float = 0.0):
 def _f_holder_cusp(s: float = 0.5, scale: float = 1.0, at: float = 0.0):
     # |y - at|^s cusp: Holder with exponent s and constant `scale`, worst case at `at`
     s, scale, at = dgp.check_finite(s, scale, at)
+    if s <= 0:
+        raise ValueError(f"s must be positive; got {s!r}")
     return lambda x: scale * np.abs(np.atleast_2d(x)[:, 0] - at) ** s
 
 
@@ -103,9 +106,13 @@ def _affine_abs(a: float = 1.0, b: float = 0.5):
 
 
 def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
-    """A constant cost per observation; a budget campaign's ladder holds budgets."""
+    """A constant cost per observation; a budget campaign's ladder holds budgets,
+    and each must pay for one observation at least."""
     cost = dgp.check_positive(cost, "cost")
-    return dgp.BudgetStop(lambda hist: cost, float(budget))
+    rule = dgp.BudgetStop(lambda hist: cost, float(budget))
+    if cost > rule.budget:
+        raise ValueError(f"a cost of {cost:g} exceeds the budget {rule.budget:g}")
+    return rule
 
 
 def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
@@ -192,17 +199,13 @@ class CampaignConfig:
 
     def h_w(self, n: int, sigma: float) -> Optional[float]:
         """`deterministic_hw` of the process's design law at sample size n and
-        noise scale sigma, computed once per pair; None where h_w does not
-        exist (too few samples, or no design law)."""
+        noise scale sigma, computed once per pair: h_w, or None where it does
+        not exist (too few samples) or the process has no design law."""
         key = (n, sigma)
         if key not in self._h_w:
             design = self.process_for(self.n_ladder[0]).design
-            try:
-                hw = None if design is None else deterministic_hw(design, self.modulus, n,
-                                                                  sigma, self.grid)
-            except TooFewSamples:
-                hw = None
-            self._h_w[key] = hw
+            self._h_w[key] = None if design is None else deterministic_hw(
+                design, self.modulus, n, sigma, self.grid)
         return self._h_w[key]
 
 
@@ -257,8 +260,8 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
     if isinstance(built, dgp.MixingAr1) and process.get("x", x_point) not in (x_point, *x_point):
         raise ConfigError(f"the grid's x {x_point} is the estimation point; "
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
-    if not _numbers(t_grid):
-        raise ConfigError(f"t_grid must be a list of numbers; got {t_grid!r}")
+    if not (_numbers(t_grid) and all(map(math.isfinite, t_grid))):
+        raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
     return CampaignConfig(raw, grid, modulus, n_ladder, n_rep, *_run_keys(seed, out, fmt, **run),
                           t_grid=[float(t) for t in t_grid] or None)
 
@@ -294,7 +297,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows(path: Path, header: list, rows: list, fmt: str = "csv") -> None:
+def write_rows(path: Path, header: list, rows: list, fmt: str) -> None:
     if fmt not in OUTPUT_FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -379,7 +382,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
             ratio=rep_rates.ratio, omega0=rep_rates.omega_0,
             omega_prime=rep_rates.omega_prime)
 
-    if sel.defined and sample.truth is not None:
+    if sel.defined:
         f_x = float(np.asarray(sample.truth(grid.x_point.reshape(1, -1))).reshape(-1)[0])
         row["risk"] = abs(sel.f_hat - f_x)
     return {"estimate": row, "rate": rate_row}

@@ -30,12 +30,14 @@ EXIT_IO = 4
 
 
 def _common(body):
-    """The shared options, with the library's errors mapped to exit codes."""
+    """The shared options, with --seed and --jobs resolved against the
+    environment once and the library's errors mapped to exit codes."""
 
     @functools.wraps(body)
-    def run(*args, **kwargs):
+    def run(seed, jobs, **kwargs):
         try:
-            body(*args, **kwargs)
+            seed, jobs = _resolve(seed, jobs)
+            body(seed=seed, jobs=jobs, **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
@@ -63,6 +65,7 @@ def _common(body):
 
 
 def _resolve(seed, jobs):
+    """(seed, jobs) from the flags, else LEPSKI_SEED and LEPSKI_JOBS; jobs defaults to 1."""
     try:
         if seed is None and os.environ.get("LEPSKI_SEED"):
             seed = int(os.environ["LEPSKI_SEED"])
@@ -84,9 +87,8 @@ def main():
 @_common
 def simulate(config_path, seed, out, jobs, fmt):
     """Write one sample CSV per (n, rep) cell."""
-    s, j = _resolve(seed, jobs)
-    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
-    paths = campaign.run_simulate(cfg, j)
+    cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
+    paths = campaign.run_simulate(cfg, jobs)
     click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")
 
 
@@ -94,9 +96,8 @@ def simulate(config_path, seed, out, jobs, fmt):
 @_common
 def estimate(config_path, seed, out, jobs, fmt):
     """Run selection and rate diagnostics for every replication."""
-    s, j = _resolve(seed, jobs)
-    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
-    res = campaign.run_estimate(cfg, j)
+    cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
+    res = campaign.run_estimate(cfg, jobs)
     click.echo(f"wrote {len(res['rows'])} estimate rows to {cfg.outputs}")
 
 
@@ -104,9 +105,8 @@ def estimate(config_path, seed, out, jobs, fmt):
 @_common
 def tail_risk(config_path, seed, out, jobs, fmt):
     """Empirical tail of the risk against the random rate over the config's t_grid."""
-    s, j = _resolve(seed, jobs)
-    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
-    res = campaign.run_tail_risk(cfg, j)
+    cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
+    res = campaign.run_tail_risk(cfg, jobs)
     click.echo(f"wrote tail table ({len(res['rows'])} thresholds) to {cfg.outputs}")
 
 
@@ -114,9 +114,8 @@ def tail_risk(config_path, seed, out, jobs, fmt):
 @_common
 def rates(config_path, seed, out, jobs, fmt):
     """Deterministic-rate ladder with containment frequencies and scaling fit."""
-    s, j = _resolve(seed, jobs)
-    cfg = campaign.load_campaign(config_path, seed=s, out=out, fmt=fmt)
-    res = campaign.run_rates(cfg, j)
+    cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
+    res = campaign.run_rates(cfg, jobs)
     if res["fit"]:
         click.echo(
             f"slope(h_w)={res['fit']['slope_hw']:.4f} "
@@ -129,9 +128,8 @@ def rates(config_path, seed, out, jobs, fmt):
 @_common
 def verify_stability(config_path, seed, out, jobs, fmt):
     """Run the stability bound matrix; nonzero exit when any cell is red."""
-    s, j = _resolve(seed, jobs)
     doc = campaign.read_config(config_path)
-    res = campaign.run_verify_stability(doc, seed=s, out=out, fmt=fmt, jobs=j)
+    res = campaign.run_verify_stability(doc, seed=seed, out=out, fmt=fmt, jobs=jobs)
     n_red = sum(1 for r in res["rows"] if not r["pass"])
     click.echo(f"wrote {len(res['rows'])} stability rows to {', '.join(map(str, res['paths']))}")
     if n_red:

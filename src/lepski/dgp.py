@@ -39,12 +39,12 @@ from .model_core import SamplePath
 from .noise import NoiseSpec, gaussian_noise, normal_cdf
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, (tuple, list)):
-        return np.random.default_rng(np.random.SeedSequence(tuple(int(s) for s in seed)))
-    return np.random.default_rng(seed)
+def seeded_rng(seed, *extra) -> np.random.Generator:
+    """The package's one seeding rule: a generator on SeedSequence((*seed, *extra))
+    for a tuple or list seed, SeedSequence((seed, *extra)) for an integer one.
+    default_rng(s) and default_rng(SeedSequence((s,))) draw the same stream."""
+    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    return np.random.default_rng(np.random.SeedSequence(tuple(map(int, parts + extra))))
 
 
 def check_finite(*values) -> list:
@@ -75,7 +75,6 @@ class DesignLaw:
     point is the grid's, so the deterministic rate passes it in.
     """
 
-    name: str
     sampler: Callable[[np.random.Generator, int], np.ndarray]  # -> (n, d)
     interval_prob: Callable[[float, float], float]
 
@@ -91,7 +90,6 @@ def uniform_design(x: float = 0.0, radius: float = 1.0) -> DesignLaw:
     """X uniform on [x - radius, x + radius], centred at x."""
     [x], radius = check_finite(x), check_positive(radius, "radius")
     return DesignLaw(
-        name="uniform",
         sampler=lambda rng, n: rng.uniform(x - radius, x + radius, (n, 1)),
         interval_prob=_interval_prob(
             x, lambda t: min(max(t, -radius), radius) / (2.0 * radius)),
@@ -115,7 +113,6 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
 
     c = radius ** -(tau + 1.0)
     return DesignLaw(
-        name=f"power_law(tau={tau:g})",
         sampler=sampler,
         interval_prob=_interval_prob(
             x, lambda t: math.copysign(min(1.0, c * abs(t) ** (tau + 1.0)), t) / 2.0),
@@ -127,7 +124,6 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
     law of the mixing AR(1) chain."""
     [x] = check_finite(x)
     return DesignLaw(
-        name="gaussian",
         sampler=lambda rng, n: x + rng.standard_normal((n, 1)),
         interval_prob=_interval_prob(x, normal_cdf),
     )
@@ -172,9 +168,10 @@ class BudgetStop:
         check_positive(self.budget, "budget")
 
 
-def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.ndarray],
-                    dim: int) -> np.ndarray:
-    """Generate covariates one at a time under a budget rule; returns X_0..X_{N-1}.
+def run_budget_stop(rule: BudgetStop,
+                    draw_next: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Generate one-dimensional covariates one at a time under a budget rule;
+    returns X_0..X_{N-1} as an (N, 1) array.
 
     draw_next(k, history) produces X_k given the history rows X_0..X_{k-1}.
     Pricing observation k hands the rule exactly the rows X_0..X_{k-1}, so
@@ -182,12 +179,12 @@ def run_budget_stop(rule: BudgetStop, draw_next: Callable[[int, np.ndarray], np.
     doubles when full, and both callables get row-prefix views of it: rows
     already handed out are never written again.
     """
-    buf = np.empty((64, dim))
+    buf = np.empty((64, 1))
     k, spent = 0, 0.0
     while k < BUDGET_N_MAX:
         if k == buf.shape[0]:
             buf = np.concatenate([buf, np.empty_like(buf)])
-        buf[k] = np.asarray(draw_next(k, buf[:k]), dtype=float).reshape(dim)
+        buf[k] = draw_next(k, buf[:k])
         cost = float(rule.cost_fn(buf[:k + 1]))
         if spent + cost > rule.budget:
             break
@@ -251,7 +248,7 @@ class IidRegression(Regression):
         n = _fixed_n(self.stopping)
         if n is not None:
             return self.design.sampler(rng, n)
-        return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0], 1)
+        return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0])
 
 
 @dataclass(kw_only=True)
@@ -286,7 +283,7 @@ class MixingAr1(Regression):
                                initial=float(z[0]))
             return np.fromiter(chain, float, n).reshape(-1, 1)
         return run_budget_stop(self.stopping, lambda k, hist: rng.standard_normal() if k == 0
-                               else rho * hist[-1, 0] + c * rng.standard_normal(), 1)
+                               else rho * hist[-1, 0] + c * rng.standard_normal())
 
 
 @dataclass(kw_only=True)
@@ -371,4 +368,4 @@ class Autoregressive:
 
 def simulate(spec, seed) -> SamplePath:
     """Draw one sample path; the returned SamplePath carries the truth handle."""
-    return spec.sample(_rng(seed))
+    return spec.sample(seeded_rng(seed))

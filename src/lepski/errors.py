@@ -13,10 +13,6 @@ class EmptyWindow(LepskiError):
     """Requested a kernel average over a window with zero occupation time."""
 
 
-class TooFewSamples(LepskiError):
-    """Sample size below the threshold where the deterministic bandwidth exists."""
-
-
 class ExplosiveChain(LepskiError):
     """An autoregressive path exceeded the configured magnitude guard."""
 

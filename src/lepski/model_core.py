@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EmptyWindow, GridEmpty
 
 
-def _as_rows(x, dim: Optional[int] = None) -> np.ndarray:
+def _as_rows(x) -> np.ndarray:
     """Coerce covariates to a float (n, d) array; scalars and 1-d input map to d=1."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
@@ -31,8 +31,6 @@ def _as_rows(x, dim: Optional[int] = None) -> np.ndarray:
         a = a.reshape(-1, 1)
     elif a.ndim != 2:
         raise ValueError(f"covariates must be at most 2-d, got shape {a.shape}")
-    if dim is not None and a.shape[1] != dim:
-        raise ValueError(f"expected dimension {dim}, got {a.shape[1]}")
     return a
 
 
@@ -152,9 +150,6 @@ class GridStats:
     bins: np.ndarray
     l_values: np.ndarray = field(init=False)
     f_hat: np.ndarray = field(init=False)
-
-    def __len__(self) -> int:
-        return self.bandwidths.size
 
     def ball_sums(self, values=None) -> np.ndarray:
         """sum_k v_k 1{|X_{k-1} - x| <= h_j} for every realized h_j, v = values

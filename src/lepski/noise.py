@@ -34,8 +34,9 @@ class NoiseSpec:
     def __post_init__(self):
         if isinstance(self.alpha, (bool, float)) or self.alpha not in (1, 2):
             raise ValueError(f"alpha must be the integer 1 or 2; got {self.alpha!r}")
-        if not (self.mu > 0 and self.gamma > 1):
-            raise ValueError("need mu > 0 and gamma > 1")
+        if not (0 < self.mu < math.inf and 1 < self.gamma < math.inf):  # NaN fails too
+            raise ValueError(f"need a finite mu > 0 and a finite gamma > 1; "
+                             f"got mu={self.mu!r}, gamma={self.gamma!r}")
         self.mu = float(self.mu)  # its repr keys the stability streams
 
 

@@ -13,6 +13,8 @@ h.  H_w is read off the sample's `GridStats` view and its common sigma, both
 supplied by the caller: first at the grid, then on the pieces of L in one
 shell only.  h_w reads the design law at the grid's estimation point, the
 same x at which the view measures L; a design's own x is only its centre.
+Below its sample-size threshold h_w does not exist, and `deterministic_hw`
+returns None there, as `empirical_hw` does off Omega_0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import DesignLaw
-from .errors import GridEmpty, TooFewSamples
+from .errors import GridEmpty
 from .model_core import GridConfig, GridStats, SamplePath, grid_statistics, psi
 
 REL_TOL = 1e-10
@@ -35,11 +37,10 @@ REL_TOL = 1e-10
 
 @dataclass
 class HolderModulus:
-    """w(h) = scale * h^s * ell_w(h) with s in (0, 1]; ell_w defaults to 1."""
+    """w(h) = scale * h^s with s in (0, 1] and scale > 0, increasing in h."""
 
     s: float
     scale: float = 1.0
-    ell_w: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (0 < self.s <= 1 and 0 < self.scale < np.inf):  # NaN fails both
@@ -50,19 +51,14 @@ class HolderModulus:
         """Raw modulus value(s) W(h), before flooring and capping."""
         h = np.asarray(h, dtype=float)
         out = self.scale * h**self.s
-        if self.ell_w is not None:
-            out = out * self.ell_w(h)
         return out if out.ndim else float(out)
 
 
 def check_modulus(w_spec: HolderModulus, cfg: GridConfig) -> None:
-    """Raise ValueError unless, on a log grid of 1000 points in (0, h0], W is
-    nondecreasing, W(h) >= delta0 (h/h0)^alpha0 and W(h) <= u0, all read from
-    the grid."""
+    """Raise ValueError unless, on a log grid of 1000 points in (0, h0],
+    W(h) >= delta0 (h/h0)^alpha0 and W(h) <= u0, all read from the grid."""
     hs = np.exp(np.linspace(np.log(cfg.h0) - 12.0, np.log(cfg.h0), 1000))
     w = w_spec.w(hs)
-    if np.any(np.diff(w) < 0):
-        raise ValueError("modulus must be increasing on (0, h0]")
     if np.any(w < cfg.delta0 * (hs / cfg.h0) ** cfg.alpha0 - 1e-12):
         raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
     if np.any(w > cfg.u0 * (1 + 1e-12)):
@@ -187,25 +183,26 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
 
 
 def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
-                     n: int, sigma: float, cfg: GridConfig) -> float:
+                     n: int, sigma: float, cfg: GridConfig) -> Optional[float]:
     """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
     E L(h) = n * P_X[x-h, x+h] / sigma^2 at the grid's point x, where the
     one-dimensional design law gives P_X in closed form.
 
-    Raises TooFewSamples when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the
-    threshold below which h_w does not exist.  Returns 0.0 for a degenerate
-    design whose expected occupation does not vanish near 0.
+    None when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the threshold below which
+    h_w does not exist; a sigma^2 beyond the largest float makes E L vanish,
+    so it is None too.  Returns 0.0 for a degenerate design whose expected
+    occupation does not vanish near 0.
     """
     (x,) = cfg.x_point.tolist()
+    try:
+        var = sigma**2
+    except OverflowError:
+        return None
 
     def G(h):
-        return _excess(n * design.interval_prob(x, h) / sigma**2, h, w_spec, cfg)
+        return _excess(n * design.interval_prob(x, h) / var, h, w_spec, cfg)
 
-    if G(cfg.h0) < 0:
-        raise TooFewSamples(
-            f"need n >= sigma^2/(P_X[I_h0] w(h0)^2); got n={n}"
-        )
-    return _first_feasible(G, cfg.h0)
+    return None if G(cfg.h0) < 0 else _first_feasible(G, cfg.h0)
 
 
 # ------------------------------------------------------------------
@@ -243,11 +240,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     h_w_emp, h_w, the rates and the ratio are None for a heteroscedastic
     sample.  h_w_of(n, sigma) gives the deterministic bandwidth for the
     sample's size and common sigma, typically `deterministic_hw` on the
-    process's design law; it raises TooFewSamples or returns None where h_w
-    does not exist, and without it h_w is None.  It depends on the sample
-    through (n, sigma) only, so a caller may compute it once per pair.
-    Omega_0 failures are flagged, never raised, so campaign rows are
-    retained.
+    process's design law: h_w, or None where it does not exist; without
+    h_w_of, h_w is None.  It depends on the sample through (n, sigma) only,
+    so a caller may compute it once per pair.  Omega_0 failures are flagged,
+    never raised, so campaign rows are retained: L(h0) = 0, as when the
+    weights sigma^-2 underflow, fails Omega_0 since L(h0)^(-1/2) is infinite.
     """
     n = sample.n_stop
     try:
@@ -258,7 +255,7 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     h_star = oracle_bandwidth(stats, w_spec, cfg)
     omega_p = omega_prime_event(stats, w_spec, cfg)
     l_h0 = float(stats.l_values[0])
-    omega_0 = l_h0 ** -0.5 <= float(w_spec.w(cfg.h0))
+    omega_0 = l_h0 > 0 and l_h0 ** -0.5 <= float(w_spec.w(cfg.h0))
 
     report = RateReport(n=n, omega_0=bool(omega_0), omega_prime=omega_p, h_star=h_star)
     sigma = _constant_sigma(sample)
@@ -272,10 +269,7 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
             report.rate_random = float(w_spec.w(hw_emp))
 
     if h_w_of is not None:
-        try:
-            report.h_w = h_w_of(n, sigma)
-        except TooFewSamples:
-            pass
+        report.h_w = h_w_of(n, sigma)
         if report.h_w is not None:
             report.rate_det = float(w_spec.w(report.h_w))
 

@@ -22,11 +22,11 @@ import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dgp import check_count, check_finite
+from .dgp import check_count, check_finite, seeded_rng
 from .errors import CensoredPathsWarning
 from .model_core import GridConfig, SamplePath, grid_statistics
 from .noise import NoiseSpec
@@ -102,16 +102,12 @@ class ConstantScale:
 
 
 class AlternatingScale:
-    """s_{k-1} = odd_value on odd steps, even_value on even steps."""
+    """s_{k-1} = 1 on odd steps and 0 on even steps; the name keys the streams."""
 
-    def __init__(self, odd_value: float = 1.0, even_value: float = 0.0):
-        self.odd = float(odd_value)
-        self.even = float(even_value)
-        self.name = f"alternating({odd_value:g}:{even_value:g})"
+    name = "alternating(1:0)"
 
     def next_scales(self, k, n, m, v):
-        odd_step = np.arange(k + 1, k + n + 1) % 2 == 1
-        return np.where(odd_step, self.odd, self.even)[None, :]
+        return (np.arange(k + 1, k + n + 1, dtype=float) % 2)[None, :]
 
 
 class AdaptedScale:
@@ -199,11 +195,6 @@ def _rule_tag(noise: NoiseSpec, scales, stop) -> int:
     return zlib.crc32(key.encode())
 
 
-def _entropy(seed, *extra) -> tuple:
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    return base + tuple(int(e) for e in extra)
-
-
 # Steps drawn per chunk.  Long chunks hold (live paths x chunk) arrays and draw
 # further past each stop; short ones make the row-wise cumsum slow.  One
 # 16384-path Gaussian block of FirstCrossing(2, cap=1e4) at constant scale 1
@@ -280,8 +271,8 @@ def simulate_ensemble(noise: NoiseSpec, scales, stop, n_rep: int,
     tag = _rule_tag(noise, scales, stop)
     blocks = []
     for i, start in enumerate(range(0, n_rep, _BLOCK_PATHS)):
-        rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, tag, i)))
-        blocks.append(_simulate_block(noise, scales, stop, min(_BLOCK_PATHS, n_rep - start), rng))
+        blocks.append(_simulate_block(noise, scales, stop, min(_BLOCK_PATHS, n_rep - start),
+                                      seeded_rng(seed, tag, i)))
     ens = Ensemble(*map(np.concatenate, zip(*blocks)))
     if isinstance(stop, FirstCrossing) and ens.censor_rate > 1e-3:
         warnings.warn(
@@ -311,7 +302,7 @@ class StabilityReport:
     mc_stderr: float
     bound: float
     passed: bool
-    censor_rate: float = 0.0
+    censor_rate: float
 
 
 def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
@@ -453,27 +444,15 @@ def lemma_moment_bound(mu: float, gamma: float, m: float, rho: float) -> float:
     return math.exp((1.0 + 2.0 * gamma) * (rho**2 + m) / (2.0 * (mu - m)))
 
 
-def check_lemma_moment(mu: float, gamma: float, m: float, rho: float,
-                       noise: Optional[NoiseSpec] = None, n_rep: int = 200_000,
-                       seed=0) -> bool:
-    """E[exp(m zeta^2 + rho zeta)] <= exp((1+2 gamma)(rho^2+m)/(2(mu-m))).
-
-    Gaussian zeta admits the closed form exp(rho^2/(2(1-2m)))/sqrt(1-2m)
-    (m < 1/2), which is compared analytically; other noises are checked by
-    Monte Carlo with a three-standard-error slack.
-    """
+def check_lemma_moment(mu: float, gamma: float, m: float, rho: float) -> bool:
+    """E[exp(m zeta^2 + rho zeta)] <= exp((1+2 gamma)(rho^2+m)/(2(mu-m))) for
+    Gaussian zeta, whose left side has the closed form
+    exp(rho^2/(2(1-2m)))/sqrt(1-2m) (m < 1/2)."""
     rhs = lemma_moment_bound(mu, gamma, m, rho)
-    if noise is None or noise.name == "gaussian":
-        if m >= 0.5:
-            raise ValueError("the Gaussian closed form needs m < 1/2")
-        lhs = math.exp(rho**2 / (2.0 * (1.0 - 2.0 * m))) / math.sqrt(1.0 - 2.0 * m)
-        return lhs <= rhs
-    rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed)))
-    z = noise.sampler(rng, n_rep)
-    vals = np.exp(m * z * z + rho * z)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_rep))
-    return est + 3.0 * se <= rhs
+    if m >= 0.5:
+        raise ValueError("the Gaussian closed form needs m < 1/2")
+    lhs = math.exp(rho**2 / (2.0 * (1.0 - 2.0 * m))) / math.sqrt(1.0 - 2.0 * m)
+    return lhs <= rhs
 
 
 def check_lemma_cosh_sup(a_const: float, grid_eta: int = 10_000,

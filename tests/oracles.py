@@ -7,8 +7,9 @@ check."""
 import numpy as np
 
 from lepski import simulate
+from lepski.dgp import seeded_rng
 from lepski.model_core import _ball_sum
-from lepski.stability import _entropy, pi_statistic
+from lepski.stability import lemma_moment_bound, pi_statistic
 
 
 def truth_values(sample):
@@ -44,7 +45,18 @@ def empirical_pi(process_spec, cfg, i0, thresholds, n_rep, seed=0):
     t = np.atleast_1d(np.asarray(thresholds, dtype=float))
     stats = np.empty(n_rep)
     for r in range(n_rep):
-        stats[r] = pi_statistic(simulate(process_spec, _entropy(seed, r)), cfg, i0)
+        stats[r] = pi_statistic(simulate(process_spec, (seed, r)), cfg, i0)
     est = np.array([(stats > ti).mean() for ti in t])
     se = np.sqrt(est * (1.0 - est) / n_rep)
     return est, se
+
+
+def moment_lemma_monte_carlo(noise, m, rho, n_rep, seed):
+    """The moment lemma E[exp(m zeta^2 + rho zeta)] <= exp((1+2 gamma)(rho^2+m)/(2(mu-m)))
+    for the noise's own (mu, gamma), by Monte Carlo with a three-standard-error slack."""
+    rhs = lemma_moment_bound(noise.mu, noise.gamma, m, rho)
+    z = noise.sampler(seeded_rng(seed), n_rep)
+    vals = np.exp(m * z * z + rho * z)
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(n_rep))
+    return est + 3.0 * se <= rhs

@@ -1,5 +1,6 @@
 """Command-line interface tests: schemas, exit codes, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -237,6 +238,23 @@ class TestEstimate:
         lines = (out / "estimate.csv").read_text().splitlines()
         assert len(lines) == 4  # rows retained even when events fail
 
+    # every weight sigma^-2 underflows to 0, so L = 0 on the grid and the
+    # kernel means divide 0 by 0
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_underflowing_weights_flag_rows(self, tmp_path):
+        # L(h0) = 0 has L(h0)^(-1/2) = inf, so Omega_0 fails, and E L = 0, so
+        # h_w does not exist: the rows say so instead of the cell crashing
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=2)
+        doc["process"] = {"kind": "mixing_ar1", "sigma": 1e300}
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        with open(out / "rate_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["omega0"], r["h_w"]) for r in rows] == [("false", "")] * 2
+        for text in (path.read_text() for path in out.iterdir()):
+            assert "nan" not in text and "inf" not in text
+
 
 class TestTailRisk:
     def test_schema_and_values(self, tmp_path):
@@ -305,7 +323,7 @@ class TestRates:
         doc["process"] = {"f_true": {"name": "zero"},
                           "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
         cfg = campaign.parse_campaign(doc)
-        reference = DesignLaw("reference", None, lambda x, h: float(prob(h)))
+        reference = DesignLaw(None, lambda x, h: float(prob(h)))
         expected = deterministic_hw(reference, cfg.modulus, n, 1.0, cfg.grid)
         assert cfg.h_w(n, 1.0) == pytest.approx(expected, rel=1e-9)
         assert cfg.h_w(n, 1.0) == pytest.approx(h_w, abs=5e-6)
@@ -343,8 +361,6 @@ class TestVerifyStability:
         }
 
     def test_matrix_passes_and_schema(self, tmp_path):
-        import csv
-
         out = tmp_path / "out"
         cfg = write_config(tmp_path, self.stab_config(out))
         res = run_cli("verify-stability", "--config", str(cfg))
@@ -398,6 +414,9 @@ class TestVerifyStability:
         {"stopping": [{"rule": "crossing", "c": -INF, "cap": 20}]},
         {"a": [INF]},
         {"uniform_a": [[1.0, INF]]},
+        {"noise": {"family": "gaussian", "alpha": 1, "mu": 40}, "uniform_a": []},
+        {"noise": {"family": "two_point", "mu": 800}},
+        {"noise": {"family": "two_point", "alpha": 1, "mu": INF}, "uniform_a": []},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -405,7 +424,8 @@ class TestVerifyStability:
             "n_rep_frac", "n_rep_bool", "scale_for_scales", "crossing_C", "fixed2.5",
             "master_seed_frac", "master_seed_negative", "master_seed_bool",
             "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
-            "uniform1:inf"])
+            "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
+            "two_point_alpha1_mu_inf"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -571,6 +591,21 @@ class TestExitCodes:
         {"process": {"kind": "autoregressive", "ar_matrix": [[NAN]]}},
         {"process": {"kind": "autoregressive", "ar_matrix": [[INF]]}},
         {"process": {"kind": "autoregressive", "ar_matrix": [[-INF]]}},
+        {"process": {"kind": "iid_regression",
+                     "noise": {"family": "gaussian", "alpha": 1, "mu": 40}}},
+        {"process": {"kind": "iid_regression", "noise": {"family": "two_point", "mu": 800}}},
+        {"process": {"kind": "iid_regression", "noise": {"family": "two_point", "mu": INF}}},
+        {"process": {"kind": "iid_regression",
+                     "design": {"name": "power_law", "params": {"radius": 0.5, "tau": 1e300}}}},
+        {"t_grid": [NAN]},
+        {"t_grid": [INF]},
+        {"t_grid": [1.0, -INF]},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "holder_cusp", "params": {"s": -0.5}}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "holder_cusp", "params": {"s": 0}}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 100}},
+         "n_ladder": [40.5]},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -591,7 +626,10 @@ class TestExitCodes:
             "f_sine_amp_nan", "walk_x_start_nan", "walk_drift_nan", "walk_step_sd_negative",
             "walk_step_sd_inf", "laplace_cut0", "laplace_cut_inf",
             "budget_cost0", "budget_cost_nan", "budget_cost_inf", "budget_rung_nan",
-            "budget_rung_inf", "ar_nan", "ar_inf", "ar_minus_inf"])
+            "budget_rung_inf", "ar_nan", "ar_inf", "ar_minus_inf",
+            "gauss_alpha1_mu_overflow", "two_point_mu_overflow", "two_point_mu_inf",
+            "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
+            "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -656,7 +694,7 @@ def built_values(obj):
     if isinstance(obj, lepski.NoiseSpec):
         return obj.name, obj.alpha, obj.mu, obj.gamma, obj.sampler(rng, 5).tolist()
     if isinstance(obj, DesignLaw):
-        return obj.name, obj.interval_prob(0.3, 0.5), obj.sampler(rng, 5).tolist()
+        return obj.interval_prob(0.3, 0.5), obj.sampler(rng, 5).tolist()
     if hasattr(obj, "sample"):  # a process
         s = lepski.simulate(obj, 0)
         return type(obj), s.x_obs.tolist(), s.y_obs.tolist(), s.sigma.tolist()

@@ -105,7 +105,6 @@ class TestMixingAr1:
 
     def test_design_is_the_stationary_law(self):
         spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(10))
-        assert spec.design.name == "gaussian"
         assert spec.design.interval_prob(0.0, 1.0) == normal_cdf(1.0) - normal_cdf(-1.0)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, float("nan")])
@@ -308,7 +307,7 @@ class TestBudgetStop:
 
         rule = BudgetStop(spy, 5.5)
         draw = lambda k, hist: np.array([float(k)])
-        x = run_budget_stop(rule, draw, 1)
+        x = run_budget_stop(rule, draw)
         assert x.shape == (5, 1)
         sizes = [h.shape[0] for h in seen]
         assert sizes == [1, 2, 3, 4, 5, 6]  # priced obs 1..6, rejected the 6th
@@ -322,14 +321,14 @@ class TestBudgetStop:
 
         def draw(k, hist):
             drawn.append(hist)
-            return np.array([float(k), -float(k)])
+            return np.array([float(k)])
 
         def cost(hist):
             priced.append(hist)
             return 1.0
 
-        x = run_budget_stop(BudgetStop(cost, 300.0), draw, 2)
-        np.testing.assert_array_equal(x, np.column_stack([np.arange(300.0), -np.arange(300.0)]))
+        x = run_budget_stop(BudgetStop(cost, 300.0), draw)
+        np.testing.assert_array_equal(x, np.arange(300.0).reshape(-1, 1))
         assert [h.shape[0] for h in drawn] == list(range(301))
         assert [h.shape[0] for h in priced] == list(range(1, 302))
         for h in drawn + priced:

@@ -36,8 +36,9 @@ from lepski import (
     two_point_noise,
     uniform_design,
 )
-from lepski.stability import _CHUNK, _entropy, _rule_tag, pi_statistic
-from oracles import empirical_pi, truth_values
+from lepski.dgp import seeded_rng
+from lepski.stability import _CHUNK, _rule_tag, pi_statistic
+from oracles import empirical_pi, moment_lemma_monte_carlo, truth_values
 
 
 class TestConstants:
@@ -242,7 +243,7 @@ class TestChunkedKernel:
         n_rep, seed = 300, 17
         if isinstance(stop, RandomizedStop):
             tag = _rule_tag(ONES, scales, stop)
-            rng = np.random.default_rng(np.random.SeedSequence(_entropy(seed, tag, 0)))
+            rng = seeded_rng(seed, tag, 0)
             deadlines = np.minimum(rng.geometric(stop.p, n_rep), stop.cap)
         else:
             deadlines = np.full(n_rep, stop.n if isinstance(stop, FixedT) else stop.cap)
@@ -435,8 +436,7 @@ class TestLemmas:
 
     def test_moment_lemma_monte_carlo_two_point(self):
         noise = two_point_noise(mu=0.5)
-        assert check_lemma_moment(noise.mu, noise.gamma, 0.2, 0.4, noise=noise,
-                                  n_rep=100_000, seed=5)
+        assert moment_lemma_monte_carlo(noise, 0.2, 0.4, n_rep=100_000, seed=5)
 
     def test_cosh_sup_small_grids(self):
         for a_const in (0.1, 1.0, 10.0):
