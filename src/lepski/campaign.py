@@ -233,10 +233,12 @@ def parse_campaign(doc: dict, *, seed=None, out=None, fmt=None) -> CampaignConfi
 
 def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"]) -> tuple:
     """(master seed, output directory, formats) of a command document, with seed,
-    out and fmt in their place when given; its own seed and formats are checked anyway."""
+    out and fmt in their place when given; its own seed and formats are checked
+    anyway, and fmt too, so that `write_rows` only meets known formats."""
     formats, master_seed = _formats(formats), dgp.check_count(master_seed, "master_seed", 0)
     seed = master_seed if seed is None else dgp.check_count(seed, "the seed override", 0)
-    return int(seed), Path(outputs if out is None else out), formats if fmt is None else [fmt]
+    return (int(seed), Path(outputs if out is None else out),
+            formats if fmt is None else _formats([fmt]))
 
 
 def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
@@ -298,8 +300,6 @@ def _fmt(v) -> str:
 
 
 def write_rows(path: Path, header: list, rows: list, fmt: str) -> None:
-    if fmt not in OUTPUT_FORMATS:
-        raise ConfigError(f"unknown output format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -322,11 +322,10 @@ def _write_formats(outputs: Path, formats: list, stem: str, header: list, rows: 
     return paths
 
 
-ESTIMATE_HEADER = [
-    "n", "rep", "master_seed", "d", "h0", "q", "b", "nu", "u0", "delta0",
-    "alpha0", "j_max", "defined", "h_u0", "h_hat", "f_hat", "h_star",
-    "wbar_h_star", "risk", "omega_prime", "error",
-]
+_GRID_COLUMNS = ["h0", "q", "b", "nu", "u0", "delta0", "alpha0", "j_max"]
+
+ESTIMATE_HEADER = ["n", "rep", "master_seed", "d", *_GRID_COLUMNS, "defined", "h_u0",
+                   "h_hat", "f_hat", "h_star", "wbar_h_star", "risk", "omega_prime", "error"]
 
 RATE_HEADER = ["n", "seed", "h_star", "rate_random", "h_w", "rate_det",
                "ratio", "omega0", "omega_prime"]
@@ -341,21 +340,13 @@ STABILITY_HEADER = ["alpha", "mu", "gamma", "lambda", "a", "rule", "n_rep",
 
 
 def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
-    seed = cell_seed(cfg.master_seed, n, rep)
-    spec = cfg.process_for(n)
-    sample = dgp.simulate(spec, seed)
+    sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
     grid = cfg.grid
-    row = {
-        "n": n, "rep": rep, "master_seed": cfg.master_seed, "d": grid.dim,
-        "h0": grid.h0, "q": grid.q, "b": grid.b, "nu": grid.nu, "u0": grid.u0,
-        "delta0": grid.delta0, "alpha0": grid.alpha0, "j_max": grid.j_max,
-        "defined": False, "h_u0": None, "h_hat": None, "f_hat": None,
-        "h_star": None, "wbar_h_star": None, "risk": None,
-        "omega_prime": False, "error": None,
-    }
-    rate_row = {k: None for k in RATE_HEADER}
-    rate_row.update(n=n, seed=f"{cfg.master_seed}:{n}:{rep}",
-                    omega0=False, omega_prime=False)
+    row = dict.fromkeys(ESTIMATE_HEADER)
+    row.update({k: getattr(grid, k) for k in _GRID_COLUMNS}, n=n, rep=rep,
+               master_seed=cfg.master_seed, d=grid.dim, defined=False, omega_prime=False)
+    rate_row = dict.fromkeys(RATE_HEADER)
+    rate_row.update(n=n, seed=f"{cfg.master_seed}:{n}:{rep}", omega0=False, omega_prime=False)
     try:
         sel = select_bandwidth(sample, grid)
     except GridEmpty:
@@ -369,18 +360,13 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
 
     if cfg.modulus is not None:
         rep_rates = rate_report(sample, grid, cfg.modulus, cfg.h_w)
-        h_star = rep_rates.h_star
-        row["h_star"] = h_star
-        row["omega_prime"] = rep_rates.omega_prime
-        if h_star is not None:
-            row["wbar_h_star"] = modulus_bar(cfg.modulus, h_star, grid)
+        row.update(h_star=rep_rates.h_star, omega_prime=rep_rates.omega_prime)
+        if rep_rates.h_star is not None:
+            row["wbar_h_star"] = modulus_bar(cfg.modulus, rep_rates.h_star, grid)
         if not rep_rates.omega_prime and row["error"] is None:
             row["error"] = "omega_prime_false"
-        rate_row.update(
-            h_star=h_star, rate_random=rep_rates.rate_random,
-            h_w=rep_rates.h_w, rate_det=rep_rates.rate_det,
-            ratio=rep_rates.ratio, omega0=rep_rates.omega_0,
-            omega_prime=rep_rates.omega_prime)
+        rate_row.update(omega0=rep_rates.omega_0, **{k: getattr(rep_rates, k) for k in (
+            "h_star", "rate_random", "h_w", "rate_det", "ratio", "omega_prime")})
 
     if sel.defined:
         f_x = float(np.asarray(sample.truth(grid.x_point.reshape(1, -1))).reshape(-1)[0])
@@ -425,14 +411,11 @@ def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
 def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:
     cells = run_estimate_cells(cfg, jobs)
     est_rows = [c["estimate"] for c in cells]
-    rate_rows = [c["rate"] for c in cells]
-    out = {"rows": est_rows, "rate_rows": rate_rows,
-           "estimate": _write_formats(cfg.outputs, cfg.formats, "estimate",
-                                     ESTIMATE_HEADER, est_rows)}
+    _write_formats(cfg.outputs, cfg.formats, "estimate", ESTIMATE_HEADER, est_rows)
     if cfg.modulus is not None:
-        out["rate_report"] = _write_formats(cfg.outputs, cfg.formats, "rate_report",
-                                           RATE_HEADER, rate_rows)
-    return out
+        _write_formats(cfg.outputs, cfg.formats, "rate_report", RATE_HEADER,
+                       [c["rate"] for c in cells])
+    return {"rows": est_rows}
 
 
 def tail_table(est_rows: list, t_grid) -> list:
@@ -524,11 +507,9 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         out["paths"] = _write_formats(cfg.outputs, cfg.formats, "rates", RATES_HEADER, rows)
     if fit:
         cfg.outputs.mkdir(parents=True, exist_ok=True)
-        fit_path = cfg.outputs / "rates_fit.json"
-        with open(fit_path, "w", encoding="utf-8") as fh:
+        with open(cfg.outputs / "rates_fit.json", "w", encoding="utf-8") as fh:
             json.dump(fit, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        out["fit_path"] = fit_path
     return out
 
 
@@ -540,13 +521,12 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
     """Run the stability matrix described by the `stability` config section.
 
     seed and out, when given, replace the document's master_seed and outputs,
-    and fmt its `formats`; returns the rows, the reports and the written paths.
+    and fmt its `formats`; returns the rows and the written paths.
     """
     matrix, master_seed, outputs, formats = _call("stability document", _stability_document,
                                                   doc, seed, out, fmt)
-    reports = stab.stability_matrix(**matrix, master_seed=master_seed, jobs=jobs)
     rows = []
-    for r in reports:
+    for r in stab.stability_matrix(**matrix, master_seed=master_seed, jobs=jobs):
         a_repr = r.a if not isinstance(r.a, tuple) else f"{r.a[0]:g}:{r.a[1]:g}"
         rows.append({
             "alpha": r.alpha, "mu": r.mu, "gamma": r.gamma, "lambda": r.lam,
@@ -554,9 +534,8 @@ def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int 
             "estimate": r.mc_estimate, "stderr": r.mc_stderr, "bound": r.bound,
             "pass": r.passed, "master_seed": master_seed,
         })
-    paths = _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)
-    return {"rows": rows, "reports": reports, "paths": paths,
-            "all_pass": all(r.passed for r in reports)}
+    return {"rows": rows,
+            "paths": _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)}
 
 
 def _stability_document(seed, out, fmt, /, *, stability, **run) -> tuple:

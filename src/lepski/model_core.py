@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyWindow, GridEmpty
+from .errors import EmptyWindow, GridEmpty, LepskiError
 
 
 def _as_rows(x) -> np.ndarray:
@@ -56,12 +55,16 @@ class SamplePath:
     truth : callable, optional
         Hidden regression function, vectorized over (n, d) rows.  Present only
         for simulated data; enables risk evaluation.
+
+    inv_var holds the weights sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y|
+    must be finite (else a LepskiError), so L and f_hat are finite where L > 0.
     """
 
     x_obs: np.ndarray
     y_obs: np.ndarray
     sigma: np.ndarray
     truth: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    inv_var: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x_obs = _as_rows(self.x_obs)
@@ -76,15 +79,15 @@ class SamplePath:
             raise ValueError("covariates and responses must be finite")
         if not (np.all(np.isfinite(self.sigma)) and np.all(self.sigma > 0)):
             raise ValueError("sigma entries must be strictly positive and finite")
+        with np.errstate(over="ignore"):  # an overflow is what the test refuses
+            self.inv_var = self.sigma ** -2.0
+            sums = np.sum(self.inv_var), np.dot(self.inv_var, np.abs(self.y_obs))
+        if not np.all(np.isfinite(sums)):
+            raise LepskiError("the weighted sums of sigma^-2 and sigma^-2 |Y| overflow")
 
     @property
     def n_stop(self) -> int:
         return self.x_obs.shape[0]
-
-    @cached_property
-    def inv_var(self) -> np.ndarray:
-        """The inverse-variance weights sigma_{k-1}^(-2), formed once per sample."""
-        return self.sigma ** -2.0
 
     @property
     def dim(self) -> int:
@@ -141,13 +144,13 @@ class GridStats:
     nonincreasing along the array and every entry is positive; psi_values
     is increasing along the array with psi_values[0] == 1.  dist holds
     |X_{k-1} - x| and bins the shell of each observation: j + 1 for the
-    deepest grid ball j that holds it, 0 beyond h0.
+    deepest realized grid ball j that holds it, 0 beyond h0.
     """
 
     bandwidths: np.ndarray
-    psi_values: np.ndarray
     dist: np.ndarray
     bins: np.ndarray
+    psi_values: np.ndarray = field(init=False)
     l_values: np.ndarray = field(init=False)
     f_hat: np.ndarray = field(init=False)
 
@@ -164,10 +167,12 @@ class GridStats:
     def last_feasible(self, bound) -> Optional[int]:
         """Index of the smallest bandwidth whose level is <= bound (a scalar or
         one value per element), or None when h0 already fails."""
-        feasible = self.levels <= bound
-        if not feasible[0]:
-            return None
-        return int(np.flatnonzero(feasible)[-1])
+        return last_feasible_index(self.levels <= bound)
+
+
+def last_feasible_index(feasible: np.ndarray) -> Optional[int]:
+    """Index of the last True entry of a mask along the grid, None if entry 0 is False."""
+    return int(np.flatnonzero(feasible)[-1]) if feasible[0] else None
 
 
 # ------------------------------------------------------------------
@@ -181,13 +186,14 @@ def _ball_sum(sample: SamplePath, x_point, h: float, values=None, *,
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     mask = sample.distances(x_point) <= h
-    if mean and not mask.any():
-        raise EmptyWindow(f"no observation within h={h} of the estimation point")
     w = sample.inv_var[mask]
+    l_h = np.sum(w)
+    if mean and l_h == 0:
+        raise EmptyWindow(f"L(h) = 0: no weight within h={h} of the estimation point")
     if values is None:
-        return float(np.sum(w))
+        return float(l_h)
     total = np.sum(w * values[mask])
-    return float(total / np.sum(w) if mean else total)
+    return float(total / l_h if mean else total)
 
 
 def occupation_time(sample: SamplePath, x_point, h: float) -> float:
@@ -231,28 +237,33 @@ def _shells(dist: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
 
 
 def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
-    """The view of the sample at cfg.x_point, with L and f_hat on every
-    realized grid bandwidth.
+    """The view of the sample at cfg.x_point: the realized grid
+    {h_j = h0 q^j : L(h_j) > 0}, with L, psi and f_hat on it.
 
     Weights and weighted responses are summed per shell (`_shells`) with
     `np.bincount` and accumulated from the innermost shell outwards: a few
-    O(n) passes and no sort.
+    O(n) passes and no sort.  L is nonincreasing, so the realized grid is a
+    prefix; shells beyond it hold weight 0 alone (every sigma^-2 underflows
+    there), and their bins join the deepest kept shell, adding exact zeros.
 
     Raises
     ------
     GridEmpty
-        when L(h0) = 0, i.e. no observation within h0 of the estimation point.
+        when L(h0) = 0: no weight within h0 of the estimation point.
     """
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
     dist = sample.distances(cfg.x_point)
     bins = _shells(dist, bandwidths)
     bins += 1  # bin 0 holds the distances beyond h0
-    # the realized grid runs from h0 down to the deepest occupied shell
-    last = int(bins.max())
+    stats = GridStats(bandwidths, dist, bins)
+    l_values = stats.ball_sums(sample.inv_var)  # down to the deepest occupied shell
+    last = np.count_nonzero(l_values)
     if last == 0:
-        raise GridEmpty("no observation within h0 of the estimation point")
-    stats = GridStats(bandwidths[:last], psi(bandwidths[:last], cfg), dist, bins)
-    stats.l_values = stats.ball_sums(sample.inv_var)
+        raise GridEmpty("L(h0) = 0: no weight within h0 of the estimation point")
+    if last < l_values.size:
+        np.minimum(bins, last, out=bins)
+    stats.bandwidths, stats.l_values = bandwidths[:last], l_values[:last]
+    stats.psi_values = psi(stats.bandwidths, cfg)
     stats.f_hat = stats.ball_sums(sample.inv_var * sample.y_obs) / stats.l_values
     return stats
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .dgp import DesignLaw
 from .errors import GridEmpty
-from .model_core import GridConfig, GridStats, SamplePath, grid_statistics, psi
+from .model_core import (GridConfig, GridStats, SamplePath, grid_statistics,
+                         last_feasible_index, psi)
 
 REL_TOL = 1e-10
 
@@ -55,13 +56,16 @@ class HolderModulus:
 
 
 def check_modulus(w_spec: HolderModulus, cfg: GridConfig) -> None:
-    """Raise ValueError unless, on a log grid of 1000 points in (0, h0],
-    W(h) >= delta0 (h/h0)^alpha0 and W(h) <= u0, all read from the grid."""
-    hs = np.exp(np.linspace(np.log(cfg.h0) - 12.0, np.log(cfg.h0), 1000))
-    w = w_spec.w(hs)
-    if np.any(w < cfg.delta0 * (hs / cfg.h0) ** cfg.alpha0 - 1e-12):
+    """Raise ValueError unless delta0 (h/h0)^alpha0 <= W(h) <= u0 on all of
+    (0, h0], all read from the grid.  W = scale h^s increases, so the cap binds
+    at h0; W over the floor is proportional to h^(s - alpha0), so the floor
+    binds at h0 when alpha0 >= s and fails near 0 otherwise.  Tolerance 1e-12."""
+    w0 = w_spec.w(cfg.h0)
+    if cfg.alpha0 < w_spec.s:
+        raise ValueError("modulus falls below the floor near 0: need alpha0 >= s")
+    if w0 < cfg.delta0 - 1e-12:
         raise ValueError("modulus falls below the floor delta0 (h/h0)^alpha0")
-    if np.any(w > cfg.u0 * (1 + 1e-12)):
+    if w0 > cfg.u0 * (1 + 1e-12):
         raise ValueError("modulus exceeds the cap u0 on (0, h0]")
 
 
@@ -156,10 +160,10 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
     """
     dist, bins = stats.dist, stats.bins  # bin j + 1 holds shell j, bin 0 lies beyond h0
     # L(h_j) = C_j sigma^-2 with C_j = #{d <= h_j}, as on the pieces below
-    grid_ok = _excess(stats.ball_sums() * sigma ** -2.0, stats.bandwidths, w_spec, cfg) >= 0
-    if not grid_ok[0]:
+    j = last_feasible_index(
+        _excess(stats.ball_sums() * sigma ** -2.0, stats.bandwidths, w_spec, cfg) >= 0)
+    if j is None:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
-    j = int(np.flatnonzero(grid_ok)[-1])
     # the pieces meeting (h_{j+1}, h_j]: the first starts at the largest distance
     # <= h_{j+1}, the last ends at the smallest distance in (h_j, h0], or at h0
     inner = dist[bins > j + 1]
@@ -243,8 +247,8 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     process's design law: h_w, or None where it does not exist; without
     h_w_of, h_w is None.  It depends on the sample through (n, sigma) only,
     so a caller may compute it once per pair.  Omega_0 failures are flagged,
-    never raised, so campaign rows are retained: L(h0) = 0, as when the
-    weights sigma^-2 underflow, fails Omega_0 since L(h0)^(-1/2) is infinite.
+    never raised, so campaign rows are retained; an empty grid (L(h0) = 0)
+    fails Omega_0 and Omega' and leaves every bandwidth None.
     """
     n = sample.n_stop
     try:
@@ -254,10 +258,9 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
 
     h_star = oracle_bandwidth(stats, w_spec, cfg)
     omega_p = omega_prime_event(stats, w_spec, cfg)
-    l_h0 = float(stats.l_values[0])
-    omega_0 = l_h0 > 0 and l_h0 ** -0.5 <= float(w_spec.w(cfg.h0))
+    omega_0 = float(stats.l_values[0]) ** -0.5 <= float(w_spec.w(cfg.h0))
 
-    report = RateReport(n=n, omega_0=bool(omega_0), omega_prime=omega_p, h_star=h_star)
+    report = RateReport(n=n, omega_0=omega_0, omega_prime=omega_p, h_star=h_star)
     sigma = _constant_sigma(sample)
     if sigma is None:
         return report

@@ -35,11 +35,12 @@ _BLOCK_PATHS = 16384
 
 
 def pool_map(fn, *iterables, jobs: int = 1) -> list:
-    """list(map(fn, *iterables)), on one pool of at most `jobs` worker processes
-    (about four chunks each) when jobs > 1; results keep the input order."""
+    """fn on each tuple of items, on one pool of at most `jobs` worker processes
+    (about four chunks each) when jobs > 1; results keep the input order.  Not
+    `map`, which takes a StopIteration that fn raises for the end of the items."""
     n = min(map(len, iterables))
     if min(jobs, n) <= 1:
-        return list(map(fn, *iterables))
+        return [fn(*args) for args in zip(*iterables)]
     with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
         return list(pool.map(fn, *iterables, chunksize=max(1, n // (4 * jobs))))
 

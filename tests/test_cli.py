@@ -238,22 +238,55 @@ class TestEstimate:
         lines = (out / "estimate.csv").read_text().splitlines()
         assert len(lines) == 4  # rows retained even when events fail
 
-    # every weight sigma^-2 underflows to 0, so L = 0 on the grid and the
-    # kernel means divide 0 by 0
-    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_weights_flag_rows(self, tmp_path):
-        # L(h0) = 0 has L(h0)^(-1/2) = inf, so Omega_0 fails, and E L = 0, so
-        # h_w does not exist: the rows say so instead of the cell crashing
+        # every weight sigma^-2 underflows to 0, so L(h0) = 0 and the grid is
+        # empty: the rows say so, with no 0/0, instead of the cell crashing
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2)
         doc["process"] = {"kind": "mixing_ar1", "sigma": 1e300}
         res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
         assert res.exit_code == 0, res.output
+        with open(out / "estimate.csv", newline="") as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == ["grid_empty"] * 2
         with open(out / "rate_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["omega0"], r["h_w"]) for r in rows] == [("false", "")] * 2
         for text in (path.read_text() for path in out.iterdir()):
             assert "nan" not in text and "inf" not in text
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("process", [
+        {"kind": "mixing_ar1", "sigma": 1e-200},
+        {"kind": "mixing_ar1", "f_true": {"name": "constant", "params": {"value": 1e308}}},
+    ], ids=["weights", "responses"])
+    def test_overflowing_sums_exit_2(self, tmp_path, process, jobs):
+        # sigma^-2 = 1e400, or 40 responses near 1e308, sum to no float; the
+        # sample refuses them, where --jobs 1 wrote no rows and exited 0
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=2, process=process)
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)), "--jobs", jobs)
+        assert res.exit_code == 2, res.output
+        assert "overflow" in res.output
+        assert not out.exists()
+
+    def test_heteroscedastic_rate_rows_leave_the_rates_empty(self, tmp_path):
+        # sigma = 1 + 0.5 |x| varies, so neither continuum bandwidth is defined
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[200], n_rep=2)
+        doc["process"]["s_scale"] = {"name": "affine_abs", "params": {"a": 1.0, "b": 0.5}}
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        with open(out / "rate_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["h_w"], r["rate_random"], r["ratio"]) for r in rows] == [("", "", "")] * 2
+        assert all(r["h_star"] for r in rows)
+
+    def test_format_override_checked_at_load(self, tmp_path):
+        with pytest.raises(lepski.ConfigError, match="formats"):
+            campaign.parse_campaign(base_config(tmp_path / "out"), fmt="xml")
 
 
 class TestTailRisk:
@@ -417,6 +450,7 @@ class TestVerifyStability:
         {"noise": {"family": "gaussian", "alpha": 1, "mu": 40}, "uniform_a": []},
         {"noise": {"family": "two_point", "mu": 800}},
         {"noise": {"family": "two_point", "alpha": 1, "mu": INF}, "uniform_a": []},
+        {"lambdas": []},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -425,7 +459,7 @@ class TestVerifyStability:
             "master_seed_frac", "master_seed_negative", "master_seed_bool",
             "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
             "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
-            "two_point_alpha1_mu_inf"])
+            "two_point_alpha1_mu_inf", "lambdas_empty"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -606,6 +640,9 @@ class TestExitCodes:
                      "f_true": {"name": "holder_cusp", "params": {"s": 0}}}},
         {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 100}},
          "n_ladder": [40.5]},
+        {"process": {"kind": "iid_regression", "f_true": {"name": "cubic"}}},
+        {"process": {"kind": "iid_regression",
+                     "f_true": {"name": "constant", "value": 2.0}}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -629,7 +666,8 @@ class TestExitCodes:
             "budget_rung_inf", "ar_nan", "ar_inf", "ar_minus_inf",
             "gauss_alpha1_mu_overflow", "two_point_mu_overflow", "two_point_mu_inf",
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
-            "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung"])
+            "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
+            "f_unknown_name", "f_key_outside_params"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -646,10 +684,12 @@ class TestExitCodes:
         ({"s": 0.5, "scale": 3.0}, {}),
         ({"s": 1.0, "scale": 0.05}, {}),
         ({"s": 0.5, "scale": 1.0}, {"u0": 0.5}),
-    ], ids=["cap", "floor", "grid_u0"])
+        ({"s": 1.0, "scale": 1.0}, {"alpha0": 0.5, "delta0": 1e-3, "q": 0.5, "j_max": 30}),
+    ], ids=["cap", "floor", "grid_u0", "floor_near_0"])
     def test_inadmissible_modulus_exit_2(self, tmp_path, modulus, grid):
         # the floor and cap come from the grid: s 0.5, scale 1 is admissible
-        # under u0 = 1 and exceeds the cap of a grid whose u0 is 0.5
+        # under u0 = 1 and exceeds the cap of a grid whose u0 is 0.5; with
+        # alpha0 = 0.5 < s = 1, w(1e-7) = 1e-7 is below the floor 3.2e-7
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2)
         doc["modulus"].update(modulus)
@@ -681,6 +721,17 @@ class TestExitCodes:
             res = run_cli(command, "--config", str(write_config(tmp_path, doc)), *args)
             assert res.exit_code == 2, (command, res.output)
             assert "seed" in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, env", [(["--jobs", "0"], {}), ([], {"LEPSKI_JOBS": "0"})],
+                             ids=["flag", "env"])
+    def test_no_workers_exit_2(self, tmp_path, monkeypatch, args, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        doc = base_config(tmp_path / "out")
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)), *args)
+        assert res.exit_code == 2, res.output
+        assert "at least 1" in res.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -754,6 +805,21 @@ class TestSectionDefaults:
             "default_scale"])
     def test_name_alone_builds_the_library_default(self, read, library):
         assert built_values(read()) == built_values(library())
+
+    @pytest.mark.parametrize("read, values", [
+        (lambda: campaign.make_f_true({"name": "constant", "params": {"value": 2.5}}),
+         [2.5] * 5),
+        (lambda: campaign.make_f_true({"name": "linear",
+                                       "params": {"slope": 2.0, "intercept": 1.0}}),
+         [-1.0, 0.0, 1.0, 2.0, 3.0]),
+        (lambda: campaign.make_f_true({"name": "sine", "params": {"amp": 2.0, "freq": np.pi}}),
+         [0.0, -2.0, 0.0, 2.0, 0.0]),
+        (lambda: campaign.make_s_scale({"name": "affine_abs", "params": {"a": 1.0, "b": 2.0}}),
+         [3.0, 2.0, 1.0, 2.0, 3.0]),
+    ], ids=["constant", "linear", "sine", "affine_abs"])
+    def test_named_function_values(self, read, values):
+        # on x = -1, -1/2, 0, 1/2, 1
+        np.testing.assert_allclose(built_values(read()), values, rtol=0, atol=1e-15)
 
 
 class TestImport:

@@ -14,6 +14,7 @@ from lepski import (
     EmptyWindow,
     GridConfig,
     GridEmpty,
+    LepskiError,
     SamplePath,
     grid_statistics,
     kernel_estimate,
@@ -188,6 +189,13 @@ class TestKernelEstimate:
     def test_empty_window_raises(self):
         s = SamplePath([[3.0]], [1.0], [1.0])
         with pytest.raises(EmptyWindow):
+            kernel_estimate(s, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weightless_window_raises(self):
+        # sigma^-2 = 0 makes L(h) = 0 with an observation inside: 0/0 = NaN before
+        s = SamplePath([[0.0]], [1.0], [1e300])
+        with pytest.raises(EmptyWindow, match="L\\(h\\) = 0"):
             kernel_estimate(s, 0.0, 1.0)
 
 
@@ -408,6 +416,27 @@ class TestGridStatistics:
                                       [3.0, 2.0, 2.0, 2.0, 2.0, 2.0])
         np.testing.assert_array_equal(stats.l_values, [2.25, 2.0, 2.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shells_of_zero_weight_leave_the_grid(self):
+        # sigma = 1e300 makes sigma^-2 = 0: the two points at x hold no weight, so the
+        # grid {h_j : L(h_j) > 0} stops at 1/2, where the point at 0.5 is the last
+        # with weight; the points at x join its shell and still count in its ball
+        s = SamplePath([[0.0], [0.0], [0.5], [-0.9]], [7.0, 7.0, 2.0, 4.0],
+                       [1e300, 1e300, 1.0, 1.0])
+        stats = grid_statistics(s, cfg_at_zero(q=0.5, j_max=5))
+        np.testing.assert_array_equal(stats.bandwidths, [1.0, 0.5])
+        np.testing.assert_array_equal(stats.l_values, [2.0, 1.0])
+        np.testing.assert_array_equal(stats.f_hat, [3.0, 2.0])
+        np.testing.assert_array_equal(stats.ball_sums(), [4, 3])
+        np.testing.assert_allclose(stats.psi_values, [1.0, 1.0 + math.log(2.0)], rtol=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_empty_when_every_weight_underflows(self):
+        # observations within h0 but L(h0) = 0: the grid is empty, with no 0/0
+        s = SamplePath([[0.0], [0.3]], [1.0, 2.0], [1e300, 1e300])
+        with pytest.raises(GridEmpty, match="L\\(h0\\) = 0"):
+            grid_statistics(s, cfg_at_zero())
+
 
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("d", [1, 2])
@@ -467,6 +496,17 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SamplePath(np.zeros((0, 1)), [], [])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y, sigma", [([1.0, -1.0], [1e-200, 1.0]),
+                                          ([1e308, -1e308], [1.0, 1.0]),
+                                          ([1e300, 1.0], [1e-5, 1.0])],
+                             ids=["weight", "responses", "product"])
+    def test_rejects_overflowing_sums(self, y, sigma):
+        # sigma^-2 = 1e400, |Y| summing to 2e308 or sigma^-2 |Y| = 1e310 is no float:
+        # L and f_hat would be inf or NaN in every ball
+        with pytest.raises(LepskiError, match="overflow"):
+            SamplePath([[0.0], [0.5]], y, sigma)
 
     def test_rejects_an_underflowing_grid(self):
         # 0.01^200 = 0 in floats: the stored grid would stop being h0 q^j

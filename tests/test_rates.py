@@ -1,6 +1,7 @@
 """Tests for the modulus envelope, oracle bandwidths, the continuum empirical
 bandwidth and its deterministic equivalent."""
 
+import itertools
 import math
 from dataclasses import fields
 
@@ -64,6 +65,33 @@ class TestModulusSpec:
         # w(h) = 0.05 h is below 0.1 h^2 near h = h0 = 1
         with pytest.raises(ValueError):
             check_modulus(HolderModulus(1.0, 0.05), grid_cfg(delta0=0.1, alpha0=2.0))
+
+    def test_rejects_floor_violation_near_zero(self):
+        # w(h) = h and the floor 1e-3 h^0.5 cross at h = 1e-6: w(1e-7) = 1e-7 is
+        # below 3.2e-7, though w(h0) = 1 is far above the floor at h0
+        cfg = grid_cfg(delta0=1e-3, alpha0=0.5, q=0.5, j_max=30)
+        with pytest.raises(ValueError, match="alpha0 >= s"):
+            check_modulus(HolderModulus(1.0), cfg)
+
+    def test_closed_form_matches_a_dense_check(self):
+        # for alpha0 >= s the tests at h0 decide the whole of (0, h0]: a check on
+        # 10^4 log-spaced points, with the same 1e-12 tolerances, agrees
+        hs = np.append(np.exp(np.linspace(-30.0, 0.0, 10_000)), 1.0)
+        accepted = []
+        for s, scale, alpha0 in itertools.product(
+                [0.25, 0.5, 1.0], [0.05, 0.1 - 1e-11, 0.1 - 1e-13, 0.5, 1.0 + 1e-13, 1.0 + 1e-11],
+                [1.0, 2.0]):
+            spec, cfg = HolderModulus(s, scale), grid_cfg(delta0=0.1, alpha0=alpha0, u0=1.0)
+            w = spec.w(hs)
+            dense = bool(np.all(w >= 0.1 * hs ** alpha0 - 1e-12) and np.all(w <= 1.0 + 1e-12))
+            try:
+                check_modulus(spec, cfg)
+            except ValueError:
+                assert not dense, (s, scale, alpha0)
+            else:
+                assert dense, (s, scale, alpha0)
+                accepted.append(scale)
+        assert sorted(set(accepted)) == [0.1 - 1e-13, 0.5, 1.0 + 1e-13]
 
     def test_kinds_share_no_field(self):
         # h0, delta0, alpha0 and u0 live on the grid alone

@@ -228,6 +228,23 @@ class TestBruteForceOracle:
                 assert_same_selection(brute_force_select(sample, cfg), want)
         assert before[-1] is GridEmpty and any(r is not GridEmpty and r.defined for r in before)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma, grid_empty", [
+        ([1e300, 1e300, 1e300], True), ([1e300, 1e300, 1.0], False)],
+        ids=["every_weight_underflows", "inner_weights_underflow"])
+    def test_oracle_agrees_when_weights_underflow(self, sigma, grid_empty):
+        # both selectors realize the grid {h_j : L(h_j) > 0}, from weights
+        s = SamplePath([[0.0], [0.1], [0.6]], [5.0, -5.0, 1.0], sigma)
+        cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.5, nu=2.0, u0=3.0, j_max=6)
+        if grid_empty:
+            for select in (select_bandwidth, brute_force_select):
+                with pytest.raises(GridEmpty):
+                    select(s, cfg)
+            return
+        res = brute_force_select(s, cfg)
+        assert res.defined and res.h_hat == 1.0 and res.f_hat == 1.0
+        assert_same_selection(select_bandwidth(s, cfg), res)
+
     def test_oracle_equivalence_randomized(self):
         # the acceptance suite runs 10^4 instances; keep a fast slice here
         disagreements = 0

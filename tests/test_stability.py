@@ -37,8 +37,23 @@ from lepski import (
     uniform_design,
 )
 from lepski.dgp import seeded_rng
-from lepski.stability import _CHUNK, _rule_tag, pi_statistic
+from lepski.stability import _CHUNK, _rule_tag, pi_statistic, pool_map
 from oracles import empirical_pi, moment_lemma_monte_carlo, truth_values
+
+
+def stop_at_two(k):
+    """k, but a StopIteration for k = 2 (module level, so a worker can run it)."""
+    if k == 2:
+        raise StopIteration
+    return k
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("jobs, error", [(1, StopIteration), (2, RuntimeError)])
+    def test_a_cells_stop_iteration_is_raised(self, jobs, error):
+        # list(map(...)) took it for the end of the cells and returned [0, 1]
+        with pytest.raises(error):
+            pool_map(stop_at_two, range(5), jobs=jobs)
 
 
 class TestConstants:
