@@ -20,7 +20,6 @@ from .model_core import (
     kernel_estimate,
     occupation_time,
     psi,
-    write_sample_csv,
 )
 from .selection import (
     SelectionResult,

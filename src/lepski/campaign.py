@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
-from .model_core import GridConfig, write_sample_csv
+from .model_core import GridConfig
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
 from .rates import HolderModulus, check_modulus, deterministic_hw, modulus_bar, rate_report
 from .selection import select_bandwidth
@@ -233,9 +233,11 @@ def parse_campaign(doc: dict, *, seed=None, out=None, fmt=None) -> CampaignConfi
 
 def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"]) -> tuple:
     """(master seed, output directory, formats) of a command document, with seed,
-    out and fmt in their place when given; its own seed and formats are checked
-    anyway, and fmt too, so that `write_rows` only meets known formats."""
+    out and fmt in their place when given; its own seed, outputs and formats are
+    checked anyway, and fmt too, so that `write_rows` only meets known formats."""
     formats, master_seed = _formats(formats), dgp.check_count(master_seed, "master_seed", 0)
+    if not isinstance(outputs, str):
+        raise ConfigError(f"outputs must be a directory name; got {outputs!r}")
     seed = master_seed if seed is None else dgp.check_count(seed, "the seed override", 0)
     return (int(seed), Path(outputs if out is None else out),
             formats if fmt is None else _formats([fmt]))
@@ -300,6 +302,8 @@ def _fmt(v) -> str:
 
 
 def write_rows(path: Path, header: list, rows: list, fmt: str) -> None:
+    """The package's one writer of tables: the header's columns of each row
+    as CSV (floats as repr, so they parse back exactly) or as JSON records."""
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -374,11 +378,14 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
     return {"estimate": row, "rate": rate_row}
 
 
-def _simulate_cell(cfg: CampaignConfig, n: int, rep: int) -> Path:
+def _simulate_cell(cfg: CampaignConfig, n: int, rep: int) -> list:
+    """The cell's sample, one row (k, x_0..x_{d-1}, y, sigma) per observation
+    k = 1..N, written once per format; returns the paths."""
     sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
-    path = cfg.outputs / f"sample_n{n}_rep{rep}.csv"
-    write_sample_csv(sample, path)
-    return path
+    header = ["k", *(f"x_{i}" for i in range(sample.dim)), "y", "sigma"]
+    rows = [dict(zip(header, (k, *x, y, s))) for k, (x, y, s) in enumerate(zip(
+        sample.x_obs.tolist(), sample.y_obs.tolist(), sample.sigma.tolist()), 1)]
+    return _write_formats(cfg.outputs, cfg.formats, f"sample_n{n}_rep{rep}", header, rows)
 
 
 def _run_cells(cfg: CampaignConfig, cell, jobs: int) -> list:
@@ -398,14 +405,8 @@ def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
 # ------------------------------------------------------------------
 
 def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
-    """One sample CSV per (n, rep) cell; returns the paths in (n, rep) order.
-
-    Samples are written as CSV only, so any other format is a ConfigError.
-    """
-    if set(cfg.formats) - {"csv"}:
-        raise ConfigError(f"simulate writes CSV only; got formats {cfg.formats}")
-    cfg.outputs.mkdir(parents=True, exist_ok=True)
-    return _run_cells(cfg, _simulate_cell, jobs)
+    """One sample file per (n, rep) cell and format; returns the paths in (n, rep) order."""
+    return [path for paths in _run_cells(cfg, _simulate_cell, jobs) for path in paths]
 
 
 def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:

@@ -3,8 +3,7 @@
 Subcommands: simulate, estimate, tail-risk, rates, verify-stability.
 Every command takes --config PATH plus optional --seed, --out, --jobs and
 --format overrides (environment: LEPSKI_SEED, LEPSKI_JOBS).  --format
-replaces the config's `formats` list only when it is given; simulate writes
-CSV only and rejects any other format.  Exit codes:
+replaces the config's `formats` list only when it is given.  Exit codes:
 0 success, 2 config error, 3 acceptance-red, 4 IO failure.
 
 The config is JSON.  A section's keys are the keywords of the constructor
@@ -86,7 +85,7 @@ def main():
 @main.command()
 @_common
 def simulate(config_path, seed, out, jobs, fmt):
-    """Write one sample CSV per (n, rep) cell."""
+    """Write one sample file per (n, rep) cell and format."""
     cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
     paths = campaign.run_simulate(cfg, jobs)
     click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")

@@ -11,7 +11,6 @@ of immutable inputs and safe to call from any number of workers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable, Optional
@@ -161,8 +160,10 @@ class GridStats:
 
     @property
     def levels(self) -> np.ndarray:
-        """The normalized levels (psi(h)/L(h))^(1/2), increasing along the grid."""
-        return np.sqrt(self.psi_values / self.l_values)
+        """The normalized levels (psi(h)/L(h))^(1/2), increasing along the grid;
+        inf where L(h) is subnormal and psi/L overflows."""
+        with np.errstate(over="ignore"):
+            return np.sqrt(self.psi_values / self.l_values)
 
     def last_feasible(self, bound) -> Optional[int]:
         """Index of the smallest bandwidth whose level is <= bound (a scalar or
@@ -283,19 +284,4 @@ def kernel_estimate(sample: SamplePath, x_point, h: float) -> float:
         when L(h) = 0.
     """
     return _ball_sum(sample, x_point, h, sample.y_obs, mean=True)
-
-
-# ------------------------------------------------------------------
-# CSV serialization:  header  k,x_0..x_{d-1},y,sigma  one row per k = 1..N
-# ------------------------------------------------------------------
-
-def write_sample_csv(sample: SamplePath, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k"] + [f"x_{i}" for i in range(sample.dim)] + ["y", "sigma"])
-        for k in range(sample.n_stop):
-            row = [str(k + 1)]
-            row += [repr(float(v)) for v in sample.x_obs[k]]
-            row += [repr(float(sample.y_obs[k])), repr(float(sample.sigma[k]))]
-            writer.writerow(row)
 

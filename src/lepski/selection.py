@@ -86,8 +86,9 @@ def brute_force_select(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     if not hs:
         raise GridEmpty("no observation within h0 of the estimation point")
 
-    def level(h):
-        return np.sqrt(psi(h, cfg) / occupation_time(sample, cfg.x_point, h))
+    def level(h):  # inf where L(h) is subnormal, as in GridStats.levels
+        with np.errstate(over="ignore"):
+            return np.sqrt(psi(h, cfg) / occupation_time(sample, cfg.x_point, h))
 
     if level(hs[0]) > cfg.u0:
         return SelectionResult(defined=False)

@@ -339,20 +339,30 @@ def check_lambda(noise: NoiseSpec, lam: float) -> float:
     return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
 
 
+_A_MAX = math.sqrt(np.finfo(float).max)  # (a + V)^2 in the functional stays a float
+
+
 def check_a(noise: NoiseSpec, a) -> float:
-    """Validate a finite a > 0, or a uniform range 0 < a0 <= a1 < inf under
+    """Validate 0 < a < _A_MAX, or a uniform range 0 < a0 <= a1 < _A_MAX under
     alpha = 2, and return the factor on 1 + c: one, or 1 + log(a1/a0) for a
     range."""
     if not isinstance(a, tuple):
-        if not 0 < a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {a}")
+        if not 0 < a < _A_MAX:
+            raise ValueError(f"a must be positive and below {_A_MAX:.3g}, got {a}")
         return 1.0
     a0, a1 = a
-    if not 0 < a0 <= a1 < math.inf:
-        raise ValueError(f"need 0 < a0 <= a1 < inf, got {a}")
+    if not 0 < a0 <= a1 < _A_MAX:
+        raise ValueError(f"need 0 < a0 <= a1 < {_A_MAX:.3g}, got {a}")
     if noise.alpha != 2:
         raise ValueError("the uniform bound is stated for alpha = 2")
     return 1.0 + math.log(a1 / a0)
+
+
+def _expected_cost(scales, stop) -> tuple:
+    """Sort key of a (scale, stop) pair's simulation time: the stop rule's
+    horizon (its cap, else its n), then whether the scale is fed back from the
+    path, which steps one draw column at a time."""
+    return getattr(stop, "cap", None) or stop.n, isinstance(scales, AdaptedScale)
 
 
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
@@ -380,8 +390,9 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     whose per-path supremum sits in closed form at a = V clipped to [a0, a1].
 
     A pair's ensemble, one `simulate_ensemble` call, is the unit of work that
-    `pool_map` spreads over `jobs` workers; its seeds come from its own rule,
-    so the reports do not depend on jobs.  At jobs > 1 a `CensoredPathsWarning`
+    `pool_map` spreads over `jobs` workers, longest expected first
+    (`_expected_cost`); its seeds come from its own rule, so the reports do not
+    depend on jobs or on that order.  At jobs > 1 a `CensoredPathsWarning`
     is raised in the worker: forked workers inherit the caller's filters, so it
     reaches stderr, but the caller's `catch_warnings(record=True)` misses it.
     """
@@ -389,10 +400,12 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     factors = [check_a(noise, a) for a in a_values]
     pairs = [(scales, stop) for scales in scale_rules for stop in stop_rules]
     k = len(pairs)
-    ensembles = pool_map(simulate_ensemble, [noise] * k, [p[0] for p in pairs],
-                         [p[1] for p in pairs], [n_rep] * k, [master_seed] * k, jobs=jobs)
+    order = sorted(range(k), key=lambda i: _expected_cost(*pairs[i]), reverse=True)
+    done = pool_map(simulate_ensemble, [noise] * k, [pairs[i][0] for i in order],
+                    [pairs[i][1] for i in order], [n_rep] * k, [master_seed] * k, jobs=jobs)
+    by_pair = dict(zip(order, done))
     reports = []
-    for (scales, stop), ens in zip(pairs, ensembles):
+    for (scales, stop), ens in zip(pairs, map(by_pair.get, range(k))):
         rule = f"{scales.name}|{stop.name}"
         for lam, bound in zip(lambdas, bounds):
             for a, factor in zip(a_values, factors):

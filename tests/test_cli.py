@@ -56,6 +56,37 @@ def run_cli(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def sample_config(out, d, **extra):
+    """A one-rung simulate document of two reps: iid for d = 1, a 2-d
+    autoregression for d = 2."""
+    process = {"kind": "autoregressive", "ar_matrix": [[0.5, 0.1], [0.0, 0.3]]}
+    if d == 1:
+        process = base_config(out)["process"]
+    doc = base_config(out, n_ladder=[30], n_rep=2, process=process, **extra)
+    doc["grid"]["x"] = [0.0] * d
+    return doc
+
+
+def read_sample(path):
+    """(header, float table) of a sample file that simulate wrote as CSV or JSON."""
+    if path.suffix == ".csv":
+        header, *lines = path.read_text().splitlines()
+        return header.split(","), np.array([[float(v) for v in line.split(",")]
+                                            for line in lines])
+    records = json.loads(path.read_text())
+    header = list(records[0])
+    assert all(list(r) == header and type(r["k"]) is int for r in records)  # 1, not 1.0
+    return header, np.array([[r[k] for k in header] for r in records], dtype=float)
+
+
+def simulated_table(doc, rep):
+    """Columns k, x, y, sigma of the sample that simulate draws for a cell of doc."""
+    cfg = campaign.parse_campaign(doc)
+    n = doc["n_ladder"][0]
+    s = lepski.simulate(cfg.process_for(n), campaign.cell_seed(cfg.master_seed, n, rep))
+    return np.column_stack([np.arange(1, s.n_stop + 1), s.x_obs, s.y_obs, s.sigma])
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """max_workers of every worker pool the package opens during the test."""
@@ -95,15 +126,45 @@ class TestSimulate:
             for name in names:
                 assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
 
-
-    def test_non_csv_format_exit_2_writes_nothing(self, tmp_path):
-        # samples are CSV only: --format json, or formats json in the config, is refused
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_round_trip_exact(self, tmp_path, d, fmt):
+        # one row k, x_0..x_{d-1}, y, sigma per observation; the floats are
+        # written as repr, so they parse back to the simulated sample exactly
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, base_config(out, n_ladder=[30], n_rep=2))
-        assert run_cli("simulate", "--config", str(cfg), "--format", "json").exit_code == 2
-        cfg = write_config(tmp_path, base_config(out, n_ladder=[30], n_rep=2, formats=["json"]))
-        assert run_cli("simulate", "--config", str(cfg)).exit_code == 2
-        assert not out.exists()
+        doc = sample_config(out, d, formats=[fmt])
+        assert run_cli("simulate", "--config", str(write_config(tmp_path, doc))).exit_code == 0
+        for rep in range(2):
+            header, table = read_sample(out / f"sample_n30_rep{rep}.{fmt}")
+            assert header == ["k", *(f"x_{i}" for i in range(d)), "y", "sigma"]
+            np.testing.assert_array_equal(table, simulated_table(doc, rep))
+
+    def test_header_format(self, tmp_path):
+        out = tmp_path / "out"
+        doc = sample_config(out, 2)
+        assert run_cli("simulate", "--config", str(write_config(tmp_path, doc))).exit_code == 0
+        assert (out / "sample_n30_rep0.csv").read_text().splitlines()[0] == "k,x_0,x_1,y,sigma"
+
+    def test_json_samples_parse_back_to_the_csv_floats(self, tmp_path):
+        # --format json, or formats json in the config, writes JSON samples
+        # alone; they hold the floats of the CSV samples of the same seed
+        doc = sample_config(tmp_path / "csv", 1)
+        assert run_cli("simulate", "--config", str(write_config(tmp_path, doc))).exit_code == 0
+        cfg = write_config(tmp_path, sample_config(tmp_path / "flag", 1), "flag.json")
+        assert run_cli("simulate", "--config", str(cfg), "--format", "json").exit_code == 0
+        cfg = write_config(tmp_path, sample_config(tmp_path / "doc", 1, formats=["json"]),
+                           "doc.json")
+        res = run_cli("simulate", "--config", str(cfg))
+        assert res.exit_code == 0 and "wrote 2 sample files" in res.output
+        for out in ("flag", "doc"):
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == [
+                "sample_n30_rep0.json", "sample_n30_rep1.json"]
+            for rep in range(2):
+                name = f"sample_n30_rep{rep}"
+                expected = read_sample(tmp_path / "csv" / f"{name}.csv")
+                header, table = read_sample(tmp_path / out / f"{name}.json")
+                assert header == expected[0]
+                np.testing.assert_array_equal(table, expected[1])
 
 
 class TestEstimate:
@@ -255,6 +316,21 @@ class TestEstimate:
         for text in (path.read_text() for path in out.iterdir()):
             assert "nan" not in text and "inf" not in text
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_levels_flag_rows(self, tmp_path, jobs):
+        # sigma = 1e158: every weight is subnormal and (psi/L(h0))^(1/2) = inf,
+        # so h0 fails the anchor test, with no "overflow encountered" warning
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=2,
+                          process={"kind": "mixing_ar1", "sigma": 1e158})
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)), "--jobs", jobs)
+        assert res.exit_code == 0, res.output
+        with open(out / "estimate.csv", newline="") as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == ["anchor_undefined"] * 2
+        with open(out / "rate_report.csv", newline="") as fh:
+            assert [r["omega0"] for r in csv.DictReader(fh)] == ["false"] * 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -451,6 +527,8 @@ class TestVerifyStability:
         {"noise": {"family": "two_point", "mu": 800}},
         {"noise": {"family": "two_point", "alpha": 1, "mu": INF}, "uniform_a": []},
         {"lambdas": []},
+        {"a": [1e300]},
+        {"uniform_a": [[1.0, 1e300]]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -459,7 +537,8 @@ class TestVerifyStability:
             "master_seed_frac", "master_seed_negative", "master_seed_bool",
             "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
             "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
-            "two_point_alpha1_mu_inf", "lambdas_empty"])
+            "two_point_alpha1_mu_inf", "lambdas_empty", "a_square_overflow",
+            "uniform1:square_overflow"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)

@@ -21,7 +21,6 @@ from lepski import (
     occupation_time,
     psi,
     select_bandwidth,
-    write_sample_csv,
 )
 from lepski.model_core import _shells
 from oracles import martingale_part, tilde_estimate, truth_values, z_statistic
@@ -436,29 +435,6 @@ class TestGridStatistics:
         s = SamplePath([[0.0], [0.3]], [1.0, 2.0], [1e300, 1e300])
         with pytest.raises(GridEmpty, match="L\\(h0\\) = 0"):
             grid_statistics(s, cfg_at_zero())
-
-
-class TestCsvRoundTrip:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_round_trip_exact(self, tmp_path, d):
-        rng = np.random.default_rng(7)
-        s = SamplePath(rng.standard_normal((6, d)), rng.standard_normal(6),
-                       rng.uniform(0.5, 2, 6))
-        p = tmp_path / "sample.csv"
-        write_sample_csv(s, p)
-        # columns k, x_0..x_{d-1}, y, sigma; repr floats parse back exactly
-        loaded = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
-        assert loaded.shape == (6, d + 3)
-        np.testing.assert_array_equal(loaded[:, 0], np.arange(1, 7))
-        np.testing.assert_array_equal(loaded[:, 1 : 1 + d], s.x_obs)
-        np.testing.assert_array_equal(loaded[:, 1 + d], s.y_obs)
-        np.testing.assert_array_equal(loaded[:, 2 + d], s.sigma)
-
-    def test_header_format(self, tmp_path):
-        s = SamplePath(np.zeros((2, 2)), np.ones(2), np.ones(2))
-        p = tmp_path / "sample.csv"
-        write_sample_csv(s, p)
-        assert p.read_text().splitlines()[0] == "k,x_0,x_1,y,sigma"
 
 
 class TestValidation:

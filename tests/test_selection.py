@@ -245,6 +245,20 @@ class TestBruteForceOracle:
         assert res.defined and res.h_hat == 1.0 and res.f_hat == 1.0
         assert_same_selection(select_bandwidth(s, cfg), res)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oracle_agrees_when_the_levels_overflow(self):
+        # sigma = 1e158 makes every weight subnormal (1e-316), so psi/L(h0)
+        # overflows to inf: h0 fails the level test in both selectors, silently
+        spec = lepski.MixingAr1(sigma=1e158, stopping=lepski.FixedN(40))
+        cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.8, u0=1.0, j_max=20)
+        for rep in range(2):
+            s = lepski.simulate(spec, (1234, 40, rep))
+            stats = grid_statistics(s, cfg)
+            assert 0 < stats.l_values[0] < np.finfo(float).tiny and np.isinf(stats.levels[0])
+            res = brute_force_select(s, cfg)
+            assert not res.defined
+            assert_same_selection(select_bandwidth(s, cfg), res)
+
     def test_oracle_equivalence_randomized(self):
         # the acceptance suite runs 10^4 instances; keep a fast slice here
         disagreements = 0

@@ -90,6 +90,11 @@ def test_one_process_pool():
     assert calls_to("ProcessPoolExecutor") == ["stability.py"]
 
 
+def test_one_writer():
+    # files are opened where the documents are read and the rows written
+    assert set(calls_to("open")) == {"campaign.py"}
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []

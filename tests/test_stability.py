@@ -297,7 +297,10 @@ class TestAdmissibleA:
         ((0.0, 10.0), gaussian_noise()),
         ((10.0, 1.0), gaussian_noise()),
         ((1.0, 100.0), truncated_laplace_noise()),  # the uniform bound needs alpha = 2
-    ], ids=["a-1", "a0", "a_nan", "uniform0:10", "uniform10:1", "uniform_alpha1"])
+        (1e300, gaussian_noise()),  # (a + V)^2 = inf: a M^2/(a + V)^2 would warn, or be NaN
+        ((1.0, 1e300), gaussian_noise()),
+    ], ids=["a-1", "a0", "a_nan", "uniform0:10", "uniform10:1", "uniform_alpha1",
+            "a_square_overflow", "uniform1:square_overflow"])
     def test_rejected_before_simulating(self, monkeypatch, a, noise):
         def no_paths(*args, **kwargs):
             raise AssertionError("simulated before checking a")
@@ -344,6 +347,54 @@ class TestMatrixJobs:
                    for jobs in (1, 2)]
         assert len(reports[0]) == 16
         assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("ignore::lepski.CensoredPathsWarning")  # caps of 50 bind
+class TestSchedule:
+    """A 3 x 3 matrix of short pairs, handed to the pool longest first."""
+
+    SCALES = [ConstantScale(1.0), AlternatingScale(), AdaptedScale()]
+    STOPS = [FixedT(20), FirstCrossing(c=1.5, cap=50), RandomizedStop(p=0.1, cap=40)]
+
+    def run(self, jobs=1):
+        return stability_matrix(gaussian_noise(), self.SCALES, self.STOPS, [1.0],
+                                [0.02, 0.05], 64, 5, jobs=jobs)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """(scales, stop, ensemble) of each pair, in the order the pool gets them."""
+        seen = []
+
+        def recording_pool_map(fn, *iterables, jobs=1):
+            results = pool_map(fn, *iterables, jobs=jobs)
+            seen.extend(zip(iterables[1], iterables[2], results))
+            return results
+
+        monkeypatch.setattr(lepski.stability, "pool_map", recording_pool_map)
+        return seen
+
+    def test_reports_do_not_depend_on_jobs(self):
+        reports = self.run(1)
+        assert self.run(2) == reports
+        assert [r.rule for r in reports] == [f"{sc.name}|{st.name}" for sc in self.SCALES
+                                             for st in self.STOPS for _ in range(2)]
+
+    def test_ensembles_are_the_pairs_own(self, seen):
+        self.run(2)
+        assert len(seen) == 9
+        for scales, stop, ens in seen:
+            own = simulate_ensemble(gaussian_noise(), scales, stop, 64, 5)
+            for field in ("m", "v", "t", "censored"):
+                np.testing.assert_array_equal(getattr(ens, field), getattr(own, field))
+
+    def test_pairs_run_longest_first(self, seen):
+        # by decreasing cap or n, and at one horizon the path-fed scale first
+        self.run(2)
+        constant, alternating, adapted = self.SCALES
+        fixed, crossing, randomized = self.STOPS
+        assert [(sc.name, st.name) for sc, st, _ in seen] == [
+            (sc.name, st.name) for st in (crossing, randomized, fixed)
+            for sc in (adapted, constant, alternating)]
 
 
 class TestUniformStability:
