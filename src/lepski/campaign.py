@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, GridEmpty, InsufficientOmegaPrime
+from .errors import (ConfigError, GridEmpty, InsufficientOmegaPrime, check_count, check_finite,
+                     check_positive)
 from .model_core import GridConfig
 from .noise import NoiseSpec, gaussian_noise, truncated_laplace_noise, two_point_noise
 from .rates import HolderModulus, check_modulus, deterministic_hw, modulus_bar, rate_report
@@ -76,30 +77,28 @@ def _build(what: str, table: dict, section, key: str, default=None, *args):
 
 
 def _f_constant(value: float = 1.0):
-    [value] = dgp.check_finite(value)
+    check_finite(value, "value")
     return lambda x: np.full(np.atleast_2d(x).shape[0], value)
 
 
 def _f_linear(slope: float = 1.0, intercept: float = 0.0):
-    slope, intercept = dgp.check_finite(slope, intercept)
+    slope, intercept = check_finite(slope, "slope"), check_finite(intercept, "intercept")
     return lambda x: intercept + slope * np.atleast_2d(x)[:, 0]
 
 
 def _f_holder_cusp(s: float = 0.5, scale: float = 1.0, at: float = 0.0):
     # |y - at|^s cusp: Holder with exponent s and constant `scale`, worst case at `at`
-    s, scale, at = dgp.check_finite(s, scale, at)
-    if s <= 0:
-        raise ValueError(f"s must be positive; got {s!r}")
+    s, scale, at = check_positive(s, "s"), check_finite(scale, "scale"), check_finite(at, "at")
     return lambda x: scale * np.abs(np.atleast_2d(x)[:, 0] - at) ** s
 
 
 def _f_sine(amp: float = 1.0, freq: float = 1.0):
-    amp, freq = dgp.check_finite(amp, freq)
+    amp, freq = check_finite(amp, "amp"), check_finite(freq, "freq")
     return lambda x: amp * np.sin(freq * np.atleast_2d(x)[:, 0])
 
 
 def _affine_abs(a: float = 1.0, b: float = 0.5):
-    a, [b] = dgp.check_positive(a, "a"), dgp.check_finite(b)
+    a, b = check_positive(a, "a"), check_finite(b, "b")
     if b < 0:
         raise ValueError(f"b must be at least 0; got {b!r}")
     return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
@@ -108,11 +107,9 @@ def _affine_abs(a: float = 1.0, b: float = 0.5):
 def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
     """A constant cost per observation; a budget campaign's ladder holds budgets,
     and each must pay for one observation at least."""
-    cost = dgp.check_positive(cost, "cost")
-    rule = dgp.BudgetStop(lambda hist: cost, float(budget))
-    if cost > rule.budget:
-        raise ValueError(f"a cost of {cost:g} exceeds the budget {rule.budget:g}")
-    return rule
+    if check_positive(cost, "cost") > check_positive(budget, "budget"):
+        raise ValueError(f"a cost of {cost:g} exceeds the budget {budget:g}")
+    return dgp.BudgetStop(lambda hist: cost, budget)
 
 
 def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
@@ -220,11 +217,6 @@ def _formats(formats) -> list:
     return list(formats)
 
 
-def _numbers(value) -> bool:
-    """Whether a config value is a list of numbers."""
-    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
-
-
 def parse_campaign(doc: dict, *, seed=None, out=None, fmt=None) -> CampaignConfig:
     """The campaign document; seed, out and fmt, when given, replace its
     master_seed, outputs and formats."""
@@ -235,10 +227,10 @@ def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"
     """(master seed, output directory, formats) of a command document, with seed,
     out and fmt in their place when given; its own seed, outputs and formats are
     checked anyway, and fmt too, so that `write_rows` only meets known formats."""
-    formats, master_seed = _formats(formats), dgp.check_count(master_seed, "master_seed", 0)
+    formats, master_seed = _formats(formats), check_count(master_seed, "master_seed", 0)
     if not isinstance(outputs, str):
         raise ConfigError(f"outputs must be a directory name; got {outputs!r}")
-    seed = master_seed if seed is None else dgp.check_count(seed, "the seed override", 0)
+    seed = master_seed if seed is None else check_count(seed, "the seed override", 0)
     return (int(seed), Path(outputs if out is None else out),
             formats if fmt is None else _formats([fmt]))
 
@@ -251,11 +243,11 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
     if modulus is not None:
         modulus = _build("modulus kind", _MODULI, modulus, "kind", "holder")
         check_modulus(modulus, grid)
-    if (not _numbers(n_ladder) or not n_ladder
-            or any(b <= a for a, b in zip(n_ladder, n_ladder[1:]))):
+    if not (isinstance(n_ladder, list) and n_ladder) or any(
+            b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
-    dgp.check_count(n_rep, "n_rep")
-    # a check of every rung's stopping rule only: cells rebuild their process from raw
+    check_count(n_rep, "n_rep")
+    # each rung's stopping rule checks it; cells rebuild their process from raw
     for n in n_ladder:
         built = make_process(process, n)
     if built.dim != grid.dim:
@@ -264,10 +256,10 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
     if isinstance(built, dgp.MixingAr1) and process.get("x", x_point) not in (x_point, *x_point):
         raise ConfigError(f"the grid's x {x_point} is the estimation point; "
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
-    if not (_numbers(t_grid) and all(map(math.isfinite, t_grid))):
+    if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
     return CampaignConfig(raw, grid, modulus, n_ladder, n_rep, *_run_keys(seed, out, fmt, **run),
-                          t_grid=[float(t) for t in t_grid] or None)
+                          t_grid=[check_finite(t, "a t_grid entry") for t in t_grid] or None)
 
 
 def read_config(path) -> dict:
@@ -283,8 +275,11 @@ def load_campaign(path, *, seed=None, out=None, fmt=None) -> CampaignConfig:
     return parse_campaign(read_config(path), seed=seed, out=out, fmt=fmt)
 
 
-def cell_seed(master_seed: int, n: int, rep: int) -> tuple:
-    return (int(master_seed), int(n), int(rep))
+def cell_seed(master_seed: int, n, rep: int) -> tuple:
+    """(master_seed, n, rep), and the exact ratio of a fractional budget rung n,
+    so that rungs such as 2.5 and 2.7 draw apart; an integer rung keeps its seed."""
+    key = (int(master_seed), int(n), int(rep))
+    return key if n == int(n) else key + n.as_integer_ratio()
 
 
 # ------------------------------------------------------------------
@@ -410,13 +405,14 @@ def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
 
 
 def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:
+    """The estimate rows, written with the rate report rows; returns the rows and paths."""
     cells = run_estimate_cells(cfg, jobs)
     est_rows = [c["estimate"] for c in cells]
-    _write_formats(cfg.outputs, cfg.formats, "estimate", ESTIMATE_HEADER, est_rows)
+    paths = _write_formats(cfg.outputs, cfg.formats, "estimate", ESTIMATE_HEADER, est_rows)
     if cfg.modulus is not None:
-        _write_formats(cfg.outputs, cfg.formats, "rate_report", RATE_HEADER,
-                       [c["rate"] for c in cells])
-    return {"rows": est_rows}
+        paths += _write_formats(cfg.outputs, cfg.formats, "rate_report", RATE_HEADER,
+                                [c["rate"] for c in cells])
+    return {"rows": est_rows, "paths": paths}
 
 
 def tail_table(est_rows: list, t_grid) -> list:
@@ -468,7 +464,8 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
 
     h_w and rate_det are the medians over the cells whose rate report has
     them, so each uses its own sample's sigma; for a fixed n and a constant
-    sigma every rep carries the same value.
+    sigma every rep carries the same value.  Returns the rows, the fit and the
+    paths written, rates_fit.json among them when there is a fit.
     """
     if cfg.modulus is None:
         raise ConfigError("rates needs a modulus section")
@@ -503,15 +500,14 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         slope_w, se_w = fit_loglog_slope(x, np.array([v[2] for v in det_ok]))
         fit = {"slope_hw": slope_h, "stderr_hw": se_h,
                "slope_rate": slope_w, "stderr_rate": se_w}
-    out = {"rows": rows, "fit": fit}
-    if cfg.formats:
-        out["paths"] = _write_formats(cfg.outputs, cfg.formats, "rates", RATES_HEADER, rows)
+    paths = _write_formats(cfg.outputs, cfg.formats, "rates", RATES_HEADER, rows)
     if fit:
+        paths.append(cfg.outputs / "rates_fit.json")
         cfg.outputs.mkdir(parents=True, exist_ok=True)
-        with open(cfg.outputs / "rates_fit.json", "w", encoding="utf-8") as fh:
+        with open(paths[-1], "w", encoding="utf-8") as fh:
             json.dump(fit, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    return out
+    return {"rows": rows, "fit": fit, "paths": paths}
 
 
 # ------------------------------------------------------------------
@@ -550,16 +546,15 @@ def _stability_section(*, lambdas, noise={}, scales=["constant"], stopping=[{}],
     """The keywords of `stab.stability_matrix` but the seed and jobs; the
     scales are rule names, the stopping entries sections."""
     noise = make_noise(noise)
-    lambdas = [float(v) for v in lambdas]
     if not lambdas:
         raise ConfigError("stability section needs a nonempty lambdas list")
-    a_values = [float(v) for v in a] + [tuple(float(v) for v in pair) for pair in uniform_a]
+    a_values = [*a, *map(tuple, uniform_a)]
     for lam in lambdas:
-        stab.check_lambda(noise, lam)
+        stab.check_lambda(noise, check_finite(lam, "a lambda"))
     for value in a_values:
         stab.check_a(noise, value)
     return {"noise": noise, "lambdas": lambdas, "a_values": a_values,
-            "n_rep": dgp.check_count(n_rep, "stability n_rep"),
+            "n_rep": check_count(n_rep, "stability n_rep"),
             "scale_rules": [_build("scale rule", _SCALE_RULES, {"rule": s}, "rule")
                             for s in scales],
             "stop_rules": [_build("stopping rule", _STOP_RULES, s, "rule", "fixed")

@@ -8,8 +8,9 @@ replaces the config's `formats` list only when it is given.  Exit codes:
 
 The config is JSON.  A section's keys are the keywords of the constructor
 that the section names (see `campaign`).  A key that nothing reads, an
-unknown name, a value that its constructor refuses and a non-integer
-LEPSKI_SEED or LEPSKI_JOBS each exit 2 before any cell runs.
+unknown name, a value that its constructor refuses, a bool or a string where
+a number belongs, and a non-integer LEPSKI_SEED or LEPSKI_JOBS each exit 2
+before any cell runs.  A command's last line names the files it wrote.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def _resolve(seed, jobs):
     return seed, jobs
 
 
+def _echo_outputs(what: str, paths: list) -> None:
+    """Echo what a command computed and the files it wrote, by path up to four."""
+    written = (", ".join(map(str, paths)) if len(paths) <= 4
+               else f"{len(paths)} files to {paths[0].parent}")
+    click.echo(f"{what}: wrote {written or 'no file, since formats is empty'}")
+
+
 @click.group()
 def main():
     """Adaptive kernel regression campaigns and stability verification."""
@@ -87,8 +95,7 @@ def main():
 def simulate(config_path, seed, out, jobs, fmt):
     """Write one sample file per (n, rep) cell and format."""
     cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
-    paths = campaign.run_simulate(cfg, jobs)
-    click.echo(f"wrote {len(paths)} sample files to {cfg.outputs}")
+    _echo_outputs(f"{len(cfg.n_ladder) * cfg.n_rep} samples", campaign.run_simulate(cfg, jobs))
 
 
 @main.command()
@@ -97,7 +104,7 @@ def estimate(config_path, seed, out, jobs, fmt):
     """Run selection and rate diagnostics for every replication."""
     cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
     res = campaign.run_estimate(cfg, jobs)
-    click.echo(f"wrote {len(res['rows'])} estimate rows to {cfg.outputs}")
+    _echo_outputs(f"{len(res['rows'])} estimate rows", res["paths"])
 
 
 @main.command("tail-risk")
@@ -106,7 +113,7 @@ def tail_risk(config_path, seed, out, jobs, fmt):
     """Empirical tail of the risk against the random rate over the config's t_grid."""
     cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
     res = campaign.run_tail_risk(cfg, jobs)
-    click.echo(f"wrote tail table ({len(res['rows'])} thresholds) to {cfg.outputs}")
+    _echo_outputs(f"a tail table of {len(res['rows'])} thresholds", res["paths"])
 
 
 @main.command()
@@ -115,12 +122,9 @@ def rates(config_path, seed, out, jobs, fmt):
     """Deterministic-rate ladder with containment frequencies and scaling fit."""
     cfg = campaign.load_campaign(config_path, seed=seed, out=out, fmt=fmt)
     res = campaign.run_rates(cfg, jobs)
-    if res["fit"]:
-        click.echo(
-            f"slope(h_w)={res['fit']['slope_hw']:.4f} "
-            f"slope(rate)={res['fit']['slope_rate']:.4f}"
-        )
-    click.echo(f"wrote {len(res['rows'])} ladder rows to {cfg.outputs}")
+    if fit := res["fit"]:
+        click.echo(f"slope(h_w)={fit['slope_hw']:.4f} slope(rate)={fit['slope_rate']:.4f}")
+    _echo_outputs(f"{len(res['rows'])} ladder rows", res["paths"])
 
 
 @main.command("verify-stability")
@@ -130,7 +134,7 @@ def verify_stability(config_path, seed, out, jobs, fmt):
     doc = campaign.read_config(config_path)
     res = campaign.run_verify_stability(doc, seed=seed, out=out, fmt=fmt, jobs=jobs)
     n_red = sum(1 for r in res["rows"] if not r["pass"])
-    click.echo(f"wrote {len(res['rows'])} stability rows to {', '.join(map(str, res['paths']))}")
+    _echo_outputs(f"{len(res['rows'])} stability rows", res["paths"])
     if n_red:
         click.echo(f"acceptance-red: {n_red} cells violate their bound", err=True)
         sys.exit(EXIT_RED)

@@ -29,12 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ExplosiveChain
+from .errors import ExplosiveChain, check_count, check_finite, check_positive
 from .model_core import SamplePath
 from .noise import NoiseSpec, gaussian_noise, normal_cdf
 
@@ -45,22 +44,6 @@ def seeded_rng(seed, *extra) -> np.random.Generator:
     default_rng(s) and default_rng(SeedSequence((s,))) draw the same stream."""
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     return np.random.default_rng(np.random.SeedSequence(tuple(map(int, parts + extra))))
-
-
-def check_finite(*values) -> list:
-    """The values as floats, if each is finite; else ValueError."""
-    values = [float(v) for v in values]
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"parameters must be finite; got {values}")
-    return values
-
-
-def check_positive(value, what: str) -> float:
-    """float(value), if 0 < value < inf; else ValueError."""
-    value = float(value)
-    if not 0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"{what} must be positive and finite; got {value!r}")
-    return value
 
 
 # ------------------------------------------------------------------
@@ -88,7 +71,7 @@ def _interval_prob(centre: float, cdf: Callable[[float], float]):
 
 def uniform_design(x: float = 0.0, radius: float = 1.0) -> DesignLaw:
     """X uniform on [x - radius, x + radius], centred at x."""
-    [x], radius = check_finite(x), check_positive(radius, "radius")
+    x, radius = check_finite(x, "x"), check_positive(radius, "radius")
     return DesignLaw(
         sampler=lambda rng, n: rng.uniform(x - radius, x + radius, (n, 1)),
         interval_prob=_interval_prob(
@@ -102,9 +85,9 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
     P_X[|X - x| <= h] = (h/radius)^(tau+1) for h <= radius, sampled by inverse
     transform.
     """
-    [x], radius, tau = check_finite(x), check_positive(radius, "radius"), float(tau)
-    if not -1 < tau < math.inf:
-        raise ValueError(f"need a finite tau > -1 for a normalizable density; got {tau!r}")
+    x, radius = check_finite(x, "x"), check_positive(radius, "radius")
+    if not check_finite(tau, "tau") > -1:
+        raise ValueError(f"need tau > -1 for a normalizable density; got {tau!r}")
 
     def sampler(rng, n):
         mag = radius * rng.random(n) ** (1.0 / (tau + 1.0))
@@ -122,7 +105,7 @@ def power_law_design(x: float = 0.0, radius: float = 1.0, tau: float = 1.0) -> D
 def gaussian_design(x: float = 0.0) -> DesignLaw:
     """X normal with mean x and variance 1; centred at 0 it is the stationary
     law of the mixing AR(1) chain."""
-    [x] = check_finite(x)
+    x = check_finite(x, "x")
     return DesignLaw(
         sampler=lambda rng, n: x + rng.standard_normal((n, 1)),
         interval_prob=_interval_prob(x, normal_cdf),
@@ -132,13 +115,6 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
 # ------------------------------------------------------------------
 # stopping rules for the sampling stage
 # ------------------------------------------------------------------
-
-def check_count(value, what: str, least: int = 1):
-    """value, if it is an integer of at least `least` and no bool; else ValueError."""
-    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
-        raise ValueError(f"{what} must be an integer of at least {least}; got {value!r}")
-    return value
-
 
 @dataclass
 class FixedN:
@@ -270,7 +246,7 @@ class MixingAr1(Regression):
     design = gaussian_design()
 
     def __post_init__(self):
-        if not abs(self.rho) < 1:  # NaN fails too
+        if not abs(check_finite(self.rho, "rho")) < 1:
             raise ValueError(f"|rho| < 1 is required for stationarity; got rho={self.rho!r}")
         self.s_scale = constant_scale(self.sigma)
 
@@ -299,8 +275,8 @@ class TransientWalk(Regression):
     design = None
 
     def __post_init__(self):
-        self.x_start, self.drift, self.step_sd = check_finite(self.x_start, self.drift,
-                                                              self.step_sd)
+        for name in ("x_start", "drift", "step_sd"):
+            check_finite(getattr(self, name), name)
         if self.step_sd < 0:
             raise ValueError(f"step_sd must be at least 0; got {self.step_sd!r}")
         if not isinstance(self.stopping, FixedN):
@@ -333,14 +309,14 @@ class Autoregressive:
     design = None
 
     def __post_init__(self):
-        self.ar_matrix = np.atleast_2d(np.asarray(self.ar_matrix, dtype=float))
+        entries = np.atleast_2d(np.array(self.ar_matrix, object))  # float would read true as 1.0
+        self.ar_matrix = np.array([check_finite(v, "an ar_matrix entry") for v in entries.flat],
+                                  float).reshape(entries.shape)
         if self.ar_matrix.shape != (self.dim, self.dim):
             raise ValueError(f"ar_matrix must be square; got shape {self.ar_matrix.shape}")
-        check_finite(*self.ar_matrix.flat)
         if not isinstance(self.stopping, FixedN):
             raise ValueError("autoregressive sampling supports fixed length only")
-        if isinstance(self.y_coord, bool) or not (isinstance(self.y_coord, Integral)
-                                                  and -self.dim <= self.y_coord < self.dim):
+        if not check_count(self.y_coord, "y_coord", -self.dim) < self.dim:
             raise ValueError(f"y_coord must index one of the {self.dim} coordinates; "
                              f"got {self.y_coord!r}")
 

@@ -12,12 +12,11 @@ of immutable inputs and safe to call from any number of workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyWindow, GridEmpty, LepskiError
+from .errors import EmptyWindow, GridEmpty, LepskiError, check_count, check_finite, check_positive
 
 
 def _as_rows(x) -> np.ndarray:
@@ -116,16 +115,13 @@ class GridConfig:
     j_max: int = 60
 
     def __post_init__(self):
-        self.x_point = _as_point(self.x_point)
-        if not np.all(np.isfinite(self.x_point)):
-            raise ValueError("the estimation point must be finite")
-        if not all(0 < v < np.inf for v in (self.h0, self.b, self.nu, self.u0,
-                                            self.delta0, self.alpha0)):
-            raise ValueError("h0, b, nu, u0, delta0 and alpha0 must be positive and finite")
-        if not 0 < self.q < 1:
-            raise ValueError("need 0 < q < 1")
-        if not (isinstance(self.j_max, Integral) and self.j_max >= 1):
-            raise ValueError(f"j_max must be an integer of at least 1; got {self.j_max!r}")
+        # entries as given: dtype=float would read a true as 1.0 before the check
+        self.x_point = _as_point([check_finite(v, "x") for v in np.array(self.x_point, object).flat])
+        for name in ("h0", "b", "nu", "u0", "delta0", "alpha0", "q"):
+            check_positive(getattr(self, name), name)
+        if not self.q < 1:
+            raise ValueError(f"need 0 < q < 1; got q={self.q!r}")
+        check_count(self.j_max, "j_max")
         if not self.h0 * self.q ** self.j_max >= np.finfo(float).tiny:  # _shells reads h_j as h0 q^j
             raise ValueError("the deepest bandwidth h0 q^j_max underflows")
 

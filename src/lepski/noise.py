@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import check_count, check_positive
+
 
 @dataclass
 class NoiseSpec:
@@ -32,12 +34,11 @@ class NoiseSpec:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
 
     def __post_init__(self):
-        if isinstance(self.alpha, (bool, float)) or self.alpha not in (1, 2):
+        if check_count(self.alpha, "alpha") not in (1, 2):
             raise ValueError(f"alpha must be the integer 1 or 2; got {self.alpha!r}")
-        if not (0 < self.mu < math.inf and 1 < self.gamma < math.inf):  # NaN fails too
-            raise ValueError(f"need a finite mu > 0 and a finite gamma > 1; "
-                             f"got mu={self.mu!r}, gamma={self.gamma!r}")
-        self.mu = float(self.mu)  # its repr keys the stability streams
+        self.mu = float(check_positive(self.mu, "mu"))  # its repr keys the stability streams
+        if not 1 < self.gamma < math.inf:  # NaN fails too
+            raise ValueError(f"need a finite gamma > 1; got gamma={self.gamma!r}")
 
 
 # Named samplers, not lambdas or closures, so that a NoiseSpec pickles for a worker.
@@ -91,8 +92,7 @@ def truncated_laplace_noise(mu: float = 0.5, cut: float = 5.0) -> NoiseSpec:
     """
     if not 0 < mu < 1:
         raise ValueError("truncated Laplace certification needs 0 < mu < 1")
-    if not 0 < cut < math.inf:  # NaN fails too
-        raise ValueError(f"need 0 < cut < inf; got cut={cut!r}")
+    check_positive(cut, "cut")
     z = 1.0 - math.exp(-cut)
     gamma = (1.0 - math.exp(-(1.0 - mu) * cut)) / ((1.0 - mu) * z)
     # the name carries cut so that the stability random-stream key tells cuts apart

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import DesignLaw
-from .errors import GridEmpty
+from .errors import GridEmpty, check_positive
 from .model_core import (GridConfig, GridStats, SamplePath, grid_statistics,
                          last_feasible_index, psi)
 
@@ -44,9 +44,9 @@ class HolderModulus:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.s <= 1 and 0 < self.scale < np.inf):  # NaN fails both
-            raise ValueError(f"need 0 < s <= 1 and a finite scale > 0; "
-                             f"got s={self.s!r}, scale={self.scale!r}")
+        if not check_positive(self.s, "s") <= 1:
+            raise ValueError(f"need 0 < s <= 1; got s={self.s!r}")
+        check_positive(self.scale, "scale")
 
     def w(self, h):
         """Raw modulus value(s) W(h), before flooring and capping."""

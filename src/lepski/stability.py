@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgp import check_count, check_finite, seeded_rng
-from .errors import CensoredPathsWarning
+from .dgp import seeded_rng
+from .errors import CensoredPathsWarning, check_count, check_finite, check_positive
 from .model_core import GridConfig, SamplePath, grid_statistics
 from .noise import NoiseSpec
 
@@ -146,7 +146,7 @@ class FirstCrossing:
     cap: int = 10_000
 
     def __post_init__(self):
-        [self.c] = check_finite(self.c)
+        check_finite(self.c, "c")
         check_count(self.cap, "FirstCrossing's cap")
 
     @property
@@ -165,7 +165,7 @@ class RandomizedStop:
     cap: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
+        if not check_positive(self.p, "p") <= 1:
             raise ValueError(f"RandomizedStop needs 0 < p <= 1, got {self.p!r}")
         check_count(self.cap, "RandomizedStop's cap")
 
@@ -267,8 +267,7 @@ def simulate_ensemble(noise: NoiseSpec, scales, stop, n_rep: int,
                       seed) -> Ensemble:
     """Simulate n_rep stopped paths; block structure makes the result independent
     of how blocks are scheduled across workers."""
-    if n_rep < 1:
-        raise ValueError(f"n_rep must be at least 1, got {n_rep}")
+    check_count(n_rep, "n_rep")
     tag = _rule_tag(noise, scales, stop)
     blocks = []
     for i, start in enumerate(range(0, n_rep, _BLOCK_PATHS)):
@@ -347,11 +346,11 @@ def check_a(noise: NoiseSpec, a) -> float:
     alpha = 2, and return the factor on 1 + c: one, or 1 + log(a1/a0) for a
     range."""
     if not isinstance(a, tuple):
-        if not 0 < a < _A_MAX:
+        if not 0 < check_finite(a, "a") < _A_MAX:
             raise ValueError(f"a must be positive and below {_A_MAX:.3g}, got {a}")
         return 1.0
     a0, a1 = a
-    if not 0 < a0 <= a1 < _A_MAX:
+    if not 0 < check_finite(a0, "a0") <= check_finite(a1, "a1") < _A_MAX:
         raise ValueError(f"need 0 < a0 <= a1 < {_A_MAX:.3g}, got {a}")
     if noise.alpha != 2:
         raise ValueError("the uniform bound is stated for alpha = 2")

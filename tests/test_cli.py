@@ -155,7 +155,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, sample_config(tmp_path / "doc", 1, formats=["json"]),
                            "doc.json")
         res = run_cli("simulate", "--config", str(cfg))
-        assert res.exit_code == 0 and "wrote 2 sample files" in res.output
+        assert res.exit_code == 0 and "2 samples: wrote" in res.output
         for out in ("flag", "doc"):
             assert sorted(p.name for p in (tmp_path / out).iterdir()) == [
                 "sample_n30_rep0.json", "sample_n30_rep1.json"]
@@ -165,6 +165,20 @@ class TestSimulate:
                 header, table = read_sample(tmp_path / out / f"{name}.json")
                 assert header == expected[0]
                 np.testing.assert_array_equal(table, expected[1])
+
+    def test_fractional_budget_rungs_draw_apart(self, tmp_path):
+        # under cost 0.1 the budgets 2.5 and 2.7 buy 25 and 27 observations;
+        # int(n) keyed both cells by 2, so they drew the same covariates
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[2.5, 2.7], n_rep=1)
+        doc["process"]["stopping"] = {"rule": "budget", "cost": 0.1}
+        assert run_cli("simulate", "--config", str(write_config(tmp_path, doc))).exit_code == 0
+        first, second = (read_sample(out / f"sample_n{n}_rep0.csv")[1] for n in (2.5, 2.7))
+        assert not np.array_equal(first[:20, 1], second[:20, 1])
+
+    @pytest.mark.parametrize("n", [40, 40.0])
+    def test_integer_rungs_keep_their_seed(self, n):
+        assert campaign.cell_seed(7, n, 2) == (7, 40, 2)
 
 
 class TestEstimate:
@@ -448,7 +462,7 @@ class TestRates:
         cfg = campaign.parse_campaign(base_config(out, n_ladder=[200, 800], n_rep=2,
                                                   formats=[]))
         res = campaign.run_rates(cfg)
-        assert "paths" not in res
+        assert res["paths"] == [out / "rates_fit.json"]
         fit = json.loads((out / "rates_fit.json").read_text())
         assert fit == res["fit"]
 
@@ -529,6 +543,8 @@ class TestVerifyStability:
         {"lambdas": []},
         {"a": [1e300]},
         {"uniform_a": [[1.0, 1e300]]},
+        {"lambdas": ["0.01"]},
+        {"stopping": [{"rule": "randomized", "p": True}]},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -538,7 +554,7 @@ class TestVerifyStability:
             "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
             "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
             "two_point_alpha1_mu_inf", "lambdas_empty", "a_square_overflow",
-            "uniform1:square_overflow"])
+            "uniform1:square_overflow", "lambda_numeric_str", "p_bool"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -579,6 +595,29 @@ class TestVerifyStability:
         run_cli("verify-stability", "--config", str(c1))
         run_cli("verify-stability", "--config", str(c2))
         assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
+
+
+EMPTY_FORMATS = {
+    "simulate": lambda out: base_config(out, n_ladder=[30], n_rep=2),
+    "estimate": lambda out: base_config(out, n_ladder=[30], n_rep=2),
+    "tail-risk": lambda out: base_config(out, n_ladder=[400], n_rep=120, t_grid=[1.0]),
+    "rates": lambda out: base_config(out, n_ladder=[200, 800], n_rep=2),
+    "verify-stability": lambda out: TestVerifyStability().stab_config(out, n_rep=100),
+}
+
+
+@pytest.mark.parametrize("command", EMPTY_FORMATS)
+def test_empty_formats_message_names_only_written_files(tmp_path, command):
+    # formats [] writes no table, and rates still writes its fit; the last
+    # line names the files that exist, not the output directory
+    out = tmp_path / "out"
+    doc = dict(EMPTY_FORMATS[command](out), formats=[])
+    res = run_cli(command, "--config", str(write_config(tmp_path, doc)))
+    assert res.exit_code == 0, res.output
+    written = sorted(out.iterdir()) if out.exists() else []
+    assert written == ([out / "rates_fit.json"] if command == "rates" else [])
+    assert res.output.splitlines()[-1].endswith(
+        f": wrote {written[0]}" if written else ": wrote no file, since formats is empty")
 
 
 class TestExitCodes:
@@ -722,6 +761,8 @@ class TestExitCodes:
         {"process": {"kind": "iid_regression", "f_true": {"name": "cubic"}}},
         {"process": {"kind": "iid_regression",
                      "f_true": {"name": "constant", "value": 2.0}}},
+        {"grid": {"h0": True}},
+        {"grid": {"j_max": True}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -746,7 +787,7 @@ class TestExitCodes:
             "gauss_alpha1_mu_overflow", "two_point_mu_overflow", "two_point_mu_inf",
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
             "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
-            "f_unknown_name", "f_key_outside_params"])
+            "f_unknown_name", "f_key_outside_params", "grid_h0_bool", "grid_j_max_bool"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"

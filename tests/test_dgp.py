@@ -21,6 +21,7 @@ from lepski import (
     uniform_design,
 )
 from lepski.dgp import BudgetStop, FixedN, constant_scale, run_budget_stop
+from lepski.errors import check_count, check_finite, check_positive
 from lepski.noise import normal_cdf
 
 
@@ -129,6 +130,25 @@ class TestFixedN:
 
     def test_accepts_numpy_integers(self):
         assert FixedN(np.int64(3)).n == 3
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("check", [check_finite, check_positive, check_count])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, [2.0]])
+    def test_refuses_what_is_no_number(self, check, value):
+        # a Python bool is an int and float("1") is 1.0; neither is read as a number
+        with pytest.raises(ValueError, match="h0"):
+            check(value, "h0")
+
+    @pytest.mark.parametrize("value", [2, 2.5, np.int64(2), np.float64(2.5)])
+    def test_keeps_a_number_as_given(self, value):
+        assert check_finite(value, "x") is value and check_positive(value, "x") is value
+
+    @pytest.mark.parametrize("check", [check_finite, check_positive])
+    @pytest.mark.parametrize("value", [10**400, math.nan, math.inf])
+    def test_refuses_what_is_no_finite_float(self, check, value):
+        with pytest.raises(ValueError, match="h0"):
+            check(value, "h0")
 
 
 class TestGaussianDesign:

@@ -10,7 +10,10 @@ Invariants, per mutated document:
 (b) a non-finite number anywhere in it exits 2 at load, as a config error;
 (c) no row it writes holds a NaN or an infinity;
 (d) no numeric RuntimeWarning is raised (such as an overflow in a square),
-    since the test turns them into errors, which no command catches.
+    since the test turns them into errors, which no command catches;
+(e) a number of the reference document (an int or a float, no bool) that is
+    set to `true` or to a string, such as "1", exits 2 at load, as a config
+    error: no value is read as a number unless it is one.
 
 The cases are enumerated, not drawn, and every document has a fixed seed, so
 the test is deterministic.
@@ -27,7 +30,7 @@ from click.testing import CliRunner
 from lepski.cli import main
 
 VALUES = [float("nan"), float("inf"), -float("inf"), 0, -1, 0.5, 2.5, 1e300,
-          True, None, "x", [], {}]
+          True, None, "x", "1", [], {}]
 
 GRID = {"x": 0.0, "h0": 1.0, "q": 0.8, "b": 1.0, "nu": 2.0, "u0": 1.0,
         "delta0": 0.1, "alpha0": 2.0, "j_max": 12}
@@ -81,17 +84,27 @@ def key_paths(node, prefix=()):
         yield from key_paths(child, prefix + (key,))
 
 
+def at(node, path):
+    """The value at a key path."""
+    for key in path:
+        node = node[key]
+    return node
+
+
 def mutated(doc, path, value):
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    at(doc, path[:-1])[path[-1]] = value
     return doc
 
 
 def non_finite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
+
+
+def no_number_for_a_number(value, reference) -> bool:
+    """Whether value is a bool or a string put where the document has a number."""
+    is_number = isinstance(reference, (int, float)) and not isinstance(reference, bool)
+    return is_number and isinstance(value, (bool, str))
 
 
 def written_non_finite(out) -> list:
@@ -115,12 +128,13 @@ def written_non_finite(out) -> list:
     return found
 
 
-def violation(res, out, value, command):
-    """What breaks an invariant in one run, or None."""
+def violation(res, out, value, reference, command):
+    """What breaks an invariant in one run that set reference to value, or None."""
     if res.exception is not None and not isinstance(res.exception, SystemExit):
         return f"exit {res.exit_code}: {res.exception!r}"
-    if non_finite(value) and not (res.exit_code == 2 and "config error:" in res.output):
-        return f"non-finite value: exit {res.exit_code}, {res.output.strip()!r}"
+    if (non_finite(value) or no_number_for_a_number(value, reference)) and not (
+            res.exit_code == 2 and "config error:" in res.output):
+        return f"{value!r} for {reference!r}: exit {res.exit_code}, {res.output.strip()!r}"
     if res.exit_code == 2:
         if out.exists():
             return f"exit 2 after writing {sorted(p.name for p in out.iterdir())}"
@@ -155,7 +169,7 @@ def test_malformed_documents_fail_at_load(tmp_path, monkeypatch, name):
     found = []
     for path, value in cases:
         res = run(mutated(doc, path, value))
-        problem = violation(res, out, value, command)
+        problem = violation(res, out, value, at(doc, path), command)
         if problem:
             found.append(("/".join(map(str, path)), value, problem))
     assert found == []

@@ -95,6 +95,21 @@ def test_one_writer():
     assert set(calls_to("open")) == {"campaign.py"}
 
 
+def test_one_number_rule():
+    # what counts as a number is decided once: errors.py alone reads `numbers`
+    # and defines the three checks that every document number goes through
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    nodes = [(module, node) for module, tree in sorted(trees.items()) for node in ast.walk(tree)]
+    importers = {module for module, node in nodes
+                 if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                 or isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names]}
+    checks = [(module, node.name) for module, node in nodes if isinstance(node, ast.FunctionDef)
+              and node.name in ("check_finite", "check_positive", "check_count")]
+    assert importers == {"errors.py"}
+    assert checks == [("errors.py", "check_finite"), ("errors.py", "check_positive"),
+                      ("errors.py", "check_count")]
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []
