@@ -106,9 +106,11 @@ def _affine_abs(a: float = 1.0, b: float = 0.5):
 
 def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
     """A constant cost per observation; a budget campaign's ladder holds budgets,
-    and each must pay for one observation at least."""
+    and each must pay for one to `dgp.BUDGET_N_MAX` observations."""
     if check_positive(cost, "cost") > check_positive(budget, "budget"):
         raise ValueError(f"a cost of {cost:g} exceeds the budget {budget:g}")
+    if budget >= (dgp.BUDGET_N_MAX + 1) * cost:
+        raise ValueError(f"the budget {budget:g} pays for over {dgp.BUDGET_N_MAX} observations")
     return dgp.BudgetStop(lambda hist: cost, budget)
 
 
@@ -479,10 +481,8 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
     for n in cfg.n_ladder:
         group = by_n.get(n, [])
         rnd = [r["rate_random"] for r in group if r["rate_random"] is not None]
-        contained = [
-            r for r in group
-            if r["omega0"] and r["ratio"] is not None and 0.25 <= r["ratio"] <= 4.0
-        ]
+        contained = [r for r in group
+                     if r["omega0"] and r["ratio"] is not None and 0.25 <= r["ratio"] <= 4.0]
         rows.append({
             "n": n,
             "h_w": _median([r["h_w"] for r in group if r["h_w"] is not None]),

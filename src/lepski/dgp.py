@@ -124,7 +124,7 @@ class FixedN:
         check_count(self.n, "a fixed length")
 
 
-BUDGET_N_MAX = 1_000_000  # observations a budget rule may take at most
+BUDGET_N_MAX = 1_000_000  # most observations a budget may pay for; more is a ValueError
 
 
 @dataclass
@@ -157,13 +157,15 @@ def run_budget_stop(rule: BudgetStop,
     """
     buf = np.empty((64, 1))
     k, spent = 0, 0.0
-    while k < BUDGET_N_MAX:
+    while True:
         if k == buf.shape[0]:
             buf = np.concatenate([buf, np.empty_like(buf)])
         buf[k] = draw_next(k, buf[:k])
         cost = float(rule.cost_fn(buf[:k + 1]))
         if spent + cost > rule.budget:
             break
+        if k == BUDGET_N_MAX:
+            raise ValueError(f"the budget pays for over BUDGET_N_MAX = {BUDGET_N_MAX} observations")
         spent += cost
         k += 1
     if k == 0:

@@ -235,8 +235,7 @@ class RateReport:
 
 
 def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
-                h_w_of: Optional[Callable[[int, float], Optional[float]]] = None
-                ) -> RateReport:
+                h_w_of: Callable[[int, float], Optional[float]]) -> RateReport:
     """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
 
     The sample's view is built once (`grid_statistics`) and serves H*,
@@ -244,11 +243,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     h_w_emp, h_w, the rates and the ratio are None for a heteroscedastic
     sample.  h_w_of(n, sigma) gives the deterministic bandwidth for the
     sample's size and common sigma, typically `deterministic_hw` on the
-    process's design law: h_w, or None where it does not exist; without
-    h_w_of, h_w is None.  It depends on the sample through (n, sigma) only,
-    so a caller may compute it once per pair.  Omega_0 failures are flagged,
-    never raised, so campaign rows are retained; an empty grid (L(h0) = 0)
-    fails Omega_0 and Omega' and leaves every bandwidth None.
+    process's design law: h_w, or None where it does not exist.  It depends
+    on the sample through (n, sigma) only, so a caller may compute it once
+    per pair.  Omega_0 failures are flagged, never raised, so campaign rows
+    are retained; an empty grid (L(h0) = 0) fails Omega_0 and Omega' and
+    leaves every bandwidth None.
     """
     n = sample.n_stop
     try:
@@ -266,15 +265,13 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
         return report
 
     if omega_0:
-        hw_emp = empirical_hw(stats, sigma, w_spec, cfg)
-        if hw_emp is not None:
-            report.h_w_emp = hw_emp
-            report.rate_random = float(w_spec.w(hw_emp))
+        report.h_w_emp = empirical_hw(stats, sigma, w_spec, cfg)
+        if report.h_w_emp is not None:
+            report.rate_random = float(w_spec.w(report.h_w_emp))
 
-    if h_w_of is not None:
-        report.h_w = h_w_of(n, sigma)
-        if report.h_w is not None:
-            report.rate_det = float(w_spec.w(report.h_w))
+    report.h_w = h_w_of(n, sigma)
+    if report.h_w is not None:
+        report.rate_det = float(w_spec.w(report.h_w))
 
     if report.rate_random is not None and report.rate_det is not None:
         report.ratio = report.rate_random / report.rate_det

@@ -47,9 +47,9 @@ class SelectionResult:
 def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     """Run the selection rule and return the selected bandwidth and estimate.
 
-    Uses the cached grid statistics for the pairwise scan; the reported
-    estimate is recomputed through `kernel_estimate` so it matches the
-    brute-force oracle bit for bit.
+    Builds the sample's view (`grid_statistics`) for the pairwise scan; the
+    reported estimate is recomputed through `kernel_estimate` so it matches
+    the brute-force oracle bit for bit.
     """
     stats = grid_statistics(sample, cfg)
     j_anchor = stats.last_feasible(cfg.u0)

@@ -10,6 +10,11 @@ A7  deterministic-rate scaling exponents over an n ladder
 A8  tail decay of the adaptive estimator against the random rate
 A9  analytic lemma sweeps (exponential-moment and cosh envelopes)
 A10 byte-identical campaign outputs across worker counts
+
+The rate claims read what the commands compute from campaign documents:
+A5's stall and mixing contrast the cells of `run_estimate_cells` (`lepski
+estimate`), A6 and A7 the rows and fit of `run_rates` (`lepski rates`), and
+A8 the table of `run_tail_risk` (`lepski tail-risk`).
 """
 
 import json
@@ -33,30 +38,18 @@ from lepski import (
     FirstCrossing,
     FixedT,
     GridConfig,
-    HolderModulus,
-    IidRegression,
-    MixingAr1,
     SamplePath,
     brute_force_select,
     check_lemma_cosh_sup,
     check_lemma_moment,
-    deterministic_hw,
     gaussian_noise,
-    grid_statistics,
-    modulus_bar,
-    oracle_bandwidth,
-    power_law_design,
-    rate_report,
     select_bandwidth,
-    simulate,
     simulate_ensemble,
     stability_matrix,
     truncated_laplace_noise,
-    uniform_design,
 )
-from lepski.campaign import fit_loglog_slope, parse_campaign, run_estimate_cells, tail_table
+from lepski.campaign import load_campaign, run_estimate_cells, run_rates, run_tail_risk
 from lepski.cli import main as cli_main
-from lepski.dgp import FixedN
 from lepski.stability import _functional_values, lambda_max
 
 MASTER = 20260810
@@ -223,7 +216,33 @@ def _random_instance(seed):
     return sample, cfg
 
 
-def test_a5_oracle_equivalence_and_transient_stall():
+def _run(command, tmp_path, name, process, grid, n_ladder, n_rep, *,
+         s=0.5, master_seed=MASTER, **keys):
+    """command on a campaign document that estimates at x = 0 from h0 = 1 under
+    the modulus h^s, written to tmp_path/name.json with its outputs under
+    tmp_path/name."""
+    doc = {"process": process, "grid": {"x": 0.0, "h0": 1.0, **grid},
+           "modulus": {"kind": "holder", "s": s, "scale": 1.0},
+           "n_ladder": n_ladder, "n_rep": n_rep, "master_seed": master_seed,
+           "outputs": str(tmp_path / name), **keys}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return command(load_campaign(path), jobs=os.cpu_count())
+
+
+def _wbar_medians(cells, n_ladder, min_count):
+    """Median of wbar(H*) per rung over the cells that have one, of which
+    there must be min_count at least."""
+    medians = []
+    for n in n_ladder:
+        vals = [c["estimate"]["wbar_h_star"] for c in cells
+                if c["estimate"]["n"] == n and c["estimate"]["wbar_h_star"] is not None]
+        assert len(vals) >= min_count
+        medians.append(float(np.median(vals)))
+    return medians
+
+
+def test_a5_oracle_equivalence_and_transient_stall(tmp_path):
     mismatches = 0
     checked = 0
     for trial in range(10_000):
@@ -245,25 +264,15 @@ def test_a5_oracle_equivalence_and_transient_stall():
     assert mismatches == 0 and checked > 8000
 
     # transient walk: the random rate stalls instead of shrinking with n
-    doc = {
-        "process": {"kind": "transient_walk",
-                    "f_true": {"name": "holder_cusp", "params": {"s": 0.5}},
-                    "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25},
-                    "x_start": 0.0, "drift": 0.5, "step_sd": 0.3, "sigma": 1.0},
-        "grid": {"x": 0.0, "h0": 1.0, "q": 0.8, "b": 1.0, "nu": 2.0,
-                 "u0": 1.0, "delta0": 0.1, "alpha0": 2.0, "j_max": 25},
-        "modulus": {"kind": "holder", "s": 0.5, "scale": 1.0},
-        "n_ladder": [250, 500, 1000, 2000, 4000],
-        "n_rep": 300,
-        "master_seed": MASTER + 5,
-    }
-    cells = run_estimate_cells(parse_campaign(doc, out="unused"), jobs=1)
-    medians = []
-    for n in doc["n_ladder"]:
-        vals = [c["estimate"]["wbar_h_star"] for c in cells
-                if c["estimate"]["n"] == n and c["estimate"]["wbar_h_star"] is not None]
-        assert len(vals) >= 250
-        medians.append(float(np.median(vals)))
+    grid = {"q": 0.8, "j_max": 25}
+    walk = {"kind": "transient_walk",
+            "f_true": {"name": "holder_cusp", "params": {"s": 0.5}},
+            "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25},
+            "x_start": 0.0, "drift": 0.5, "step_sd": 0.3, "sigma": 1.0}
+    ladder = [250, 500, 1000, 2000, 4000]
+    cells = _run(run_estimate_cells, tmp_path, "a5_walk", walk, grid, ladder, 300,
+                 master_seed=MASTER + 5)
+    medians = _wbar_medians(cells, ladder, 250)
     strictly_decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     stalled = medians[-1] >= 0.8 * medians[0] and min(medians) > 0
     report("A5 (transient stall)", (not strictly_decreasing) and stalled,
@@ -272,43 +281,20 @@ def test_a5_oracle_equivalence_and_transient_stall():
     assert stalled
 
     # contrast: the mixing design does shrink over the same ladder
-    zero_f = lambda r: np.zeros(np.atleast_2d(r).shape[0])
-    cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.8, j_max=25)
-    w = HolderModulus(0.5, 1.0)
-    med = {}
-    for n in (250, 4000):
-        vals = []
-        for r in range(120):
-            s = simulate(MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(n)),
-                         (MASTER, n, r))
-            h_star = oracle_bandwidth(grid_statistics(s, cfg), w, cfg)
-            vals.append(modulus_bar(w, h_star, cfg))
-        med[n] = float(np.median(vals))
-    report("A5 (mixing contrast)", med[4000] < 0.8 * med[250],
-           f"mixing medians {round(med[250], 4)} -> {round(med[4000], 4)}")
-    assert med[4000] < 0.8 * med[250]
+    cells = _run(run_estimate_cells, tmp_path, "a5_mixing", {"kind": "mixing_ar1", "rho": 0.5},
+                 grid, [250, 4000], 120)
+    first, last = _wbar_medians(cells, [250, 4000], 120)
+    report("A5 (mixing contrast)", last < 0.8 * first,
+           f"mixing medians {round(first, 4)} -> {round(last, 4)}")
+    assert last < 0.8 * first
 
 
-def test_a6_rate_equivalence_mixing_ar1():
+def test_a6_rate_equivalence_mixing_ar1(tmp_path):
     t0 = time.monotonic()
-    n, n_rep = 10_000, 500
-    spec = MixingAr1(f_true=lambda r: np.zeros(np.atleast_2d(r).shape[0]),
-                     rho=0.5, sigma=1.0, stopping=FixedN(n))
-    cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
-    w = HolderModulus(0.5, 1.0)
-    design = spec.design
-    contained = omega0_fail = 0
-    for r in range(n_rep):
-        sample = simulate(spec, (MASTER + 6, r))
-        rep = rate_report(sample, cfg, w, lambda m, sd: deterministic_hw(design, w, m, sd, cfg))
-        if not rep.omega_0:
-            omega0_fail += 1
-            continue
-        if rep.ratio is not None and 0.25 <= rep.ratio <= 4.0:
-            contained += 1
+    (row,) = _run(run_rates, tmp_path, "a6", {"kind": "mixing_ar1", "rho": 0.5, "sigma": 1.0},
+                  {"q": 0.9, "j_max": 40}, [10_000], 500, master_seed=MASTER + 6)["rows"]
     elapsed = time.monotonic() - t0
-    freq = contained / n_rep
-    fail_freq = omega0_fail / n_rep
+    freq, fail_freq = row["containment_freq"], row["omega0_fail_freq"]
     ok = freq >= 0.95 and fail_freq <= 0.01
     report("A6", ok, f"containment {freq:.3f} (need >= 0.95), "
                      f"omega0 failures {fail_freq:.3f} (need <= 0.01), {elapsed:.0f}s")
@@ -317,21 +303,17 @@ def test_a6_rate_equivalence_mixing_ar1():
     assert elapsed < 120.0
 
 
-def test_a7_deterministic_rate_scaling():
+def test_a7_deterministic_rate_scaling(tmp_path):
     # small b keeps the slowly varying threshold factor out of the power fit
     results = []
     for s, tau in ((0.5, 0.0), (1.0, 0.0), (0.5, 1.0)):
-        cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=0.02, j_max=10)
-        w = HolderModulus(s, 1.0)
-        design = (uniform_design(0.0, 1.0) if tau == 0.0
-                  else power_law_design(0.0, 1.0, tau=tau))
-        ns = np.array([2.0**k for k in range(10, 21)])
-        hws = np.array([deterministic_hw(design, w, int(m), 1.0, cfg) for m in ns])
-        x = 1.0 / ns  # sigma = 1
-        slope_h, _ = fit_loglog_slope(x, hws)
-        slope_w, _ = fit_loglog_slope(x, w.w(hws))
+        design = ({"name": "uniform", "params": {"x": 0.0, "radius": 1.0}} if tau == 0.0 else
+                  {"name": "power_law", "params": {"x": 0.0, "radius": 1.0, "tau": tau}})
+        fit = _run(run_rates, tmp_path, f"a7_s{s:g}_tau{tau:g}",
+                   {"kind": "iid_regression", "design": design}, {"q": 0.9, "b": 0.02, "j_max": 10},
+                   [2**k for k in range(10, 21)], 1, s=s)["fit"]
         th, tw = 1.0 / (2 * s + tau + 1), s / (2 * s + tau + 1)
-        results.append((s, tau, slope_h, th, slope_w, tw))
+        results.append((s, tau, fit["slope_hw"], th, fit["slope_rate"], tw))
     ok = all(abs(sh - th) < 0.02 and abs(sw - tw) < 0.02
              for _, _, sh, th, sw, tw in results)
     detail = "; ".join(f"(s={s:g},tau={t:g}): h {sh:.4f}/{th:.4f}, w {sw:.4f}/{tw:.4f}"
@@ -342,29 +324,19 @@ def test_a7_deterministic_rate_scaling():
         assert abs(sw - tw) < 0.02, (s, tau, sw, tw)
 
 
-def test_a8_tail_decay_of_adaptive_estimator():
+def test_a8_tail_decay_of_adaptive_estimator(tmp_path):
     # Corollary-grade threshold: b mu nu^2 = 1 * 0.25 * 24^2 = 144 > 128 = 128 p (1+tau)
     b, mu, nu_thr, p_mom, tau = 1.0, 0.25, 24.0, 1.0, 0.0
     assert b * mu * nu_thr**2 > 128.0 * p_mom * (1.0 + tau)
 
-    n, n_rep = 10_000, 2000
-    cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, b=b, nu=nu_thr, j_max=60)
-    w = HolderModulus(0.5, 1.0)
-    f = lambda rows: np.abs(np.atleast_2d(rows)[:, 0]) ** 0.5
-    spec = IidRegression(f_true=f, noise=gaussian_noise(mu), design=uniform_design(0.0, 1.0),
-                         stopping=FixedN(n))
-
-    rows = []
-    for r in range(n_rep):
-        sample = simulate(spec, (MASTER + 8, r))
-        sel = select_bandwidth(sample, cfg)
-        rep = rate_report(sample, cfg, w)
-        wbar = modulus_bar(w, rep.h_star, cfg) if rep.h_star is not None else None
-        rows.append({"omega_prime": rep.omega_prime, "risk": abs(sel.f_hat),
-                     "wbar_h_star": wbar})
-
+    process = {"kind": "iid_regression",
+               "f_true": {"name": "holder_cusp", "params": {"s": 0.5}},
+               "noise": {"family": "gaussian", "mu": mu},
+               "design": {"name": "uniform", "params": {"x": 0.0, "radius": 1.0}}}
     t_grid = [4.0 * 2 ** (k / 8) for k in range(25)]  # [4, 32] at eighth octaves
-    table = tail_table(rows, t_grid)
+    table = _run(run_tail_risk, tmp_path, "a8", process,
+                 {"q": 0.9, "b": b, "nu": nu_thr, "j_max": 60}, [10_000], 2000,
+                 master_seed=MASTER + 8, t_grid=t_grid)["rows"]
     probs = np.array([row["empirical_prob"] for row in table])
     ts = np.array([row["t"] for row in table])
 
@@ -372,7 +344,7 @@ def test_a8_tail_decay_of_adaptive_estimator():
     small_at_8 = probs[ts >= 8.0][0] <= 0.05
     positive = probs > 0
     if positive.sum() >= 2:
-        slope, _ = fit_loglog_slope(ts[positive], probs[positive])
+        slope, _ = np.polyfit(np.log(ts[positive]), np.log(probs[positive]), 1)
         exponent = -slope
     else:
         exponent = math.inf  # tail already below resolution everywhere

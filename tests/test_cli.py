@@ -758,6 +758,8 @@ class TestExitCodes:
                      "f_true": {"name": "holder_cusp", "params": {"s": 0}}}},
         {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 100}},
          "n_ladder": [40.5]},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 1}},
+         "n_ladder": [2e6]},
         {"process": {"kind": "iid_regression", "f_true": {"name": "cubic"}}},
         {"process": {"kind": "iid_regression",
                      "f_true": {"name": "constant", "value": 2.0}}},
@@ -787,7 +789,8 @@ class TestExitCodes:
             "gauss_alpha1_mu_overflow", "two_point_mu_overflow", "two_point_mu_inf",
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
             "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
-            "f_unknown_name", "f_key_outside_params", "grid_h0_bool", "grid_j_max_bool"])
+            "budget_rung_above_cap", "f_unknown_name", "f_key_outside_params", "grid_h0_bool",
+            "grid_j_max_bool"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"

@@ -316,6 +316,15 @@ class TestBudgetStop:
         with pytest.raises(ValueError):
             simulate(spec, 0)
 
+    def test_a_budget_beyond_the_cap_raises(self, monkeypatch):
+        # the draw at k = BUDGET_N_MAX is priced like any other; if the budget
+        # pays for it, the rule raises instead of cutting the sample there
+        monkeypatch.setattr("lepski.dgp.BUDGET_N_MAX", 100)
+        draw = lambda k, hist: np.zeros(1)
+        with pytest.raises(ValueError, match="BUDGET_N_MAX = 100"):
+            run_budget_stop(BudgetStop(lambda h: 1.0, 500), draw)
+        assert run_budget_stop(BudgetStop(lambda h: 1.0, 100), draw).shape == (100, 1)
+
     def test_adaptedness_spy(self):
         # the rule only ever sees the covariate prefix X_0..X_{k-1} (k rows),
         # never a response and never the future

@@ -181,7 +181,7 @@ class TestConstantSigma:
 class TestOmegaPrime:
     def test_no_data_near_x_false(self):
         s = SamplePath([[9.0]], [0.0], [1.0])
-        rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0))
+        rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0), lambda n, sd: None)
         assert rep.omega_prime is False and rep.omega_0 is False
 
     def test_zero_modulus_ample_data_true(self):

@@ -161,6 +161,14 @@ def test_checker_follows_reads_from_the_users():
     assert reached([module], [ast.parse("a()")]) == {"a", "b", "e", "g", "m"}
 
 
+def test_claims_run_the_commands():
+    # the rate claims (A5-A8) read what the commands compute, not a second,
+    # hand-built copy of a cell, of the containment band or of the rate fit
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert names_read(tree) & {"rate_report", "deterministic_hw", "oracle_bandwidth",
+                               "grid_statistics", "tail_table", "fit_loglog_slope"} == set()
+
+
 def test_every_export_is_used():
     # the package exports what its commands, the claims (A1-A10) and the
     # benchmark reach; a name only its own unit tests reach belongs in the tests
