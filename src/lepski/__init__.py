@@ -50,7 +50,6 @@ from .stability import (
     FirstCrossing,
     FixedT,
     RandomizedStop,
-    StabilityReport,
     c_lambda,
     c_prime_lambda,
     check_lemma_cosh_sup,

@@ -336,9 +336,6 @@ TAIL_HEADER = ["t", "empirical_prob", "stderr", "n_eff"]
 RATES_HEADER = ["n", "h_w", "rate_det", "median_rate_random",
                 "containment_freq", "omega0_fail_freq", "n_rep"]
 
-STABILITY_HEADER = ["alpha", "mu", "gamma", "lambda", "a", "rule", "n_rep",
-                    "estimate", "stderr", "bound", "pass", "master_seed"]
-
 
 def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
     sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
@@ -515,24 +512,17 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
 # ------------------------------------------------------------------
 
 def run_verify_stability(doc: dict, *, seed=None, out=None, fmt=None, jobs: int = 1) -> dict:
-    """Run the stability matrix described by the `stability` config section.
+    """Run the stability matrix described by the `stability` config section
+    and write the rows that `stab.stability_matrix` returns.
 
     seed and out, when given, replace the document's master_seed and outputs,
     and fmt its `formats`; returns the rows and the written paths.
     """
     matrix, master_seed, outputs, formats = _call("stability document", _stability_document,
                                                   doc, seed, out, fmt)
-    rows = []
-    for r in stab.stability_matrix(**matrix, master_seed=master_seed, jobs=jobs):
-        a_repr = r.a if not isinstance(r.a, tuple) else f"{r.a[0]:g}:{r.a[1]:g}"
-        rows.append({
-            "alpha": r.alpha, "mu": r.mu, "gamma": r.gamma, "lambda": r.lam,
-            "a": a_repr, "rule": r.rule, "n_rep": r.n_rep,
-            "estimate": r.mc_estimate, "stderr": r.mc_stderr, "bound": r.bound,
-            "pass": r.passed, "master_seed": master_seed,
-        })
-    return {"rows": rows,
-            "paths": _write_formats(outputs, formats, "stability", STABILITY_HEADER, rows)}
+    rows = stab.stability_matrix(**matrix, master_seed=master_seed, jobs=jobs)
+    return {"rows": rows, "paths": _write_formats(outputs, formats, "stability",
+                                                  stab.STABILITY_HEADER, rows)}
 
 
 def _stability_document(seed, out, fmt, /, *, stability, **run) -> tuple:
@@ -546,9 +536,11 @@ def _stability_section(*, lambdas, noise={}, scales=["constant"], stopping=[{}],
     """The keywords of `stab.stability_matrix` but the seed and jobs; the
     scales are rule names, the stopping entries sections."""
     noise = make_noise(noise)
-    if not lambdas:
-        raise ConfigError("stability section needs a nonempty lambdas list")
     a_values = [*a, *map(tuple, uniform_a)]
+    for name, axis in [("lambdas", lambdas), ("scales", scales), ("stopping", stopping),
+                       ("a or uniform_a", a_values)]:
+        if not axis:
+            raise ConfigError(f"stability section needs a nonempty {name} list")
     for lam in lambdas:
         stab.check_lambda(noise, check_finite(lam, "a lambda"))
     for value in a_values:

@@ -245,9 +245,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     sample's size and common sigma, typically `deterministic_hw` on the
     process's design law: h_w, or None where it does not exist.  It depends
     on the sample through (n, sigma) only, so a caller may compute it once
-    per pair.  Omega_0 failures are flagged, never raised, so campaign rows
-    are retained; an empty grid (L(h0) = 0) fails Omega_0 and Omega' and
-    leaves every bandwidth None.
+    per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison: for a
+    common sigma, the grid test of `empirical_hw` at h0, on its L(h0) = C_0
+    sigma^-2, so h_w_emp is None exactly off Omega_0.  Its failures are
+    flagged, never raised, so campaign rows are retained; an empty grid
+    (L(h0) = 0) fails Omega_0 and Omega' and leaves every bandwidth None.
     """
     n = sample.n_stop
     try:
@@ -255,19 +257,17 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     except GridEmpty:
         return RateReport(n=n, omega_0=False, omega_prime=False)
 
-    h_star = oracle_bandwidth(stats, w_spec, cfg)
-    omega_p = omega_prime_event(stats, w_spec, cfg)
-    omega_0 = float(stats.l_values[0]) ** -0.5 <= float(w_spec.w(cfg.h0))
-
-    report = RateReport(n=n, omega_0=omega_0, omega_prime=omega_p, h_star=h_star)
+    report = RateReport(n=n, omega_0=False, omega_prime=omega_prime_event(stats, w_spec, cfg),
+                        h_star=oracle_bandwidth(stats, w_spec, cfg))
     sigma = _constant_sigma(sample)
     if sigma is None:
+        report.omega_0 = bool(_excess(float(stats.l_values[0]), cfg.h0, w_spec, cfg) >= 0)
         return report
 
-    if omega_0:
-        report.h_w_emp = empirical_hw(stats, sigma, w_spec, cfg)
-        if report.h_w_emp is not None:
-            report.rate_random = float(w_spec.w(report.h_w_emp))
+    report.h_w_emp = empirical_hw(stats, sigma, w_spec, cfg)
+    report.omega_0 = report.h_w_emp is not None
+    if report.omega_0:
+        report.rate_random = float(w_spec.w(report.h_w_emp))
 
     report.h_w = h_w_of(n, sigma)
     if report.h_w is not None:

@@ -287,22 +287,8 @@ def simulate_ensemble(noise: NoiseSpec, scales, stop, n_rep: int,
 # Monte Carlo bound checks
 # ==================================================================
 
-@dataclass
-class StabilityReport:
-    """One Monte Carlo check of a stability bound."""
-
-    alpha: int
-    mu: float
-    gamma: float
-    lam: float
-    a: object  # float, or (a0, a1) for the uniform functional
-    rule: str
-    n_rep: int
-    mc_estimate: float
-    mc_stderr: float
-    bound: float
-    passed: bool
-    censor_rate: float
+STABILITY_HEADER = ["alpha", "mu", "gamma", "lambda", "a", "rule", "n_rep",
+                    "estimate", "stderr", "bound", "pass", "master_seed"]
 
 
 def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
@@ -319,15 +305,21 @@ def _functional_values(ens: Ensemble, alpha: int, a, lam: float) -> np.ndarray:
     return np.cosh(lam * np.sqrt(a) * ens.m / (a + ens.v))
 
 
-def _report(values: np.ndarray, bound: float, noise: NoiseSpec, ens: Ensemble, *,
-            lam, a, rule) -> StabilityReport:
+def _row(values: np.ndarray, bound: float, noise: NoiseSpec, *, lam, a, rule,
+         master_seed) -> dict:
+    """One Monte Carlo check of a bound, as the STABILITY_HEADER row that
+    `verify-stability` writes: it passes when mean + 3 SE <= bound.  A point
+    a is kept as given; a range (a0, a1) reads "a0:a1", each end the shortest
+    text that parses back to its float, so (1.0, 100.0) reads "1:100", and
+    its rule gains the suffix "|uniform"."""
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return StabilityReport(
-        alpha=noise.alpha, mu=noise.mu, gamma=noise.gamma, lam=lam, a=a, rule=rule,
-        n_rep=values.size, mc_estimate=est, mc_stderr=se, bound=bound,
-        passed=bool(est + 3.0 * se <= bound), censor_rate=ens.censor_rate,
-    )
+    if isinstance(a, tuple):
+        a, rule = ":".join(repr(float(v)).removesuffix(".0") for v in a), f"{rule}|uniform"
+    return {"alpha": noise.alpha, "mu": noise.mu, "gamma": noise.gamma, "lambda": lam,
+            "a": a, "rule": rule, "n_rep": values.size, "estimate": est,
+            "stderr": se, "bound": bound, "pass": bool(est + 3.0 * se <= bound),
+            "master_seed": master_seed}
 
 
 def check_lambda(noise: NoiseSpec, lam: float) -> float:
@@ -366,8 +358,9 @@ def _expected_cost(scales, stop) -> tuple:
 
 def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequence,
                      a_values: Sequence, lambdas: Sequence[float],
-                     n_rep: int, master_seed=0, jobs: int = 1) -> list[StabilityReport]:
-    """Run the full (scales x stopping x lambda x a) matrix of bound checks.
+                     n_rep: int, master_seed=0, jobs: int = 1) -> list[dict]:
+    """Run the full (scales x stopping x lambda x a) matrix of bound checks and
+    return its rows, in the STABILITY_HEADER form that `verify-stability` writes.
 
     One ensemble of n_rep stopped paths is simulated per (scales, stopping)
     pair and reused for every (a, lambda) cell; the ensembles do not depend on
@@ -381,7 +374,7 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
 
     Each lambda's cells are a_values in order.  A float a > 0 checks the
     pointwise bound at a; a range (a0, a1) the uniform-in-a bound, for
-    alpha = 2 only (rule suffix "|uniform"):
+    alpha = 2 only (rule suffix "|uniform", a written "a0:a1"):
 
         E[sup_{a in [a0, a1]} exp((lambda/2) a M^2/(a+V)^2)]
             <= (1 + c_lambda)(1 + log(a1/a0)),
@@ -390,7 +383,7 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
 
     A pair's ensemble, one `simulate_ensemble` call, is the unit of work that
     `pool_map` spreads over `jobs` workers, longest expected first
-    (`_expected_cost`); its seeds come from its own rule, so the reports do not
+    (`_expected_cost`); its seeds come from its own rule, so the rows do not
     depend on jobs or on that order.  At jobs > 1 a `CensoredPathsWarning`
     is raised in the worker: forked workers inherit the caller's filters, so it
     reaches stderr, but the caller's `catch_warnings(record=True)` misses it.
@@ -403,16 +396,14 @@ def stability_matrix(noise: NoiseSpec, scale_rules: Sequence, stop_rules: Sequen
     done = pool_map(simulate_ensemble, [noise] * k, [pairs[i][0] for i in order],
                     [pairs[i][1] for i in order], [n_rep] * k, [master_seed] * k, jobs=jobs)
     by_pair = dict(zip(order, done))
-    reports = []
+    rows = []
     for (scales, stop), ens in zip(pairs, map(by_pair.get, range(k))):
         rule = f"{scales.name}|{stop.name}"
         for lam, bound in zip(lambdas, bounds):
             for a, factor in zip(a_values, factors):
-                values = _functional_values(ens, noise.alpha, a, lam)
-                reports.append(_report(
-                    values, bound * factor, noise, ens, lam=lam, a=a,
-                    rule=f"{rule}|uniform" if isinstance(a, tuple) else rule))
-    return reports
+                rows.append(_row(_functional_values(ens, noise.alpha, a, lam), bound * factor,
+                                 noise, lam=lam, a=a, rule=rule, master_seed=master_seed))
+    return rows
 
 
 # ==================================================================

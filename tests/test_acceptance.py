@@ -11,10 +11,12 @@ A8  tail decay of the adaptive estimator against the random rate
 A9  analytic lemma sweeps (exponential-moment and cosh envelopes)
 A10 byte-identical campaign outputs across worker counts
 
-The rate claims read what the commands compute from campaign documents:
-A5's stall and mixing contrast the cells of `run_estimate_cells` (`lepski
-estimate`), A6 and A7 the rows and fit of `run_rates` (`lepski rates`), and
-A8 the table of `run_tail_risk` (`lepski tail-risk`).
+The claims read what the commands compute from their documents: A1-A3 the
+rows of `run_verify_stability` (`lepski verify-stability`), A5's stall and
+mixing contrast the cells of `run_estimate_cells` (`lepski estimate`), A6
+and A7 the rows and fit of `run_rates` (`lepski rates`), and A8 the table of
+`run_tail_risk` (`lepski tail-risk`).  A4 reads one `simulate_ensemble`,
+since no command exposes an ensemble.
 """
 
 import json
@@ -31,12 +33,9 @@ from scipy.special import pbdv
 
 import lepski
 from lepski import (
-    AdaptedScale,
-    AlternatingScale,
     CensoredPathsWarning,
     ConstantScale,
     FirstCrossing,
-    FixedT,
     GridConfig,
     SamplePath,
     brute_force_select,
@@ -45,10 +44,9 @@ from lepski import (
     gaussian_noise,
     select_bandwidth,
     simulate_ensemble,
-    stability_matrix,
-    truncated_laplace_noise,
 )
-from lepski.campaign import load_campaign, run_estimate_cells, run_rates, run_tail_risk
+from lepski.campaign import (load_campaign, run_estimate_cells, run_rates, run_tail_risk,
+                             run_verify_stability)
 from lepski.cli import main as cli_main
 from lepski.stability import _functional_values, lambda_max
 
@@ -56,66 +54,76 @@ MASTER = 20260810
 
 A_VALUES = (0.5, 5.0, 50.0)
 A1_LAMBDAS = (0.01, 0.03, 0.05)
-SCALES = lambda: (ConstantScale(1.0), AlternatingScale(), AdaptedScale())
-STOPS = lambda: (FixedT(1000), FirstCrossing(c=2.0, cap=10_000))
 
 
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def a1_matrix():
-    noise = gaussian_noise(mu=0.25)  # gamma = sqrt(2) exactly
-    assert noise.gamma == pytest.approx(math.sqrt(2), rel=1e-15)
-    t0 = time.monotonic()
+def _verify_stability(out, noise, lambdas, master_seed, **section):
+    """The rows that `lepski verify-stability` writes under out for 1e5 paths
+    of each (scale, stop) pair: constant, alternating and adapted scales,
+    stopped at n = 1000 or at the first crossing of c = 2, capped at 1e4."""
+    doc = {"stability": {"noise": noise, "scales": ["constant", "alternating", "adapted"],
+                         "stopping": [{"rule": "fixed", "n": 1000},
+                                      {"rule": "crossing", "c": 2.0, "cap": 10_000}],
+                         "a": list(A_VALUES), "lambdas": list(lambdas), "n_rep": 100_000,
+                         **section},
+           "master_seed": master_seed}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CensoredPathsWarning)
-        reports = stability_matrix(
-            noise, SCALES(), STOPS(), [*A_VALUES, (1.0, 100.0)], A1_LAMBDAS,
-            n_rep=100_000, master_seed=MASTER, jobs=os.cpu_count())
-    return reports, time.monotonic() - t0
+        return run_verify_stability(doc, out=out, jobs=os.cpu_count())["rows"]
+
+
+def _margin(row):
+    """(estimate + 3 SE) / bound: a row passes at 1 or below."""
+    return (row["estimate"] + 3 * row["stderr"]) / row["bound"]
+
+
+@pytest.fixture(scope="module")
+def a1_matrix(tmp_path_factory):
+    t0 = time.monotonic()
+    rows = _verify_stability(tmp_path_factory.mktemp("a1"), {"family": "gaussian", "mu": 0.25},
+                             A1_LAMBDAS, MASTER, uniform_a=[[1.0, 100.0]])
+    return rows, time.monotonic() - t0
 
 
 def test_a1_stability_bound_alpha2(a1_matrix):
-    reports, elapsed = a1_matrix
-    pointwise = [r for r in reports if not isinstance(r.a, tuple)]
+    rows, elapsed = a1_matrix
+    assert all(r["gamma"] == pytest.approx(math.sqrt(2), rel=1e-15) for r in rows)  # mu = 0.25
+    pointwise = [r for r in rows if not r["rule"].endswith("|uniform")]
     assert len(pointwise) == 54  # 3 scales x 2 stops x 3 lambda x 3 a
     assert all(0 < lam < lambda_max(0.25, math.sqrt(2)) for lam in A1_LAMBDAS)
-    worst = max(pointwise, key=lambda r: (r.mc_estimate + 3 * r.mc_stderr) / r.bound)
-    n_red = sum(1 for r in pointwise if not r.passed)
+    worst = max(pointwise, key=_margin)
+    n_red = sum(1 for r in pointwise if not r["pass"])
     report("A1", n_red == 0,
-           f"{len(pointwise)} cells, worst margin "
-           f"{(worst.mc_estimate + 3 * worst.mc_stderr) / worst.bound:.4f} of bound "
-           f"(rule {worst.rule}, lambda={worst.lam}, a={worst.a}); {elapsed:.0f}s")
+           f"{len(pointwise)} cells, worst margin {_margin(worst):.4f} of bound "
+           f"(rule {worst['rule']}, lambda={worst['lambda']}, a={worst['a']}); {elapsed:.0f}s")
     assert n_red == 0
     assert elapsed < 300.0  # runtime target
 
 
-def test_a2_stability_bound_alpha1_cosh():
-    noise = truncated_laplace_noise(mu=0.5, cut=5.0)
-    lambdas = [0.3 * noise.mu, -0.3 * noise.mu, 0.6 * noise.mu, -0.6 * noise.mu]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoredPathsWarning)
-        reports = stability_matrix(noise, SCALES(), STOPS(), A_VALUES, lambdas,
-                                   n_rep=100_000, master_seed=MASTER + 1, jobs=os.cpu_count())
-    assert len(reports) == 72
-    n_red = sum(1 for r in reports if not r.passed)
-    worst = max(reports, key=lambda r: (r.mc_estimate + 3 * r.mc_stderr) / r.bound)
+def test_a2_stability_bound_alpha1_cosh(tmp_path):
+    mu = 0.5
+    lambdas = [0.3 * mu, -0.3 * mu, 0.6 * mu, -0.6 * mu]
+    rows = _verify_stability(tmp_path, {"family": "truncated_laplace", "mu": mu, "cut": 5.0},
+                             lambdas, MASTER + 1)
+    assert len(rows) == 72
+    n_red = sum(1 for r in rows if not r["pass"])
     report("A2", n_red == 0,
-           f"{len(reports)} cosh cells, certified gamma={noise.gamma:.6f}, "
-           f"worst margin {(worst.mc_estimate + 3 * worst.mc_stderr) / worst.bound:.4f}")
+           f"{len(rows)} cosh cells, certified gamma={rows[0]['gamma']:.6f}, "
+           f"worst margin {_margin(max(rows, key=_margin)):.4f}")
     assert n_red == 0
 
 
 def test_a3_uniform_bound(a1_matrix):
-    reports, _ = a1_matrix
-    uniform = [r for r in reports if isinstance(r.a, tuple)]
-    assert len(uniform) == 18 and all(r.a == (1.0, 100.0) for r in uniform)
+    rows, _ = a1_matrix
+    uniform = [r for r in rows if r["rule"].endswith("|uniform")]
+    assert len(uniform) == 18 and all(r["a"] == "1:100" for r in uniform)
     for r in uniform:
-        expected = (1.0 + lepski.c_lambda(0.25, math.sqrt(2), r.lam)) * (1.0 + math.log(100.0))
-        assert r.bound == pytest.approx(expected, rel=1e-12)
-    n_red = sum(1 for r in uniform if not r.passed)
+        expected = (1.0 + lepski.c_lambda(0.25, math.sqrt(2), r["lambda"])) * (1.0 + math.log(100.0))
+        assert r["bound"] == pytest.approx(expected, rel=1e-12)
+    n_red = sum(1 for r in uniform if not r["pass"])
     report("A3", n_red == 0, f"{len(uniform)} uniform cells vs (1+c_lambda)(1+log 100)")
     assert n_red == 0
 

@@ -545,6 +545,9 @@ class TestVerifyStability:
         {"uniform_a": [[1.0, 1e300]]},
         {"lambdas": ["0.01"]},
         {"stopping": [{"rule": "randomized", "p": True}]},
+        {"scales": []},
+        {"stopping": []},
+        {"a": [], "uniform_a": []},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -554,7 +557,8 @@ class TestVerifyStability:
             "crossing_c_nan", "crossing_c_inf", "crossing_c_minus_inf", "a_inf",
             "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
             "two_point_alpha1_mu_inf", "lambdas_empty", "a_square_overflow",
-            "uniform1:square_overflow", "lambda_numeric_str", "p_bool"])
+            "uniform1:square_overflow", "lambda_numeric_str", "p_bool",
+            "scales_empty", "stopping_empty", "a_empty"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -564,6 +568,19 @@ class TestVerifyStability:
         res = run_cli("verify-stability", "--config", str(write_config(tmp_path, doc)))
         assert res.exit_code == 2, res.output
         assert not out.exists()
+
+    def test_distinct_ranges_write_distinct_a(self, tmp_path):
+        # "a0:a1" kept six digits, so [1.0000001, 100] was written 1:100 like [1, 100]
+        out = tmp_path / "out"
+        doc = self.stab_config(out, n_rep=100, lambdas=(0.01,))
+        doc["stability"].update(scales=["constant"], a=[],
+                                uniform_a=[[1.0, 100.0], [1.0000001, 100.0]])
+        res = run_cli("verify-stability", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        with open(out / "stability.csv", newline="") as fh:
+            written = [r["a"] for r in csv.DictReader(fh)]
+        assert written == ["1:100", "1.0000001:100"]
+        assert [[float(v) for v in a.split(":")] for a in written] == doc["stability"]["uniform_a"]
 
     def test_config_formats_kept_without_format_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -376,6 +376,31 @@ class TestRateReport:
         assert rep.rate_random is None and rep.ratio is None
         assert rep.rate_det is not None  # the deterministic side still exists
 
+    def test_omega0_below_one_by_an_ulp_is_off(self):
+        # L(h0) w(h0)^2 - 1 = -1.05e-16 on the stored floats, where L(h0)^(-1/2)
+        # <= w(h0) read as true: Omega_0 held while H_w did not exist
+        rep = rate_report(SamplePath([0.0], [0.0], [0.7]), GridConfig([0.0], 1.0, delta0=1e-3),
+                          HolderModulus(0.5, 0.7), lambda n, sd: None)
+        assert (rep.omega_0, rep.h_w_emp) == (False, None)
+
+    def test_omega0_is_where_hw_exists(self):
+        # w(h0) within 3 ulps of L(h0)^(-1/2) for k points at a common sigma:
+        # Omega_0 is the test C_0 sigma^-2 w(h0)^2 >= psi(h0) = 1 that H_w makes
+        cfg = GridConfig([0.0], 1.0, delta0=1e-3)
+        seen = set()
+        for k in range(1, 41):
+            x = np.linspace(-0.5, 0.5, k)
+            for sigma in (0.3, 0.7, 0.9, 1.1, 1.5, 2.0, 2.5, 3.0):
+                s = SamplePath(x, np.zeros(k), np.full(k, sigma))
+                w0 = (k * sigma**-2.0) ** -0.5
+                for ulps in range(-3, 4):
+                    scale = w0 + ulps * np.spacing(w0)
+                    rep = rate_report(s, cfg, HolderModulus(0.5, scale), lambda n, sd: None)
+                    assert rep.omega_0 == (rep.h_w_emp is not None)
+                    assert rep.omega_0 == (k * sigma**-2.0 * scale**2 - 1.0 >= 0)
+                    seen.add(rep.omega_0)
+        assert seen == {True, False}
+
     def test_point_mass_design_ratio_one(self):
         # all mass at x: L(h) = n/sigma^2 = E L(h) exactly, so H_w = h_w
         n = 30

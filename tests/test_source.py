@@ -162,11 +162,13 @@ def test_checker_follows_reads_from_the_users():
 
 
 def test_claims_run_the_commands():
-    # the rate claims (A5-A8) read what the commands compute, not a second,
-    # hand-built copy of a cell, of the containment band or of the rate fit
+    # the stability and rate claims (A1-A3, A5-A8) read what the commands
+    # compute, not a second, hand-built copy of a matrix, a cell, the
+    # containment band or the rate fit
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     assert names_read(tree) & {"rate_report", "deterministic_hw", "oracle_bandwidth",
-                               "grid_statistics", "tail_table", "fit_loglog_slope"} == set()
+                               "grid_statistics", "tail_table", "fit_loglog_slope",
+                               "stability_matrix"} == set()
 
 
 def test_every_export_is_used():

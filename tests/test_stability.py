@@ -37,7 +37,7 @@ from lepski import (
     uniform_design,
 )
 from lepski.dgp import seeded_rng
-from lepski.stability import _CHUNK, _rule_tag, pi_statistic, pool_map
+from lepski.stability import STABILITY_HEADER, _CHUNK, _rule_tag, pi_statistic, pool_map
 from oracles import empirical_pi, moment_lemma_monte_carlo, truth_values
 
 
@@ -162,21 +162,21 @@ class TestMcStability:
     def test_zero_scales_estimate_exactly_one(self):
         noise = gaussian_noise()
         [rep] = stability_matrix(noise, [ConstantScale(0.0)], [FixedT(50)], [1.0], [0.01], 500, 3)
-        assert rep.mc_estimate == 1.0 and rep.mc_stderr == 0.0 and rep.passed
+        assert rep["estimate"] == 1.0 and rep["stderr"] == 0.0 and rep["pass"]
 
     def test_fixed_time_gaussian_passes(self):
         noise = gaussian_noise(mu=0.25)  # gamma = sqrt(2)
         [rep] = stability_matrix(noise, [ConstantScale(1.0)], [FixedT(200)], [5.0], [0.05],
                                  20_000, 4)
-        assert rep.passed
-        assert rep.mc_estimate >= 1.0
-        assert rep.bound == pytest.approx(1.0 + c_lambda(0.25, math.sqrt(2), 0.05), rel=1e-14)
+        assert rep["pass"]
+        assert rep["estimate"] >= 1.0
+        assert rep["bound"] == pytest.approx(1.0 + c_lambda(0.25, math.sqrt(2), 0.05), rel=1e-14)
 
     def test_alpha1_cosh_passes(self):
         noise = truncated_laplace_noise()
         [rep] = stability_matrix(noise, [AlternatingScale()], [FixedT(200)], [2.0],
                                  [0.3 * noise.mu], 20_000, 5)
-        assert rep.passed and rep.mc_estimate >= 1.0
+        assert rep["pass"] and rep["estimate"] >= 1.0
 
     def test_lambda_validation(self):
         noise = gaussian_noise(mu=0.25)
@@ -197,7 +197,7 @@ class TestMcStability:
         assert np.all(ratio >= 1.0)
         with pytest.warns(CensoredPathsWarning):
             [rep] = stability_matrix(noise, [ConstantScale(1.0)], [stop], [5.0], [0.03], 2000, 6)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_censored_paths_warning(self):
         noise = gaussian_noise()
@@ -209,7 +209,7 @@ class TestMcStability:
         noise = gaussian_noise()
         [rep] = stability_matrix(noise, [AdaptedScale()], [RandomizedStop(p=0.01, cap=2000)],
                                  [0.5], [0.04], 10_000, 8)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_ensemble_reproducible(self):
         noise = gaussian_noise()
@@ -328,10 +328,21 @@ class TestMatrixRanges:
                     for a in cells:
                         rule = f"{sc.name}|{st.name}" + ("|uniform" if isinstance(a, tuple) else "")
                         [rep] = stability_matrix(noise, [sc], [st], [a], [lam], 300, 9)
-                        assert rep.rule == rule
+                        assert rep["rule"] == rule
                         expected.append(rep)
         assert reports == expected
-        assert [r.rule.endswith("|uniform") for r in reports] == [False, True] * 4
+        assert [r["rule"].endswith("|uniform") for r in reports] == [False, True] * 4
+
+
+    def test_rows_are_what_verify_stability_writes(self):
+        # one row per cell, keyed by the written header; each end of a range
+        # is the shortest text that parses back to it
+        ranges = [(1.0, 100.0), (1.0000001, 100.0), (0.1, 1e16), (2, 3)]
+        rows = stability_matrix(gaussian_noise(), [ConstantScale(1.0)], [FixedT(10)],
+                                [0.5, *ranges], [0.01], 50, 17)
+        assert all(list(r) == STABILITY_HEADER and r["master_seed"] == 17 for r in rows)
+        assert [r["a"] for r in rows] == [0.5, "1:100", "1.0000001:100", "0.1:1e+16", "2:3"]
+        assert [tuple(float(v) for v in r["a"].split(":")) for r in rows[1:]] == ranges
 
 
 class TestMatrixJobs:
@@ -376,7 +387,7 @@ class TestSchedule:
     def test_reports_do_not_depend_on_jobs(self):
         reports = self.run(1)
         assert self.run(2) == reports
-        assert [r.rule for r in reports] == [f"{sc.name}|{st.name}" for sc in self.SCALES
+        assert [r["rule"] for r in reports] == [f"{sc.name}|{st.name}" for sc in self.SCALES
                                              for st in self.STOPS for _ in range(2)]
 
     def test_ensembles_are_the_pairs_own(self, seen):
@@ -406,22 +417,22 @@ class TestUniformStability:
         rules = (noise, [ConstantScale(1.0)], [FixedT(100)])
         [uni] = stability_matrix(*rules, [(a, a)], [0.04], 5000, 10)
         [point] = stability_matrix(*rules, [a], [0.02], 5000, 10)
-        assert uni.mc_estimate == pytest.approx(point.mc_estimate, rel=1e-14)
-        assert uni.bound == pytest.approx(1.0 + c_lambda(noise.mu, noise.gamma, 0.04), rel=1e-14)
+        assert uni["estimate"] == pytest.approx(point["estimate"], rel=1e-14)
+        assert uni["bound"] == pytest.approx(1.0 + c_lambda(noise.mu, noise.gamma, 0.04), rel=1e-14)
 
     def test_uniform_bound_passes(self):
         noise = gaussian_noise()
         [rep] = stability_matrix(noise, [ConstantScale(1.0)], [FixedT(100)], [(1.0, 100.0)],
                                  [0.04], 20_000, 11)
-        assert rep.passed
-        assert rep.bound == pytest.approx(
+        assert rep["pass"]
+        assert rep["bound"] == pytest.approx(
             (1.0 + c_lambda(noise.mu, noise.gamma, 0.04)) * (1.0 + math.log(100.0)), rel=1e-14)
 
     def test_zero_martingale_paths_give_one(self):
         noise = gaussian_noise()
         [rep] = stability_matrix(noise, [ConstantScale(0.0)], [FixedT(20)], [(1.0, 10.0)],
                                  [0.05], 200, 12)
-        assert rep.mc_estimate == 1.0
+        assert rep["estimate"] == 1.0
 
     def test_interior_maximum_formula(self):
         # brute-force grid maximization agrees with the closed-form a* = clip(v)
