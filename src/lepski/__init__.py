@@ -28,7 +28,6 @@ from .selection import (
 )
 from .rates import (
     HolderModulus,
-    RateReport,
     check_modulus,
     deterministic_hw,
     empirical_hw,

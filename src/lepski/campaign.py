@@ -5,6 +5,8 @@ replication plan.  Cells are (n, rep) pairs; each cell's seed is derived from
 (master_seed, n, rep), and cells run on the package's one worker pool,
 `stability.pool_map`, which hands them back in (n, rep) order, so files are
 byte-stable for any --jobs.  `verify-stability` runs on the same pool.
+An estimation cell is one row, of the estimate and the rate report columns,
+and `estimate`, `tail-risk` and `rates` all read those rows.
 
 Every config section is read the same way: a section's keys are the keywords
 of its constructor, which its name picks from a table (the process "kind",
@@ -115,7 +117,9 @@ def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
 
 
 def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
-    """MixingAr1; x may only restate the grid's x, as `_campaign` checks."""
+    """MixingAr1; x, a number, may only restate the grid's x, as `_campaign` checks."""
+    if x is not None:
+        check_finite(x, "a mixing_ar1 x")
     return dgp.MixingAr1(**params)
 
 
@@ -254,9 +258,9 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
         built = make_process(process, n)
     if built.dim != grid.dim:
         raise ConfigError(f"the grid point has dimension {grid.dim}, the process {built.dim}")
-    x_point = grid.x_point.tolist()
-    if isinstance(built, dgp.MixingAr1) and process.get("x", x_point) not in (x_point, *x_point):
-        raise ConfigError(f"the grid's x {x_point} is the estimation point; "
+    x = float(grid.x_point[0])
+    if isinstance(built, dgp.MixingAr1) and process.get("x", x) != x:
+        raise ConfigError(f"the grid's x {x} is the estimation point; "
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
@@ -338,38 +342,35 @@ RATES_HEADER = ["n", "h_w", "rate_det", "median_rate_random",
 
 
 def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
+    """The cell's one row, with the columns of ESTIMATE_HEADER and RATE_HEADER:
+    `estimate` and `rate_report` are both written from it.  n is the ladder
+    rung, which a budget cell's sample size may fall short of."""
     sample = dgp.simulate(cfg.process_for(n), cell_seed(cfg.master_seed, n, rep))
     grid = cfg.grid
-    row = dict.fromkeys(ESTIMATE_HEADER)
+    row = dict.fromkeys(ESTIMATE_HEADER + RATE_HEADER)
     row.update({k: getattr(grid, k) for k in _GRID_COLUMNS}, n=n, rep=rep,
-               master_seed=cfg.master_seed, d=grid.dim, defined=False, omega_prime=False)
-    rate_row = dict.fromkeys(RATE_HEADER)
-    rate_row.update(n=n, seed=f"{cfg.master_seed}:{n}:{rep}", omega0=False, omega_prime=False)
+               master_seed=cfg.master_seed, d=grid.dim, seed=f"{cfg.master_seed}:{n}:{rep}",
+               defined=False, omega0=False, omega_prime=False)
     try:
         sel = select_bandwidth(sample, grid)
     except GridEmpty:
         row["error"] = "grid_empty"
-        return {"estimate": row, "rate": rate_row}
-    row["defined"] = sel.defined
-    if sel.defined:
-        row.update(h_u0=sel.h_u0, h_hat=sel.h_hat, f_hat=sel.f_hat)
-    else:
+        return row
+    row.update(vars(sel))
+    if not sel.defined:
         row["error"] = "anchor_undefined"
 
     if cfg.modulus is not None:
-        rep_rates = rate_report(sample, grid, cfg.modulus, cfg.h_w)
-        row.update(h_star=rep_rates.h_star, omega_prime=rep_rates.omega_prime)
-        if rep_rates.h_star is not None:
-            row["wbar_h_star"] = modulus_bar(cfg.modulus, rep_rates.h_star, grid)
-        if not rep_rates.omega_prime and row["error"] is None:
+        row.update(rate_report(sample, grid, cfg.modulus, cfg.h_w))
+        if row["h_star"] is not None:
+            row["wbar_h_star"] = modulus_bar(cfg.modulus, row["h_star"], grid)
+        if not row["omega_prime"] and row["error"] is None:
             row["error"] = "omega_prime_false"
-        rate_row.update(omega0=rep_rates.omega_0, **{k: getattr(rep_rates, k) for k in (
-            "h_star", "rate_random", "h_w", "rate_det", "ratio", "omega_prime")})
 
     if sel.defined:
         f_x = float(np.asarray(sample.truth(grid.x_point.reshape(1, -1))).reshape(-1)[0])
         row["risk"] = abs(sel.f_hat - f_x)
-    return {"estimate": row, "rate": rate_row}
+    return row
 
 
 def _simulate_cell(cfg: CampaignConfig, n: int, rep: int) -> list:
@@ -390,7 +391,8 @@ def _run_cells(cfg: CampaignConfig, cell, jobs: int) -> list:
 
 
 def run_estimate_cells(cfg: CampaignConfig, jobs: int = 1) -> list:
-    """All (n, rep) cells, in (n, rep) order regardless of worker count."""
+    """The rows of all (n, rep) cells, in (n, rep) order regardless of worker
+    count: each row holds both its estimate and its rate report columns."""
     return _run_cells(cfg, _estimate_cell, jobs)
 
 
@@ -404,14 +406,13 @@ def run_simulate(cfg: CampaignConfig, jobs: int = 1) -> list:
 
 
 def run_estimate(cfg: CampaignConfig, jobs: int = 1) -> dict:
-    """The estimate rows, written with the rate report rows; returns the rows and paths."""
-    cells = run_estimate_cells(cfg, jobs)
-    est_rows = [c["estimate"] for c in cells]
-    paths = _write_formats(cfg.outputs, cfg.formats, "estimate", ESTIMATE_HEADER, est_rows)
+    """The cell rows, written as estimate and, given a modulus, as rate_report;
+    returns the rows and paths."""
+    rows = run_estimate_cells(cfg, jobs)
+    paths = _write_formats(cfg.outputs, cfg.formats, "estimate", ESTIMATE_HEADER, rows)
     if cfg.modulus is not None:
-        paths += _write_formats(cfg.outputs, cfg.formats, "rate_report", RATE_HEADER,
-                                [c["rate"] for c in cells])
-    return {"rows": est_rows, "paths": paths}
+        paths += _write_formats(cfg.outputs, cfg.formats, "rate_report", RATE_HEADER, rows)
+    return {"rows": rows, "paths": paths}
 
 
 def tail_table(est_rows: list, t_grid) -> list:
@@ -437,8 +438,9 @@ def tail_table(est_rows: list, t_grid) -> list:
 def run_tail_risk(cfg: CampaignConfig, jobs: int = 1) -> dict:
     if not cfg.t_grid:
         raise ConfigError("tail-risk needs a t_grid entry in the config")
-    cells = run_estimate_cells(cfg, jobs)
-    rows = tail_table([c["estimate"] for c in cells], cfg.t_grid)
+    if cfg.modulus is None:
+        raise ConfigError("tail-risk needs a modulus section")
+    rows = tail_table(run_estimate_cells(cfg, jobs), cfg.t_grid)
     return {"rows": rows,
             "paths": _write_formats(cfg.outputs, cfg.formats, "tail_risk", TAIL_HEADER, rows)}
 
@@ -470,10 +472,9 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         raise ConfigError("rates needs a modulus section")
     if cfg.process_for(cfg.n_ladder[0]).design is None:
         raise ConfigError("rates needs a process with a design law")
-    cells = run_estimate_cells(cfg, jobs)
     by_n = {}
-    for c in cells:
-        by_n.setdefault(c["rate"]["n"], []).append(c["rate"])
+    for row in run_estimate_cells(cfg, jobs):
+        by_n.setdefault(row["n"], []).append(row)
     rows = []
     for n in cfg.n_ladder:
         group = by_n.get(n, [])

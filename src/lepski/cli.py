@@ -2,9 +2,10 @@
 
 Subcommands: simulate, estimate, tail-risk, rates, verify-stability.
 Every command takes --config PATH plus optional --seed, --out, --jobs and
---format overrides (environment: LEPSKI_SEED, LEPSKI_JOBS).  --format
-replaces the config's `formats` list only when it is given.  Exit codes:
-0 success, 2 config error, 3 acceptance-red, 4 IO failure.
+--format overrides (environment: LEPSKI_SEED, LEPSKI_JOBS, each unset when
+empty).  --format replaces the config's `formats` list only when it is
+given.  Exit codes: 0 success, 2 config error, 3 acceptance-red, 4 IO
+failure.
 
 The config is JSON.  A section's keys are the keywords of the constructor
 that the section names (see `campaign`).  A key that nothing reads, an
@@ -66,16 +67,23 @@ def _common(body):
 
 def _resolve(seed, jobs):
     """(seed, jobs) from the flags, else LEPSKI_SEED and LEPSKI_JOBS; jobs defaults to 1."""
-    try:
-        if seed is None and os.environ.get("LEPSKI_SEED"):
-            seed = int(os.environ["LEPSKI_SEED"])
-        if jobs is None:
-            jobs = int(os.environ.get("LEPSKI_JOBS", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"LEPSKI_SEED and LEPSKI_JOBS must be integers: {exc}") from exc
+    seed, jobs = _env_int(seed, "LEPSKI_SEED", None), _env_int(jobs, "LEPSKI_JOBS", 1)
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     return seed, jobs
+
+
+def _env_int(flag, name: str, default):
+    """flag, else the integer in the environment variable name, else default;
+    an empty variable counts as unset."""
+    if flag is not None:
+        return flag
+    if not os.environ.get(name):
+        return default
+    try:
+        return int(os.environ[name])
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
 def _echo_outputs(what: str, paths: list) -> None:

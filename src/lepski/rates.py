@@ -213,66 +213,46 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
 # report assembly
 # ------------------------------------------------------------------
 
-@dataclass
-class RateReport:
-    """Random and deterministic rate diagnostics for one sample.
-
-    h_w_emp is the empirical continuum bandwidth H_w and h_w its deterministic
-    equivalent; rate_random = w(H_w), rate_det = w(h_w), ratio their quotient
-    when both exist.  h_star and omega_prime are grid-oracle diagnostics
-    computed with the same modulus.
-    """
-
-    n: int
-    omega_0: bool
-    omega_prime: bool
-    h_star: Optional[float] = None
-    h_w_emp: Optional[float] = None
-    h_w: Optional[float] = None
-    rate_random: Optional[float] = None
-    rate_det: Optional[float] = None
-    ratio: Optional[float] = None
-
-
 def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
-                h_w_of: Callable[[int, float], Optional[float]]) -> RateReport:
-    """Assemble H*, H_w, h_w and the rate ratio; undefined pieces carry None.
+                h_w_of: Callable[[int, float], Optional[float]]) -> dict:
+    """The rate columns of one cell: omega0, omega_prime, h_star, h_w_emp,
+    h_w, rate_random, rate_det and ratio; undefined pieces carry None.
 
-    The sample's view is built once (`grid_statistics`) and serves H*,
-    Omega' and H_w.  Both continuum bandwidths need a constant sigma, so
-    h_w_emp, h_w, the rates and the ratio are None for a heteroscedastic
-    sample.  h_w_of(n, sigma) gives the deterministic bandwidth for the
-    sample's size and common sigma, typically `deterministic_hw` on the
-    process's design law: h_w, or None where it does not exist.  It depends
-    on the sample through (n, sigma) only, so a caller may compute it once
-    per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison: for a
-    common sigma, the grid test of `empirical_hw` at h0, on its L(h0) = C_0
-    sigma^-2, so h_w_emp is None exactly off Omega_0.  Its failures are
-    flagged, never raised, so campaign rows are retained; an empty grid
+    h_star is the grid oracle H* and omega_prime the event Omega', both for
+    the same modulus; h_w_emp is the empirical continuum bandwidth H_w and h_w
+    its deterministic equivalent, rate_random = w(H_w), rate_det = w(h_w) and
+    ratio their quotient.  The sample's view is built once (`grid_statistics`)
+    and serves H*, Omega' and H_w.  Both continuum bandwidths need a constant
+    sigma, so they, the rates and the ratio are None for a heteroscedastic
+    sample.  h_w_of(n, sigma) gives h_w for the sample's size and common
+    sigma, or None where it does not exist, typically `deterministic_hw` on
+    the process's design law; it depends on the sample through (n, sigma)
+    only, so a caller may compute it once per pair.  Omega_0 = {L(h0) w(h0)^2
+    >= psi(h0)} is one comparison: for a common sigma, the grid test of
+    `empirical_hw` at h0, so h_w_emp is None exactly off Omega_0.  Failures
+    are flagged, never raised, so campaign rows are retained; an empty grid
     (L(h0) = 0) fails Omega_0 and Omega' and leaves every bandwidth None.
     """
-    n = sample.n_stop
+    row = dict(omega0=False, omega_prime=False, h_star=None, h_w_emp=None, h_w=None,
+               rate_random=None, rate_det=None, ratio=None)
     try:
         stats = grid_statistics(sample, cfg)
     except GridEmpty:
-        return RateReport(n=n, omega_0=False, omega_prime=False)
+        return row
 
-    report = RateReport(n=n, omega_0=False, omega_prime=omega_prime_event(stats, w_spec, cfg),
-                        h_star=oracle_bandwidth(stats, w_spec, cfg))
+    row.update(omega_prime=omega_prime_event(stats, w_spec, cfg),
+               h_star=oracle_bandwidth(stats, w_spec, cfg))
     sigma = _constant_sigma(sample)
     if sigma is None:
-        report.omega_0 = bool(_excess(float(stats.l_values[0]), cfg.h0, w_spec, cfg) >= 0)
-        return report
+        row["omega0"] = bool(_excess(float(stats.l_values[0]), cfg.h0, w_spec, cfg) >= 0)
+        return row
 
-    report.h_w_emp = empirical_hw(stats, sigma, w_spec, cfg)
-    report.omega_0 = report.h_w_emp is not None
-    if report.omega_0:
-        report.rate_random = float(w_spec.w(report.h_w_emp))
-
-    report.h_w = h_w_of(n, sigma)
-    if report.h_w is not None:
-        report.rate_det = float(w_spec.w(report.h_w))
-
-    if report.rate_random is not None and report.rate_det is not None:
-        report.ratio = report.rate_random / report.rate_det
-    return report
+    h_w_emp, h_w = empirical_hw(stats, sigma, w_spec, cfg), h_w_of(sample.n_stop, sigma)
+    row.update(omega0=h_w_emp is not None, h_w_emp=h_w_emp, h_w=h_w)
+    if h_w_emp is not None:
+        row["rate_random"] = float(w_spec.w(h_w_emp))
+    if h_w is not None:
+        row["rate_det"] = float(w_spec.w(h_w))
+        if h_w_emp is not None:
+            row["ratio"] = row["rate_random"] / row["rate_det"]
+    return row

@@ -243,8 +243,8 @@ def _wbar_medians(cells, n_ladder, min_count):
     there must be min_count at least."""
     medians = []
     for n in n_ladder:
-        vals = [c["estimate"]["wbar_h_star"] for c in cells
-                if c["estimate"]["n"] == n and c["estimate"]["wbar_h_star"] is not None]
+        vals = [row["wbar_h_star"] for row in cells
+                if row["n"] == n and row["wbar_h_star"] is not None]
         assert len(vals) >= min_count
         medians.append(float(np.median(vals)))
     return medians

@@ -79,6 +79,14 @@ def read_sample(path):
     return header, np.array([[r[k] for k in header] for r in records], dtype=float)
 
 
+def read_rows(path):
+    """The rows of a table that a command wrote as CSV (strings) or as JSON."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+    return json.loads(path.read_text())
+
+
 def simulated_table(doc, rep):
     """Columns k, x, y, sigma of the sample that simulate draws for a cell of doc."""
     cfg = campaign.parse_campaign(doc)
@@ -292,11 +300,34 @@ class TestEstimate:
         doc = base_config(tmp_path / "out", n_ladder=[40.5, 120.5], n_rep=2)
         doc["process"]["stopping"] = {"rule": "budget", "cost": 1.5}
         cfg = campaign.parse_campaign(doc)
-        rows = [c["rate"] for c in campaign.run_estimate_cells(cfg)]
+        rows = campaign.run_estimate_cells(cfg)
         design = uniform_design(0.0, 1.0)
         expected = [deterministic_hw(design, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
         assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
         assert sorted(cfg._h_w) == [(27, 1.0), (80, 1.0)]
+
+    @pytest.mark.parametrize("stopping, ladder", [
+        ({"rule": "fixed"}, [40, 80]),
+        ({"rule": "budget", "cost": 1.5}, [40.5, 120.5]),
+    ], ids=["fixed", "budget"])
+    def test_estimate_and_rate_rows_agree_per_cell(self, tmp_path, stopping, ladder):
+        # each cell writes one estimate row and one rate row, keyed by its seed;
+        # both carry the rung as n, though the budget 40.5 stops at 27 samples
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=ladder, n_rep=2, formats=["csv", "json"])
+        doc["process"]["stopping"] = stopping
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        for fmt in ("csv", "json"):
+            est, rate = (read_rows(out / f"{stem}.{fmt}") for stem in ("estimate", "rate_report"))
+            by_seed = {r["seed"]: r for r in rate}
+            assert [(float(r["n"]), int(r["rep"])) for r in est] == [
+                (n, rep) for n in ladder for rep in range(2)]
+            assert len(by_seed) == len(rate) == len(est)
+            for row in est:
+                twin = by_seed[f"{doc['master_seed']}:{row['n']}:{row['rep']}"]
+                for key in ("n", "h_star", "omega_prime"):
+                    assert twin[key] == row[key], (fmt, key)
 
     def test_transient_rows_flag_omega(self, tmp_path):
         out = tmp_path / "out"
@@ -397,6 +428,17 @@ class TestTailRisk:
         cfg = write_config(tmp_path, doc)
         res = run_cli("tail-risk", "--config", str(cfg))
         assert res.exit_code == 3
+
+
+    def test_no_modulus_exit_2_at_load(self, tmp_path):
+        # without a modulus no cell has H*: refused before any cell runs
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=5, t_grid=[1.0, 2.0])
+        del doc["modulus"]
+        res = run_cli("tail-risk", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert "tail-risk needs a modulus section" in res.output
+        assert not out.exists()
 
 
 class TestRates:
@@ -782,6 +824,8 @@ class TestExitCodes:
                      "f_true": {"name": "constant", "value": 2.0}}},
         {"grid": {"h0": True}},
         {"grid": {"j_max": True}},
+        {"process": {"kind": "mixing_ar1", "x": False}},
+        {"process": {"kind": "mixing_ar1", "x": True}, "grid": {"x": 1.0}},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -807,7 +851,7 @@ class TestExitCodes:
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
             "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
             "budget_rung_above_cap", "f_unknown_name", "f_key_outside_params", "grid_h0_bool",
-            "grid_j_max_bool"])
+            "grid_j_max_bool", "mixing_x_false", "mixing_x_true"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"
@@ -849,6 +893,26 @@ class TestExitCodes:
             assert res.exit_code == 2, (command, res.output)
             assert name in res.output
         assert not (tmp_path / "out").exists()
+
+    def test_non_integer_environment_names_only_its_variable(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LEPSKI_JOBS", "two")
+        doc = base_config(tmp_path / "out")
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert "LEPSKI_JOBS" in res.output and "LEPSKI_SEED" not in res.output
+
+    def test_empty_jobs_environment_counts_as_unset(self, tmp_path, monkeypatch):
+        # as an empty LEPSKI_SEED does: the run is the one without the variable
+        outs = [tmp_path / "unset", tmp_path / "empty"]
+        monkeypatch.delenv("LEPSKI_JOBS", raising=False)
+        for out in outs:
+            if out.name == "empty":
+                monkeypatch.setenv("LEPSKI_JOBS", "")
+            doc = base_config(out, n_ladder=[40], n_rep=2)
+            res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+            assert res.exit_code == 0, res.output
+        for name in ("estimate.csv", "rate_report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("args, env", [(["--seed", "-1"], {}), ([], {"LEPSKI_SEED": "-1"})],
                              ids=["flag", "env"])

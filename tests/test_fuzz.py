@@ -1,6 +1,8 @@
 """Malformed documents fail at load: every key path of five tiny reference
 documents is set, one at a time, to each of a fixed list of values, and the
-document goes through `read_config` and the CLI command a user runs.
+document goes through `read_config` and the CLI command a user runs; the iid
+document goes through `estimate`, `rates` and `simulate`.  (`tail-risk` is
+left out: on a one-cell document it always exits 3.)
 
 Invariants, per mutated document:
 (a) it exits 2 while it loads, writing nothing, or runs to its rows (exit 0,
@@ -37,17 +39,21 @@ GRID = {"x": 0.0, "h0": 1.0, "q": 0.8, "b": 1.0, "nu": 2.0, "u0": 1.0,
 RUN = {"n_ladder": [30], "n_rep": 1, "master_seed": 3, "outputs": "out", "formats": ["csv"]}
 MODULUS = {"kind": "holder", "s": 0.5, "scale": 1.0}
 
+IID = {
+    "process": {
+        "kind": "iid_regression",
+        "f_true": {"name": "holder_cusp", "params": {"s": 0.5, "scale": 1.0, "at": 0.0}},
+        "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25},
+        "design": {"name": "power_law", "params": {"x": 0.0, "radius": 1.0, "tau": 1.0}},
+        "s_scale": {"name": "constant", "params": {"value": 1.0}},
+        "stopping": {"rule": "fixed"},
+    },
+    "grid": GRID, "modulus": MODULUS, "t_grid": [1.0], **RUN}
+
 DOCUMENTS = {
-    "iid": ("estimate", {
-        "process": {
-            "kind": "iid_regression",
-            "f_true": {"name": "holder_cusp", "params": {"s": 0.5, "scale": 1.0, "at": 0.0}},
-            "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25},
-            "design": {"name": "power_law", "params": {"x": 0.0, "radius": 1.0, "tau": 1.0}},
-            "s_scale": {"name": "constant", "params": {"value": 1.0}},
-            "stopping": {"rule": "fixed"},
-        },
-        "grid": GRID, "modulus": MODULUS, "t_grid": [1.0], **RUN}),
+    "iid": ("estimate", IID),
+    "iid_rates": ("rates", IID),
+    "iid_simulate": ("simulate", IID),
     "mixing": ("estimate", {
         "process": {"kind": "mixing_ar1", "rho": 0.5, "sigma": 1.0,
                     "f_true": {"name": "sine", "params": {"amp": 1.0, "freq": 1.0}},

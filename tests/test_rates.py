@@ -182,7 +182,7 @@ class TestOmegaPrime:
     def test_no_data_near_x_false(self):
         s = SamplePath([[9.0]], [0.0], [1.0])
         rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0), lambda n, sd: None)
-        assert rep.omega_prime is False and rep.omega_0 is False
+        assert rep["omega_prime"] is False and rep["omega0"] is False
 
     def test_zero_modulus_ample_data_true(self):
         cfg = grid_cfg(delta0=0.1, alpha0=2.0, u0=1.0)
@@ -372,16 +372,16 @@ class TestRateReport:
         spec = HolderModulus(0.5, 0.5)
         design = uniform_design(0.0, 1.0)
         rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(design, spec, n, sd, cfg))
-        assert rep.omega_0 is False
-        assert rep.rate_random is None and rep.ratio is None
-        assert rep.rate_det is not None  # the deterministic side still exists
+        assert rep["omega0"] is False
+        assert rep["rate_random"] is None and rep["ratio"] is None
+        assert rep["rate_det"] is not None  # the deterministic side still exists
 
     def test_omega0_below_one_by_an_ulp_is_off(self):
         # L(h0) w(h0)^2 - 1 = -1.05e-16 on the stored floats, where L(h0)^(-1/2)
         # <= w(h0) read as true: Omega_0 held while H_w did not exist
         rep = rate_report(SamplePath([0.0], [0.0], [0.7]), GridConfig([0.0], 1.0, delta0=1e-3),
                           HolderModulus(0.5, 0.7), lambda n, sd: None)
-        assert (rep.omega_0, rep.h_w_emp) == (False, None)
+        assert (rep["omega0"], rep["h_w_emp"]) == (False, None)
 
     def test_omega0_is_where_hw_exists(self):
         # w(h0) within 3 ulps of L(h0)^(-1/2) for k points at a common sigma:
@@ -396,9 +396,9 @@ class TestRateReport:
                 for ulps in range(-3, 4):
                     scale = w0 + ulps * np.spacing(w0)
                     rep = rate_report(s, cfg, HolderModulus(0.5, scale), lambda n, sd: None)
-                    assert rep.omega_0 == (rep.h_w_emp is not None)
-                    assert rep.omega_0 == (k * sigma**-2.0 * scale**2 - 1.0 >= 0)
-                    seen.add(rep.omega_0)
+                    assert rep["omega0"] == (rep["h_w_emp"] is not None)
+                    assert rep["omega0"] == (k * sigma**-2.0 * scale**2 - 1.0 >= 0)
+                    seen.add(rep["omega0"])
         assert seen == {True, False}
 
     def test_point_mass_design_ratio_one(self):
@@ -412,9 +412,9 @@ class TestRateReport:
             interval_prob=lambda x, h: 1.0,
         )
         rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(point_mass, spec, n, sd, cfg))
-        assert rep.omega_0
-        assert rep.h_w_emp == pytest.approx(rep.h_w, rel=1e-8)
-        assert rep.ratio == pytest.approx(1.0, rel=1e-8)
+        assert rep["omega0"]
+        assert rep["h_w_emp"] == pytest.approx(rep["h_w"], rel=1e-8)
+        assert rep["ratio"] == pytest.approx(1.0, rel=1e-8)
 
     def test_heteroscedastic_sample_has_no_continuum_bandwidths(self):
         # sigma = 1 + 0.5 |x| (the affine_abs scale): neither H_w nor h_w is
@@ -426,9 +426,9 @@ class TestRateReport:
         w = HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
         rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
-        assert rep.omega_0 and rep.h_star is not None
-        assert rep.h_w_emp is None and rep.rate_random is None
-        assert rep.h_w is None and rep.rate_det is None and rep.ratio is None
+        assert rep["omega0"] and rep["h_star"] is not None
+        assert rep["h_w_emp"] is None and rep["rate_random"] is None
+        assert rep["h_w"] is None and rep["rate_det"] is None and rep["ratio"] is None
 
     def test_one_view_per_report(self, monkeypatch):
         # H*, Omega' and H_w read one view: one pass over the covariates, one
@@ -453,8 +453,16 @@ class TestRateReport:
         cfg, w = grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
         rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
-        assert rep.h_w_emp is not None and rep.ratio is not None
+        assert rep["h_w_emp"] is not None and rep["ratio"] is not None
         assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
+
+    @pytest.mark.parametrize("sample", [all_at_x_sample(30), SamplePath([[9.0]], [0.0], [1.0])],
+                             ids=["defined", "grid_empty"])
+    def test_columns_are_the_rate_columns(self, sample):
+        # no n: a campaign row's n is its ladder rung, which a budget sample falls short of
+        rep = rate_report(sample, grid_cfg(), HolderModulus(0.5, 1.0), lambda n, sd: None)
+        assert sorted(rep) == ["h_star", "h_w", "h_w_emp", "omega0", "omega_prime",
+                               "rate_det", "rate_random", "ratio"]
 
     def test_mixing_design_ratio_contained(self):
         spec_p = MixingAr1(f_true=lambda rows: np.zeros(np.atleast_2d(rows).shape[0]),
@@ -467,7 +475,7 @@ class TestRateReport:
         for rep_i in range(total):
             sample = simulate(spec_p, (99, rep_i))
             rep = rate_report(sample, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
-            if rep.ratio is not None and 0.25 <= rep.ratio <= 4.0:
+            if rep["ratio"] is not None and 0.25 <= rep["ratio"] <= 4.0:
                 inside += 1
         assert inside >= 0.9 * total
 
