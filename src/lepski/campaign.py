@@ -30,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Optional
 
@@ -269,11 +270,13 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
 
 
 def read_config(path) -> dict:
-    """The JSON document at path; invalid JSON is a ConfigError."""
+    """The JSON document at path; any ValueError or RecursionError of the read
+    (bytes not UTF-8, invalid JSON, an integer beyond Python's digit limit,
+    nesting beyond the recursion limit) is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -461,7 +464,8 @@ def _median(values: list) -> Optional[float]:
 
 
 def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
-    """Per-n rate summary plus the log-log fit of h_w and w(h_w) against 1/n.
+    """Per-n rate summary plus the log-log fit of h_w and w(h_w) against 1/n,
+    over the rungs where both are positive (a None or 0 has no logarithm).
 
     h_w and rate_det are the medians over the cells whose rate report has
     them, so each uses its own sample's sigma; for a fixed n and a constant
@@ -472,12 +476,9 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         raise ConfigError("rates needs a modulus section")
     if cfg.process_for(cfg.n_ladder[0]).design is None:
         raise ConfigError("rates needs a process with a design law")
-    by_n = {}
-    for row in run_estimate_cells(cfg, jobs):
-        by_n.setdefault(row["n"], []).append(row)
     rows = []
-    for n in cfg.n_ladder:
-        group = by_n.get(n, [])
+    for n, group in groupby(run_estimate_cells(cfg, jobs), lambda r: r["n"]):
+        group = list(group)  # the n_rep cells of rung n, which come in (n, rep) order
         rnd = [r["rate_random"] for r in group if r["rate_random"] is not None]
         contained = [r for r in group
                      if r["omega0"] and r["ratio"] is not None and 0.25 <= r["ratio"] <= 4.0]
@@ -486,12 +487,12 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
             "h_w": _median([r["h_w"] for r in group if r["h_w"] is not None]),
             "rate_det": _median([r["rate_det"] for r in group if r["rate_det"] is not None]),
             "median_rate_random": _median(rnd),
-            "containment_freq": len(contained) / max(len(group), 1),
-            "omega0_fail_freq": sum(1 for r in group if not r["omega0"]) / max(len(group), 1),
+            "containment_freq": len(contained) / len(group),
+            "omega0_fail_freq": sum(1 for r in group if not r["omega0"]) / len(group),
             "n_rep": len(group),
         })
     fit = {}
-    det_ok = [(r["n"], r["h_w"], r["rate_det"]) for r in rows if r["rate_det"] is not None]
+    det_ok = [(r["n"], r["h_w"], r["rate_det"]) for r in rows if r["h_w"] and r["rate_det"]]
     if len(det_ok) >= 2:
         x = 1.0 / np.array([v[0] for v in det_ok], dtype=float)
         slope_h, se_h = fit_loglog_slope(x, np.array([v[1] for v in det_ok]))
@@ -543,7 +544,7 @@ def _stability_section(*, lambdas, noise={}, scales=["constant"], stopping=[{}],
         if not axis:
             raise ConfigError(f"stability section needs a nonempty {name} list")
     for lam in lambdas:
-        stab.check_lambda(noise, check_finite(lam, "a lambda"))
+        stab.check_lambda(noise, lam)
     for value in a_values:
         stab.check_a(noise, value)
     return {"noise": noise, "lambdas": lambdas, "a_values": a_values,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -187,10 +187,6 @@ def zero_function(x: np.ndarray) -> np.ndarray:
     return np.zeros(np.atleast_2d(x).shape[0])
 
 
-def _fixed_n(stopping) -> Optional[int]:
-    return stopping.n if isinstance(stopping, FixedN) else None
-
-
 @dataclass(kw_only=True)
 class Regression:
     """Y_k = f_true(X_{k-1}) + s_scale(X_{k-1}) zeta_k on a kind's covariates.
@@ -223,9 +219,8 @@ class IidRegression(Regression):
     design: DesignLaw = field(default_factory=uniform_design)
 
     def covariates(self, rng) -> np.ndarray:
-        n = _fixed_n(self.stopping)
-        if n is not None:
-            return self.design.sampler(rng, n)
+        if isinstance(self.stopping, FixedN):
+            return self.design.sampler(rng, self.stopping.n)
         return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0])
 
 
@@ -254,12 +249,11 @@ class MixingAr1(Regression):
 
     def covariates(self, rng) -> np.ndarray:
         rho, c = self.rho, math.sqrt(1.0 - self.rho**2)
-        n = _fixed_n(self.stopping)
-        if n is not None:  # x_0 is an exact stationary start, no burn-in needed
-            z = rng.standard_normal(n)
+        if isinstance(self.stopping, FixedN):  # x_0 is an exact stationary start, no burn-in needed
+            z = rng.standard_normal(self.stopping.n)
             chain = accumulate((c * z[1:]).tolist(), lambda x, step: rho * x + step,
                                initial=float(z[0]))
-            return np.fromiter(chain, float, n).reshape(-1, 1)
+            return np.fromiter(chain, float, z.size).reshape(-1, 1)
         return run_budget_stop(self.stopping, lambda k, hist: rng.standard_normal() if k == 0
                                else rho * hist[-1, 0] + c * rng.standard_normal())
 

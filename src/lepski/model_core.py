@@ -133,26 +133,28 @@ class GridConfig:
 @dataclass
 class GridStats:
     """The view of a sample at the estimation point x: the realized grid
-    {h_j = h0 q^j : L(h_j) > 0, j <= j_max} with L, psi and f_hat on it.
+    {h_j = h0 q^j : L(h_j) > 0, j <= j_max} with L, psi and f_hat on it,
+    built whole by `grid_statistics`.
 
     Bandwidths are stored in descending order (h_0 first); l_values is
     nonincreasing along the array and every entry is positive; psi_values
     is increasing along the array with psi_values[0] == 1.  dist holds
     |X_{k-1} - x| and bins the shell of each observation: j + 1 for the
-    deepest realized grid ball j that holds it, 0 beyond h0.
+    deepest realized grid ball j that holds it, 0 beyond h0.  `ball_sums`
+    is the one reader of bins; any other search compares dist with the grid.
     """
 
     bandwidths: np.ndarray
     dist: np.ndarray
     bins: np.ndarray
-    psi_values: np.ndarray = field(init=False)
-    l_values: np.ndarray = field(init=False)
-    f_hat: np.ndarray = field(init=False)
+    psi_values: np.ndarray
+    l_values: np.ndarray
+    f_hat: np.ndarray
 
     def ball_sums(self, values=None) -> np.ndarray:
         """sum_k v_k 1{|X_{k-1} - x| <= h_j} for every realized h_j, v = values
         (the number of observations in each ball when None)."""
-        return np.cumsum(np.bincount(self.bins, values)[:0:-1])[::-1]
+        return _ball_sums(self.bins, values)
 
     @property
     def levels(self) -> np.ndarray:
@@ -161,10 +163,10 @@ class GridStats:
         with np.errstate(over="ignore"):
             return np.sqrt(self.psi_values / self.l_values)
 
-    def last_feasible(self, bound) -> Optional[int]:
-        """Index of the smallest bandwidth whose level is <= bound (a scalar or
-        one value per element), or None when h0 already fails."""
-        return last_feasible_index(self.levels <= bound)
+
+def _ball_sums(bins: np.ndarray, values=None) -> np.ndarray:
+    """The sums of values (or counts) over the grid balls, from shell codes bins."""
+    return np.cumsum(np.bincount(bins, values)[:0:-1])[::-1]
 
 
 def last_feasible_index(feasible: np.ndarray) -> Optional[int]:
@@ -252,17 +254,15 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     dist = sample.distances(cfg.x_point)
     bins = _shells(dist, bandwidths)
     bins += 1  # bin 0 holds the distances beyond h0
-    stats = GridStats(bandwidths, dist, bins)
-    l_values = stats.ball_sums(sample.inv_var)  # down to the deepest occupied shell
+    l_values = _ball_sums(bins, sample.inv_var)  # down to the deepest occupied shell
     last = np.count_nonzero(l_values)
     if last == 0:
         raise GridEmpty("L(h0) = 0: no weight within h0 of the estimation point")
     if last < l_values.size:
         np.minimum(bins, last, out=bins)
-    stats.bandwidths, stats.l_values = bandwidths[:last], l_values[:last]
-    stats.psi_values = psi(stats.bandwidths, cfg)
-    stats.f_hat = stats.ball_sums(sample.inv_var * sample.y_obs) / stats.l_values
-    return stats
+    bandwidths, l_values = bandwidths[:last], l_values[:last]
+    return GridStats(bandwidths, dist, bins, psi(bandwidths, cfg), l_values,
+                     _ball_sums(bins, sample.inv_var * sample.y_obs) / l_values)
 
 
 # ------------------------------------------------------------------

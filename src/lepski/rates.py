@@ -88,7 +88,7 @@ def oracle_bandwidth(stats: GridStats, w_spec: HolderModulus, cfg: GridConfig) -
 
     None when h0 already fails, i.e. off the event {L(h0)^(-1/2) <= W-bar(h0)}.
     """
-    j = stats.last_feasible(modulus_bar(w_spec, stats.bandwidths, cfg))
+    j = last_feasible_index(stats.levels <= modulus_bar(w_spec, stats.bandwidths, cfg))
     return None if j is None else float(stats.bandwidths[j])
 
 
@@ -158,20 +158,20 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
     realized distance) when F is already nonnegative there, else the root of F
     inside, by bisection to 1e-10.
     """
-    dist, bins = stats.dist, stats.bins  # bin j + 1 holds shell j, bin 0 lies beyond h0
+    dist, h = stats.dist, stats.bandwidths
     # L(h_j) = C_j sigma^-2 with C_j = #{d <= h_j}, as on the pieces below
-    j = last_feasible_index(
-        _excess(stats.ball_sums() * sigma ** -2.0, stats.bandwidths, w_spec, cfg) >= 0)
+    j = last_feasible_index(_excess(stats.ball_sums() * sigma ** -2.0, h, w_spec, cfg) >= 0)
     if j is None:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
-    # the pieces meeting (h_{j+1}, h_j]: the first starts at the largest distance
-    # <= h_{j+1}, the last ends at the smallest distance in (h_j, h0], or at h0
-    inner = dist[bins > j + 1]
-    lefts, n_at = np.unique(dist[bins == j + 1], return_counts=True)
+    # pieces of L over shell j, h_{j+1} < d <= h_j as in `_shells` (any d <= h_j at the
+    # deepest realized j), from the largest d <= h_{j+1} to the least d in (h_j, h0] or h0
+    h_in = h[j + 1] if j + 1 < h.size else -np.inf
+    inner = dist[dist <= h_in]
+    lefts, n_at = np.unique(dist[(h_in < dist) & (dist <= h[j])], return_counts=True)
     if inner.size:
         lefts, n_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([0], n_at))
     levels = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
-    rights = np.append(lefts[1:], dist[(bins > 0) & (bins <= j)].min(initial=cfg.h0))
+    rights = np.append(lefts[1:], dist[(h[j] < dist) & (dist <= cfg.h0)].min(initial=cfg.h0))
     right_ok = _excess(levels, rights, w_spec, cfg) >= 0
 
     pos = lefts > 0  # psi(0) is infinite: a piece starting at zero has no feasible left end
@@ -195,7 +195,8 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
     None when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the threshold below which
     h_w does not exist; a sigma^2 beyond the largest float makes E L vanish,
     so it is None too.  Returns 0.0 for a degenerate design whose expected
-    occupation does not vanish near 0.
+    occupation does not vanish near 0; w(0) = 0 there, so the ratio
+    w(H_w)/w(h_w) is undefined.
     """
     (x,) = cfg.x_point.tolist()
     try:
@@ -221,17 +222,18 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     h_star is the grid oracle H* and omega_prime the event Omega', both for
     the same modulus; h_w_emp is the empirical continuum bandwidth H_w and h_w
     its deterministic equivalent, rate_random = w(H_w), rate_det = w(h_w) and
-    ratio their quotient.  The sample's view is built once (`grid_statistics`)
-    and serves H*, Omega' and H_w.  Both continuum bandwidths need a constant
-    sigma, so they, the rates and the ratio are None for a heteroscedastic
-    sample.  h_w_of(n, sigma) gives h_w for the sample's size and common
-    sigma, or None where it does not exist, typically `deterministic_hw` on
-    the process's design law; it depends on the sample through (n, sigma)
-    only, so a caller may compute it once per pair.  Omega_0 = {L(h0) w(h0)^2
-    >= psi(h0)} is one comparison: for a common sigma, the grid test of
-    `empirical_hw` at h0, so h_w_emp is None exactly off Omega_0.  Failures
-    are flagged, never raised, so campaign rows are retained; an empty grid
-    (L(h0) = 0) fails Omega_0 and Omega' and leaves every bandwidth None.
+    ratio their quotient, None where rate_det is 0 (at h_w = 0).  The
+    sample's view is built once (`grid_statistics`) and serves H*, Omega' and
+    H_w.  Both continuum bandwidths need a constant sigma, so they, the rates
+    and the ratio are None for a heteroscedastic sample.  h_w_of(n, sigma)
+    gives h_w for the sample's size and common sigma, or None where it does
+    not exist, typically `deterministic_hw` on the process's design law; it
+    depends on the sample through (n, sigma) only, so a caller may compute it
+    once per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison:
+    for a common sigma, the grid test of `empirical_hw` at h0, so h_w_emp is
+    None exactly off Omega_0.  Failures are flagged, never raised, so
+    campaign rows are retained; an empty grid (L(h0) = 0) fails Omega_0 and
+    Omega' and leaves every bandwidth None.
     """
     row = dict(omega0=False, omega_prime=False, h_star=None, h_w_emp=None, h_w=None,
                rate_random=None, rate_det=None, ratio=None)
@@ -253,6 +255,6 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
         row["rate_random"] = float(w_spec.w(h_w_emp))
     if h_w is not None:
         row["rate_det"] = float(w_spec.w(h_w))
-        if h_w_emp is not None:
+        if h_w_emp is not None and row["rate_det"] > 0:
             row["ratio"] = row["rate_random"] / row["rate_det"]
     return row

@@ -3,13 +3,13 @@ selector kept as a testing oracle.
 
 The anchor H_{u0} is the smallest grid bandwidth whose level (psi/L)^(1/2)
 is at most u0; the level increases along the grid, so the feasible bandwidths
-form a prefix (`GridStats.last_feasible`).  The rule picks the largest grid
-bandwidth h >= H_{u0} whose estimate stays within nu * (psi(h')/L(h'))^(1/2)
-of f_hat(h') for every grid h' in [H_{u0}, h].  Both endpoints of the
-interval are included, as is the degenerate comparison h' = h; deviations
-exactly at the threshold count as admissible.  The admissible set need not be
-an interval, so the maximum is taken literally over all admissible
-candidates, not over the largest prefix.
+form a prefix, whose end `last_feasible_index` finds, as for H* and H_w.
+The rule picks the largest grid bandwidth h >= H_{u0} whose estimate stays
+within nu * (psi(h')/L(h'))^(1/2) of f_hat(h') for every grid h' in
+[H_{u0}, h].  Both endpoints of the interval are included, as is the
+degenerate comparison h' = h; deviations exactly at the threshold count as
+admissible.  The admissible set need not be an interval, so the maximum is
+taken literally over all admissible candidates, not over the largest prefix.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .model_core import (
     SamplePath,
     grid_statistics,
     kernel_estimate,
+    last_feasible_index,
     occupation_time,
     psi,
 )
@@ -52,7 +53,7 @@ def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     the brute-force oracle bit for bit.
     """
     stats = grid_statistics(sample, cfg)
-    j_anchor = stats.last_feasible(cfg.u0)
+    j_anchor = last_feasible_index(stats.levels <= cfg.u0)
     if j_anchor is None:
         return SelectionResult(defined=False)
 

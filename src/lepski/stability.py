@@ -64,10 +64,9 @@ def gamma_lambda(mu: float, gamma: float, lam: float) -> float:
 def c_lambda(mu: float, gamma: float, lam: float) -> float:
     """c_lambda = exp(lG / (2(1 - 2 lG))) (exp(lG) - 1) with lG = lambda * Gamma_lambda.
 
-    The admissible range lambda < mu/(2(1+gamma)) guarantees 2 lG < 1.
+    The admissible range 0 <= lambda < mu/(2(1+gamma)) guarantees 2 lG < 1;
+    c_0 = 0, as c'_0 = 0.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     lg = lam * gamma_lambda(mu, gamma, lam)
     return math.exp(lg / (2.0 * (1.0 - 2.0 * lg))) * math.expm1(lg)
 
@@ -323,11 +322,13 @@ def _row(values: np.ndarray, bound: float, noise: NoiseSpec, *, lam, a, rule,
 
 
 def check_lambda(noise: NoiseSpec, lam: float) -> float:
-    """Validate lambda for the noise's alpha branch and return the bound 1 + c."""
+    """Validate lambda, a finite number, for the noise's alpha branch and return
+    the bound 1 + c: c'_lambda for alpha = 1, else c_lambda, whose own range
+    check refuses a lambda outside [0, mu/(2(1+gamma)))."""
+    check_finite(lam, "lambda")
     if noise.alpha == 1:
         return 1.0 + c_prime_lambda(noise.mu, noise.gamma, lam)
-    gamma_lambda(noise.mu, noise.gamma, lam)  # raises outside [0, mu/(2(1+gamma)))
-    return 1.0 + (c_lambda(noise.mu, noise.gamma, lam) if lam > 0 else 0.0)
+    return 1.0 + c_lambda(noise.mu, noise.gamma, lam)
 
 
 _A_MAX = math.sqrt(np.finfo(float).max)  # (a + V)^2 in the functional stays a float

@@ -499,6 +499,29 @@ class TestRates:
         doc["process"] = {"kind": "mixing_ar1", "x": 0.5}
         assert campaign.parse_campaign(doc).grid.x_point.tolist() == [0.5]
 
+    # the sample puts covariates at subnormal distances from x, where psi's h0 / h
+    # overflows; that edge is apart from the zero bandwidth tested here
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["estimate", "rates"])
+    def test_zero_deterministic_bandwidth_exit_0(self, tmp_path, command):
+        # deterministic_hw returns its degenerate 0.0 on this design law, so
+        # rate_det = w(0) = 0: the ratio raised ZeroDivisionError (exit 1)
+        out = tmp_path / "out"
+        doc = {"process": {"kind": "iid_regression",
+                           "design": {"name": "power_law", "params": {"tau": -0.999}}},
+               "grid": {"x": 0.0, "h0": 1.0, "b": 0.001},
+               "modulus": {"kind": "holder", "s": 0.0005},
+               "n_ladder": [100, 200], "n_rep": 2, "outputs": str(out)}
+        res = run_cli(command, "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        if command == "estimate":
+            rows = read_rows(out / "rate_report.csv")
+            assert [(r["h_w"], r["rate_det"], r["ratio"]) for r in rows] == [("0.0", "0.0", "")] * 4
+        else:
+            rows = read_rows(out / "rates.csv")
+            assert [r["h_w"] for r in rows] == ["0.0", "0.0"]
+            assert not (out / "rates_fit.json").exists()  # no logarithm of 0
+
     def test_no_output_formats_still_writes_the_fit(self, tmp_path):
         out = tmp_path / "never_created"
         cfg = campaign.parse_campaign(base_config(out, n_ladder=[200, 800], n_rep=2,
@@ -685,6 +708,22 @@ class TestExitCodes:
         p.write_text("{not json")
         for command in ("estimate", "verify-stability"):
             assert run_cli(command, "--config", str(p)).exit_code == 2, command
+
+    @pytest.mark.parametrize("command", ["estimate", "verify-stability"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b'{"n_rep": ' + b"7" * 5000 + b"}",
+        b"[" * 200_000,
+    ], ids=["not_utf8", "integer_of_5000_digits", "nested_200000_deep"])
+    def test_undecodable_config_exit_2(self, tmp_path, command, content):
+        # a UnicodeDecodeError, a ValueError from the integer digit limit and a
+        # RecursionError each ended in a traceback (exit 1)
+        p = tmp_path / "config.json"
+        p.write_bytes(content)
+        res = run_cli(command, "--config", str(p), "--out", str(tmp_path / "out"))
+        assert res.exit_code == 2, res.output
+        assert "config error:" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_missing_grid_exit_2(self, tmp_path):
         p = write_config(tmp_path, {"process": {"kind": "iid_regression"}, "n_ladder": [10]})

@@ -2,6 +2,7 @@
 estimators.  Expected values for the hand-check cases were computed directly
 from the defining sums."""
 
+import dataclasses
 import math
 import sys
 
@@ -14,6 +15,7 @@ from lepski import (
     EmptyWindow,
     GridConfig,
     GridEmpty,
+    GridStats,
     LepskiError,
     SamplePath,
     grid_statistics,
@@ -404,6 +406,10 @@ class TestGridStatistics:
         cfg = cfg_at_zero(q=0.7, j_max=10)
         assert grid_statistics(s, cfg).bandwidths.size > 0
         assert select_bandwidth(s, cfg).defined
+
+    def test_built_whole(self):
+        # grid_statistics passes every field to the constructor; none is set after it
+        assert all(f.init for f in dataclasses.fields(GridStats))
 
     def test_ball_sums_hand_check(self):
         # distances 0.25, 0.9, 0 and 2 on the grid 1, 1/2, ..., 1/32: the point at 2

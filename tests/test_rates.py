@@ -376,6 +376,14 @@ class TestRateReport:
         assert rep["rate_random"] is None and rep["ratio"] is None
         assert rep["rate_det"] is not None  # the deterministic side still exists
 
+    def test_zero_deterministic_bandwidth_leaves_the_ratio_undefined(self):
+        # h_w = 0.0, the degenerate case of deterministic_hw, gives rate_det = w(0) = 0:
+        # the quotient w(H_w)/w(h_w) raised ZeroDivisionError
+        s = SamplePath(np.linspace(-0.5, 0.5, 30), np.zeros(30), np.ones(30))
+        rep = rate_report(s, GridConfig([0.0], 1.0), HolderModulus(0.5), lambda n, sd: 0.0)
+        assert (rep["h_w"], rep["rate_det"], rep["ratio"]) == (0.0, 0.0, None)
+        assert rep["rate_random"] > 0
+
     def test_omega0_below_one_by_an_ulp_is_off(self):
         # L(h0) w(h0)^2 - 1 = -1.05e-16 on the stored floats, where L(h0)^(-1/2)
         # <= w(h0) read as true: Omega_0 held while H_w did not exist

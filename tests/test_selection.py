@@ -15,6 +15,7 @@ from lepski import (
     grid_statistics,
     select_bandwidth,
 )
+from lepski.model_core import last_feasible_index
 
 
 def all_at_x_sample(n, seed=0):
@@ -64,7 +65,7 @@ def assert_same_selection(a, b):
 def bandwidth_at_level(stats, u):
     """H_u = min{h in grid : (psi(h)/L(h))^(1/2) <= u}, or None when h0 already
     fails: the anchor of the selection rule at u."""
-    j = stats.last_feasible(u)
+    j = last_feasible_index(stats.levels <= u)
     return None if j is None else float(stats.bandwidths[j])
 
 

@@ -110,6 +110,20 @@ def test_one_number_rule():
                       ("errors.py", "check_count")]
 
 
+def test_one_shell_reader():
+    # the view's shell codes are read in model_core alone, by GridStats.ball_sums;
+    # the grid searches go through last_feasible_index, not a method of the view
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    readers = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "bins"
+               and isinstance(node.ctx, ast.Load)}
+    (grid_stats,) = [node for node in ast.walk(trees["model_core.py"])
+                     if isinstance(node, ast.ClassDef) and node.name == "GridStats"]
+    assert readers == {"model_core.py"}
+    assert "last_feasible" not in {node.name for node in grid_stats.body
+                                   if isinstance(node, ast.FunctionDef)}
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []

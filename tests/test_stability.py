@@ -85,6 +85,20 @@ class TestConstants:
         assert np.all(np.diff(vals) > 0)
         assert np.max(np.abs(np.diff(vals[:50]))) < 0.01  # no jumps at the small end
 
+    def test_c_lambda_is_zero_at_zero(self):
+        # c_0 = 0, as c'_0 = 0; a negative lambda is still refused
+        assert c_lambda(0.25, 2 ** 0.5, 0.0) == 0.0
+        with pytest.raises(ValueError, match="lambda must lie"):
+            c_lambda(0.25, 2 ** 0.5, -0.01)
+
+    @pytest.mark.parametrize("noise, lam", [(gaussian_noise(), "0.01"),
+                                            (gaussian_noise(mu=2.0, alpha=1), True)],
+                             ids=["alpha2_numeric_str", "alpha1_bool"])
+    def test_lambda_must_be_a_number(self, noise, lam):
+        # a numeric string raised TypeError, and a true ran as lambda = 1
+        with pytest.raises(ValueError, match="lambda must be a finite number"):
+            stability_matrix(noise, [ConstantScale()], [FixedT(5)], [1.0], [lam], 10)
+
     def test_c_prime_value(self):
         assert c_prime_lambda(1.0, 2.0, 0.5) == pytest.approx(1.0828375327773187, rel=1e-13)
 
