@@ -5,8 +5,11 @@ All estimators use the closed Euclidean ball |X - x| <= h and inverse-variance
 weights 1/sigma_{k-1}^2.  `grid_statistics` builds `GridStats`, the one view
 of a sample at the estimation point: the realized grid with L, psi and f_hat
 on it, and the distances and grid shells from which `GridStats.ball_sums`
-forms any other sum over the grid balls.  Everything here is a pure function
-of immutable inputs and safe to call from any number of workers.
+forms any other sum over the grid balls.  A sample keeps the last view built
+of it, so a second `grid_statistics` call on the same grid returns that view;
+a sample's arrays are therefore not to be changed after construction, and a
+view's arrays are read-only.  Everything else is a pure function of its inputs
+and safe to call from any number of workers.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ class SamplePath:
 
     inv_var holds the weights sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y|
     must be finite (else a LepskiError), so L and f_hat are finite where L > 0.
+    The sample keeps the last `GridStats` view built of it, keyed by its grid,
+    so its arrays must not be changed after construction.
     """
 
     x_obs: np.ndarray
@@ -63,6 +68,7 @@ class SamplePath:
     sigma: np.ndarray
     truth: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inv_var: np.ndarray = field(init=False, repr=False)
+    _view: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x_obs = _as_rows(self.x_obs)
@@ -142,6 +148,7 @@ class GridStats:
     |X_{k-1} - x| and bins the shell of each observation: j + 1 for the
     deepest realized grid ball j that holds it, 0 beyond h0.  `ball_sums`
     is the one reader of bins; any other search compares dist with the grid.
+    Every array is read-only: the sample keeps its view for later readers.
     """
 
     bandwidths: np.ndarray
@@ -204,14 +211,27 @@ def occupation_time(sample: SamplePath, x_point, h: float) -> float:
 
 
 def psi(h, cfg: GridConfig):
-    """Threshold slope function psi(h) = 1 + b log(h0 / h), elementwise; psi(h0) = 1."""
+    """Threshold slope function psi(h) = 1 + b log(h0 / h), elementwise; psi(h0) = 1.
+
+    Where h0 / h overflows (h below about h0 / 1.8e308), log h0 - log h stands
+    in for log(h0 / h).  Elsewhere the quotient stays: the difference rounds
+    apart from it in the last bit on some grid entries."""
     if isinstance(h, np.ndarray):
         outside = np.any((h <= 0) | (h > cfg.h0))
     else:  # the scalar test is kept cheap: bisections call psi in a loop
         outside = not 0 < h <= cfg.h0
     if outside:
         raise ValueError(f"psi is defined on (0, h0]; got h={h} with h0={cfg.h0}")
-    return 1.0 + cfg.b * np.log(cfg.h0 / h)
+    if isinstance(h, np.ndarray):
+        with np.errstate(over="ignore"):
+            log_ratio = np.log(cfg.h0 / h)
+        over = np.isinf(log_ratio)
+        if over.any():
+            log_ratio = np.where(over, np.log(cfg.h0) - np.log(h), log_ratio)
+    else:  # Python floats overflow to inf without a warning
+        ratio = float(cfg.h0) / float(h)
+        log_ratio = np.log(ratio) if ratio < np.inf else np.log(cfg.h0) - np.log(h)
+    return 1.0 + cfg.b * log_ratio
 
 
 # ------------------------------------------------------------------
@@ -239,16 +259,32 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     """The view of the sample at cfg.x_point: the realized grid
     {h_j = h0 q^j : L(h_j) > 0}, with L, psi and f_hat on it.
 
+    The sample keeps the view, keyed by the grid values it depends on (x_point,
+    h0, q, b and j_max): a second call on an equal grid returns the same
+    object, and another grid builds anew and replaces it.  A view's arrays are
+    read-only, so no reader can change what another reads.
+
+    Raises
+    ------
+    GridEmpty
+        when L(h0) = 0: no weight within h0 of the estimation point.  Nothing
+        is kept then, so every call raises.
+    """
+    key = (tuple(cfg.x_point.tolist()), cfg.h0, cfg.q, cfg.b, cfg.j_max)
+    view = sample._view  # read once: another thread may replace the slot meanwhile
+    if view is None or view[0] != key:
+        view = sample._view = key, _build_view(sample, cfg)
+    return view[1]
+
+
+def _build_view(sample: SamplePath, cfg: GridConfig) -> GridStats:
+    """`grid_statistics` without the sample's slot.
+
     Weights and weighted responses are summed per shell (`_shells`) with
     `np.bincount` and accumulated from the innermost shell outwards: a few
     O(n) passes and no sort.  L is nonincreasing, so the realized grid is a
     prefix; shells beyond it hold weight 0 alone (every sigma^-2 underflows
     there), and their bins join the deepest kept shell, adding exact zeros.
-
-    Raises
-    ------
-    GridEmpty
-        when L(h0) = 0: no weight within h0 of the estimation point.
     """
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
     dist = sample.distances(cfg.x_point)
@@ -261,8 +297,11 @@ def grid_statistics(sample: SamplePath, cfg: GridConfig) -> GridStats:
     if last < l_values.size:
         np.minimum(bins, last, out=bins)
     bandwidths, l_values = bandwidths[:last], l_values[:last]
-    return GridStats(bandwidths, dist, bins, psi(bandwidths, cfg), l_values,
-                     _ball_sums(bins, sample.inv_var * sample.y_obs) / l_values)
+    stats = GridStats(bandwidths, dist, bins, psi(bandwidths, cfg), l_values,
+                      _ball_sums(bins, sample.inv_var * sample.y_obs) / l_values)
+    for values in vars(stats).values():
+        values.flags.writeable = False
+    return stats
 
 
 # ------------------------------------------------------------------

@@ -222,10 +222,11 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     h_star is the grid oracle H* and omega_prime the event Omega', both for
     the same modulus; h_w_emp is the empirical continuum bandwidth H_w and h_w
     its deterministic equivalent, rate_random = w(H_w), rate_det = w(h_w) and
-    ratio their quotient, None where rate_det is 0 (at h_w = 0).  The
-    sample's view is built once (`grid_statistics`) and serves H*, Omega' and
-    H_w.  Both continuum bandwidths need a constant sigma, so they, the rates
-    and the ratio are None for a heteroscedastic sample.  h_w_of(n, sigma)
+    ratio their quotient, None where rate_det is 0 (at h_w = 0).  One view of
+    the sample (`grid_statistics`) serves H*, Omega' and H_w; it is the view
+    that `select_bandwidth` built on the same grid, when that ran first.  Both
+    continuum bandwidths need a constant sigma, so they, the rates and the
+    ratio are None for a heteroscedastic sample.  h_w_of(n, sigma)
     gives h_w for the sample's size and common sigma, or None where it does
     not exist, typically `deterministic_hw` on the process's design law; it
     depends on the sample through (n, sigma) only, so a caller may compute it

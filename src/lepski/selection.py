@@ -48,9 +48,10 @@ class SelectionResult:
 def select_bandwidth(sample: SamplePath, cfg: GridConfig) -> SelectionResult:
     """Run the selection rule and return the selected bandwidth and estimate.
 
-    Builds the sample's view (`grid_statistics`) for the pairwise scan; the
-    reported estimate is recomputed through `kernel_estimate` so it matches
-    the brute-force oracle bit for bit.
+    Reads the sample's view (`grid_statistics`, built on the first call for
+    the grid and kept on the sample) for the pairwise scan; the reported
+    estimate is recomputed through `kernel_estimate` so it matches the
+    brute-force oracle bit for bit.
     """
     stats = grid_statistics(sample, cfg)
     j_anchor = last_feasible_index(stats.levels <= cfg.u0)

@@ -499,9 +499,6 @@ class TestRates:
         doc["process"] = {"kind": "mixing_ar1", "x": 0.5}
         assert campaign.parse_campaign(doc).grid.x_point.tolist() == [0.5]
 
-    # the sample puts covariates at subnormal distances from x, where psi's h0 / h
-    # overflows; that edge is apart from the zero bandwidth tested here
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("command", ["estimate", "rates"])
     def test_zero_deterministic_bandwidth_exit_0(self, tmp_path, command):
         # deterministic_hw returns its degenerate 0.0 on this design law, so

@@ -16,14 +16,17 @@ from lepski import (
     GridConfig,
     GridEmpty,
     GridStats,
+    HolderModulus,
     LepskiError,
     SamplePath,
     grid_statistics,
     kernel_estimate,
     occupation_time,
     psi,
+    rate_report,
     select_bandwidth,
 )
+from lepski import model_core
 from lepski.model_core import _shells
 from oracles import martingale_part, tilde_estimate, truth_values, z_statistic
 
@@ -121,6 +124,22 @@ class TestPsi:
     def test_rejects_out_of_domain(self, h):
         with pytest.raises(ValueError):
             psi(h, cfg_at_zero())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [np.array([5e-324]), 5e-324, np.float64(5e-324)],
+                             ids=["array", "float", "float64"])
+    def test_subnormal_h_stays_finite(self, h):
+        # h0 / h overflows at h = 5e-324; psi = 1 + b (log h0 - log h) there
+        value = psi(h, GridConfig([0.0], 1.0, b=0.001))
+        assert np.all(value == pytest.approx(1.7444400719213813, rel=1e-12))
+
+    def test_overflow_leaves_the_other_entries_as_they_were(self):
+        # only the overflowing entry takes log h0 - log h; the rest keep log(h0 / h)
+        cfg = cfg_at_zero(h0=0.7, b=1.0)
+        h = 0.7 * 0.9 ** np.arange(61.0)
+        got = psi(np.append(h, 5e-324), cfg)
+        np.testing.assert_array_equal(got[:-1], 1.0 + np.log(0.7 / h))
+        assert got[-1] == pytest.approx(1.0 + math.log(0.7) - math.log(5e-324), rel=1e-12)
 
     def test_grid_increments_constant(self):
         # psi(h_j) - psi(h_{j+1}) = -b log q on the geometric grid, up to one
@@ -441,6 +460,70 @@ class TestGridStatistics:
         s = SamplePath([[0.0], [0.3]], [1.0, 2.0], [1e300, 1e300])
         with pytest.raises(GridEmpty, match="L\\(h0\\) = 0"):
             grid_statistics(s, cfg_at_zero())
+
+
+class TestOneView:
+    """A sample keeps the view it was last built with, keyed by its grid."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # one _shells call per build of the view
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _shells(*args)
+
+        monkeypatch.setattr(model_core, "_shells", counting)
+        return calls
+
+    @pytest.fixture
+    def sample(self):
+        rng = np.random.default_rng(11)
+        return SamplePath(rng.uniform(-1, 1, 300), rng.standard_normal(300), np.ones(300))
+
+    def test_a_cell_builds_its_view_once(self, builds, sample):
+        cfg = cfg_at_zero(q=0.9, j_max=60)
+        assert select_bandwidth(sample, cfg).defined
+        row = rate_report(sample, cfg, HolderModulus(0.5), lambda n, sigma: None)
+        assert row["h_star"] is not None
+        assert len(builds) == 1
+
+    def test_an_equal_grid_returns_the_same_view(self, builds, sample):
+        cfg = cfg_at_zero()
+        stats = grid_statistics(sample, cfg)
+        assert grid_statistics(sample, cfg) is stats
+        # the view does not depend on nu, u0, delta0 or alpha0, nor on the config object
+        assert grid_statistics(sample, cfg_at_zero(nu=3.0, u0=2.0, delta0=0.2)) is stats
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("change", [{"q": 0.7}, {"x_point": [0.1]}, {"h0": 0.8},
+                                        {"b": 2.0}, {"j_max": 4}])
+    def test_another_grid_builds_anew(self, builds, sample, change):
+        cfg = cfg_at_zero()
+        first = grid_statistics(sample, cfg)
+        other = dataclasses.replace(cfg, **change)
+        fresh = grid_statistics(SamplePath(sample.x_obs, sample.y_obs, sample.sigma), other)
+        stats = grid_statistics(sample, other)
+        assert stats is not first
+        for name in ("bandwidths", "dist", "bins", "psi_values", "l_values", "f_hat"):
+            np.testing.assert_array_equal(getattr(stats, name), getattr(fresh, name))
+        # the slot holds the last view only: the first grid builds again
+        assert grid_statistics(sample, cfg) is not first
+        assert len(builds) == 4
+
+    def test_grid_empty_is_not_kept(self, builds):
+        s = SamplePath([[5.0]], [1.0], [1.0])
+        for _ in range(2):
+            with pytest.raises(GridEmpty):
+                grid_statistics(s, cfg_at_zero())
+        assert len(builds) == 2
+
+    def test_the_view_is_read_only(self, sample):
+        stats = grid_statistics(sample, cfg_at_zero())
+        for name in ("bandwidths", "dist", "bins", "psi_values", "l_values", "f_hat"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stats, name)[0] = 0
 
 
 class TestValidation:

@@ -124,6 +124,17 @@ def test_one_shell_reader():
                                    if isinstance(node, ast.FunctionDef)}
 
 
+def test_one_view_builder():
+    # GridStats is constructed by one builder, behind the slot that grid_statistics
+    # keeps on the sample, so no second path builds an uncached view
+    tree = ast.parse((SRC / "model_core.py").read_text(encoding="utf-8"))
+    builders = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "GridStats"]
+    assert calls_to("GridStats") == ["model_core.py"]
+    assert builders == ["_build_view"]
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []
