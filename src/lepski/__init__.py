@@ -60,7 +60,6 @@ from .stability import (
 )
 from .dgp import (
     Autoregressive,
-    BudgetStop,
     DesignLaw,
     FixedN,
     IidRegression,

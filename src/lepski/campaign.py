@@ -107,14 +107,23 @@ def _affine_abs(a: float = 1.0, b: float = 0.5):
     return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
 
 
-def _budget_stop(budget, cost: float = 1.0) -> dgp.BudgetStop:
+BUDGET_N_MAX = 1_000_000  # most observations a budget rung may pay for
+
+
+def _budget_stop(budget, cost: float = 1.0) -> dgp.FixedN:
     """A constant cost per observation; a budget campaign's ladder holds budgets,
-    and each must pay for one to `dgp.BUDGET_N_MAX` observations."""
+    and each rung samples the length it pays for: the most observations whose
+    costs, added one at a time in floating point, stay within it (7 at cost 0.7
+    pays for 9, not floor(7 / 0.7) = 10).  np.cumsum makes those additions in
+    order, and their rounding moves the k-th sum by far less than one cost for
+    k up to the cap, so no count exceeds budget / cost + 1."""
     if check_positive(cost, "cost") > check_positive(budget, "budget"):
         raise ValueError(f"a cost of {cost:g} exceeds the budget {budget:g}")
-    if budget >= (dgp.BUDGET_N_MAX + 1) * cost:
-        raise ValueError(f"the budget {budget:g} pays for over {dgp.BUDGET_N_MAX} observations")
-    return dgp.BudgetStop(lambda hist: cost, budget)
+    m = int(min(BUDGET_N_MAX, budget / cost + 2)) + 1
+    n = int(np.searchsorted(np.cumsum(np.full(m, float(cost))), budget, side="right"))
+    if n > BUDGET_N_MAX:
+        raise ValueError(f"the budget {budget:g} pays for over {BUDGET_N_MAX} observations")
+    return dgp.FixedN(n)
 
 
 def _mixing_ar1(x=None, **params) -> dgp.MixingAr1:
@@ -139,6 +148,7 @@ _NOISES = {"gaussian": gaussian_noise, "two_point": two_point_noise,
 _STOPPING = {"fixed": dgp.FixedN, "budget": _budget_stop}  # called with the ladder's n
 _PROCESSES = {"iid_regression": dgp.IidRegression, "mixing_ar1": _mixing_ar1,
               "transient_walk": dgp.TransientWalk, "autoregressive": dgp.Autoregressive}
+_FIXED_LENGTH_KINDS = ("transient_walk", "autoregressive")  # kinds that take no budget rule
 _MODULI = {"holder": HolderModulus}
 _SCALE_RULES = {"constant": stab.ConstantScale, "alternating": stab.AlternatingScale,
                 "adapted": stab.AdaptedScale, "zero": lambda: stab.ConstantScale(0.0)}
@@ -166,7 +176,7 @@ def make_noise(doc) -> NoiseSpec:
 def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
     """The process at ladder rung n: the class that its kind names, called on
     its other keys once its f_true, noise, design and s_scale sections and
-    its stopping rule at n are built."""
+    its stopping rule at n are built; a fixed-length kind refuses a budget."""
     if not isinstance(doc, dict):
         raise ConfigError(f"the process must be a JSON object; got {doc!r}")
     params = dict(doc)
@@ -174,8 +184,10 @@ def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
                       ("design", make_design), ("s_scale", make_s_scale)):
         if key in params:
             params[key] = make(params[key])
-    params["stopping"] = _build("stopping rule", _STOPPING, params.get("stopping", {}),
-                                "rule", "fixed", n)
+    stopping = params.get("stopping", {})
+    params["stopping"] = _build("stopping rule", _STOPPING, stopping, "rule", "fixed", n)
+    if stopping.get("rule") == "budget" and params.get("kind") in _FIXED_LENGTH_KINDS:
+        raise ConfigError(f"a {params['kind']} process takes a fixed length only, not a budget")
     return _build("process kind", _PROCESSES, params, "kind")
 
 

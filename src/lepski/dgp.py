@@ -5,18 +5,17 @@ small class per process kind, each holding only its own fields:
   its noise scale;
 - `MixingAr1`: a stationary Gaussian AR(1) chain, whose N(0, 1) marginal is
   its design law;
-- `TransientWalk`: a drifting walk that leaves every neighbourhood for good;
+- `TransientWalk`: a drifting walk that leaves every neighbourhood for good,
+  except at drift 0, where it is null-recurrent and keeps returning to x;
 - `Autoregressive`: a vector autoregression, where Y_k is a coordinate of X_k.
 
-The three regression kinds share `Regression.sample`, which draws
-`covariates(rng)`, then zeta, then sigma and Y; `Autoregressive` draws its
-own sample, because its noise drives the covariates.  Covariates come for a
-`FixedN` length or, under a `BudgetStop`, one at a time.  The mixing chain of
-fixed length is one draw of its n normals followed by the recursion; under a
-budget it steps, since each draw waits on a cost decision.  `simulate`
-returns a `SamplePath` with the truth attached and the sigma column set to
-the model's observed noise-scale upper bound.  Identical seeds give
-bit-identical samples.
+Every kind samples a `FixedN` length; a campaign's budget rung is the length
+it pays for, counted when the document loads.  The three regression kinds
+share `Regression.sample`, which draws `covariates(rng)`, then zeta, then
+sigma and Y; `Autoregressive` draws its own sample, because its noise drives
+the covariates.  `simulate` returns a `SamplePath` with the truth attached
+and the sigma column set to the model's observed noise-scale upper bound.
+Identical seeds give bit-identical samples.
 
 A design law's x is where the law is centred, not the estimation point: that
 point belongs to the grid, and the deterministic rate evaluates the law's
@@ -113,7 +112,7 @@ def gaussian_design(x: float = 0.0) -> DesignLaw:
 
 
 # ------------------------------------------------------------------
-# stopping rules for the sampling stage
+# the sample length
 # ------------------------------------------------------------------
 
 @dataclass
@@ -122,55 +121,6 @@ class FixedN:
 
     def __post_init__(self):
         check_count(self.n, "a fixed length")
-
-
-BUDGET_N_MAX = 1_000_000  # most observations a budget may pay for; more is a ValueError
-
-
-@dataclass
-class BudgetStop:
-    """Stop once the cumulative observation cost would exceed the budget:
-    N is the largest k whose cumulative cost stays within it.
-
-    cost_fn receives the covariate history X_0..X_{k-1} (shape (k, d)) and
-    returns the cost of observation k, so the decision whether to take the
-    k-th observation is measurable with respect to the covariate past.
-    """
-
-    cost_fn: Callable[[np.ndarray], float]
-    budget: float
-
-    def __post_init__(self):
-        check_positive(self.budget, "budget")
-
-
-def run_budget_stop(rule: BudgetStop,
-                    draw_next: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Generate one-dimensional covariates one at a time under a budget rule;
-    returns X_0..X_{N-1} as an (N, 1) array.
-
-    draw_next(k, history) produces X_k given the history rows X_0..X_{k-1}.
-    Pricing observation k hands the rule exactly the rows X_0..X_{k-1}, so
-    adaptedness is enforced by construction.  Rows go into a buffer that
-    doubles when full, and both callables get row-prefix views of it: rows
-    already handed out are never written again.
-    """
-    buf = np.empty((64, 1))
-    k, spent = 0, 0.0
-    while True:
-        if k == buf.shape[0]:
-            buf = np.concatenate([buf, np.empty_like(buf)])
-        buf[k] = draw_next(k, buf[:k])
-        cost = float(rule.cost_fn(buf[:k + 1]))
-        if spent + cost > rule.budget:
-            break
-        if k == BUDGET_N_MAX:
-            raise ValueError(f"the budget pays for over BUDGET_N_MAX = {BUDGET_N_MAX} observations")
-        spent += cost
-        k += 1
-    if k == 0:
-        raise ValueError("budget too small for a single observation")
-    return buf[:k].copy()
 
 
 # ------------------------------------------------------------------
@@ -197,7 +147,7 @@ class Regression:
     is None for a kind without one.
     """
 
-    stopping: object
+    stopping: FixedN
     f_true: Callable[[np.ndarray], np.ndarray] = zero_function
     noise: NoiseSpec = field(default_factory=gaussian_noise)
 
@@ -219,9 +169,7 @@ class IidRegression(Regression):
     design: DesignLaw = field(default_factory=uniform_design)
 
     def covariates(self, rng) -> np.ndarray:
-        if isinstance(self.stopping, FixedN):
-            return self.design.sampler(rng, self.stopping.n)
-        return run_budget_stop(self.stopping, lambda k, hist: self.design.sampler(rng, 1)[0])
+        return self.design.sampler(rng, self.stopping.n)
 
 
 @dataclass(kw_only=True)
@@ -229,12 +177,9 @@ class MixingAr1(Regression):
     """Stationary chain x_k = rho x_{k-1} + sqrt(1 - rho^2) xi_k started in N(0, 1).
 
     sigma is the constant noise scale, and design the chain's stationary law
-    N(0, 1), which draws nothing.  |rho| < 1 is checked at construction.  A
-    fixed-length chain draws x_0 and its n - 1 innovations in one call and
-    then runs the recursion over Python floats: the same draws and the same
-    two roundings per step as the stepwise chain that a budget rule drives,
-    so both leave bit-identical covariates and the generator at the same
-    position.
+    N(0, 1), which draws nothing.  |rho| < 1 is checked at construction.  The
+    chain draws x_0 and its n - 1 innovations in one call and then runs the
+    recursion over Python floats, rounding twice per step.
     """
 
     rho: float = 0.5
@@ -249,19 +194,17 @@ class MixingAr1(Regression):
 
     def covariates(self, rng) -> np.ndarray:
         rho, c = self.rho, math.sqrt(1.0 - self.rho**2)
-        if isinstance(self.stopping, FixedN):  # x_0 is an exact stationary start, no burn-in needed
-            z = rng.standard_normal(self.stopping.n)
-            chain = accumulate((c * z[1:]).tolist(), lambda x, step: rho * x + step,
-                               initial=float(z[0]))
-            return np.fromiter(chain, float, z.size).reshape(-1, 1)
-        return run_budget_stop(self.stopping, lambda k, hist: rng.standard_normal() if k == 0
-                               else rho * hist[-1, 0] + c * rng.standard_normal())
+        z = rng.standard_normal(self.stopping.n)  # x_0 is an exact stationary start, no burn-in
+        chain = accumulate((c * z[1:]).tolist(), lambda x, step: rho * x + step,
+                           initial=float(z[0]))
+        return np.fromiter(chain, float, z.size).reshape(-1, 1)
 
 
 @dataclass(kw_only=True)
 class TransientWalk(Regression):
     """Drifting walk x_k = x_{k-1} + drift + step_sd xi_k from x_start, with the
-    constant noise scale sigma; fixed length only."""
+    constant noise scale sigma.  It leaves every neighbourhood for good, except
+    at drift 0, where it is null-recurrent and keeps returning to x."""
 
     x_start: float = 0.0
     drift: float = 0.5
@@ -275,8 +218,6 @@ class TransientWalk(Regression):
             check_finite(getattr(self, name), name)
         if self.step_sd < 0:
             raise ValueError(f"step_sd must be at least 0; got {self.step_sd!r}")
-        if not isinstance(self.stopping, FixedN):
-            raise ValueError("transient walk supports fixed-length sampling only")
         self.s_scale = constant_scale(self.sigma)
 
     def covariates(self, rng) -> np.ndarray:
@@ -289,14 +230,14 @@ MAGNITUDE_GUARD = 1e6  # an autoregressive |X_k| beyond it is an ExplosiveChain
 
 @dataclass(kw_only=True)
 class Autoregressive:
-    """X_k = A X_{k-1} + s_scale(X_{k-1}) zeta_k from X_0 = 0, fixed length only.
+    """X_k = A X_{k-1} + s_scale(X_{k-1}) zeta_k from X_0 = 0.
 
     The noise drives the covariates, so this kind draws its own sample: the
     covariates are X_0..X_{n-1} and Y_k is coordinate y_coord of X_k, whose
     conditional mean is f_true.  ar_matrix must be square and finite.
     """
 
-    stopping: object
+    stopping: FixedN
     ar_matrix: np.ndarray = ((0.5,),)
     noise: NoiseSpec = field(default_factory=gaussian_noise)
     s_scale: Callable[[np.ndarray], np.ndarray] = field(default_factory=constant_scale)
@@ -310,8 +251,6 @@ class Autoregressive:
                                   float).reshape(entries.shape)
         if self.ar_matrix.shape != (self.dim, self.dim):
             raise ValueError(f"ar_matrix must be square; got shape {self.ar_matrix.shape}")
-        if not isinstance(self.stopping, FixedN):
-            raise ValueError("autoregressive sampling supports fixed length only")
         if not check_count(self.y_coord, "y_coord", -self.dim) < self.dim:
             raise ValueError(f"y_coord must index one of the {self.dim} coordinates; "
                              f"got {self.y_coord!r}")

@@ -2,7 +2,8 @@
 martingale part, the regularized statistic Z and the tail probability of the
 functional Pi.  Each needs the sample's hidden regression function, which no
 command reads, so they live here as references for the identities the tests
-check."""
+check.  `budget_count` is the literal loop that a budget rung's length is
+checked against."""
 
 import numpy as np
 
@@ -60,3 +61,13 @@ def moment_lemma_monte_carlo(noise, m, rho, n_rep, seed):
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_rep))
     return est + 3.0 * se <= rhs
+
+
+def budget_count(budget, cost):
+    """Observations that a budget pays for at a constant cost, one at a time:
+    take the next while what is spent plus its cost stays within the budget."""
+    n, spent = 0, 0.0
+    while spent + cost <= budget:
+        spent += cost
+        n += 1
+    return n

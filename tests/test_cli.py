@@ -175,7 +175,7 @@ class TestSimulate:
                 np.testing.assert_array_equal(table, expected[1])
 
     def test_fractional_budget_rungs_draw_apart(self, tmp_path):
-        # under cost 0.1 the budgets 2.5 and 2.7 buy 25 and 27 observations;
+        # under cost 0.1 the budgets 2.5 and 2.7 buy 24 and 26 observations;
         # int(n) keyed both cells by 2, so they drew the same covariates
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[2.5, 2.7], n_rep=1)
@@ -862,6 +862,9 @@ class TestExitCodes:
         {"grid": {"j_max": True}},
         {"process": {"kind": "mixing_ar1", "x": False}},
         {"process": {"kind": "mixing_ar1", "x": True}, "grid": {"x": 1.0}},
+        {"process": {"kind": "autoregressive", "stopping": {"rule": "budget"}}},
+        {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 0.7}},
+         "n_ladder": [700000.6999999998]},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
             "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
@@ -887,7 +890,8 @@ class TestExitCodes:
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
             "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
             "budget_rung_above_cap", "f_unknown_name", "f_key_outside_params", "grid_h0_bool",
-            "grid_j_max_bool", "mixing_x_false", "mixing_x_true"])
+            "grid_j_max_bool", "mixing_x_false", "mixing_x_true", "ar_budget",
+            "budget_rung_above_cap_by_additions"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them
         out = tmp_path / "out"

@@ -1,5 +1,5 @@
-"""Data-generating process tests: reproducibility, stationarity, stopping
-rules and the adaptedness of budget-based sampling."""
+"""Data-generating process tests: reproducibility, stationarity, the sample
+length and the length a budget rung pays for."""
 
 import math
 
@@ -20,9 +20,12 @@ from lepski import (
     simulate,
     uniform_design,
 )
-from lepski.dgp import BudgetStop, FixedN, constant_scale, run_budget_stop
-from lepski.errors import check_count, check_finite, check_positive
+from lepski.campaign import make_process, parse_campaign
+from lepski.dgp import FixedN, constant_scale
+from lepski.errors import ConfigError, check_count, check_finite, check_positive
 from lepski.noise import normal_cdf
+
+from oracles import budget_count
 
 
 def zero_f(rows):
@@ -96,13 +99,15 @@ class TestMixingAr1:
             np.testing.assert_array_equal(s.y_obs, zeta)
 
     def test_budget_and_fixed_length_share_one_recursion(self):
-        # unit cost with budget n takes n observations; the rejected (n+1)-th
-        # draw comes after them, so the covariates match bit for bit
+        # a budget rung is the fixed length it pays for: unit cost with budget n
+        # samples the chain of FixedN(n), covariates and responses alike
         n, rho = 300, 0.6
         fixed = simulate(MixingAr1(f_true=zero_f, rho=rho, stopping=FixedN(n)), 8)
-        rule = BudgetStop(lambda hist: 1.0, float(n))
-        budget = simulate(MixingAr1(f_true=zero_f, rho=rho, stopping=rule), 8)
+        spec = make_process({"kind": "mixing_ar1", "rho": rho, "stopping": {"rule": "budget"}},
+                            float(n))
+        budget = simulate(spec, 8)
         np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
+        np.testing.assert_array_equal(budget.y_obs, fixed.y_obs)
 
     def test_design_is_the_stationary_law(self):
         spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(10))
@@ -251,13 +256,10 @@ class TestAutoregressive:
         np.testing.assert_allclose(s.truth(s.x_obs), 0.5 * s.x_obs[:, 0], rtol=1e-12)
 
 
-@pytest.mark.parametrize("build", [
-    lambda stop: TransientWalk(f_true=zero_f, stopping=stop),
-    lambda stop: Autoregressive(ar_matrix=[[0.5]], stopping=stop),
-], ids=["transient_walk", "autoregressive"])
-def test_fixed_length_kinds_reject_budget_at_construction(build):
-    with pytest.raises(ValueError, match="fixed"):
-        build(BudgetStop(lambda hist: 1.0, 50.0))
+@pytest.mark.parametrize("kind", ["transient_walk", "autoregressive"])
+def test_fixed_length_kinds_reject_budget_at_construction(kind):
+    with pytest.raises(ConfigError, match="fixed length"):
+        make_process({"kind": kind, "stopping": {"rule": "budget"}}, 50.0)
 
 
 def martingale_residuals(sample):
@@ -287,78 +289,56 @@ class TestResiduals:
         assert abs(np.mean(eps * g)) < 4 / math.sqrt(s.n_stop)
 
 
+def budget_length(budget, cost):
+    """The length that an iid process samples at budget rung `budget`."""
+    doc = {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": cost}}
+    return make_process(doc, budget).stopping.n
+
+
 class TestBudgetStop:
+    # a budget rung is a FixedN, counted when the process is made by the
+    # additions of a constant cost that the literal loop in oracles makes
     def test_constant_cost_floor(self):
-        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 2.0, 17.0))
-        assert simulate(spec, 0).n_stop == 8  # floor(17/2)
+        assert budget_length(17.0, 2.0) == 8  # floor(17/2)
 
     def test_unit_cost_fractional_budget(self):
-        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 1.0, 10.5))
-        assert simulate(spec, 0).n_stop == 10
+        assert budget_length(10.5, 1.0) == 10
 
-    def test_state_dependent_cost_replay_oracle(self):
-        # cost of observation k is 1 + |X_{k-1}|; replay the same path directly
-        rule = BudgetStop(lambda hist: 1.0 + abs(hist[-1, 0]), 25.0)
-        spec = IidRegression(f_true=zero_f, stopping=rule,
-                             design=uniform_design(0.0, 2.0))
-        s = simulate(spec, 33)
-        spent = np.cumsum(1.0 + np.abs(s.x_obs[:, 0]))
-        assert np.all(spent <= 25.0)
-        # the next observation would have pushed past the budget: replay with a
-        # fresh draw stream to recover the rejected covariate
-        rng = np.random.default_rng(33)
-        draws = rng.uniform(-2.0, 2.0, s.n_stop + 1)
-        np.testing.assert_allclose(s.x_obs[:, 0], draws[: s.n_stop])
-        assert spent[-1] + 1.0 + abs(draws[s.n_stop]) > 25.0
+    @pytest.mark.parametrize("budget, cost, n", [
+        (10.0, 0.1, 100),  # 10 // 0.1 is 99.0
+        (7.0, 0.7, 9),  # floor(7 / 0.7) is 10
+        (2.5, 0.1, 24),
+        (2.7, 0.1, 26),
+    ])
+    def test_the_count_is_by_additions(self, budget, cost, n):
+        assert budget_length(budget, cost) == n == budget_count(budget, cost)
+
+    def test_the_count_matches_the_literal_loop(self):
+        # random pairs, a third of them exact multiples where the rounding decides
+        rng = np.random.default_rng(2027)
+        for _ in range(2000):
+            cost = float(10 ** rng.uniform(-3, 2))
+            ratio = 10 ** rng.uniform(0, 3)
+            budget = float(round(ratio) * cost if rng.random() < 1 / 3 else ratio * cost)
+            assert budget_length(budget, cost) == budget_count(budget, cost), (budget, cost)
 
     def test_budget_too_small_raises(self):
-        spec = IidRegression(f_true=zero_f, stopping=BudgetStop(lambda hist: 5.0, 1.0))
-        with pytest.raises(ValueError):
-            simulate(spec, 0)
+        with pytest.raises(ConfigError, match="exceeds the budget"):
+            budget_length(1.0, 5.0)
 
     def test_a_budget_beyond_the_cap_raises(self, monkeypatch):
-        # the draw at k = BUDGET_N_MAX is priced like any other; if the budget
-        # pays for it, the rule raises instead of cutting the sample there
-        monkeypatch.setattr("lepski.dgp.BUDGET_N_MAX", 100)
-        draw = lambda k, hist: np.zeros(1)
-        with pytest.raises(ValueError, match="BUDGET_N_MAX = 100"):
-            run_budget_stop(BudgetStop(lambda h: 1.0, 500), draw)
-        assert run_budget_stop(BudgetStop(lambda h: 1.0, 100), draw).shape == (100, 1)
+        # the cap bounds the count: a budget that pays for one observation more
+        # is refused when the process is made, one that pays for the cap is not
+        monkeypatch.setattr("lepski.campaign.BUDGET_N_MAX", 100)
+        with pytest.raises(ConfigError, match="over 100 observations"):
+            budget_length(101.0, 1.0)
+        assert budget_length(100.5, 1.0) == 100
 
-    def test_adaptedness_spy(self):
-        # the rule only ever sees the covariate prefix X_0..X_{k-1} (k rows),
-        # never a response and never the future
-        seen = []
-
-        def spy(hist):
-            seen.append(hist.copy())
-            return 1.0
-
-        rule = BudgetStop(spy, 5.5)
-        draw = lambda k, hist: np.array([float(k)])
-        x = run_budget_stop(rule, draw)
-        assert x.shape == (5, 1)
-        sizes = [h.shape[0] for h in seen]
-        assert sizes == [1, 2, 3, 4, 5, 6]  # priced obs 1..6, rejected the 6th
-        for k, h in enumerate(seen, start=1):
-            np.testing.assert_array_equal(h[:, 0], np.arange(k, dtype=float))
-
-    def test_handed_out_rows_stay_put_as_the_history_grows(self):
-        # both callables get views of the growing history; rows they were
-        # handed are never rewritten, across several doublings of its buffer
-        drawn, priced = [], []
-
-        def draw(k, hist):
-            drawn.append(hist)
-            return np.array([float(k)])
-
-        def cost(hist):
-            priced.append(hist)
-            return 1.0
-
-        x = run_budget_stop(BudgetStop(cost, 300.0), draw)
-        np.testing.assert_array_equal(x, np.arange(300.0).reshape(-1, 1))
-        assert [h.shape[0] for h in drawn] == list(range(301))
-        assert [h.shape[0] for h in priced] == list(range(1, 302))
-        for h in drawn + priced:
-            np.testing.assert_array_equal(h[:, 0], np.arange(h.shape[0], dtype=float))
+    def test_a_budget_that_pays_for_the_cap_loads(self):
+        # 100000.1 equals 1000001 * 0.1, so a product test refused it, yet the
+        # additions of 0.1 pay for exactly the cap; the case the product passed
+        # and the additions refuse is budget_rung_above_cap_by_additions in test_cli
+        doc = {"process": {"kind": "iid_regression",
+                           "stopping": {"rule": "budget", "cost": 0.1}},
+               "grid": {"x": 0.0, "h0": 1.0}, "n_ladder": [100000.1]}
+        assert parse_campaign(doc).process_for(100000.1).stopping.n == 1_000_000

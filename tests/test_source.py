@@ -135,6 +135,29 @@ def test_one_view_builder():
     assert builders == ["_build_view"]
 
 
+def test_one_sample_length():
+    # a budget rung is a FixedN counted at load, so FixedN is the one stopping
+    # class of dgp, every stopping field holds one, and no covariate path steps
+    # one observation at a time: the one loop is the autoregressive recursion,
+    # whose noise drives its covariates
+    tree = ast.parse((SRC / "dgp.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    kinds = set()
+    for cls in classes:  # a process kind samples, or derives from a kind that does
+        if {node.name for node in cls.body if isinstance(node, ast.FunctionDef)} & {
+                "sample", "covariates"} or {getattr(b, "id", None) for b in cls.bases} & kinds:
+            kinds.add(cls.name)
+    fields = {ast.unparse(node.annotation) for node in ast.walk(tree)
+              if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "stopping"}
+    loops = [(cls.name, fn.name) for cls in classes for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name in ("sample", "covariates")
+             for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert [cls.name for cls in classes if cls.name not in kinds] == ["DesignLaw", "FixedN"]
+    assert fields == {"FixedN"}
+    assert loops == [("Autoregressive", "sample")]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []
