@@ -197,21 +197,21 @@ def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
 
 @dataclass
 class CampaignConfig:
-    """Parsed campaign document plus resolved output options."""
+    """Parsed campaign document, its process section kept for each cell to build."""
 
-    raw: dict
+    process: dict
     grid: GridConfig
     modulus: Optional[HolderModulus]
     n_ladder: list
     n_rep: int
     master_seed: int
     outputs: Path
-    formats: list = field(default_factory=lambda: ["csv"])
-    t_grid: Optional[list] = None
+    formats: list
+    t_grid: Optional[list]
     _h_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def process_for(self, n: int) -> dgp.Regression | dgp.Autoregressive:
-        return make_process(self.raw["process"], n)
+        return make_process(self.process, n)
 
     def h_w(self, n: int, sigma: float) -> Optional[float]:
         """`deterministic_hw` of the process's design law at sample size n and
@@ -239,7 +239,7 @@ def _formats(formats) -> list:
 def parse_campaign(doc: dict, *, seed=None, out=None, fmt=None) -> CampaignConfig:
     """The campaign document; seed, out and fmt, when given, replace its
     master_seed, outputs and formats."""
-    return _call("campaign document", _campaign, doc, doc, seed, out, fmt)
+    return _call("campaign document", _campaign, doc, seed, out, fmt)
 
 
 def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"]) -> tuple:
@@ -254,7 +254,7 @@ def _run_keys(seed, out, fmt, /, *, master_seed=0, outputs="out", formats=["csv"
             formats if fmt is None else _formats([fmt]))
 
 
-def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
+def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep=1,
               t_grid=[], **run) -> CampaignConfig:
     # here and in the stability readers a list or dict default is the JSON
     # value that a missing key stands for; no reader mutates it
@@ -266,7 +266,7 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
             b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     check_count(n_rep, "n_rep")
-    # each rung's stopping rule checks it; cells rebuild their process from raw
+    # each rung's stopping rule checks it; cells rebuild their process from the section
     for n in n_ladder:
         built = make_process(process, n)
     if built.dim != grid.dim:
@@ -277,8 +277,9 @@ def _campaign(raw, seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, 
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
-    return CampaignConfig(raw, grid, modulus, n_ladder, n_rep, *_run_keys(seed, out, fmt, **run),
-                          t_grid=[check_finite(t, "a t_grid entry") for t in t_grid] or None)
+    return CampaignConfig(process, grid, modulus, n_ladder, n_rep,
+                          *_run_keys(seed, out, fmt, **run),
+                          [check_finite(t, "a t_grid entry") for t in t_grid] or None)
 
 
 def read_config(path) -> dict:

@@ -105,10 +105,10 @@ def omega_prime_event(stats: GridStats, w_spec: HolderModulus, cfg: GridConfig) 
 # continuum bandwidths
 # ------------------------------------------------------------------
 
-def _excess(level, h, w_spec: HolderModulus, cfg: GridConfig):
-    """F(h) = level * w(h)^2 - psi(h): nonnegative exactly where the level
-    (psi(h)/level)^(1/2) is at most w(h).  Elementwise for arrays."""
-    return level * w_spec.w(h) ** 2 - psi(h, cfg)
+def _excess(l_h, h, w_spec: HolderModulus, cfg: GridConfig):
+    """F(h) = L(h) w(h)^2 - psi(h) for the occupation time l_h = L(h): nonnegative
+    exactly where the level (psi(h)/L(h))^(1/2) is at most w(h).  Elementwise."""
+    return l_h * w_spec.w(h) ** 2 - psi(h, cfg)
 
 
 def _constant_sigma(sample: SamplePath) -> Optional[float]:
@@ -170,20 +170,16 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
     lefts, n_at = np.unique(dist[(h_in < dist) & (dist <= h[j])], return_counts=True)
     if inner.size:
         lefts, n_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([0], n_at))
-    levels = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
+    l_at = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
     rights = np.append(lefts[1:], dist[(h[j] < dist) & (dist <= cfg.h0)].min(initial=cfg.h0))
-    right_ok = _excess(levels, rights, w_spec, cfg) >= 0
-
-    pos = lefts > 0  # psi(0) is infinite: a piece starting at zero has no feasible left end
-    left_ok = np.zeros_like(pos)
-    left_ok[pos] = _excess(levels[pos], lefts[pos], w_spec, cfg) >= 0
-    i = int(np.argmax(left_ok | right_ok))
-    if left_ok[i]:
-        return float(lefts[i])
-    level, left, right = float(levels[i]), float(lefts[i]), float(rights[i])
+    # F rises along a piece: the first piece feasible at its right end holds H_w
+    i = int(np.argmax(_excess(l_at, rights, w_spec, cfg) >= 0))
+    l_i, left, right = float(l_at[i]), float(lefts[i]), float(rights[i])
+    # then its left end, sliced so that psi and w take their array path; psi(0) is infinite
+    if left > 0 and _excess(l_at[i:i + 1], lefts[i:i + 1], w_spec, cfg)[0] >= 0:
+        return left
     # F(left) < 0 <= F(right) brackets the root; from a zero left end it is searched for
-    return _first_feasible(lambda h: _excess(level, h, w_spec, cfg), right,
-                           left if left > 0 else None)
+    return _first_feasible(lambda h: _excess(l_i, h, w_spec, cfg), right, left or None)
 
 
 def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
@@ -199,10 +195,7 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
     w(H_w)/w(h_w) is undefined.
     """
     (x,) = cfg.x_point.tolist()
-    try:
-        var = sigma**2
-    except OverflowError:
-        return None
+    var = sigma * sigma
 
     def G(h):
         return _excess(n * design.interval_prob(x, h) / var, h, w_spec, cfg)

@@ -298,13 +298,9 @@ def budget_length(budget, cost):
 class TestBudgetStop:
     # a budget rung is a FixedN, counted when the process is made by the
     # additions of a constant cost that the literal loop in oracles makes
-    def test_constant_cost_floor(self):
-        assert budget_length(17.0, 2.0) == 8  # floor(17/2)
-
-    def test_unit_cost_fractional_budget(self):
-        assert budget_length(10.5, 1.0) == 10
-
     @pytest.mark.parametrize("budget, cost, n", [
+        (17.0, 2.0, 8),  # floor(17/2)
+        (10.5, 1.0, 10),
         (10.0, 0.1, 100),  # 10 // 0.1 is 99.0
         (7.0, 0.7, 9),  # floor(7 / 0.7) is 10
         (2.5, 0.1, 24),

@@ -288,10 +288,13 @@ class TestEmpiricalHw:
         root = brentq(lambda h: lev * h - psi(h, cfg), 0.5, 1.0, xtol=1e-14)
         assert hw == pytest.approx(root, rel=1e-9)
 
-    def test_matches_piecewise_scan_exactly(self):
+    @pytest.mark.parametrize("sigmas", [(0.5, 1.0, 2.0), (0.7,)],
+                             ids=["sigma_0.5_1_2", "sigma_0.7"])
+    def test_matches_piecewise_scan_exactly(self, sigmas):
         # covariates on a 0.02 lattice in [-1.2, 1.2]: tied distances (x and -x,
         # repeats), points exactly at x and at h_1 = 0.5, and points beyond h0 = 1;
-        # the coarse grid (j_max = 3) also puts H_w below its deepest bandwidth
+        # the coarse grid (j_max = 3) also puts H_w below its deepest bandwidth.
+        # sigma = 0.7 makes every level sigma^-2 C a rounded number
         rng = np.random.default_rng(20101029)
         moduli = [HolderModulus(s, scale) for s, scale in
                   ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
@@ -302,7 +305,7 @@ class TestEmpiricalHw:
             x = rng.integers(-60, 61, n) / 50.0
             if case % 3 == 0:
                 x[0] = 0.0
-            sigma = float(rng.choice([0.5, 1.0, 2.0]))
+            sigma = float(rng.choice(sigmas))
             s = SamplePath(x, np.zeros(n), np.full(n, sigma))
             b = float(rng.choice([0.2, 1.0, 3.0]))
             w = moduli[case % len(moduli)]

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -229,3 +230,40 @@ def test_every_export_is_used():
     live = reached([ast.parse((SRC / m).read_text(encoding="utf-8")) for m in MODULES],
                    [ast.parse(p.read_text(encoding="utf-8")) for p in users])
     assert sorted(exported - live) == []
+
+
+PERFBENCH = ROOT / "perfbench"
+# names the benchmark reads as attributes of a package module: the tracer
+# wraps make_noise, child.py calls load_campaign, the selftest checks that
+# the tracer rebound stability's grid_statistics
+PERFBENCH_ATTRIBUTES = {("lepski.campaign", "make_noise"), ("lepski.campaign", "load_campaign"),
+                        ("lepski.stability", "grid_statistics")}
+
+
+def benchmark_names() -> set:
+    """(module, name) pairs the benchmark reads from the package, by reading
+    its source: the SPANS of tracer.py, and what checks.py and child.py import."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    (spans,) = [ast.literal_eval(node.value) for node in tracer.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "SPANS"]
+    names = {(f"lepski.{module}", name) for module, name in spans}
+    for script in ("checks.py", "child.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lepski":
+                names |= {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {tuple(alias.name.rsplit(".", 1)) for alias in node.names
+                          if alias.name.startswith("lepski.")}
+    return names
+
+
+def test_the_names_the_benchmark_reads_exist():
+    # a renamed span or import passes every other test and fails only the benchmark
+    names = benchmark_names()
+    assert {("lepski.rates", "oracle_bandwidth"), ("lepski", "brute_force_select"),
+            ("lepski", "cli")} <= names
+    for module in MODULES:  # a submodule is an attribute of the package once imported
+        importlib.import_module(f"lepski.{module.removesuffix('.py')}")
+    missing = [f"{m}.{n}" for m, n in names | PERFBENCH_ATTRIBUTES
+               if not hasattr(importlib.import_module(m), n)]
+    assert sorted(missing) == []
