@@ -173,10 +173,11 @@ def make_noise(doc) -> NoiseSpec:
     return _build("noise family", _NOISES, doc, "family", "gaussian")
 
 
-def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
+def make_process(doc, n, length=None) -> dgp.Regression | dgp.Autoregressive:
     """The process at ladder rung n: the class that its kind names, called on
     its other keys once its f_true, noise, design and s_scale sections and
-    its stopping rule at n are built; a fixed-length kind refuses a budget."""
+    its stopping rule at n are built; a fixed-length kind refuses a budget.
+    length, when given, is that rule's FixedN as already built at n."""
     if not isinstance(doc, dict):
         raise ConfigError(f"the process must be a JSON object; got {doc!r}")
     params = dict(doc)
@@ -185,7 +186,7 @@ def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
         if key in params:
             params[key] = make(params[key])
     stopping = params.get("stopping", {})
-    params["stopping"] = _build("stopping rule", _STOPPING, stopping, "rule", "fixed", n)
+    params["stopping"] = length or _build("stopping rule", _STOPPING, stopping, "rule", "fixed", n)
     if stopping.get("rule") == "budget" and params.get("kind") in _FIXED_LENGTH_KINDS:
         raise ConfigError(f"a {params['kind']} process takes a fixed length only, not a budget")
     return _build("process kind", _PROCESSES, params, "kind")
@@ -197,9 +198,11 @@ def make_process(doc, n) -> dgp.Regression | dgp.Autoregressive:
 
 @dataclass
 class CampaignConfig:
-    """Parsed campaign document, its process section kept for each cell to build."""
+    """Parsed campaign document, its process section kept for each cell to
+    build, with each rung's length as counted at load."""
 
     process: dict
+    lengths: dict  # ladder rung -> its FixedN
     grid: GridConfig
     modulus: Optional[HolderModulus]
     n_ladder: list
@@ -211,7 +214,7 @@ class CampaignConfig:
     _h_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def process_for(self, n: int) -> dgp.Regression | dgp.Autoregressive:
-        return make_process(self.process, n)
+        return make_process(self.process, n, self.lengths[n])
 
     def h_w(self, n: int, sigma: float) -> Optional[float]:
         """`deterministic_hw` of the process's design law at sample size n and
@@ -266,9 +269,12 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
             b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     check_count(n_rep, "n_rep")
-    # each rung's stopping rule checks it; cells rebuild their process from the section
+    # each rung's stopping rule checks it and counts its length, once; cells
+    # rebuild their process from the section and that length
+    lengths = {}
     for n in n_ladder:
         built = make_process(process, n)
+        lengths[n] = built.stopping
     if built.dim != grid.dim:
         raise ConfigError(f"the grid point has dimension {grid.dim}, the process {built.dim}")
     x = float(grid.x_point[0])
@@ -277,7 +283,7 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
-    return CampaignConfig(process, grid, modulus, n_ladder, n_rep,
+    return CampaignConfig(process, lengths, grid, modulus, n_ladder, n_rep,
                           *_run_keys(seed, out, fmt, **run),
                           [check_finite(t, "a t_grid entry") for t in t_grid] or None)
 

@@ -52,9 +52,15 @@ def _random_sign(rng, size):
 
 
 def _truncated_laplace(z, rng, size):
-    """Laplace magnitudes truncated to [0, cut], z = 1 - e^(-cut), with random signs."""
-    mag = -np.log1p(-rng.random(size) * z)  # inverse CDF of the truncated exponential
-    return _random_sign(rng, size) * mag
+    """Laplace magnitudes truncated to [0, cut], z = 1 - e^(-cut), with random signs.
+
+    Both come from one uniform u per value: the sign of w = 2u - 1, and the
+    magnitude from |w|, a uniform independent of that sign.  So each value
+    takes its draws in order, and the sampler is split-stable, as the other
+    two are: drawing a + b values equals drawing a values and then b."""
+    w = 2.0 * rng.random(size) - 1.0
+    # inverse CDF of the truncated exponential at |w|
+    return np.copysign(-np.log1p(-np.abs(w) * z), w)
 
 
 def normal_cdf(z: float) -> float:

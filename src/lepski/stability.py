@@ -195,22 +195,33 @@ def _rule_tag(noise: NoiseSpec, scales, stop) -> int:
     return zlib.crc32(key.encode())
 
 
-# Steps drawn per chunk.  Long chunks hold (live paths x chunk) arrays and draw
-# further past each stop; short ones make the row-wise cumsum slow.  One
-# 16384-path Gaussian block of FirstCrossing(2, cap=1e4) at constant scale 1
-# (2 vCPU) took 4.9 s at 8 steps, 4.3 s at 16, 3.7 s at 64, 3.55 s at 256 and
-# 5.0 s at 4096, with peak RSS 107, 109, 120, 166 and 1055 MB.
+# Steps drawn per chunk.  Long chunks draw further past each stop; short ones
+# make the row-wise cumsum slow.  One 16384-path Gaussian block of
+# FirstCrossing(2, cap=1e4) at constant scale 1 (2 vCPU) took 4.9 s at 8 steps,
+# 4.3 s at 16, 3.7 s at 64, 3.55 s at 256 and 5.0 s at 4096.  Its peak RSS,
+# 107, 109, 120, 166 and 1055 MB, was measured when a chunk drew all live paths
+# at once; the slabs below now bound the per-chunk arrays at any chunk length.
 _CHUNK = 64
+
+# Draws per slab: a chunk runs over its live paths in slabs of
+# max(1, _SLAB // n) consecutive rows, 1 MiB of float64 for the draw, and the
+# running sums and crossing mask over it, whatever the number of live paths.
+_SLAB = 2**17
 
 
 def _simulate_block(noise: NoiseSpec, scales, stop, n_paths: int,
                     rng: np.random.Generator):
     """Terminal (M_T, V_T, T, censored) of n_paths paths, one chunk of steps at a time.
 
-    Each chunk draws increments for every live path, forms M and V by running
-    sums along the steps, and finds each path's first stop in the chunk: its
+    Each chunk forms V by running sums along the steps, once for all live
+    paths (one row while the scales ignore the path), then runs over the live
+    paths in slabs of consecutive rows: a slab draws its increments, forms M
+    by running sums and finds each path's first stop in the chunk, its
     deadline or, for FirstCrossing, an earlier crossing.  Stopped paths are
-    recorded and dropped; draws past a stop inside the chunk are discarded.
+    recorded, and dropped at the chunk's end; draws past a stop are discarded.
+    The sampler fills row-major and is split-stable (a + b values drawn at
+    once equal a values and then b), so a slab's draw is the matching rows of
+    a whole-chunk draw, and _SLAB leaves the ensembles as they are.
     """
     deadline = stop.deadlines(rng, n_paths)
     crossing = isinstance(stop, FirstCrossing)
@@ -225,34 +236,43 @@ def _simulate_block(noise: NoiseSpec, scales, stop, n_paths: int,
     while alive.size:
         s = scales.next_scales(k, min(_CHUNK, horizon - k), m, v)
         n = s.shape[1]
-        cm = noise.sampler(rng, (alive.size, n))
-        cm *= s
-        cv = s * s
         # carry the sums in, then add step by step, exactly as a per-step loop would
-        cm[:, 0] += m
+        cv = s * s
         cv[:, 0] += v
         if n > 1:  # a length-1 cumsum would cost ~100 us per call at 12k paths
-            np.cumsum(cm, axis=1, out=cm)
             np.cumsum(cv, axis=1, out=cv)
-        due = deadline - (k + 1)  # chunk column of each path's deadline
-        done = due < n
+        per_path = s.shape[0] > 1  # a fed-back scale has one row per path
         if crossing:
             # M / sqrt(V) >= c, compared as M >= c sqrt(V) on V's row; V = 0 never crosses
-            cross = cm >= np.where(cv > 0, stop.c * np.sqrt(cv), np.inf)
-            done |= cross.any(axis=1)
-        m, v = cm[:, -1], cv[:, -1]
-        rows = np.flatnonzero(done)
-        if rows.size:
-            cols = due[rows]
+            level = np.where(cv > 0, stop.c * np.sqrt(cv), np.inf)
+        due = deadline - (k + 1)  # chunk column of each path's deadline
+        done = due < n
+        step = max(1, _SLAB // n)
+        for lo in range(0, alive.size, step):
+            sl = slice(lo, lo + step)
+            own = sl if per_path else slice(None)  # the slab's rows of s, V and the level
+            cm = noise.sampler(rng, (min(step, alive.size - lo), n))
+            cm *= s[own]
+            cm[:, 0] += m[sl]
+            if n > 1:
+                np.cumsum(cm, axis=1, out=cm)
+            m[sl] = cm[:, -1]
             if crossing:
-                sub = cross[rows]
-                hit = np.where(sub.any(axis=1), sub.argmax(axis=1), n)
-                censored[alive[rows]] = hit > cols
-                cols = np.minimum(cols, hit)
-            idx = alive[rows]
-            out_m[idx] = cm[rows, cols]
-            out_v[idx] = np.broadcast_to(cv, cm.shape)[rows, cols]
-            out_t[idx] = k + 1 + cols
+                cross = cm >= level[own]
+                done[sl] |= cross.any(axis=1)
+            rows = np.flatnonzero(done[sl])
+            if rows.size:
+                cols, idx = due[sl][rows], alive[sl][rows]
+                if crossing:
+                    sub = cross[rows]
+                    hit = np.where(sub.any(axis=1), sub.argmax(axis=1), n)
+                    censored[idx] = hit > cols
+                    cols = np.minimum(cols, hit)
+                out_m[idx] = cm[rows, cols]
+                out_v[idx] = np.broadcast_to(cv[own], cm.shape)[rows, cols]
+                out_t[idx] = k + 1 + cols
+        v = cv[:, -1]
+        if done.any():
             keep = ~done
             alive, deadline, m = alive[keep], deadline[keep], m[keep]
             if v.size > 1:

@@ -306,6 +306,25 @@ class TestEstimate:
         assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
         assert sorted(cfg._h_w) == [(27, 1.0), (80, 1.0)]
 
+    def test_budget_rungs_are_counted_once_at_load(self, tmp_path, monkeypatch):
+        # each rung's length is counted when the document loads; the cells, and
+        # h_w's read of the design, build their process from that count
+        counted = []
+        budget_stop = campaign._STOPPING["budget"]
+
+        def spy(budget, cost=1.0):
+            counted.append(budget)
+            return budget_stop(budget, cost)
+
+        monkeypatch.setitem(campaign._STOPPING, "budget", spy)
+        doc = base_config(tmp_path / "out", n_ladder=[40.5, 120.5, 300.0], n_rep=3)
+        doc["process"]["stopping"] = {"rule": "budget", "cost": 1.5}
+        cfg = campaign.parse_campaign(doc)
+        assert counted == [40.5, 120.5, 300.0]
+        assert len(campaign.run_estimate_cells(cfg, jobs=1)) == 9
+        assert [cfg.process_for(n).stopping.n for n in cfg.n_ladder] == [27, 80, 200]
+        assert counted == [40.5, 120.5, 300.0]
+
     @pytest.mark.parametrize("stopping, ladder", [
         ({"rule": "fixed"}, [40, 80]),
         ({"rule": "budget", "cost": 1.5}, [40.5, 120.5]),

@@ -4,6 +4,7 @@ analytic lemmas, and the tail functional.  The full 1e5-replication matrices
 live in the acceptance suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,32 @@ class TestNoiseCertification:
         est = np.exp(noise.mu * np.abs(z)).mean()
         assert est <= noise.gamma * 1.01
 
+    @pytest.mark.parametrize("noise", [gaussian_noise(), two_point_noise(),
+                                       truncated_laplace_noise()], ids=lambda n: n.name)
+    def test_samplers_are_split_stable(self, noise):
+        # drawing a + b values equals drawing a values and then b, in one
+        # dimension and in rows of two, so the stability kernel may draw a
+        # chunk in slabs of rows without changing its paths
+        for a, b, width in ((1, 1, None), (3, 5, None), (999, 1, None),
+                            (1, 1, 64), (3, 5, 64), (2, 7, 3)):
+            sizes = [rows if width is None else (rows, width) for rows in (a + b, a, b)]
+            whole = noise.sampler(np.random.default_rng(5), sizes[0])
+            rng = np.random.default_rng(5)
+            parts = [noise.sampler(rng, size) for size in sizes[1:]]
+            np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+    def test_truncated_laplace_law(self):
+        # |zeta| has distribution function (1 - e^(-t)) / (1 - e^(-cut)) on
+        # [0, cut], its sign is fair, and the two are independent
+        cut, size = 5.0, 400_000
+        z = truncated_laplace_noise(cut=cut).sampler(np.random.default_rng(3), size)
+        assert np.abs(z).max() <= cut
+        for t in (0.25, 1.0, 2.0, 4.0):
+            p = -math.expm1(-t) / -math.expm1(-cut)
+            small = np.abs(z) <= t
+            assert abs(small.mean() - p) < 4 * math.sqrt(p * (1 - p) / size)
+            assert abs(np.mean(z[small] > 0) - 0.5) < 4 * math.sqrt(0.25 / small.sum())
+
     def test_stream_key_carries_truncation_cut(self):
         # noises differing only in cut must not share random streams
         from lepski.stability import _rule_tag
@@ -301,6 +328,42 @@ class TestChunkedKernel:
                     lambda: simulate_ensemble(ONES, ConstantScale(), FixedT(5), 0, 0)):
             with pytest.raises(ValueError):
                 bad()
+
+
+# Stops of KERNEL_STOPS that end within three chunks, and a crossing level
+# that random paths reach inside them
+SLAB_STOPS = [s for s in KERNEL_STOPS if (getattr(s, "cap", None) or s.n) <= 2 * _CHUNK + 3]
+
+
+@pytest.mark.filterwarnings("ignore::lepski.CensoredPathsWarning")
+class TestSlabs:
+    @pytest.mark.parametrize("scale", sorted(KERNEL_SCALES))
+    @pytest.mark.parametrize("noise", [gaussian_noise(), two_point_noise(),
+                                       truncated_laplace_noise()], ids=lambda n: n.name)
+    def test_ensembles_do_not_depend_on_the_slab(self, monkeypatch, noise, scale):
+        # one row per slab, and three rows per slab at a full chunk, give the
+        # ensembles of one slab per chunk
+        scales = KERNEL_SCALES[scale][0]
+        for stop in SLAB_STOPS + [FirstCrossing(1.0, 2 * _CHUNK + 1)]:
+            runs = []
+            for slab in (lepski.stability._SLAB, 1, 3 * _CHUNK):
+                monkeypatch.setattr(lepski.stability, "_SLAB", slab)
+                runs.append(simulate_ensemble(noise, scales, stop, 40, 23))
+            for ens in runs[1:]:
+                for field in ("m", "v", "t", "censored"):
+                    np.testing.assert_array_equal(getattr(ens, field),
+                                                  getattr(runs[0], field), err_msg=stop.name)
+
+    def test_a_block_peaks_at_a_few_slabs(self):
+        # a 16384-path block of 128 steps peaks at 17.6 MiB when each chunk
+        # draws every live path at once; slabs of 1 MiB keep it below 6 MiB
+        tracemalloc.start()
+        try:
+            simulate_ensemble(gaussian_noise(), ConstantScale(1.0), FixedT(128), 16384, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestAdmissibleA:
