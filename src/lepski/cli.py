@@ -17,7 +17,6 @@ before any cell runs.  A command's last line names the files it wrote.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 
 import click
@@ -31,14 +30,16 @@ EXIT_IO = 4
 
 
 def _common(body):
-    """The shared options, with --seed and --jobs resolved against the
-    environment once and the library's errors mapped to exit codes."""
+    """The shared options, with --seed and --jobs read from their flags, else
+    from LEPSKI_SEED and LEPSKI_JOBS by click, and the library's errors mapped
+    to exit codes."""
 
     @functools.wraps(body)
-    def run(seed, jobs, **kwargs):
+    def run(jobs, **kwargs):
         try:
-            seed, jobs = _resolve(seed, jobs)
-            body(seed=seed, jobs=jobs, **kwargs)
+            if jobs < 1:
+                raise ConfigError("--jobs must be at least 1")
+            body(jobs=jobs, **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
@@ -54,36 +55,15 @@ def _common(body):
 
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=False), help="Campaign JSON document.")(run)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Master seed override (env: LEPSKI_SEED).")(fn)
+    fn = click.option("--seed", type=int, envvar="LEPSKI_SEED", show_envvar=True,
+                      help="Master seed override.")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="Output directory override.")(fn)
-    fn = click.option("--jobs", type=int, default=None,
-                      help="Worker count (env: LEPSKI_JOBS); output is byte-identical for any value.")(fn)
+    fn = click.option("--jobs", type=int, default=1, envvar="LEPSKI_JOBS", show_envvar=True,
+                      help="Worker count; output is byte-identical for any value.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(campaign.OUTPUT_FORMATS), default=None,
                       help="Output format; overrides the config's formats when given.")(fn)
     return fn
-
-
-def _resolve(seed, jobs):
-    """(seed, jobs) from the flags, else LEPSKI_SEED and LEPSKI_JOBS; jobs defaults to 1."""
-    seed, jobs = _env_int(seed, "LEPSKI_SEED", None), _env_int(jobs, "LEPSKI_JOBS", 1)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    return seed, jobs
-
-
-def _env_int(flag, name: str, default):
-    """flag, else the integer in the environment variable name, else default;
-    an empty variable counts as unset."""
-    if flag is not None:
-        return flag
-    if not os.environ.get(name):
-        return default
-    try:
-        return int(os.environ[name])
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
 def _echo_outputs(what: str, paths: list) -> None:

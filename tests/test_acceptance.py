@@ -60,6 +60,13 @@ def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
 
 
+def record(record_property, claim, **figures):
+    """Put a claim's figures on pytest's record (`--junitxml` writes them), each
+    as the property `claim.name`."""
+    for name, value in figures.items():
+        record_property(f"{claim}.{name}", value)
+
+
 def _verify_stability(out, noise, lambdas, master_seed, **section):
     """The rows that `lepski verify-stability` writes under out for 1e5 paths
     of each (scale, stop) pair: constant, alternating and adapted scales,
@@ -80,6 +87,23 @@ def _margin(row):
     return (row["estimate"] + 3 * row["stderr"]) / row["bound"]
 
 
+def _share_of_c(row):
+    """(estimate + 3 SE - 1) / (bound - 1): the share of the bound's excess over
+    1 (c_lambda for a pointwise row) that the row's upper limit uses."""
+    return (row["estimate"] + 3 * row["stderr"] - 1) / (row["bound"] - 1)
+
+
+def _cell(row):
+    return f"rule={row['rule']} lambda={row['lambda']} a={row['a']}"
+
+
+def record_shares(record_property, claim, rows):
+    """Record the largest share of c over rows and its cell."""
+    top = max(rows, key=_share_of_c)
+    record(record_property, claim, largest_share_of_c=_share_of_c(top),
+           largest_share_cell=_cell(top))
+
+
 @pytest.fixture(scope="module")
 def a1_matrix(tmp_path_factory):
     t0 = time.monotonic()
@@ -88,7 +112,7 @@ def a1_matrix(tmp_path_factory):
     return rows, time.monotonic() - t0
 
 
-def test_a1_stability_bound_alpha2(a1_matrix):
+def test_a1_stability_bound_alpha2(a1_matrix, record_property):
     rows, elapsed = a1_matrix
     assert all(r["gamma"] == pytest.approx(math.sqrt(2), rel=1e-15) for r in rows)  # mu = 0.25
     pointwise = [r for r in rows if not r["rule"].endswith("|uniform")]
@@ -99,11 +123,14 @@ def test_a1_stability_bound_alpha2(a1_matrix):
     report("A1", n_red == 0,
            f"{len(pointwise)} cells, worst margin {_margin(worst):.4f} of bound "
            f"(rule {worst['rule']}, lambda={worst['lambda']}, a={worst['a']}); {elapsed:.0f}s")
+    record(record_property, "A1", cells=len(pointwise), red=n_red, worst_margin=_margin(worst),
+           worst_cell=_cell(worst), elapsed_s=round(elapsed, 1))
+    record_shares(record_property, "A1", pointwise)
     assert n_red == 0
     assert elapsed < 300.0  # runtime target
 
 
-def test_a2_stability_bound_alpha1_cosh(tmp_path):
+def test_a2_stability_bound_alpha1_cosh(tmp_path, record_property):
     mu = 0.5
     lambdas = [0.3 * mu, -0.3 * mu, 0.6 * mu, -0.6 * mu]
     rows = _verify_stability(tmp_path, {"family": "truncated_laplace", "mu": mu, "cut": 5.0},
@@ -113,10 +140,13 @@ def test_a2_stability_bound_alpha1_cosh(tmp_path):
     report("A2", n_red == 0,
            f"{len(rows)} cosh cells, certified gamma={rows[0]['gamma']:.6f}, "
            f"worst margin {_margin(max(rows, key=_margin)):.4f}")
+    record(record_property, "A2", cells=len(rows), red=n_red, gamma=rows[0]["gamma"],
+           worst_margin=_margin(max(rows, key=_margin)))
+    record_shares(record_property, "A2", rows)
     assert n_red == 0
 
 
-def test_a3_uniform_bound(a1_matrix):
+def test_a3_uniform_bound(a1_matrix, record_property):
     rows, _ = a1_matrix
     uniform = [r for r in rows if r["rule"].endswith("|uniform")]
     assert len(uniform) == 18 and all(r["a"] == "1:100" for r in uniform)
@@ -125,10 +155,12 @@ def test_a3_uniform_bound(a1_matrix):
         assert r["bound"] == pytest.approx(expected, rel=1e-12)
     n_red = sum(1 for r in uniform if not r["pass"])
     report("A3", n_red == 0, f"{len(uniform)} uniform cells vs (1+c_lambda)(1+log 100)")
+    record(record_property, "A3", cells=len(uniform), red=n_red)
+    record_shares(record_property, "A3", uniform)
     assert n_red == 0
 
 
-def test_a4_adversarial_stopping_reproduction():
+def test_a4_adversarial_stopping_reproduction(record_property):
     # Remark made executable: the crossing rule T = min{n : M_n/sqrt(V_n) >= 2}
     # capped at 1e6 steps; uncensored paths exceed 2 by construction while the
     # regularized functional stays within its bound.
@@ -144,6 +176,7 @@ def test_a4_adversarial_stopping_reproduction():
     all_cross = bool(np.all(ratios >= 2.0))
     report("A4 (crossing identity)", all_cross,
            f"{crossed.sum()} uncensored paths all satisfy M_T/sqrt(V_T) >= 2")
+    record(record_property, "A4", uncensored=int(crossed.sum()), all_cross=all_cross)
     assert all_cross
 
     bound_ok = True
@@ -155,6 +188,7 @@ def test_a4_adversarial_stopping_reproduction():
             bound_ok &= bool(est + 3 * se <= bound)
     report("A4 (regularized bound)", bound_ok,
            "capped crossing time is itself a stopping time; all cells within bound")
+    record(record_property, "A4", regularized_bound_ok=bound_ok)
     assert bound_ok
 
     # The remark needs T finite almost surely, not short: Breiman (1967) gives
@@ -175,6 +209,8 @@ def test_a4_adversarial_stopping_reproduction():
            f"{curve}; strictly decreasing: {decreasing}; implied exponent "
            f"log(S(1e4)/S(1e6))/log 100 = {p_hat:.4f} vs p(2) = {p_theory:.5f}, "
            f"se {se:.4f} (m={m_at_risk}), |diff| <= 3 se: {within}")
+    record(record_property, "A4", **{f"survival_1e{k}": s for k, s in surv.items()},
+           exponent=p_hat, exponent_theory=p_theory, exponent_se=se, at_risk=m_at_risk)
     assert decreasing, (
         f"survival P(T > n) is not strictly decreasing over n = 1e2..1e6: {curve}")
     assert within, (
@@ -250,7 +286,7 @@ def _wbar_medians(cells, n_ladder, min_count):
     return medians
 
 
-def test_a5_oracle_equivalence_and_transient_stall(tmp_path):
+def test_a5_oracle_equivalence_and_transient_stall(tmp_path, record_property):
     mismatches = 0
     checked = 0
     for trial in range(10_000):
@@ -269,6 +305,7 @@ def test_a5_oracle_equivalence_and_transient_stall(tmp_path):
     report("A5 (oracle equivalence)", mismatches == 0,
            f"{checked} instances with data near x out of 10000; "
            f"{mismatches} disagreements")
+    record(record_property, "A5", checked=checked, mismatches=mismatches)
     assert mismatches == 0 and checked > 8000
 
     # transient walk: the random rate stalls instead of shrinking with n
@@ -285,6 +322,7 @@ def test_a5_oracle_equivalence_and_transient_stall(tmp_path):
     stalled = medians[-1] >= 0.8 * medians[0] and min(medians) > 0
     report("A5 (transient stall)", (not strictly_decreasing) and stalled,
            f"median random rate over n ladder: {[round(m, 4) for m in medians]}")
+    record(record_property, "A5", transient_medians=[round(m, 4) for m in medians])
     assert not strictly_decreasing
     assert stalled
 
@@ -294,10 +332,11 @@ def test_a5_oracle_equivalence_and_transient_stall(tmp_path):
     first, last = _wbar_medians(cells, [250, 4000], 120)
     report("A5 (mixing contrast)", last < 0.8 * first,
            f"mixing medians {round(first, 4)} -> {round(last, 4)}")
+    record(record_property, "A5", mixing_first=first, mixing_last=last)
     assert last < 0.8 * first
 
 
-def test_a6_rate_equivalence_mixing_ar1(tmp_path):
+def test_a6_rate_equivalence_mixing_ar1(tmp_path, record_property):
     t0 = time.monotonic()
     (row,) = _run(run_rates, tmp_path, "a6", {"kind": "mixing_ar1", "rho": 0.5, "sigma": 1.0},
                   {"q": 0.9, "j_max": 40}, [10_000], 500, master_seed=MASTER + 6)["rows"]
@@ -306,12 +345,14 @@ def test_a6_rate_equivalence_mixing_ar1(tmp_path):
     ok = freq >= 0.95 and fail_freq <= 0.01
     report("A6", ok, f"containment {freq:.3f} (need >= 0.95), "
                      f"omega0 failures {fail_freq:.3f} (need <= 0.01), {elapsed:.0f}s")
+    record(record_property, "A6", containment=freq, omega0_failures=fail_freq,
+           elapsed_s=round(elapsed, 1))
     assert freq >= 0.95
     assert fail_freq <= 0.01
     assert elapsed < 120.0
 
 
-def test_a7_deterministic_rate_scaling(tmp_path):
+def test_a7_deterministic_rate_scaling(tmp_path, record_property):
     # small b keeps the slowly varying threshold factor out of the power fit
     results = []
     for s, tau in ((0.5, 0.0), (1.0, 0.0), (0.5, 1.0)):
@@ -327,12 +368,15 @@ def test_a7_deterministic_rate_scaling(tmp_path):
     detail = "; ".join(f"(s={s:g},tau={t:g}): h {sh:.4f}/{th:.4f}, w {sw:.4f}/{tw:.4f}"
                        for s, t, sh, th, sw, tw in results)
     report("A7", ok, detail)
+    for s, t, sh, th, sw, tw in results:
+        record(record_property, f"A7.s{s:g}_tau{t:g}", slope_h=sh, theory_h=th,
+               slope_w=sw, theory_w=tw)
     for s, tau, sh, th, sw, tw in results:
         assert abs(sh - th) < 0.02, (s, tau, sh, th)
         assert abs(sw - tw) < 0.02, (s, tau, sw, tw)
 
 
-def test_a8_tail_decay_of_adaptive_estimator(tmp_path):
+def test_a8_tail_decay_of_adaptive_estimator(tmp_path, record_property):
     # Corollary-grade threshold: b mu nu^2 = 1 * 0.25 * 24^2 = 144 > 128 = 128 p (1+tau)
     b, mu, nu_thr, p_mom, tau = 1.0, 0.25, 24.0, 1.0, 0.0
     assert b * mu * nu_thr**2 > 128.0 * p_mom * (1.0 + tau)
@@ -360,6 +404,8 @@ def test_a8_tail_decay_of_adaptive_estimator(tmp_path):
     report("A8", ok, f"tail at 4: {probs[0]:.3f}, at 8: {probs[ts >= 8.0][0]:.4f}, "
                      f"decay exponent {exponent:.1f} over {int(positive.sum())} "
                      f"positive thresholds")
+    record(record_property, "A8", tail_at_4=probs[0], tail_at_8=probs[ts >= 8.0][0],
+           exponent=exponent, positive_thresholds=int(positive.sum()))
     assert monotone
     assert small_at_8
     assert exponent >= 1.0

@@ -973,6 +973,33 @@ class TestExitCodes:
         for name in ("estimate.csv", "rate_report.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("name, value, flag", [("LEPSKI_JOBS", "two", ["--jobs", "1"]),
+                                                   ("LEPSKI_SEED", "abc", ["--seed", "3"])])
+    @pytest.mark.parametrize("command", ["estimate", "verify-stability"])
+    def test_flag_beats_a_malformed_variable(self, tmp_path, monkeypatch, command, name, value,
+                                             flag):
+        # a variable is read only when its flag is absent, so a malformed one goes unread
+        outs = [tmp_path / "unset", tmp_path / "malformed"]
+        monkeypatch.delenv("LEPSKI_JOBS", raising=False)
+        monkeypatch.delenv("LEPSKI_SEED", raising=False)
+        for out in outs:
+            if out.name == "malformed":
+                monkeypatch.setenv(name, value)
+            doc = (base_config(out, n_ladder=[40], n_rep=2) if command == "estimate"
+                   else TestVerifyStability().stab_config(out, n_rep=200))
+            res = run_cli(command, "--config", str(write_config(tmp_path, doc)), *flag)
+            assert res.exit_code == 0, res.output
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files and files == sorted(p.name for p in outs[1].iterdir())
+        for file in files:
+            assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+
+    def test_help_names_the_variables(self):
+        res = run_cli("estimate", "--help")
+        assert res.exit_code == 0, res.output
+        assert "[env var: LEPSKI_JOBS]" in res.output
+        assert "[env var: LEPSKI_SEED]" in res.output
+
     @pytest.mark.parametrize("args, env", [(["--seed", "-1"], {}), ([], {"LEPSKI_SEED": "-1"})],
                              ids=["flag", "env"])
     def test_negative_seed_override_exit_2(self, tmp_path, monkeypatch, args, env):

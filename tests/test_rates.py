@@ -46,7 +46,7 @@ def grid_cfg(**kw):
     return GridConfig(**defaults)
 
 
-class TestModulusSpec:
+class TestHolderModulus:
     def test_holder_validates(self):
         check_modulus(HolderModulus(0.5, 1.0), grid_cfg())  # fine: h^0.5 within [0.1 h^2, 1]
 

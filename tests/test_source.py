@@ -159,6 +159,28 @@ def test_one_sample_length():
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
 
 
+def environment_reads(source: str) -> list:
+    """Line numbers where a module names `environ` or `getenv`, as an attribute
+    (`os.environ`), a bare name or an import."""
+    names = {"environ", "getenv"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names})
+
+
+def test_checker_flags_an_environment_read():
+    source = ("import os\nfrom os import getenv\nx = os.environ.get('A')\n"
+              "y = getenv('B')\nz = os.path.sep\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+def test_no_module_reads_the_environment():
+    # click reads LEPSKI_SEED and LEPSKI_JOBS for the options that name them
+    found = {p.name: environment_reads(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_no_sort_of_the_sample():
     # grid statistics and H_w index distances by grid shell, so nothing argsorts
     assert calls_to("argsort") == []
