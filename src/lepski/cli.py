@@ -12,10 +12,20 @@ that the section names (see `campaign`).  A key that nothing reads, an
 unknown name, a value that its constructor refuses, a bool or a string where
 a number belongs, and a non-integer LEPSKI_SEED or LEPSKI_JOBS each exit 2
 before any cell runs.  A command's last line names the files it wrote.
+
+The CLI owns its process, so before any command runs it asks glibc to keep
+freed memory on the heap (`keep_heap`): without that, every large estimation
+cell hands its working set back to the kernel and faults it in again.  Worker
+processes inherit the setting only because `stability.pool_map` forks them
+(the fork start method, Linux's default on Python 3.11); should it ever leave
+fork, the call moves to a worker initializer.  Where the C library has no
+`mallopt` or refuses it, the commands run as before.  Importing `lepski` or
+`lepski.cli` sets nothing, nor does any library entry point.
 """
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it too, so the CLI's import pays nothing for it
 import functools
 import sys
 
@@ -27,6 +37,37 @@ from . import campaign
 EXIT_CONFIG = 2
 EXIT_RED = 3
 EXIT_IO = 4
+
+HEAP_THRESHOLD = 64 << 20  # bytes; the smallest tried that keeps a 1e6 cell fault-free
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # the option codes of glibc's <malloc.h>
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none (macOS, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def keep_heap() -> bool:
+    """Raise glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD to HEAP_THRESHOLD, so
+    that freed memory up to that size stays on the heap for the next stage and
+    cell instead of going back to the kernel.  True when mallopt accepted both.
+
+    Without it a 1e5 estimation cell re-faults its whole working set, about
+    1,500 minor page faults, in every cell.  The process keeps the setting.
+    Workers inherit it only under the fork start method; under spawn or
+    forkserver each would need this call in a pool initializer.  A missing
+    or refused mallopt leaves the allocator as it was.
+    """
+    mallopt = _mallopt()
+    if mallopt is None:
+        return False
+    return all([mallopt(option, HEAP_THRESHOLD) == 1
+                for option in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)])
 
 
 def _common(body):
@@ -76,6 +117,7 @@ def _echo_outputs(what: str, paths: list) -> None:
 @click.group()
 def main():
     """Adaptive kernel regression campaigns and stability verification."""
+    keep_heap()
 
 
 @main.command()

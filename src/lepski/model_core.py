@@ -191,14 +191,15 @@ def _ball_sum(sample: SamplePath, x_point, h: float, values=None, *,
     when None); mean=True divides by L(h) and raises EmptyWindow when L(h) = 0."""
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    mask = sample.distances(x_point) <= h
-    w = sample.inv_var[mask]
+    # one index gather per array: compressing by the mask twice costs more
+    inside = np.flatnonzero(sample.distances(x_point) <= h)
+    w = sample.inv_var[inside]
     l_h = np.sum(w)
     if mean and l_h == 0:
         raise EmptyWindow(f"L(h) = 0: no weight within h={h} of the estimation point")
     if values is None:
         return float(l_h)
-    total = np.sum(w * values[mask])
+    total = np.sum(w * values[inside])
     return float(total / l_h if mean else total)
 
 
@@ -239,19 +240,20 @@ def psi(h, cfg: GridConfig):
 # ------------------------------------------------------------------
 
 def _shells(dist: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
-    """Deepest closed grid ball holding each distance, max{j : bandwidths[j] >= d},
-    or -1 when d > h0.  x = log(d/h0) / log q errs far less than 1/2, so
-    floor(x + 1/2) - 1 is that ball or the next one out; one exact comparison
-    settles which.  In place: at n = 1e5 a new temporary costs as much as its math."""
-    x = dist / bandwidths[0]
+    """The shell code of each distance: j + 1 for the deepest closed grid ball j
+    that holds it, max{j : bandwidths[j] >= d}, and 0 when d > h0.
+    x = log(d/h0) / log q, formed as a log d + c, errs far less than 1/2, so
+    e = floor(x + 1/2) is that code or one less; one exact comparison with h_e
+    settles which.  In place: at n = 1e5 a new temporary costs as much as its
+    math."""
+    scale = (bandwidths.size - 1) / np.log(bandwidths[-1] / bandwidths[0])
     with np.errstate(divide="ignore"):  # d = 0 lies in every ball
-        np.log(x, out=x)
-    x *= (bandwidths.size - 1) / np.log(bandwidths[-1] / bandwidths[0])
-    x += 0.5
+        x = np.log(dist)
+    x *= scale
+    x += 0.5 - scale * np.log(bandwidths[0])
     np.fmax(np.floor(x, out=x), 0.0, out=x)  # fmax also sends NaN outside every ball
-    j = np.minimum(x, bandwidths.size, out=x).astype(np.intp)  # the estimate + 1
-    j += np.append(bandwidths, -np.inf)[j] >= dist  # d <= h_{estimate+1}: one deeper
-    j -= 1
+    j = np.minimum(x, bandwidths.size, out=x).astype(np.intp)  # e, within [0, size]
+    j += np.append(bandwidths, -np.inf)[j] >= dist  # d <= h_e: ball e holds d too
     return j
 
 
@@ -288,8 +290,7 @@ def _build_view(sample: SamplePath, cfg: GridConfig) -> GridStats:
     """
     bandwidths = cfg.h0 * cfg.q ** np.arange(cfg.j_max + 1, dtype=float)
     dist = sample.distances(cfg.x_point)
-    bins = _shells(dist, bandwidths)
-    bins += 1  # bin 0 holds the distances beyond h0
+    bins = _shells(dist, bandwidths)  # bin 0 holds the distances beyond h0
     l_values = _ball_sums(bins, sample.inv_var)  # down to the deepest occupied shell
     last = np.count_nonzero(l_values)
     if last == 0:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from scipy.stats import norm
 
 import lepski
-from lepski import DesignLaw, campaign, deterministic_hw, uniform_design
+from lepski import DesignLaw, campaign, cli, deterministic_hw, uniform_design
 from lepski.cli import main
 
 
@@ -93,6 +94,15 @@ def simulated_table(doc, rep):
     n = doc["n_ladder"][0]
     s = lepski.simulate(cfg.process_for(n), campaign.cell_seed(cfg.master_seed, n, rep))
     return np.column_stack([np.arange(1, s.n_stop + 1), s.x_obs, s.y_obs, s.sigma])
+
+
+@pytest.fixture(autouse=True)
+def mallopt_calls(monkeypatch):
+    """The (option, value) pairs that the commands pass to mallopt, which
+    accepts them; the test process's own allocator stays as it is."""
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda *args: calls.append(args) or 1)
+    return calls
 
 
 @pytest.fixture
@@ -1110,6 +1120,63 @@ class TestSectionDefaults:
     def test_named_function_values(self, read, values):
         # on x = -1, -1/2, 0, 1/2, 1
         np.testing.assert_allclose(built_values(read()), values, rtol=0, atol=1e-15)
+
+
+class TestHeapSetting:
+    SET_BOTH = [(cli._M_TRIM_THRESHOLD, cli.HEAP_THRESHOLD), (cli._M_MMAP_THRESHOLD, cli.HEAP_THRESHOLD)]
+
+    def test_each_invocation_sets_the_thresholds_once(self, tmp_path, mallopt_calls):
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", n_ladder=[30], n_rep=2))
+        for k in (1, 2):
+            assert run_cli("estimate", "--config", str(cfg), "--jobs", "2").exit_code == 0
+            assert mallopt_calls == self.SET_BOTH * k
+        assert run_cli("rates", "--config", str(cfg)).exit_code == 0
+        assert mallopt_calls == self.SET_BOTH * 3
+
+    def test_import_sets_nothing(self):
+        # every lookup of mallopt in a fresh interpreter, then keep_heap as the control
+        src = Path(lepski.__file__).resolve().parents[1]
+        code = ("import ctypes\n"
+                "seen = []\n"
+                "class Spy(ctypes.CDLL):\n"
+                "    def __getattr__(self, name):\n"
+                "        seen.append(name)\n"
+                "        return super().__getattr__(name)\n"
+                "ctypes.CDLL = Spy\n"
+                "import lepski, lepski.cli\n"
+                "print(seen.count('mallopt'))\n"
+                "lepski.cli.keep_heap()\n"
+                "print(seen.count('mallopt'))\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.split() == ["0", "1"]
+
+    @pytest.mark.parametrize("mallopt", [None, lambda option, value: 0], ids=["missing", "refused"])
+    def test_an_unset_heap_leaves_the_outputs(self, tmp_path, monkeypatch, mallopt):
+        # against the real setting, made by `python -m lepski.cli` in its own process
+        on, off = tmp_path / "heap_on", tmp_path / "heap_off"
+        doc = base_config(on, n_ladder=[40, 80], n_rep=2)
+        cfg = write_config(tmp_path, doc, "on.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(lepski.__file__).resolve().parents[1]))
+        real = subprocess.run([sys.executable, "-m", "lepski.cli", "estimate", "--config", str(cfg)],
+                              env=env, capture_output=True, text=True)
+        monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+        assert cli.keep_heap() is False
+        doc["outputs"] = str(off)
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc, "off.json")))
+        assert (res.exit_code, real.returncode) == (0, 0)
+        assert res.output.replace(str(off), str(on)) == real.stdout
+        for name in ("estimate.csv", "rate_report.csv"):
+            assert (off / name).read_bytes() == (on / name).read_bytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_glibc_accepts_the_thresholds(self):
+        code = "import lepski.cli; print(lepski.cli.keep_heap())"
+        env = dict(os.environ, PYTHONPATH=str(Path(lepski.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "True"
 
 
 class TestImport:

@@ -295,7 +295,7 @@ def budget_length(budget, cost):
     return make_process(doc, budget).stopping.n
 
 
-class TestBudgetStop:
+class TestBudgetLength:
     # a budget rung is a FixedN, counted when the process is made by the
     # additions of a constant cost that the literal loop in oracles makes
     @pytest.mark.parametrize("budget, cost, n", [

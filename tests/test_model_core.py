@@ -211,6 +211,49 @@ class TestKernelEstimate:
         with pytest.raises(EmptyWindow):
             kernel_estimate(s, 0.0, 1.0)
 
+    @staticmethod
+    def literal(s, x, h):
+        """The estimate by boolean mask, as the defining sum reads."""
+        m = s.distances(x) <= h
+        w = s.inv_var[m]
+        return float(np.sum(w * s.y_obs[m]) / np.sum(w))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_mask_formula_bit_for_bit(self, seed, d):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        # sums of 0.125-steps: many distances tie, some at exactly h
+        x = rng.integers(-8, 9, (n, d)) / 8.0 if seed % 2 else rng.uniform(-1, 1, (n, d))
+        s = SamplePath(x, rng.normal(size=n), rng.uniform(0.2, 3.0, n))
+        dist = s.distances(0.0 if d == 1 else [0.0, 0.0])
+        x0 = np.zeros(d)
+        hs = [float(dist.max()),  # every point inside
+              float(np.sort(dist)[n // 2]),  # a tie at d == h
+              float(dist.min()),  # the nearest points alone, at d == h
+              *rng.uniform(dist.min(), dist.max(), 5).tolist()]
+        for h in hs:
+            if h > 0:
+                assert kernel_estimate(s, x0, h) == self.literal(s, x0, h)
+
+    def test_ties_at_h_count_inside(self):
+        # distances 0.25, 0.5, 0.5, 0.75 from 0: both points at 0.5 are in the window
+        s = SamplePath([[0.25], [-0.5], [0.5], [0.75]], [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 0.5, 1.0])
+        assert kernel_estimate(s, 0.0, 0.5) == self.literal(s, 0.0, 0.5)
+        assert kernel_estimate(s, 0.0, 0.5) == (1.0 + 0.25 * 2.0 + 4.0 * 4.0) / 5.25
+
+    def test_h0_with_every_point_inside(self):
+        rng = np.random.default_rng(11)
+        s = SamplePath(rng.uniform(-1, 1, 500), rng.normal(size=500), rng.uniform(0.5, 2, 500))
+        assert kernel_estimate(s, 0.0, 1.0) == self.literal(s, 0.0, 1.0)
+        assert kernel_estimate(s, 0.0, 1.0) == float(np.sum(s.inv_var * s.y_obs) / np.sum(s.inv_var))
+
+    def test_one_point_window(self):
+        s = SamplePath([[0.3], [0.0], [-0.4]], [5.0, -1.25, 7.0], [2.0, 3.0, 0.5])
+        assert kernel_estimate(s, 0.0, 0.1) == self.literal(s, 0.0, 0.1)
+        s = SamplePath([[0.3], [0.0], [-0.4]], [5.0, -1.25, 7.0], [2.0, 4.0, 0.5])
+        assert kernel_estimate(s, 0.0, 0.1) == -1.25 == self.literal(s, 0.0, 0.1)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weightless_window_raises(self):
         # sigma^-2 = 0 makes L(h) = 0 with an observation inside: 0/0 = NaN before
@@ -352,9 +395,9 @@ class TestShells:
         d = np.concatenate([h, np.nextafter(h, 0.0), np.nextafter(h, np.inf),
                             [0.0, 0.7 * 1.5, np.inf],
                             np.random.default_rng(1).uniform(0.0, 0.7 * 1.2, 200_000)])
-        expected = j_max - np.searchsorted(h[::-1], d, side="left")
+        expected = j_max + 1 - np.searchsorted(h[::-1], d, side="left")
         assert np.array_equal(_shells(d, h), expected)
-        assert _shells(h, h).tolist() == list(range(j_max + 1))  # d = h_j lies in ball j
+        assert _shells(h, h).tolist() == list(range(1, j_max + 2))  # d = h_j lies in ball j
 
 
 class TestGridStatistics:
