@@ -9,10 +9,11 @@ level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
 The continuum bandwidths H_w (empirical) and h_w (deterministic, replacing L
 by its expectation) are minima over h in (0, h0], located up to a relative
 bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
-h.  H_w is read off the sample's `GridStats` view and its common sigma, both
-supplied by the caller: first at the grid, then on the pieces of L in one
-shell only.  h_w reads the design law at the grid's estimation point, the
-same x at which the view measures L; a design's own x is only its centre.
+h.  H_w is read off the sample's `GridStats` view and its common sigma
+(`SamplePath.common_sigma`), both supplied by the caller: first at the grid,
+then on the pieces of L in one shell only.  h_w reads the design law at the
+grid's estimation point, the same x at which the view measures L; a design's
+own x is only its centre.
 Below its sample-size threshold h_w does not exist, and `deterministic_hw`
 returns None there, as `empirical_hw` does off Omega_0.
 """
@@ -111,17 +112,6 @@ def _excess(l_h, h, w_spec: HolderModulus, cfg: GridConfig):
     return l_h * w_spec.w(h) ** 2 - psi(h, cfg)
 
 
-def _constant_sigma(sample: SamplePath) -> Optional[float]:
-    """The common noise scale of the sample, or None when sigma varies by more
-    than a relative 1e-12 from its first entry.  Rounded subtraction is
-    monotone, so testing the extremes decides |sigma_k - sigma_0| <= tol for
-    every k, with no temporary array."""
-    sig = sample.sigma
-    s0 = sig[0]
-    tol = 1e-12 * s0
-    return float(s0) if sig.max() - s0 <= tol and s0 - sig.min() <= tol else None
-
-
 def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
     """Smallest root of the increasing function g on (lo, hi], given g(hi) >= 0
     and, when lo is passed, g(lo) < 0.
@@ -218,12 +208,12 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     ratio their quotient, None where rate_det is 0 (at h_w = 0).  One view of
     the sample (`grid_statistics`) serves H*, Omega' and H_w; it is the view
     that `select_bandwidth` built on the same grid, when that ran first.  Both
-    continuum bandwidths need a constant sigma, so they, the rates and the
-    ratio are None for a heteroscedastic sample.  h_w_of(n, sigma)
-    gives h_w for the sample's size and common sigma, or None where it does
-    not exist, typically `deterministic_hw` on the process's design law; it
-    depends on the sample through (n, sigma) only, so a caller may compute it
-    once per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison:
+    continuum bandwidths need a constant sigma, the sample's `common_sigma`,
+    so they, the rates and the ratio are None where that is None.
+    h_w_of(n, sigma) gives h_w for the sample's size and common sigma, or None
+    where it does not exist, typically `deterministic_hw` on the process's
+    design law; it depends on the sample through (n, sigma) only, so a caller
+    may compute it once per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison:
     for a common sigma, the grid test of `empirical_hw` at h0, so h_w_emp is
     None exactly off Omega_0.  Failures are flagged, never raised, so
     campaign rows are retained; an empty grid (L(h0) = 0) fails Omega_0 and
@@ -238,7 +228,7 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
 
     row.update(omega_prime=omega_prime_event(stats, w_spec, cfg),
                h_star=oracle_bandwidth(stats, w_spec, cfg))
-    sigma = _constant_sigma(sample)
+    sigma = sample.common_sigma
     if sigma is None:
         row["omega0"] = bool(_excess(float(stats.l_values[0]), cfg.h0, w_spec, cfg) >= 0)
         return row

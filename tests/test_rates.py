@@ -27,7 +27,7 @@ from lepski import (
     simulate,
     uniform_design,
 )
-from lepski import model_core, rates
+from lepski import model_core
 from lepski.dgp import FixedN
 from lepski.model_core import psi
 
@@ -158,6 +158,7 @@ class TestOracleBandwidth:
 
 
 class TestConstantSigma:
+    # rate_report reads the common sigma the sample records at construction
     @pytest.mark.parametrize("s0", [1.0, 0.5, 3.7, 1e-3, 2.0**40])
     def test_matches_elementwise_test(self, s0):
         # sigma entries at s0 +- tol and up to two ulps either side of each:
@@ -173,7 +174,7 @@ class TestConstantSigma:
                     sig = np.array(sig)
                     old = np.all(np.abs(sig - sig[0]) <= 1e-12 * sig[0])
                     s = SamplePath(np.zeros(sig.size), np.zeros(sig.size), sig)
-                    assert rates._constant_sigma(s) == (float(sig[0]) if old else None)
+                    assert s.common_sigma == (float(sig[0]) if old else None)
                     outcomes.add(bool(old))
         assert outcomes == {True, False}
 
@@ -442,9 +443,9 @@ class TestRateReport:
         assert rep["h_w"] is None and rep["rate_det"] is None and rep["ratio"] is None
 
     def test_one_view_per_report(self, monkeypatch):
-        # H*, Omega' and H_w read one view: one pass over the covariates, one
-        # shell pass and one test of sigma per report
-        calls = {"distances": 0, "_shells": 0, "_constant_sigma": 0}
+        # H*, Omega' and H_w read one view: one pass over the covariates and one
+        # shell pass per report; sigma is tested once, when the sample is built
+        calls = {"distances": 0, "_shells": 0}
 
         def counting(owner, name):
             original = getattr(owner, name)
@@ -457,7 +458,6 @@ class TestRateReport:
 
         counting(SamplePath, "distances")
         counting(model_core, "_shells")
-        counting(rates, "_constant_sigma")
         rng = np.random.default_rng(4)
         x = rng.uniform(-1.0, 1.0, 2000)
         s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
@@ -465,7 +465,7 @@ class TestRateReport:
         design = uniform_design(0.0, 1.0)
         rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
         assert rep["h_w_emp"] is not None and rep["ratio"] is not None
-        assert calls == {"distances": 1, "_shells": 1, "_constant_sigma": 1}
+        assert calls == {"distances": 1, "_shells": 1}
 
     @pytest.mark.parametrize("sample", [all_at_x_sample(30), SamplePath([[9.0]], [0.0], [1.0])],
                              ids=["defined", "grid_empty"])
