@@ -59,10 +59,10 @@ class SamplePath:
 
     sigma is tested once, by its extremes.  common_sigma is sigma_0 when every
     entry lies within a relative 1e-12 of it, else None.  inv_var holds the
-    weights sigma_{k-1}^(-2), filled with one number when all entries are equal;
-    its sum and that of sigma^-2 |Y| must be finite (else a LepskiError), so L
-    and f_hat are finite where L > 0.  The sample keeps the last `GridStats`
-    view built of it, keyed by its grid, so its arrays must not be changed.
+    weights sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y| must be finite
+    (else a LepskiError), so L and f_hat are finite where L > 0.  The sample
+    keeps the last `GridStats` view built of it, keyed by its grid, so its
+    arrays must not be changed after construction.
     """
 
     x_obs: np.ndarray
@@ -90,9 +90,7 @@ class SamplePath:
         s0, tol = self.sigma[0], 1e-12 * self.sigma[0]  # rounding is monotone: extremes decide
         self.common_sigma = float(s0) if hi - s0 <= tol and s0 - lo <= tol else None
         with np.errstate(over="ignore"):  # an overflow is what the test refuses
-            # a one-entry array takes the elementwise loop; a scalar power may round otherwise
-            self.inv_var = (np.full(n, (self.sigma[:1] ** -2.0)[0]) if lo == hi
-                            else self.sigma ** -2.0)
+            self.inv_var = self.sigma ** -2.0
             sums = np.sum(self.inv_var), np.dot(self.inv_var, np.abs(self.y_obs))
         if not np.all(np.isfinite(sums)):
             raise LepskiError("the weighted sums of sigma^-2 and sigma^-2 |Y| overflow")

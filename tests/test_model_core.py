@@ -577,6 +577,14 @@ class TestValidation:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             SamplePath([[0.0]], [1.0], [0.0])
+        # sigma is tested by its extremes: a NaN, +-inf, 0 or negative entry
+        # first, in the middle or last fails with the same message
+        for bad in [np.nan, np.inf, -np.inf, 0.0, -0.5]:
+            for pos in [0, 3, 6]:
+                sigma = np.full(7, 0.7)
+                sigma[pos] = bad
+                with pytest.raises(ValueError, match="^sigma entries must be strictly positive and finite$"):
+                    SamplePath(np.zeros(7), np.zeros(7), sigma)
 
     def test_rejects_nonfinite_response(self):
         with pytest.raises(ValueError):
@@ -614,9 +622,8 @@ class TestValidation:
                              ids=["weight", "responses", "product", "common_weight", "common_sum"])
     def test_rejects_overflowing_sums(self, y, sigma):
         # sigma^-2 = 1e400, |Y| summing to 2e308 or sigma^-2 |Y| = 1e310 is no float:
-        # L and f_hat would be inf or NaN in every ball; a common sigma's weights
-        # are filled, not raised to the power, and overflow the same way (1e-154^-2
-        # is a float, two of them sum past the largest)
+        # L and f_hat would be inf or NaN in every ball; a common sigma overflows
+        # the same way (1e-154^-2 is a float, two of them sum past the largest)
         with pytest.raises(LepskiError, match="overflow"):
             SamplePath([[0.0], [0.5]], y, sigma)
 
@@ -625,37 +632,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridConfig(x_point=[0.0], h0=1.0, q=0.01, j_max=200)
         GridConfig(x_point=[0.0], h0=1.0, q=0.01, j_max=150)  # 1e-300 is a normal float
-
-
-class TestSigmaPass:
-    """sigma is tested once, by its extremes; a common sigma fills its weights."""
-
-    @pytest.mark.parametrize("pos", [0, 3, 6], ids=["first", "middle", "last"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5],
-                             ids=["nan", "inf", "minus_inf", "zero", "negative"])
-    def test_rejects_a_bad_entry(self, bad, pos):
-        sigma = np.full(7, 0.7)
-        sigma[pos] = bad
-        with pytest.raises(ValueError, match="^sigma entries must be strictly positive and finite$"):
-            SamplePath(np.zeros(7), np.zeros(7), sigma)
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000, 100_000])
-    def test_common_weights_match_the_power_bit_for_bit(self, n):
-        # a scalar power rounds differently for about 5% of sigmas (2.9 among them)
-        rng = np.random.default_rng(n)
-        values = [2.9, 0.7, 1.0, 1e-3, 2.0**40]
-        values += list(np.exp(rng.uniform(-7.0, 7.0, 30 if n == 100_000 else 400)))
-        for v in values:
-            sigma = np.full(n, v)
-            s = SamplePath(np.zeros(n), np.zeros(n), sigma)
-            assert s.common_sigma == float(v)
-            np.testing.assert_array_equal(s.inv_var.view(np.int64), (sigma ** -2.0).view(np.int64))
-
-    @pytest.mark.parametrize("s0", [2.9, 0.7, 1.0])
-    def test_a_sigma_within_the_tolerance_is_common(self, s0):
-        # unequal entries take the elementwise power, and still count as one sigma
-        sigma = np.array([s0, np.nextafter(s0, np.inf), s0, np.nextafter(s0, 0.0)])
-        s = SamplePath(np.zeros(4), np.zeros(4), sigma)
-        assert s.common_sigma == s0
-        np.testing.assert_array_equal(s.inv_var.view(np.int64), (sigma ** -2.0).view(np.int64))
-        assert s.inv_var[1] < s.inv_var[0] < s.inv_var[3]
