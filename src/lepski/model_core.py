@@ -89,7 +89,7 @@ class SamplePath:
             raise ValueError("sigma entries must be strictly positive and finite")
         s0, tol = self.sigma[0], 1e-12 * self.sigma[0]  # rounding is monotone: extremes decide
         self.common_sigma = float(s0) if hi - s0 <= tol and s0 - lo <= tol else None
-        with np.errstate(over="ignore"):  # an overflow is what the test refuses
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 = NaN fail the test
             self.inv_var = self.sigma ** -2.0
             sums = np.sum(self.inv_var), np.dot(self.inv_var, np.abs(self.y_obs))
         if not np.all(np.isfinite(sums)):

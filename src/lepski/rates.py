@@ -9,11 +9,11 @@ level (psi/L)^(1/2) against the clamped modulus W-bar over the realized grid.
 The continuum bandwidths H_w (empirical) and h_w (deterministic, replacing L
 by its expectation) are minima over h in (0, h0], located up to a relative
 bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
-h.  H_w is read off the sample's `GridStats` view and its common sigma
-(`SamplePath.common_sigma`), both supplied by the caller: first at the grid,
-then on the pieces of L in one shell only.  h_w reads the design law at the
-grid's estimation point, the same x at which the view measures L; a design's
-own x is only its centre.
+h.  H_w is read off the sample's `GridStats` view alone, for any sigma: its
+weighted L at the grid first, then the sample's weights sigma^-2 on the pieces
+of L in one shell only.  sigma itself is read only for h_w, which reads the
+design law at the grid's estimation point, the same x at which the view
+measures L; a design's own x is only its centre.
 Below its sample-size threshold h_w does not exist, and `deterministic_hw`
 returns None there, as `empirical_hw` does off Omega_0.
 """
@@ -136,10 +136,11 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
     return hi
 
 
-def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
+def empirical_hw(stats: GridStats, inv_var: np.ndarray, w_spec: HolderModulus,
                  cfg: GridConfig) -> Optional[float]:
     """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0,
-    for the sample seen by stats, whose observations share the noise scale sigma.
+    for the sample seen by stats, whose observations carry the weights inv_var
+    (`SamplePath.inv_var`, sigma_{k-1}^(-2)).
 
     L is a right-continuous nondecreasing step function of h, so F(h) =
     L(h) w(h)^2 - psi(h) is nondecreasing, and F at the grid h_j = h0 q^j
@@ -149,21 +150,22 @@ def empirical_hw(stats: GridStats, sigma: float, w_spec: HolderModulus,
     inside, by bisection to 1e-10.
     """
     dist, h = stats.dist, stats.bandwidths
-    # L(h_j) = C_j sigma^-2 with C_j = #{d <= h_j}, as on the pieces below
-    j = last_feasible_index(_excess(stats.ball_sums() * sigma ** -2.0, h, w_spec, cfg) >= 0)
+    j = last_feasible_index(_excess(stats.l_values, h, w_spec, cfg) >= 0)
     if j is None:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
     # pieces of L over shell j, h_{j+1} < d <= h_j as in `_shells` (any d <= h_j at the
     # deepest realized j), from the largest d <= h_{j+1} to the least d in (h_j, h0] or h0
-    h_in = h[j + 1] if j + 1 < h.size else -np.inf
+    h_in, l_in = (h[j + 1], stats.l_values[j + 1]) if j + 1 < h.size else (-np.inf, 0.0)
     inner = dist[dist <= h_in]
-    lefts, n_at = np.unique(dist[(h_in < dist) & (dist <= h[j])], return_counts=True)
+    shell = (h_in < dist) & (dist <= h[j])
+    lefts, at = np.unique(dist[shell], return_inverse=True)
+    l_at = l_in + np.cumsum(np.bincount(at, inv_var[shell]))  # L at each distinct distance
     if inner.size:
-        lefts, n_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([0], n_at))
-    l_at = (inner.size + np.cumsum(n_at)) * sigma ** -2.0
+        lefts, l_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([l_in], l_at))
     rights = np.append(lefts[1:], dist[(h[j] < dist) & (dist <= cfg.h0)].min(initial=cfg.h0))
-    # F rises along a piece: the first piece feasible at its right end holds H_w
-    i = int(np.argmax(_excess(l_at, rights, w_spec, cfg) >= 0))
+    # F rises along a piece: the first piece feasible at its right end holds H_w; the last
+    # reaches h_j, which passed the grid test though its sum may round below L(h_j)
+    i = int(np.argmax(np.append(_excess(l_at[:-1], rights[:-1], w_spec, cfg) >= 0, True)))
     l_i, left, right = float(l_at[i]), float(lefts[i]), float(rights[i])
     # then its left end, sliced so that psi and w take their array path; psi(0) is infinite
     if left > 0 and _excess(l_at[i:i + 1], lefts[i:i + 1], w_spec, cfg)[0] >= 0:
@@ -207,15 +209,15 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     its deterministic equivalent, rate_random = w(H_w), rate_det = w(h_w) and
     ratio their quotient, None where rate_det is 0 (at h_w = 0).  One view of
     the sample (`grid_statistics`) serves H*, Omega' and H_w; it is the view
-    that `select_bandwidth` built on the same grid, when that ran first.  Both
-    continuum bandwidths need a constant sigma, the sample's `common_sigma`,
-    so they, the rates and the ratio are None where that is None.
+    that `select_bandwidth` built on the same grid, when that ran first.
     h_w_of(n, sigma) gives h_w for the sample's size and common sigma, or None
     where it does not exist, typically `deterministic_hw` on the process's
     design law; it depends on the sample through (n, sigma) only, so a caller
-    may compute it once per pair.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison:
-    for a common sigma, the grid test of `empirical_hw` at h0, so h_w_emp is
-    None exactly off Omega_0.  Failures are flagged, never raised, so
+    may compute it once per pair.  A sample without a common sigma
+    (`SamplePath.common_sigma` None) has no h_w, so rate_det and ratio are None
+    there too.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison, the
+    grid test of `empirical_hw` at h0, so h_w_emp is None exactly off Omega_0.
+    Failures are flagged, never raised, so
     campaign rows are retained; an empty grid (L(h0) = 0) fails Omega_0 and
     Omega' and leaves every bandwidth None.
     """
@@ -228,12 +230,8 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
 
     row.update(omega_prime=omega_prime_event(stats, w_spec, cfg),
                h_star=oracle_bandwidth(stats, w_spec, cfg))
-    sigma = sample.common_sigma
-    if sigma is None:
-        row["omega0"] = bool(_excess(float(stats.l_values[0]), cfg.h0, w_spec, cfg) >= 0)
-        return row
-
-    h_w_emp, h_w = empirical_hw(stats, sigma, w_spec, cfg), h_w_of(sample.n_stop, sigma)
+    h_w_emp, sigma = empirical_hw(stats, sample.inv_var, w_spec, cfg), sample.common_sigma
+    h_w = None if sigma is None else h_w_of(sample.n_stop, sigma)
     row.update(omega0=h_w_emp is not None, h_w_emp=h_w_emp, h_w=h_w)
     if h_w_emp is not None:
         row["rate_random"] = float(w_spec.w(h_w_emp))

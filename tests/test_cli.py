@@ -422,8 +422,9 @@ class TestEstimate:
         assert "overflow" in res.output
         assert not out.exists()
 
-    def test_heteroscedastic_rate_rows_leave_the_rates_empty(self, tmp_path):
-        # sigma = 1 + 0.5 |x| varies, so neither continuum bandwidth is defined
+    def test_heteroscedastic_rate_rows_carry_the_random_rate_alone(self, tmp_path):
+        # sigma = 1 + 0.5 |x| varies: H_w reads the weighted L, so w(H_w) is filled
+        # wherever Omega_0 holds; h_w needs a common sigma, so it and its rates stay empty
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[200], n_rep=2)
         doc["process"]["s_scale"] = {"name": "affine_abs", "params": {"a": 1.0, "b": 0.5}}
@@ -431,8 +432,9 @@ class TestEstimate:
         assert res.exit_code == 0, res.output
         with open(out / "rate_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["h_w"], r["rate_random"], r["ratio"]) for r in rows] == [("", "", "")] * 2
-        assert all(r["h_star"] for r in rows)
+        assert [(r["h_w"], r["rate_det"], r["ratio"]) for r in rows] == [("", "", "")] * 2
+        assert all(r["h_star"] for r in rows) and any(r["omega0"] == "true" for r in rows)
+        assert all((r["rate_random"] != "") == (r["omega0"] == "true") for r in rows)
 
     def test_format_override_checked_at_load(self, tmp_path):
         with pytest.raises(lepski.ConfigError, match="formats"):

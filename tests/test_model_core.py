@@ -617,12 +617,15 @@ class TestValidation:
     @pytest.mark.parametrize("y, sigma", [([1.0, -1.0], [1e-200, 1.0]),
                                           ([1e308, -1e308], [1.0, 1.0]),
                                           ([1e300, 1.0], [1e-5, 1.0]),
-                                          ([1.0, -1.0], [1e-154, 1e-154])],
-                             ids=["weight", "responses", "product", "common_sum"])
+                                          ([1.0, -1.0], [1e-154, 1e-154]),
+                                          ([0.0, 1.0], [1e-200, 1.0])],
+                             ids=["weight", "responses", "product", "common_sum",
+                                  "weight_at_zero"])
     def test_rejects_overflowing_sums(self, y, sigma):
         # sigma^-2 = 1e400, |Y| summing to 2e308 or sigma^-2 |Y| = 1e310 is no float:
         # L and f_hat would be inf or NaN in every ball; so is a sum of weights that
-        # are each a float (1e-154^-2, twice, passes the largest)
+        # are each a float (1e-154^-2, twice, passes the largest).  An infinite weight
+        # on a zero response makes sigma^-2 |Y| inf * 0 = NaN, refused without a warning
         with pytest.raises(LepskiError, match="overflow"):
             SamplePath([[0.0], [0.5]], y, sigma)
 

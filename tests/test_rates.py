@@ -240,13 +240,45 @@ def piecewise_scan_hw(sample, cfg, w_spec):
 
 
 def hw_of(sample, cfg, w_spec):
-    """empirical_hw on the sample's view, with its common sigma; None when the
-    grid is empty, as L(h0) = 0 fails Omega_0."""
+    """empirical_hw on the sample's view, with its weights; None when the grid
+    is empty, as L(h0) = 0 fails Omega_0."""
     try:
         stats = grid_statistics(sample, cfg)
     except GridEmpty:
         return None
-    return empirical_hw(stats, float(sample.sigma[0]), w_spec, cfg)
+    return empirical_hw(stats, sample.inv_var, w_spec, cfg)
+
+
+def occupation_scan_hw(sample, cfg, w_spec):
+    """H_w for any sigma by the walk of `piecewise_scan_hw`, with each level
+    read as the brute-force L(d) of `model_core.occupation_time`."""
+    dist = sample.distances(cfg.x_point)
+    ds = [float(d) for d in np.unique(dist[dist <= cfg.h0])]
+    if not ds or model_core.occupation_time(sample, cfg.x_point, cfg.h0) \
+            * float(w_spec.w(cfg.h0)) ** 2 < psi(cfg.h0, cfg):
+        return None
+    for left, right in zip(ds, ds[1:] + [cfg.h0]):
+        # L is flat on [left, right); a ball needs a positive radius
+        lev = model_core.occupation_time(sample, cfg.x_point, left or 0.5 * right)
+
+        def F(h):
+            return lev * float(w_spec.w(h)) ** 2 - psi(h, cfg)
+
+        if left > 0 and F(left) >= 0:
+            return left
+        if F(right) >= 0:
+            lo, hi = left, right
+            if lo <= 0:  # zero-distance piece: psi blows up as h -> 0
+                lo = right
+                while lo > 1e-300 and F(lo) >= 0:
+                    lo *= 0.5
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if F(mid) >= 0 else (mid, hi)
+                if hi - lo <= 1e-10 * hi:
+                    break
+            return hi
+    raise AssertionError("F(h0) >= 0, so some piece is feasible")
 
 
 class TestEmpiricalHw:
@@ -317,6 +349,35 @@ class TestEmpiricalHw:
             outcomes[key] += 1
             outcomes["below_coarse_grid"] += hw is not None and hw < cfg.h0 * cfg.q**3
         assert min(outcomes.values()) > 0, outcomes
+
+    def test_matches_occupation_scan_for_a_varying_sigma(self):
+        # sigma = a + b |x| (the affine_abs scale) on the lattice of the exact test,
+        # with ties and points at x and beyond h0.  The reference sums its weights
+        # in another order, so a root may move by the bisection tolerance; a jump
+        # is a realized distance and matches exactly
+        rng = np.random.default_rng(1010)
+        moduli = [HolderModulus(s, scale) for s, scale in
+                  ((0.25, 1.0), (0.5, 1.0), (0.5, 0.3), (1.0, 1.0))]
+        outcomes, varying = {"none": 0, "jump": 0, "inside": 0}, 0
+        for case in range(200):
+            n = int(rng.choice([1, 3, 10, 50, 300, 3000]))
+            x = rng.integers(-60, 61, n) / 50.0
+            if case % 3 == 0:
+                x[0] = 0.0
+            a, slope = (1.0, 0.5) if case % 2 else (0.7, 2.0)
+            s = SamplePath(x, np.zeros(n), a + slope * np.abs(x))
+            varying += s.common_sigma is None
+            b = float(rng.choice([0.2, 1.0, 3.0]))
+            w = moduli[case % len(moduli)]
+            for cfg in (grid_cfg(b=b), grid_cfg(b=b, j_max=3)):
+                hw, ref = hw_of(s, cfg, w), occupation_scan_hw(s, cfg, w)
+                key = "none" if hw is None else "jump" if np.any(np.abs(x) == hw) else "inside"
+                if key == "inside":
+                    assert hw == pytest.approx(ref, rel=1e-9, abs=0), (case, cfg.j_max)
+                else:
+                    assert hw == ref, (case, cfg.j_max)
+                outcomes[key] += 1
+        assert min(outcomes.values()) > 0 and varying > 150, (outcomes, varying)
 
 
 class TestDeterministicHw:
@@ -397,21 +458,35 @@ class TestRateReport:
 
     def test_omega0_is_where_hw_exists(self):
         # w(h0) within 3 ulps of L(h0)^(-1/2) for k points at a common sigma:
-        # Omega_0 is the test C_0 sigma^-2 w(h0)^2 >= psi(h0) = 1 that H_w makes
+        # Omega_0 is the test L(h0) w(h0)^2 >= psi(h0) = 1 on the view's L that H_w makes
         cfg = GridConfig([0.0], 1.0, delta0=1e-3)
         seen = set()
         for k in range(1, 41):
             x = np.linspace(-0.5, 0.5, k)
             for sigma in (0.3, 0.7, 0.9, 1.1, 1.5, 2.0, 2.5, 3.0):
                 s = SamplePath(x, np.zeros(k), np.full(k, sigma))
-                w0 = (k * sigma**-2.0) ** -0.5
+                l0 = float(grid_statistics(s, cfg).l_values[0])
+                w0 = l0 ** -0.5
                 for ulps in range(-3, 4):
                     scale = w0 + ulps * np.spacing(w0)
                     rep = rate_report(s, cfg, HolderModulus(0.5, scale), lambda n, sd: None)
                     assert rep["omega0"] == (rep["h_w_emp"] is not None)
-                    assert rep["omega0"] == (k * sigma**-2.0 * scale**2 - 1.0 >= 0)
+                    # scale * scale is the rounded square that numpy takes; ** 2 on a
+                    # float goes through pow, which can land an ulp off
+                    assert rep["omega0"] == (l0 * (scale * scale) - 1.0 >= 0)
                     seen.add(rep["omega0"])
         assert seen == {True, False}
+
+    def test_hw_is_h0_where_omega0_holds_by_an_ulp_for_a_varying_sigma(self):
+        # sigma = 1 + 0.5 |x|: L(h0) w(h0)^2 >= 1 holds by an ulp on the view's sum,
+        # while the last piece of the shell (h_1, h0], summed per distinct distance,
+        # rounds an ulp lower; H_w is h0, not an earlier piece's end
+        x = np.array([-0.9217824010472462, -0.959777084818562, 0.988218249570231,
+                      0.8330423253593731, -0.9449623577478445])
+        s = SamplePath(x, np.zeros(5), 1.0 + 0.5 * np.abs(x))
+        rep = rate_report(s, GridConfig([0.0], 1.0, delta0=1e-3),
+                          HolderModulus(0.5, 0.654741760220429), lambda n, sd: None)
+        assert (rep["omega0"], rep["h_w_emp"]) == (True, 1.0)
 
     def test_point_mass_design_ratio_one(self):
         # all mass at x: L(h) = n/sigma^2 = E L(h) exactly, so H_w = h_w
@@ -428,9 +503,10 @@ class TestRateReport:
         assert rep["h_w_emp"] == pytest.approx(rep["h_w"], rel=1e-8)
         assert rep["ratio"] == pytest.approx(1.0, rel=1e-8)
 
-    def test_heteroscedastic_sample_has_no_continuum_bandwidths(self):
-        # sigma = 1 + 0.5 |x| (the affine_abs scale): neither H_w nor h_w is
-        # defined for a varying sigma, so nothing is computed from sigma[0]
+    def test_heteroscedastic_sample_has_the_random_rate_alone(self):
+        # sigma = 1 + 0.5 |x| (the affine_abs scale): H_w reads the weighted L, so
+        # it and w(H_w) exist; h_w needs a common sigma, so nothing is computed
+        # from sigma[0] and the deterministic rate and the ratio stay undefined
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.0, 1.0, 500)
         s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
@@ -439,7 +515,8 @@ class TestRateReport:
         design = uniform_design(0.0, 1.0)
         rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
         assert rep["omega0"] and rep["h_star"] is not None
-        assert rep["h_w_emp"] is None and rep["rate_random"] is None
+        assert rep["h_w_emp"] == hw_of(s, cfg, w) and rep["h_w_emp"] > 0
+        assert rep["rate_random"] == w.w(rep["h_w_emp"])
         assert rep["h_w"] is None and rep["rate_det"] is None and rep["ratio"] is None
 
     def test_one_view_per_report(self, monkeypatch):

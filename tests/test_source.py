@@ -125,6 +125,16 @@ def test_one_shell_reader():
                                    if isinstance(node, ast.FunctionDef)}
 
 
+def test_one_weight_rule():
+    # sigma is raised to a power in model_core alone, where the sample forms its
+    # weights sigma^-2 once: no module rebuilds L from sigma beside the view
+    raisers = [p.name for p in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and "sigma" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))]
+    assert raisers == ["model_core.py"]
+
+
 def test_one_view_builder():
     # GridStats is constructed by one builder, behind the slot that grid_statistics
     # keeps on the sample, so no second path builds an uncached view
