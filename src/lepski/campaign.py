@@ -20,8 +20,8 @@ constructor refuses, is a ConfigError (exit 2) when the document loads.
 The grid's x is the one estimation point, for L and for the deterministic
 bandwidth h_w alike; a design's `x` is where the law is centred.  h_w depends
 on a cell only through its sample size and common sigma, so
-`CampaignConfig.h_w` memoizes it per (n, sigma).  Each copy of the config, as
-pickled to a worker, fills its own memo.
+`CampaignConfig.h_w` memoizes it per (n, sigma) in each copy of the config, and
+`stability.pool_map` pickles one copy per chunk of cells.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ class CampaignConfig:
 
     def h_w(self, n: int, sigma: float) -> Optional[float]:
         """`deterministic_hw` of the process's design law at sample size n and
-        noise scale sigma, computed once per pair: h_w, or None where it does
-        not exist (too few samples) or the process has no design law."""
+        noise scale sigma, computed once per (n, sigma) in each chunk's copy of
+        the config: h_w, or None with too few samples or no design law."""
         key = (n, sigma)
         if key not in self._h_w:
             design = self.process_for(self.n_ladder[0]).design

@@ -195,7 +195,7 @@ def _ball_sum(sample: SamplePath, x_point, h: float, values=None, *,
               mean: bool = False) -> float:
     """sum_k sigma_{k-1}^(-2) 1{|X_{k-1} - x| <= h} v_k with v = values (v = 1
     when None); mean=True divides by L(h) and raises EmptyWindow when L(h) = 0."""
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ValueError("bandwidth must be positive")
     # one index gather per array: compressing by the mask twice costs more
     inside = np.flatnonzero(sample.distances(x_point) <= h)
@@ -224,7 +224,7 @@ def psi(h, cfg: GridConfig):
     in for log(h0 / h).  Elsewhere the quotient stays: the difference rounds
     apart from it in the last bit on some grid entries."""
     if isinstance(h, np.ndarray):
-        outside = np.any((h <= 0) | (h > cfg.h0))
+        outside = not np.all((h > 0) & (h <= cfg.h0))  # a NaN lies outside too
     else:  # the scalar test is kept cheap: bisections call psi in a loop
         outside = not 0 < h <= cfg.h0
     if outside:

@@ -11,9 +11,10 @@ by its expectation) are minima over h in (0, h0], located up to a relative
 bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
 h.  H_w is read off the sample's `GridStats` view alone, for any sigma: its
 weighted L at the grid first, then the sample's weights sigma^-2 on the pieces
-of L in one shell only.  sigma itself is read only for h_w, which reads the
-design law at the grid's estimation point, the same x at which the view
-measures L; a design's own x is only its centre.
+of L in one shell only, from one split of the distances at its outer end.
+sigma itself is read only for h_w, which reads the design law at the grid's
+estimation point, the same x at which the view measures L; a design's own x
+is only its centre.
 Below its sample-size threshold h_w does not exist, and `deterministic_hw`
 returns None there, as `empirical_hw` does off Omega_0.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import DesignLaw
-from .errors import GridEmpty, check_positive
+from .errors import GridEmpty, check_count, check_positive
 from .model_core import (GridConfig, GridStats, SamplePath, grid_statistics,
                          last_feasible_index, psi)
 
@@ -139,30 +140,29 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
 def empirical_hw(stats: GridStats, inv_var: np.ndarray, w_spec: HolderModulus,
                  cfg: GridConfig) -> Optional[float]:
     """H_w = min{h in (0, h0] : (psi(h)/L(h))^(1/2) <= w(h)}, or None off Omega_0,
-    for the sample seen by stats, whose observations carry the weights inv_var
-    (`SamplePath.inv_var`, sigma_{k-1}^(-2)).
+    for the sample seen by stats, weighted by inv_var = sigma_{k-1}^(-2) (`SamplePath.inv_var`).
 
     L is a right-continuous nondecreasing step function of h, so F(h) =
-    L(h) w(h)^2 - psi(h) is nondecreasing, and F at the grid h_j = h0 q^j
-    brackets H_w in one shell (h_{j+1}, h_j] or in (0, h_J].  On the first flat
-    piece of L in there where F reaches zero, the answer is its left end (a
-    realized distance) when F is already nonnegative there, else the root of F
-    inside, by bisection to 1e-10.
+    L(h) w(h)^2 - psi(h) is nondecreasing, and F at the grid h_j = h0 q^j brackets
+    H_w in one shell (h_{j+1}, h_j], or (0, h_J] at the deepest realized J.  One
+    split of the distances at h_j gives the flat pieces of L there, from the
+    largest distance <= h_{j+1} (where L is the view's L(h_{j+1})) to the least
+    beyond h_j, or h0.  On the first where F reaches zero, H_w is its left end (a
+    realized distance) when F is nonnegative there, else the root of F, bisected to 1e-10.
     """
     dist, h = stats.dist, stats.bandwidths
     j = last_feasible_index(_excess(stats.l_values, h, w_spec, cfg) >= 0)
     if j is None:
         return None  # Omega_0 fails: L(h0) < w(h0)^(-2)
-    # pieces of L over shell j, h_{j+1} < d <= h_j as in `_shells` (any d <= h_j at the
-    # deepest realized j), from the largest d <= h_{j+1} to the least d in (h_j, h0] or h0
     h_in, l_in = (h[j + 1], stats.l_values[j + 1]) if j + 1 < h.size else (-np.inf, 0.0)
-    inner = dist[dist <= h_in]
-    shell = (h_in < dist) & (dist <= h[j])
-    lefts, at = np.unique(dist[shell], return_inverse=True)
-    l_at = l_in + np.cumsum(np.bincount(at, inv_var[shell]))  # L at each distinct distance
-    if inner.size:
-        lefts, l_at = np.concatenate(([inner.max()], lefts)), np.concatenate(([l_in], l_at))
-    rights = np.append(lefts[1:], dist[(h[j] < dist) & (dist <= cfg.h0)].min(initial=cfg.h0))
+    below = dist <= h[j]
+    inside = np.flatnonzero(below)  # one index gather per array: two compresses cost more
+    near, weights = dist[inside], inv_var[inside]
+    inner = near <= h_in  # weight 0.0: the first L is l_in + 0.0, later sums keep their bits
+    piece = near >= near.max(where=inner, initial=-np.inf)
+    lefts, at = np.unique(near[piece], return_inverse=True)
+    l_at = l_in + np.cumsum(np.bincount(at, np.where(inner, 0.0, weights)[piece]))
+    rights = np.append(lefts[1:], np.min(dist, where=~below, initial=cfg.h0))
     # F rises along a piece: the first piece feasible at its right end holds H_w; the last
     # reaches h_j, which passed the grid test though its sum may round below L(h_j)
     i = int(np.argmax(np.append(_excess(l_at[:-1], rights[:-1], w_spec, cfg) >= 0, True)))
@@ -184,9 +184,11 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
     h_w does not exist; a sigma^2 beyond the largest float makes E L vanish,
     so it is None too.  Returns 0.0 for a degenerate design whose expected
     occupation does not vanish near 0; w(0) = 0 there, so the ratio
-    w(H_w)/w(h_w) is undefined.
+    w(H_w)/w(h_w) is undefined.  ValueError unless n is an integer of at least
+    0 and sigma a positive finite number.
     """
     (x,) = cfg.x_point.tolist()
+    n, sigma = check_count(n, "n", 0), check_positive(sigma, "sigma")
     var = sigma * sigma
 
     def G(h):

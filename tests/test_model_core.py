@@ -120,7 +120,8 @@ class TestPsi:
         cfg = cfg_at_zero(b=2.0, q=0.5)
         assert psi(1.0 * 0.5**3, cfg) == pytest.approx(1 + 6 * math.log(2), rel=1e-14)
 
-    @pytest.mark.parametrize("h", [0.0, -1.0, 1.5])
+    @pytest.mark.parametrize("h", [0.0, -1.0, 1.5, np.nan, np.array([0.5, np.nan]),
+                                   np.array([0.0])])
     def test_rejects_out_of_domain(self, h):
         with pytest.raises(ValueError):
             psi(h, cfg_at_zero())
@@ -210,6 +211,10 @@ class TestKernelEstimate:
         s = SamplePath([[3.0]], [1.0], [1.0])
         with pytest.raises(EmptyWindow):
             kernel_estimate(s, 0.0, 1.0)
+        # a NaN bandwidth is refused as h <= 0 is, not read as an empty window
+        for ball in (occupation_time, kernel_estimate):
+            with pytest.raises(ValueError, match="bandwidth must be positive"):
+                ball(s, [0.0], np.nan)
 
     @staticmethod
     def literal(s, x, h):
@@ -260,6 +265,8 @@ class TestKernelEstimate:
         s = SamplePath([[0.0]], [1.0], [1e300])
         with pytest.raises(EmptyWindow, match="L\\(h\\) = 0"):
             kernel_estimate(s, 0.0, 1.0)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            kernel_estimate(s, 0.0, np.nan)
 
 
 class TestTildeAndMartingale:

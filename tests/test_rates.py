@@ -3,7 +3,7 @@ bandwidth and its deterministic equivalent."""
 
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -349,6 +349,49 @@ class TestEmpiricalHw:
             outcomes[key] += 1
             outcomes["below_coarse_grid"] += hw is not None and hw < cfg.h0 * cfg.q**3
         assert min(outcomes.values()) > 0, outcomes
+        # covariates exactly on +-h0 q^k for k <= j_max (all of them in every other
+        # sample), with repeats, and one at +-5e-324: shell boundaries are realized
+        # distances, and the deepest piece starts at a subnormal one; a stream of its
+        # own leaves the draws above as they were
+        rng = np.random.default_rng(1029)
+        h_k = grid_cfg().h0 * grid_cfg().q ** np.arange(9.0)  # k <= j_max = 8
+        edges = np.concatenate([h_k, -h_k])
+        at_edges = {"none": 0, "jump": 0, "inside": 0}
+        for case in range(60):
+            x = np.concatenate([edges if case % 2 else [],
+                                rng.choice(edges, int(rng.choice([1, 3, 40]))),
+                                [rng.choice([5e-324, -5e-324])]])
+            s = SamplePath(x, np.zeros(x.size), np.full(x.size, float(rng.choice(sigmas))))
+            b = float(rng.choice([0.2, 1.0, 3.0]))
+            w = moduli[case % len(moduli)]
+            for cfg in (grid_cfg(b=b), grid_cfg(b=b, j_max=3)):
+                hw = hw_of(s, cfg, w)
+                assert hw == piecewise_scan_hw(s, cfg, w), (case, cfg.j_max)
+                at_edges["none" if hw is None else "jump" if np.any(np.abs(x) == hw)
+                         else "inside"] += 1
+        assert min(at_edges.values()) > 0, at_edges
+
+    def test_reads_the_distances_in_one_split(self):
+        # ufunc calls that read all n distances, as an input or as the where= mask:
+        # one split at h_j and one reduction beyond it, no mask per side of a shell
+        n, calls = 10_000, []
+
+        class CountingDist(np.ndarray):
+            # slices keep the class, so the length that counts is fixed up front
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if any(np.shape(a) == (n,) for a in (*inputs, kwargs.get("where"))):
+                    calls.append(ufunc.__name__)
+                inputs = [np.asarray(a) if isinstance(a, CountingDist) else a for a in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        rng = np.random.default_rng(35)
+        s = SamplePath(rng.uniform(-1.0, 1.0, n), np.zeros(n), np.ones(n))
+        cfg, w = GridConfig([0.0], 1.0, q=0.9, j_max=60), HolderModulus(0.5, 1.0)
+        stats = grid_statistics(s, cfg)
+        counted = replace(stats, dist=stats.dist.view(CountingDist))
+        hw = empirical_hw(counted, s.inv_var, w, cfg)
+        assert hw == empirical_hw(stats, s.inv_var, w, cfg) and hw is not None
+        assert len(calls) <= 2, calls
 
     def test_matches_occupation_scan_for_a_varying_sigma(self):
         # sigma = a + b |x| (the affine_abs scale) on the lattice of the exact test,
@@ -399,6 +442,15 @@ class TestDeterministicHw:
         # sigma^2 = 1e600 is beyond the largest float: E L(h) = n P / sigma^2 = 0
         cfg, design = grid_cfg(), uniform_design(0.0, 1.0)
         assert deterministic_hw(design, HolderModulus(0.5, 1.0), 10**6, 1e300, cfg) is None
+
+    @pytest.mark.parametrize("n, sigma", [(10, math.nan), (math.nan, 1.0), (10, 0.0),
+                                          (10, -1.0), (-1, 1.0), (2.5, 1.0)],
+                             ids=["sigma_nan", "n_nan", "sigma_zero", "sigma_negative",
+                                  "n_negative", "n_fractional"])
+    def test_rejects_a_bad_sigma_or_n(self, n, sigma):
+        # NaN fails every comparison, and sigma^2 loses the sign of sigma
+        with pytest.raises(ValueError, match="^(sigma|n) must be"):
+            deterministic_hw(uniform_design(), HolderModulus(0.5), n, sigma, GridConfig([0.0], 1.0))
 
     def test_nonincreasing_in_n(self):
         cfg = grid_cfg(b=0.5)
