@@ -18,10 +18,9 @@ once, in the constructor, and an unknown name or key, or a value its
 constructor refuses, is a ConfigError (exit 2) when the document loads.
 
 The grid's x is the one estimation point, for L and for the deterministic
-bandwidth h_w alike; a design's `x` is where the law is centred.  h_w depends
-on a cell only through its sample size and common sigma, so
-`CampaignConfig.h_w` memoizes it per (n, sigma) in each copy of the config, and
-`stability.pool_map` pickles one copy per chunk of cells.
+bandwidth h_w alike; a design's `x` is where the law is centred.  h_w reads
+the process's design law and constant sigma and a rung's length, never a
+sample, so the load computes it once per rung, for the rung's cells to read.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Optional
@@ -100,13 +99,6 @@ def _f_sine(amp: float = 1.0, freq: float = 1.0):
     return lambda x: amp * np.sin(freq * np.atleast_2d(x)[:, 0])
 
 
-def _affine_abs(a: float = 1.0, b: float = 0.5):
-    a, b = check_positive(a, "a"), check_finite(b, "b")
-    if b < 0:
-        raise ValueError(f"b must be at least 0; got {b!r}")
-    return lambda x: a + b * np.abs(np.atleast_2d(x)[:, 0])
-
-
 BUDGET_N_MAX = 1_000_000  # most observations a budget rung may pay for
 
 
@@ -140,7 +132,7 @@ def _grid(x=0.0, **params) -> GridConfig:
 
 _F_TRUE = {"zero": lambda: dgp.zero_function, "constant": _f_constant,
            "linear": _f_linear, "holder_cusp": _f_holder_cusp, "sine": _f_sine}
-_S_SCALES = {"constant": dgp.constant_scale, "affine_abs": _affine_abs}
+_S_SCALES = {"constant": dgp.constant_scale, "affine_abs": dgp.AffineAbsScale}
 _DESIGNS = {"uniform": dgp.uniform_design, "power_law": dgp.power_law_design,
             "gaussian": dgp.gaussian_design}
 _NOISES = {"gaussian": gaussian_noise, "two_point": two_point_noise,
@@ -199,10 +191,12 @@ def make_process(doc, n, length=None) -> dgp.Regression | dgp.Autoregressive:
 @dataclass
 class CampaignConfig:
     """Parsed campaign document, its process section kept for each cell to
-    build, with each rung's length as counted at load."""
+    build, with each rung's length and h_w (None without a modulus, a design
+    law or a constant sigma) as computed at load."""
 
     process: dict
     lengths: dict  # ladder rung -> its FixedN
+    h_w: dict  # ladder rung -> its h_w or None
     grid: GridConfig
     modulus: Optional[HolderModulus]
     n_ladder: list
@@ -211,21 +205,9 @@ class CampaignConfig:
     outputs: Path
     formats: list
     t_grid: Optional[list]
-    _h_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def process_for(self, n: int) -> dgp.Regression | dgp.Autoregressive:
         return make_process(self.process, n, self.lengths[n])
-
-    def h_w(self, n: int, sigma: float) -> Optional[float]:
-        """`deterministic_hw` of the process's design law at sample size n and
-        noise scale sigma, computed once per (n, sigma) in each chunk's copy of
-        the config: h_w, or None with too few samples or no design law."""
-        key = (n, sigma)
-        if key not in self._h_w:
-            design = self.process_for(self.n_ladder[0]).design
-            self._h_w[key] = None if design is None else deterministic_hw(
-                design, self.modulus, n, sigma, self.grid)
-        return self._h_w[key]
 
 
 OUTPUT_FORMATS = ("csv", "json")  # the formats write_rows writes
@@ -269,9 +251,7 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
             b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     check_count(n_rep, "n_rep")
-    # each rung's stopping rule checks it and counts its length, once; cells
-    # rebuild their process from the section and that length
-    lengths = {}
+    lengths = {}  # each rung's length, checked and counted once; cells rebuild with it
     for n in n_ladder:
         built = make_process(process, n)
         lengths[n] = built.stopping
@@ -283,7 +263,11 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
-    return CampaignConfig(process, lengths, grid, modulus, n_ladder, n_rep,
+    design, sigma = built.design, built.s_scale.common  # a rung's h_w reads only its length
+    known = modulus is not None and design is not None and sigma is not None
+    h_w = {n: deterministic_hw(design, modulus, lengths[n].n, sigma, grid) if known else None
+           for n in n_ladder}
+    return CampaignConfig(process, lengths, h_w, grid, modulus, n_ladder, n_rep,
                           *_run_keys(seed, out, fmt, **run),
                           [check_finite(t, "a t_grid entry") for t in t_grid] or None)
 
@@ -383,7 +367,7 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
         row["error"] = "anchor_undefined"
 
     if cfg.modulus is not None:
-        row.update(rate_report(sample, grid, cfg.modulus, cfg.h_w))
+        row.update(rate_report(sample, grid, cfg.modulus, cfg.h_w[n]))
         if row["h_star"] is not None:
             row["wbar_h_star"] = modulus_bar(cfg.modulus, row["h_star"], grid)
         if not row["omega_prime"] and row["error"] is None:
@@ -487,9 +471,9 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
     over the rungs where both are positive (a None or 0 has no logarithm).
 
     h_w and rate_det are the medians over the cells whose rate report has
-    them, so each uses its own sample's sigma; for a fixed n and a constant
-    sigma every rep carries the same value.  Returns the rows, the fit and the
-    paths written, rates_fit.json among them when there is a fit.
+    them: each such cell carries its rung's h_w, computed at load.  Returns the
+    rows, the fit and the paths written, rates_fit.json among them when there
+    is a fit.
     """
     if cfg.modulus is None:
         raise ConfigError("rates needs a modulus section")

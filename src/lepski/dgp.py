@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,9 +127,31 @@ class FixedN:
 # process kinds and simulation
 # ------------------------------------------------------------------
 
-def constant_scale(value: float = 1.0):
-    value = check_positive(value, "a noise scale")
-    return lambda x: np.full(x.shape[0], value)
+@dataclass(frozen=True)
+class AffineAbsScale:
+    """The noise scale sigma(x) = a + b |x_0|, with a > 0 and b >= 0; its
+    `common` sigma is a at b = 0, where sigma is constant, else None."""
+
+    a: float = 1.0
+    b: float = 0.5
+
+    def __post_init__(self):
+        check_positive(self.a, "a")
+        if not check_finite(self.b, "b") >= 0:
+            raise ValueError(f"b must be at least 0; got {self.b!r}")
+
+    @property
+    def common(self) -> Optional[float]:
+        return float(self.a) if self.b == 0 else None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.b == 0:
+            return np.full(x.shape[0], self.a)
+        return self.a + self.b * np.abs(np.atleast_2d(x)[:, 0])
+
+
+def constant_scale(value: float = 1.0) -> AffineAbsScale:
+    return AffineAbsScale(check_positive(value, "a noise scale"), 0.0)
 
 
 def zero_function(x: np.ndarray) -> np.ndarray:

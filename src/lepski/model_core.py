@@ -57,12 +57,11 @@ class SamplePath:
         Hidden regression function, vectorized over (n, d) rows.  Present only
         for simulated data; enables risk evaluation.
 
-    sigma is tested once, by its extremes.  common_sigma is sigma_0 when every
-    entry lies within a relative 1e-12 of it, else None.  inv_var holds the
-    weights sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y| must be finite
-    (else a LepskiError), so L and f_hat are finite where L > 0.  The sample
-    keeps the last `GridStats` view built of it, keyed by its grid, so its
-    arrays must not be changed after construction.
+    sigma is tested once, by its extremes.  inv_var holds the weights
+    sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y| must be finite (else a
+    LepskiError), so L and f_hat are finite where L > 0.  The sample keeps the
+    last `GridStats` view built of it, keyed by its grid, so its arrays must not
+    be changed after construction.
     """
 
     x_obs: np.ndarray
@@ -70,7 +69,6 @@ class SamplePath:
     sigma: np.ndarray
     truth: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inv_var: np.ndarray = field(init=False, repr=False)
-    common_sigma: Optional[float] = field(init=False)
     _view: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,8 +85,6 @@ class SamplePath:
         lo, hi = self.sigma.min(), self.sigma.max()  # a NaN makes both NaN
         if not 0 < lo <= hi < np.inf:
             raise ValueError("sigma entries must be strictly positive and finite")
-        s0, tol = self.sigma[0], 1e-12 * self.sigma[0]  # rounding is monotone: extremes decide
-        self.common_sigma = float(s0) if hi - s0 <= tol and s0 - lo <= tol else None
         with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 = NaN fail the test
             self.inv_var = self.sigma ** -2.0
             sums = np.sum(self.inv_var), np.dot(self.inv_var, np.abs(self.y_obs))

@@ -12,9 +12,9 @@ bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
 h.  H_w is read off the sample's `GridStats` view alone, for any sigma: its
 weighted L at the grid first, then the sample's weights sigma^-2 on the pieces
 of L in one shell only, from one split of the distances at its outer end.
-sigma itself is read only for h_w, which reads the design law at the grid's
-estimation point, the same x at which the view measures L; a design's own x
-is only its centre.
+h_w reads no sample: it takes the process's constant sigma and its design law
+at the grid's estimation point, the same x at which the view measures L; a
+design's own x is only its centre.
 Below its sample-size threshold h_w does not exist, and `deterministic_hw`
 returns None there, as `empirical_hw` does off Omega_0.
 """
@@ -22,7 +22,7 @@ returns None there, as `empirical_hw` does off Omega_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -185,11 +185,12 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
     so it is None too.  Returns 0.0 for a degenerate design whose expected
     occupation does not vanish near 0; w(0) = 0 there, so the ratio
     w(H_w)/w(h_w) is undefined.  ValueError unless n is an integer of at least
-    0 and sigma a positive finite number.
+    0 and sigma a positive finite number whose sigma^-2 is a float.
     """
     (x,) = cfg.x_point.tolist()
-    n, sigma = check_count(n, "n", 0), check_positive(sigma, "sigma")
-    var = sigma * sigma
+    n, var = check_count(n, "n", 0), check_positive(sigma, "sigma") * sigma
+    if var == 0:  # then n P / sigma^2 divides by zero
+        raise ValueError(f"sigma^-2 overflows at sigma = {sigma!r}")
 
     def G(h):
         return _excess(n * design.interval_prob(x, h) / var, h, w_spec, cfg)
@@ -202,7 +203,7 @@ def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
 # ------------------------------------------------------------------
 
 def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
-                h_w_of: Callable[[int, float], Optional[float]]) -> dict:
+                h_w: Optional[float]) -> dict:
     """The rate columns of one cell: omega0, omega_prime, h_star, h_w_emp,
     h_w, rate_random, rate_det and ratio; undefined pieces carry None.
 
@@ -212,16 +213,12 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     ratio their quotient, None where rate_det is 0 (at h_w = 0).  One view of
     the sample (`grid_statistics`) serves H*, Omega' and H_w; it is the view
     that `select_bandwidth` built on the same grid, when that ran first.
-    h_w_of(n, sigma) gives h_w for the sample's size and common sigma, or None
-    where it does not exist, typically `deterministic_hw` on the process's
-    design law; it depends on the sample through (n, sigma) only, so a caller
-    may compute it once per pair.  A sample without a common sigma
-    (`SamplePath.common_sigma` None) has no h_w, so rate_det and ratio are None
-    there too.  Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is one comparison, the
-    grid test of `empirical_hw` at h0, so h_w_emp is None exactly off Omega_0.
-    Failures are flagged, never raised, so
-    campaign rows are retained; an empty grid (L(h0) = 0) fails Omega_0 and
-    Omega' and leaves every bandwidth None.
+    h_w is the process's `deterministic_hw` at the sample's length, or None
+    where it does not exist or sigma varies, and rate_det and ratio with it.
+    Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is the grid test of `empirical_hw` at
+    h0, so h_w_emp is None exactly off Omega_0.  Failures are flagged, never
+    raised, so campaign rows are retained; an empty grid (L(h0) = 0) fails
+    Omega_0 and Omega' and leaves every bandwidth None.
     """
     row = dict(omega0=False, omega_prime=False, h_star=None, h_w_emp=None, h_w=None,
                rate_random=None, rate_det=None, ratio=None)
@@ -232,8 +229,7 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
 
     row.update(omega_prime=omega_prime_event(stats, w_spec, cfg),
                h_star=oracle_bandwidth(stats, w_spec, cfg))
-    h_w_emp, sigma = empirical_hw(stats, sample.inv_var, w_spec, cfg), sample.common_sigma
-    h_w = None if sigma is None else h_w_of(sample.n_stop, sigma)
+    h_w_emp = empirical_hw(stats, sample.inv_var, w_spec, cfg)
     row.update(omega0=h_w_emp is not None, h_w_emp=h_w_emp, h_w=h_w)
     if h_w_emp is not None:
         row["rate_random"] = float(w_spec.w(h_w_emp))

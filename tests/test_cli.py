@@ -280,8 +280,8 @@ class TestEstimate:
         assert outputs[0] == outputs[1]
 
     def test_deterministic_bandwidth_once_per_rung(self, tmp_path, monkeypatch):
-        # h_w depends on a cell only through (n, sigma): 3 rungs x 4 reps at
-        # --jobs 1 compute it 3 times and write the rate rows of one call per cell
+        # h_w reads no sample: the load computes it once per rung in the calling
+        # process, and the cells read it, for any worker count
         calls = []
 
         def spy(design, w_spec, n, sigma, grid):
@@ -289,21 +289,29 @@ class TestEstimate:
             return deterministic_hw(design, w_spec, n, sigma, grid)
 
         monkeypatch.setattr(campaign, "deterministic_hw", spy)
-        outs = [tmp_path / "memo", tmp_path / "per_cell"]
-        doc = base_config(outs[0], n_ladder=[40, 80, 160], n_rep=4)
-        assert run_cli("estimate", "--config", str(write_config(tmp_path, doc)),
-                       "--jobs", "1").exit_code == 0
-        assert calls == [(40, 1.0), (80, 1.0), (160, 1.0)]
+        doc = base_config(tmp_path / "out", n_ladder=[40, 80, 160], n_rep=4)
+        for jobs in (1, 2):
+            calls.clear()
+            cfg = campaign.parse_campaign(doc)
+            assert calls == [(40, 1.0), (80, 1.0), (160, 1.0)]
+            rows = campaign.run_estimate_cells(cfg, jobs)
+            assert len(calls) == 3, jobs
+            expected = [deterministic_hw(uniform_design(0.0, 1.0), cfg.modulus, n, 1.0, cfg.grid)
+                        for n in (40, 80, 160)]
+            assert cfg.h_w == dict(zip([40, 80, 160], expected))
+            assert [r["h_w"] for r in rows] == [h for h in expected for _ in range(4)]
 
-        design = uniform_design(0.0, 1.0)
-        monkeypatch.setattr(campaign.CampaignConfig, "h_w", lambda cfg, n, sigma: spy(
-            design, cfg.modulus, n, sigma, cfg.grid))
-        doc["outputs"] = str(outs[1])
-        assert run_cli("estimate", "--config", str(write_config(tmp_path, doc)),
-                       "--jobs", "1").exit_code == 0
-        assert len(calls) == 3 + 12
-        for name in ("estimate.csv", "rate_report.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    def test_varying_sigma_has_no_deterministic_rate_at_one_observation(self, tmp_path):
+        # sigma = 0.5 + 0.5 |x| is not constant, so no rung has an h_w; a rung of
+        # one observation took one from the sigma of its one draw
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[1, 200], n_rep=4)
+        doc["process"]["s_scale"] = {"name": "affine_abs", "params": {"a": 0.5, "b": 0.5}}
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out / "rate_report.csv")
+        assert [(r["h_w"], r["rate_det"], r["ratio"]) for r in rows] == [("", "", "")] * 8
+        assert all(r["rate_random"] for r in rows[4:])  # the random rate is still there
 
     def test_budget_rungs_keep_floats_and_key_h_w_by_sample_size(self, tmp_path):
         # under cost 1.5 the budgets 40.5 and 120.5 stop at n = 27 and 80
@@ -314,7 +322,7 @@ class TestEstimate:
         design = uniform_design(0.0, 1.0)
         expected = [deterministic_hw(design, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
         assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
-        assert sorted(cfg._h_w) == [(27, 1.0), (80, 1.0)]
+        assert cfg.h_w == {40.5: expected[0], 120.5: expected[1]}
 
     def test_budget_rungs_are_counted_once_at_load(self, tmp_path, monkeypatch):
         # each rung's length is counted when the document loads; the cells, and
@@ -414,7 +422,8 @@ class TestEstimate:
     ], ids=["weights", "responses"])
     def test_overflowing_sums_exit_2(self, tmp_path, process, jobs):
         # sigma^-2 = 1e400, or 40 responses near 1e308, sum to no float; the
-        # sample refuses them, where --jobs 1 wrote no rows and exited 0
+        # sample refuses them, and the load the deterministic rate at that sigma,
+        # where --jobs 1 wrote no rows and exited 0
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[40], n_rep=2, process=process)
         res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)), "--jobs", jobs)
@@ -424,7 +433,7 @@ class TestEstimate:
 
     def test_heteroscedastic_rate_rows_carry_the_random_rate_alone(self, tmp_path):
         # sigma = 1 + 0.5 |x| varies: H_w reads the weighted L, so w(H_w) is filled
-        # wherever Omega_0 holds; h_w needs a common sigma, so it and its rates stay empty
+        # wherever Omega_0 holds; h_w needs a constant sigma, so it and its rates stay empty
         out = tmp_path / "out"
         doc = base_config(out, n_ladder=[200], n_rep=2)
         doc["process"]["s_scale"] = {"name": "affine_abs", "params": {"a": 1.0, "b": 0.5}}
@@ -492,16 +501,20 @@ class TestRates:
         assert set(fit) == {"slope_hw", "stderr_hw", "slope_rate", "stderr_rate"}
 
     def test_deterministic_bandwidth_uses_the_process_sigma(self, tmp_path):
-        # iid_regression has no process-level sigma; its scale comes from s_scale
-        doc = base_config(tmp_path / "out", n_ladder=[4000], n_rep=2)
-        doc["process"]["s_scale"]["params"]["value"] = 3.0
-        cfg = campaign.parse_campaign(doc)
-        row = campaign.run_rates(cfg)["rows"][0]
+        # iid_regression has no process-level sigma; its scale comes from s_scale,
+        # and affine_abs at b = 0 is the same constant scale
         design = uniform_design(0.0, 1.0)
-        expected = deterministic_hw(design, cfg.modulus, 4000, 3.0, cfg.grid)
-        assert row["h_w"] == expected
-        assert row["h_w"] == pytest.approx(0.0879, abs=5e-5)
-        assert row["rate_det"] == cfg.modulus.w(expected)
+        for scale in ({"name": "constant", "params": {"value": 3.0}},
+                      {"name": "affine_abs", "params": {"a": 3.0, "b": 0.0}}):
+            doc = base_config(tmp_path / "out", n_ladder=[1000, 4000], n_rep=2)
+            doc["process"]["s_scale"] = scale
+            cfg = campaign.parse_campaign(doc)
+            rows = campaign.run_rates(cfg)["rows"]
+            for row, n, h_w in zip(rows, (1000, 4000), (0.1597, 0.0879)):
+                expected = deterministic_hw(design, cfg.modulus, n, 3.0, cfg.grid)
+                assert row["h_w"] == expected
+                assert row["h_w"] == pytest.approx(h_w, abs=5e-5)
+                assert row["rate_det"] == cfg.modulus.w(expected)
 
     @pytest.mark.parametrize("process, n, prob, h_w", [
         ({"kind": "mixing_ar1", "rho": 0.5}, 1000,
@@ -521,8 +534,8 @@ class TestRates:
         cfg = campaign.parse_campaign(doc)
         reference = DesignLaw(None, lambda x, h: float(prob(h)))
         expected = deterministic_hw(reference, cfg.modulus, n, 1.0, cfg.grid)
-        assert cfg.h_w(n, 1.0) == pytest.approx(expected, rel=1e-9)
-        assert cfg.h_w(n, 1.0) == pytest.approx(h_w, abs=5e-6)
+        assert cfg.h_w[n] == pytest.approx(expected, rel=1e-9)
+        assert cfg.h_w[n] == pytest.approx(h_w, abs=5e-6)
 
     def test_mixing_x_equal_to_the_grid_loads(self, tmp_path):
         doc = base_config(tmp_path / "out", n_ladder=[40], n_rep=1)

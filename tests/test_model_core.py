@@ -535,7 +535,7 @@ class TestOneView:
     def test_a_cell_builds_its_view_once(self, builds, sample):
         cfg = cfg_at_zero(q=0.9, j_max=60)
         assert select_bandwidth(sample, cfg).defined
-        row = rate_report(sample, cfg, HolderModulus(0.5), lambda n, sigma: None)
+        row = rate_report(sample, cfg, HolderModulus(0.5), None)
         assert row["h_star"] is not None
         assert len(builds) == 1
 

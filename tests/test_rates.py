@@ -157,32 +157,10 @@ class TestOracleBandwidth:
         assert oracle_bandwidth(grid, spec, cfg) == pytest.approx(expected, rel=1e-12)
 
 
-class TestConstantSigma:
-    # rate_report reads the common sigma the sample records at construction
-    @pytest.mark.parametrize("s0", [1.0, 0.5, 3.7, 1e-3, 2.0**40])
-    def test_matches_elementwise_test(self, s0):
-        # sigma entries at s0 +- tol and up to two ulps either side of each:
-        # the extremes decide what |sigma_k - s0| <= tol decides per entry
-        tol = 1e-12 * s0
-        outcomes = set()
-        for edge, away in ((s0 + tol, np.inf), (s0 - tol, -np.inf)):
-            for ulps in range(-2, 3):
-                v = edge
-                for _ in range(abs(ulps)):
-                    v = np.nextafter(v, away if ulps > 0 else -away)
-                for sig in ([s0, v], [v, s0], [s0, v, s0, 2 * s0 - v]):
-                    sig = np.array(sig)
-                    old = np.all(np.abs(sig - sig[0]) <= 1e-12 * sig[0])
-                    s = SamplePath(np.zeros(sig.size), np.zeros(sig.size), sig)
-                    assert s.common_sigma == (float(sig[0]) if old else None)
-                    outcomes.add(bool(old))
-        assert outcomes == {True, False}
-
-
 class TestOmegaPrime:
     def test_no_data_near_x_false(self):
         s = SamplePath([[9.0]], [0.0], [1.0])
-        rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0), lambda n, sd: None)
+        rep = rate_report(s, grid_cfg(), HolderModulus(0.5, 1.0), None)
         assert rep["omega_prime"] is False and rep["omega0"] is False
 
     def test_zero_modulus_ample_data_true(self):
@@ -409,7 +387,7 @@ class TestEmpiricalHw:
                 x[0] = 0.0
             a, slope = (1.0, 0.5) if case % 2 else (0.7, 2.0)
             s = SamplePath(x, np.zeros(n), a + slope * np.abs(x))
-            varying += s.common_sigma is None
+            varying += bool(np.ptp(s.sigma) > 0)
             b = float(rng.choice([0.2, 1.0, 3.0]))
             w = moduli[case % len(moduli)]
             for cfg in (grid_cfg(b=b), grid_cfg(b=b, j_max=3)):
@@ -442,6 +420,13 @@ class TestDeterministicHw:
         # sigma^2 = 1e600 is beyond the largest float: E L(h) = n P / sigma^2 = 0
         cfg, design = grid_cfg(), uniform_design(0.0, 1.0)
         assert deterministic_hw(design, HolderModulus(0.5, 1.0), 10**6, 1e300, cfg) is None
+
+    def test_underflowing_variance_is_refused(self):
+        # sigma^2 = 1e-400 rounds to 0, so E L(h) = n P / sigma^2 has no float;
+        # a sample at this sigma is refused too, its weights overflowing
+        cfg, design = grid_cfg(), uniform_design(0.0, 1.0)
+        with pytest.raises(ValueError, match="sigma\\^-2 overflows"):
+            deterministic_hw(design, HolderModulus(0.5, 1.0), 10, 1e-200, cfg)
 
     @pytest.mark.parametrize("n, sigma", [(10, math.nan), (math.nan, 1.0), (10, 0.0),
                                           (10, -1.0), (-1, 1.0), (2.5, 1.0)],
@@ -488,7 +473,7 @@ class TestRateReport:
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)
         design = uniform_design(0.0, 1.0)
-        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(design, spec, n, sd, cfg))
+        rep = rate_report(s, cfg, spec, deterministic_hw(design, spec, 6, 1.0, cfg))
         assert rep["omega0"] is False
         assert rep["rate_random"] is None and rep["ratio"] is None
         assert rep["rate_det"] is not None  # the deterministic side still exists
@@ -497,7 +482,7 @@ class TestRateReport:
         # h_w = 0.0, the degenerate case of deterministic_hw, gives rate_det = w(0) = 0:
         # the quotient w(H_w)/w(h_w) raised ZeroDivisionError
         s = SamplePath(np.linspace(-0.5, 0.5, 30), np.zeros(30), np.ones(30))
-        rep = rate_report(s, GridConfig([0.0], 1.0), HolderModulus(0.5), lambda n, sd: 0.0)
+        rep = rate_report(s, GridConfig([0.0], 1.0), HolderModulus(0.5), 0.0)
         assert (rep["h_w"], rep["rate_det"], rep["ratio"]) == (0.0, 0.0, None)
         assert rep["rate_random"] > 0
 
@@ -505,7 +490,7 @@ class TestRateReport:
         # L(h0) w(h0)^2 - 1 = -1.05e-16 on the stored floats, where L(h0)^(-1/2)
         # <= w(h0) read as true: Omega_0 held while H_w did not exist
         rep = rate_report(SamplePath([0.0], [0.0], [0.7]), GridConfig([0.0], 1.0, delta0=1e-3),
-                          HolderModulus(0.5, 0.7), lambda n, sd: None)
+                          HolderModulus(0.5, 0.7), None)
         assert (rep["omega0"], rep["h_w_emp"]) == (False, None)
 
     def test_omega0_is_where_hw_exists(self):
@@ -521,7 +506,7 @@ class TestRateReport:
                 w0 = l0 ** -0.5
                 for ulps in range(-3, 4):
                     scale = w0 + ulps * np.spacing(w0)
-                    rep = rate_report(s, cfg, HolderModulus(0.5, scale), lambda n, sd: None)
+                    rep = rate_report(s, cfg, HolderModulus(0.5, scale), None)
                     assert rep["omega0"] == (rep["h_w_emp"] is not None)
                     # scale * scale is the rounded square that numpy takes; ** 2 on a
                     # float goes through pow, which can land an ulp off
@@ -537,7 +522,7 @@ class TestRateReport:
                       0.8330423253593731, -0.9449623577478445])
         s = SamplePath(x, np.zeros(5), 1.0 + 0.5 * np.abs(x))
         rep = rate_report(s, GridConfig([0.0], 1.0, delta0=1e-3),
-                          HolderModulus(0.5, 0.654741760220429), lambda n, sd: None)
+                          HolderModulus(0.5, 0.654741760220429), None)
         assert (rep["omega0"], rep["h_w_emp"]) == (True, 1.0)
 
     def test_point_mass_design_ratio_one(self):
@@ -550,22 +535,21 @@ class TestRateReport:
             sampler=lambda rng, m: np.zeros((m, 1)),
             interval_prob=lambda x, h: 1.0,
         )
-        rep = rate_report(s, cfg, spec, lambda n, sd: deterministic_hw(point_mass, spec, n, sd, cfg))
+        rep = rate_report(s, cfg, spec, deterministic_hw(point_mass, spec, n, 1.0, cfg))
         assert rep["omega0"]
         assert rep["h_w_emp"] == pytest.approx(rep["h_w"], rel=1e-8)
         assert rep["ratio"] == pytest.approx(1.0, rel=1e-8)
 
     def test_heteroscedastic_sample_has_the_random_rate_alone(self):
         # sigma = 1 + 0.5 |x| (the affine_abs scale): H_w reads the weighted L, so
-        # it and w(H_w) exist; h_w needs a common sigma, so nothing is computed
-        # from sigma[0] and the deterministic rate and the ratio stay undefined
+        # it and w(H_w) exist; h_w needs a constant sigma, so a campaign passes
+        # none and the deterministic rate and the ratio stay undefined
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.0, 1.0, 500)
         s = SamplePath(x, rng.standard_normal(500), 1.0 + 0.5 * np.abs(x))
         cfg = grid_cfg()
         w = HolderModulus(0.5, 1.0)
-        design = uniform_design(0.0, 1.0)
-        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
+        rep = rate_report(s, cfg, w, None)
         assert rep["omega0"] and rep["h_star"] is not None
         assert rep["h_w_emp"] == hw_of(s, cfg, w) and rep["h_w_emp"] > 0
         assert rep["rate_random"] == w.w(rep["h_w_emp"])
@@ -592,7 +576,7 @@ class TestRateReport:
         s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
         cfg, w = grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
-        rep = rate_report(s, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
+        rep = rate_report(s, cfg, w, deterministic_hw(design, w, 2000, 0.5, cfg))
         assert rep["h_w_emp"] is not None and rep["ratio"] is not None
         assert calls == {"distances": 1, "_shells": 1}
 
@@ -600,7 +584,7 @@ class TestRateReport:
                              ids=["defined", "grid_empty"])
     def test_columns_are_the_rate_columns(self, sample):
         # no n: a campaign row's n is its ladder rung, which a budget sample falls short of
-        rep = rate_report(sample, grid_cfg(), HolderModulus(0.5, 1.0), lambda n, sd: None)
+        rep = rate_report(sample, grid_cfg(), HolderModulus(0.5, 1.0), None)
         assert sorted(rep) == ["h_star", "h_w", "h_w_emp", "omega0", "omega_prime",
                                "rate_det", "rate_random", "ratio"]
 
@@ -609,12 +593,12 @@ class TestRateReport:
                            rho=0.5, stopping=FixedN(2000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
-        design = spec_p.design
+        h_w = deterministic_hw(spec_p.design, w, 2000, 1.0, cfg)
         inside = 0
         total = 40
         for rep_i in range(total):
             sample = simulate(spec_p, (99, rep_i))
-            rep = rate_report(sample, cfg, w, lambda n, sd: deterministic_hw(design, w, n, sd, cfg))
+            rep = rate_report(sample, cfg, w, h_w)
             if rep["ratio"] is not None and 0.25 <= rep["ratio"] <= 4.0:
                 inside += 1
         assert inside >= 0.9 * total

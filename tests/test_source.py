@@ -163,7 +163,8 @@ def test_one_sample_length():
     loops = [(cls.name, fn.name) for cls in classes for fn in cls.body
              if isinstance(fn, ast.FunctionDef) and fn.name in ("sample", "covariates")
              for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-    assert [cls.name for cls in classes if cls.name not in kinds] == ["DesignLaw", "FixedN"]
+    assert [cls.name for cls in classes if cls.name not in kinds] == ["DesignLaw", "FixedN",
+                                                                      "AffineAbsScale"]
     assert fields == {"FixedN"}
     assert loops == [("Autoregressive", "sample")]
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
