@@ -19,8 +19,9 @@ constructor refuses, is a ConfigError (exit 2) when the document loads.
 
 The grid's x is the one estimation point, for L and for the deterministic
 bandwidth h_w alike; a design's `x` is where the law is centred.  h_w reads
-the process's design law and constant sigma and a rung's length, never a
-sample, so the load computes it once per rung, for the rung's cells to read.
+a rung's process, never a sample: the load asks the process it builds for
+each rung for its expected occupation at x, and computes h_w once from it,
+for the rung's cells to read.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def make_process(doc, n, length=None) -> dgp.Regression | dgp.Autoregressive:
 @dataclass
 class CampaignConfig:
     """Parsed campaign document, its process section kept for each cell to
-    build, with each rung's length and h_w (None without a modulus, a design
-    law or a constant sigma) as computed at load."""
+    build, with each rung's length and h_w (None without a modulus or an
+    expected occupation of the process) as computed at load."""
 
     process: dict
     lengths: dict  # ladder rung -> its FixedN
@@ -251,10 +252,9 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
             b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ConfigError("n_ladder must be a nonempty, strictly increasing list of numbers")
     check_count(n_rep, "n_rep")
-    lengths = {}  # each rung's length, checked and counted once; cells rebuild with it
-    for n in n_ladder:
-        built = make_process(process, n)
-        lengths[n] = built.stopping
+    # each rung's process, its length checked and counted once; cells rebuild with it
+    processes = {n: make_process(process, n) for n in n_ladder}
+    built = processes[n_ladder[-1]]
     if built.dim != grid.dim:
         raise ConfigError(f"the grid point has dimension {grid.dim}, the process {built.dim}")
     x = float(grid.x_point[0])
@@ -263,11 +263,13 @@ def _campaign(seed, out, fmt, /, *, process, grid, n_ladder, modulus=None, n_rep
                           f"a mixing_ar1 x may only restate it, got {process['x']!r}")
     if not isinstance(t_grid, list):
         raise ConfigError(f"t_grid must be a list of finite numbers; got {t_grid!r}")
-    design, sigma = built.design, built.s_scale.common  # a rung's h_w reads only its length
-    known = modulus is not None and design is not None and sigma is not None
-    h_w = {n: deterministic_hw(design, modulus, lengths[n].n, sigma, grid) if known else None
-           for n in n_ladder}
-    return CampaignConfig(process, lengths, h_w, grid, modulus, n_ladder, n_rep,
+    h_w = dict.fromkeys(n_ladder)  # None without a modulus or a map of the rung's process
+    if modulus is not None:
+        for n, rung in processes.items():
+            if (occupation := rung.expected_occupation(x)) is not None:
+                h_w[n] = deterministic_hw(occupation, modulus, grid)
+    return CampaignConfig(process, {n: p.stopping for n, p in processes.items()}, h_w,
+                          grid, modulus, n_ladder, n_rep,
                           *_run_keys(seed, out, fmt, **run),
                           [check_finite(t, "a t_grid entry") for t in t_grid] or None)
 
@@ -359,23 +361,20 @@ def _estimate_cell(cfg: CampaignConfig, n: int, rep: int) -> dict:
                defined=False, omega0=False, omega_prime=False)
     try:
         sel = select_bandwidth(sample, grid)
+        row.update(vars(sel), error=None if sel.defined else "anchor_undefined")
     except GridEmpty:
         row["error"] = "grid_empty"
-        return row
-    row.update(vars(sel))
-    if not sel.defined:
-        row["error"] = "anchor_undefined"
 
-    if cfg.modulus is not None:
+    if cfg.modulus is not None:  # a grid-empty cell still carries its rung's h_w
         row.update(rate_report(sample, grid, cfg.modulus, cfg.h_w[n]))
         if row["h_star"] is not None:
             row["wbar_h_star"] = modulus_bar(cfg.modulus, row["h_star"], grid)
         if not row["omega_prime"] and row["error"] is None:
             row["error"] = "omega_prime_false"
 
-    if sel.defined:
+    if row["defined"]:
         f_x = float(np.asarray(sample.truth(grid.x_point.reshape(1, -1))).reshape(-1)[0])
-        row["risk"] = abs(sel.f_hat - f_x)
+        row["risk"] = abs(row["f_hat"] - f_x)
     return row
 
 
@@ -462,18 +461,13 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray):
     return float(slope), float(se)
 
 
-def _median(values: list) -> Optional[float]:
-    return float(np.median(values)) if values else None
-
-
 def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
     """Per-n rate summary plus the log-log fit of h_w and w(h_w) against 1/n,
     over the rungs where both are positive (a None or 0 has no logarithm).
 
-    h_w and rate_det are the medians over the cells whose rate report has
-    them: each such cell carries its rung's h_w, computed at load.  Returns the
-    rows, the fit and the paths written, rates_fit.json among them when there
-    is a fit.
+    h_w is the rung's, computed at load, and rate_det its w(h_w); neither
+    reads a cell.  Returns the rows, the fit and the paths written,
+    rates_fit.json among them when there is a fit.
     """
     if cfg.modulus is None:
         raise ConfigError("rates needs a modulus section")
@@ -485,11 +479,10 @@ def run_rates(cfg: CampaignConfig, jobs: int = 1) -> dict:
         rnd = [r["rate_random"] for r in group if r["rate_random"] is not None]
         contained = [r for r in group
                      if r["omega0"] and r["ratio"] is not None and 0.25 <= r["ratio"] <= 4.0]
+        h_w = cfg.h_w[n]
         rows.append({
-            "n": n,
-            "h_w": _median([r["h_w"] for r in group if r["h_w"] is not None]),
-            "rate_det": _median([r["rate_det"] for r in group if r["rate_det"] is not None]),
-            "median_rate_random": _median(rnd),
+            "n": n, "h_w": h_w, "rate_det": None if h_w is None else float(cfg.modulus.w(h_w)),
+            "median_rate_random": float(np.median(rnd)) if rnd else None,
             "containment_freq": len(contained) / len(group),
             "omega0_fail_freq": sum(1 for r in group if not r["omega0"]) / len(group),
             "n_rep": len(group),

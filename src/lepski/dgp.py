@@ -17,10 +17,11 @@ the covariates.  `simulate` returns a `SamplePath` with the truth attached
 and the sigma column set to the model's observed noise-scale upper bound.
 Identical seeds give bit-identical samples.
 
-A design law's x is where the law is centred, not the estimation point: that
-point belongs to the grid, and the deterministic rate evaluates the law's
-interval probability there.  A kind's keyword-only fields carry its defaults
-(only `stopping` is required), and it checks them at construction.
+A kind owns the map h -> E L_n(h) over its own length n that the
+deterministic rate reads, `expected_occupation(x)` at the grid's estimation
+point x, or None where it has none; a design law's x is only its centre.  A
+kind's keyword-only fields carry its defaults (only `stopping` is
+required), and it checks them at construction.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class DesignLaw:
     """Sampling law of the covariates with its closed-form interval probability.
 
     interval_prob(x, h) = P_X[|X - x| <= h] at any point x; the estimation
-    point is the grid's, so the deterministic rate passes it in.
+    point is the grid's, so a kind's `expected_occupation` passes it in.
     """
 
     sampler: Callable[[np.random.Generator, int], np.ndarray]  # -> (n, d)
@@ -129,8 +130,8 @@ class FixedN:
 
 @dataclass(frozen=True)
 class AffineAbsScale:
-    """The noise scale sigma(x) = a + b |x_0|, with a > 0 and b >= 0; its
-    `common` sigma is a at b = 0, where sigma is constant, else None."""
+    """The noise scale sigma(x) = a + b |x_0|, with a > 0 and b >= 0; it is
+    the constant a at b = 0."""
 
     a: float = 1.0
     b: float = 0.5
@@ -139,10 +140,6 @@ class AffineAbsScale:
         check_positive(self.a, "a")
         if not check_finite(self.b, "b") >= 0:
             raise ValueError(f"b must be at least 0; got {self.b!r}")
-
-    @property
-    def common(self) -> Optional[float]:
-        return float(self.a) if self.b == 0 else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.b == 0:
@@ -165,8 +162,7 @@ class Regression:
 
     f_true is vectorized over (n, d) rows; s_scale, set by each kind, maps
     covariate rows to the positive noise scale observed as sigma_{k-1}.
-    design, the covariates' `DesignLaw` that the deterministic rate reads,
-    is None for a kind without one.
+    design, the covariates' `DesignLaw`, is None for a kind without one.
     """
 
     stopping: FixedN
@@ -182,12 +178,24 @@ class Regression:
         y = np.asarray(self.f_true(x), dtype=float) + sig * zeta
         return SamplePath(x, y, sig, truth=self.f_true)
 
+    def expected_occupation(self, x: float) -> Optional[Callable[[float], float]]:
+        """h -> E L_n(h) = n P_X[|X - x| <= h] / sigma^2 over the n = stopping.n
+        covariates, for a kind whose design law is their marginal and whose
+        sigma is constant; None otherwise.  ValueError when sigma^-2 overflows."""
+        if self.design is None or self.s_scale.b != 0:
+            return None
+        a = float(self.s_scale.a)
+        n, prob, var = self.stopping.n, self.design.interval_prob, a * a
+        if var == 0:  # then n P / sigma^2 divides by zero
+            raise ValueError(f"sigma^-2 overflows at sigma = {a!r}")
+        return lambda h: n * prob(x, h) / var
+
 
 @dataclass(kw_only=True)
 class IidRegression(Regression):
     """Covariates drawn iid from a design law, heteroscedastic through s_scale."""
 
-    s_scale: Callable[[np.ndarray], np.ndarray] = field(default_factory=constant_scale)
+    s_scale: AffineAbsScale = field(default_factory=constant_scale)
     design: DesignLaw = field(default_factory=uniform_design)
 
     def covariates(self, rng) -> np.ndarray:
@@ -266,6 +274,10 @@ class Autoregressive:
     y_coord: int = 0
 
     design = None
+
+    def expected_occupation(self, x: float) -> None:
+        """None: the chain has no closed-form expected occupation."""
+        return None
 
     def __post_init__(self):
         entries = np.atleast_2d(np.array(self.ar_matrix, object))  # float would read true as 1.0

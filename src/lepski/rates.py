@@ -12,9 +12,9 @@ bisection tolerance of 1e-10 because L(h) w(h)^2 - psi(h) is nondecreasing in
 h.  H_w is read off the sample's `GridStats` view alone, for any sigma: its
 weighted L at the grid first, then the sample's weights sigma^-2 on the pieces
 of L in one shell only, from one split of the distances at its outer end.
-h_w reads no sample: it takes the process's constant sigma and its design law
-at the grid's estimation point, the same x at which the view measures L; a
-design's own x is only its centre.
+h_w reads no sample: it takes the process's expected occupation h -> E L_n(h)
+(`expected_occupation` of a `dgp` kind) at the grid's estimation point, the
+same x at which the view measures L.
 Below its sample-size threshold h_w does not exist, and `deterministic_hw`
 returns None there, as `empirical_hw` does off Omega_0.
 """
@@ -26,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dgp import DesignLaw
-from .errors import GridEmpty, check_count, check_positive
+from .errors import GridEmpty, check_positive
 from .model_core import (GridConfig, GridStats, SamplePath, grid_statistics,
                          last_feasible_index, psi)
 
@@ -174,26 +173,19 @@ def empirical_hw(stats: GridStats, inv_var: np.ndarray, w_spec: HolderModulus,
     return _first_feasible(lambda h: _excess(l_i, h, w_spec, cfg), right, left or None)
 
 
-def deterministic_hw(design: DesignLaw, w_spec: HolderModulus,
-                     n: int, sigma: float, cfg: GridConfig) -> Optional[float]:
-    """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} with
-    E L(h) = n * P_X[x-h, x+h] / sigma^2 at the grid's point x, where the
-    one-dimensional design law gives P_X in closed form.
+def deterministic_hw(occupation, w_spec: HolderModulus, cfg: GridConfig) -> Optional[float]:
+    """h_w = min{h in (0, h0] : (psi(h) / E L(h))^(1/2) <= w(h)} for a process's
+    expected occupation, the increasing map h -> E L(h) at the grid's point x
+    (`expected_occupation` of a `dgp` kind).
 
-    None when n < sigma^2 / (P_X[I_{h0}] w(h0)^2), the threshold below which
+    None when E L(h0) w(h0)^2 < psi(h0), below the sample-size threshold where
     h_w does not exist; a sigma^2 beyond the largest float makes E L vanish,
     so it is None too.  Returns 0.0 for a degenerate design whose expected
     occupation does not vanish near 0; w(0) = 0 there, so the ratio
-    w(H_w)/w(h_w) is undefined.  ValueError unless n is an integer of at least
-    0 and sigma a positive finite number whose sigma^-2 is a float.
+    w(H_w)/w(h_w) is undefined.
     """
-    (x,) = cfg.x_point.tolist()
-    n, var = check_count(n, "n", 0), check_positive(sigma, "sigma") * sigma
-    if var == 0:  # then n P / sigma^2 divides by zero
-        raise ValueError(f"sigma^-2 overflows at sigma = {sigma!r}")
-
     def G(h):
-        return _excess(n * design.interval_prob(x, h) / var, h, w_spec, cfg)
+        return _excess(occupation(h), h, w_spec, cfg)
 
     return None if G(cfg.h0) < 0 else _first_feasible(G, cfg.h0)
 
@@ -213,15 +205,17 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     ratio their quotient, None where rate_det is 0 (at h_w = 0).  One view of
     the sample (`grid_statistics`) serves H*, Omega' and H_w; it is the view
     that `select_bandwidth` built on the same grid, when that ran first.
-    h_w is the process's `deterministic_hw` at the sample's length, or None
-    where it does not exist or sigma varies, and rate_det and ratio with it.
+    h_w is its rung's `deterministic_hw`, or None where it does not exist or
+    the process has no expected occupation, and rate_det with it.
     Omega_0 = {L(h0) w(h0)^2 >= psi(h0)} is the grid test of `empirical_hw` at
     h0, so h_w_emp is None exactly off Omega_0.  Failures are flagged, never
     raised, so campaign rows are retained; an empty grid (L(h0) = 0) fails
-    Omega_0 and Omega' and leaves every bandwidth None.
+    Omega_0 and Omega' and leaves every bandwidth of the sample None, while
+    h_w and rate_det, which read no sample, stay.
     """
-    row = dict(omega0=False, omega_prime=False, h_star=None, h_w_emp=None, h_w=None,
-               rate_random=None, rate_det=None, ratio=None)
+    row = dict(omega0=False, omega_prime=False, h_star=None, h_w_emp=None, h_w=h_w,
+               rate_random=None, rate_det=None if h_w is None else float(w_spec.w(h_w)),
+               ratio=None)
     try:
         stats = grid_statistics(sample, cfg)
     except GridEmpty:
@@ -230,11 +224,9 @@ def rate_report(sample: SamplePath, cfg: GridConfig, w_spec: HolderModulus,
     row.update(omega_prime=omega_prime_event(stats, w_spec, cfg),
                h_star=oracle_bandwidth(stats, w_spec, cfg))
     h_w_emp = empirical_hw(stats, sample.inv_var, w_spec, cfg)
-    row.update(omega0=h_w_emp is not None, h_w_emp=h_w_emp, h_w=h_w)
+    row.update(omega0=h_w_emp is not None, h_w_emp=h_w_emp)
     if h_w_emp is not None:
         row["rate_random"] = float(w_spec.w(h_w_emp))
-    if h_w is not None:
-        row["rate_det"] = float(w_spec.w(h_w))
-        if h_w_emp is not None and row["rate_det"] > 0:
+        if row["rate_det"]:  # neither None nor w(0) = 0
             row["ratio"] = row["rate_random"] / row["rate_det"]
     return row

@@ -14,8 +14,9 @@ from click.testing import CliRunner
 from scipy.stats import norm
 
 import lepski
-from lepski import DesignLaw, campaign, cli, deterministic_hw, uniform_design
+from lepski import DesignLaw, IidRegression, campaign, cli, deterministic_hw, uniform_design
 from lepski.cli import main
+from lepski.dgp import FixedN, constant_scale
 
 
 NAN, INF = float("nan"), float("inf")
@@ -45,6 +46,13 @@ def base_config(out, n_ladder=(40, 80), n_rep=3, seed=1234, **extra):
 def power_law_cdf(y):
     """P[X <= y] for the density |y| on [-1, 1] (tau = 1, radius 1, centre 0)."""
     return (1.0 + np.sign(y) * min(abs(y), 1.0) ** 2) / 2.0
+
+
+def uniform_occupation(n, sigma=1.0):
+    """E L_n(h) at x = 0 of n iid covariates, uniform on [-1, 1], at the
+    constant sigma: the map that base_config's process gives at rung n."""
+    return IidRegression(design=uniform_design(0.0, 1.0), s_scale=constant_scale(sigma),
+                         stopping=FixedN(n)).expected_occupation(0.0)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -284,19 +292,19 @@ class TestEstimate:
         # process, and the cells read it, for any worker count
         calls = []
 
-        def spy(design, w_spec, n, sigma, grid):
-            calls.append((n, sigma))
-            return deterministic_hw(design, w_spec, n, sigma, grid)
+        def spy(occupation, w_spec, grid):
+            calls.append(occupation(1.0))  # E L_n(h0) = n: the interval holds the design
+            return deterministic_hw(occupation, w_spec, grid)
 
         monkeypatch.setattr(campaign, "deterministic_hw", spy)
         doc = base_config(tmp_path / "out", n_ladder=[40, 80, 160], n_rep=4)
         for jobs in (1, 2):
             calls.clear()
             cfg = campaign.parse_campaign(doc)
-            assert calls == [(40, 1.0), (80, 1.0), (160, 1.0)]
+            assert calls == [40.0, 80.0, 160.0]
             rows = campaign.run_estimate_cells(cfg, jobs)
             assert len(calls) == 3, jobs
-            expected = [deterministic_hw(uniform_design(0.0, 1.0), cfg.modulus, n, 1.0, cfg.grid)
+            expected = [deterministic_hw(uniform_occupation(n), cfg.modulus, cfg.grid)
                         for n in (40, 80, 160)]
             assert cfg.h_w == dict(zip([40, 80, 160], expected))
             assert [r["h_w"] for r in rows] == [h for h in expected for _ in range(4)]
@@ -319,8 +327,8 @@ class TestEstimate:
         doc["process"]["stopping"] = {"rule": "budget", "cost": 1.5}
         cfg = campaign.parse_campaign(doc)
         rows = campaign.run_estimate_cells(cfg)
-        design = uniform_design(0.0, 1.0)
-        expected = [deterministic_hw(design, cfg.modulus, n, 1.0, cfg.grid) for n in (27, 80)]
+        expected = [deterministic_hw(uniform_occupation(n), cfg.modulus, cfg.grid)
+                    for n in (27, 80)]
         assert [r["h_w"] for r in rows] == [expected[0]] * 2 + [expected[1]] * 2
         assert cfg.h_w == {40.5: expected[0], 120.5: expected[1]}
 
@@ -503,7 +511,6 @@ class TestRates:
     def test_deterministic_bandwidth_uses_the_process_sigma(self, tmp_path):
         # iid_regression has no process-level sigma; its scale comes from s_scale,
         # and affine_abs at b = 0 is the same constant scale
-        design = uniform_design(0.0, 1.0)
         for scale in ({"name": "constant", "params": {"value": 3.0}},
                       {"name": "affine_abs", "params": {"a": 3.0, "b": 0.0}}):
             doc = base_config(tmp_path / "out", n_ladder=[1000, 4000], n_rep=2)
@@ -511,7 +518,7 @@ class TestRates:
             cfg = campaign.parse_campaign(doc)
             rows = campaign.run_rates(cfg)["rows"]
             for row, n, h_w in zip(rows, (1000, 4000), (0.1597, 0.0879)):
-                expected = deterministic_hw(design, cfg.modulus, n, 3.0, cfg.grid)
+                expected = deterministic_hw(uniform_occupation(n, 3.0), cfg.modulus, cfg.grid)
                 assert row["h_w"] == expected
                 assert row["h_w"] == pytest.approx(h_w, abs=5e-5)
                 assert row["rate_det"] == cfg.modulus.w(expected)
@@ -532,8 +539,7 @@ class TestRates:
         doc["process"] = {"f_true": {"name": "zero"},
                           "noise": {"family": "gaussian", "alpha": 2, "mu": 0.25}, **process}
         cfg = campaign.parse_campaign(doc)
-        reference = DesignLaw(None, lambda x, h: float(prob(h)))
-        expected = deterministic_hw(reference, cfg.modulus, n, 1.0, cfg.grid)
+        expected = deterministic_hw(lambda h: n * float(prob(h)), cfg.modulus, cfg.grid)
         assert cfg.h_w[n] == pytest.approx(expected, rel=1e-9)
         assert cfg.h_w[n] == pytest.approx(h_w, abs=5e-6)
 
@@ -562,6 +568,54 @@ class TestRates:
             rows = read_rows(out / "rates.csv")
             assert [r["h_w"] for r in rows] == ["0.0", "0.0"]
             assert not (out / "rates_fit.json").exists()  # no logarithm of 0
+
+    def test_grid_empty_rung_keeps_its_deterministic_rate(self, tmp_path):
+        # the design sits at 3, so no covariate of either cell of rung 50 falls
+        # within h0 = 1 of the grid's x = 0; h_w reads no sample, so those rows and
+        # the rung keep it, and the fit has two rungs: at the parent rates.csv left
+        # rung 50's h_w empty and wrote no fit
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[50, 60], n_rep=2, seed=5)
+        doc["process"]["design"] = {"name": "gaussian", "params": {"x": 3.0}}
+        cfg = campaign.parse_campaign(doc)
+        assert cfg.h_w[50] == 0.9711074906517752
+        path = write_config(tmp_path, doc)
+        for command in ("estimate", "rates"):
+            res = run_cli(command, "--config", str(path))
+            assert res.exit_code == 0, res.output
+        empty = [i for i, r in enumerate(read_rows(out / "estimate.csv"))
+                 if r["error"] == "grid_empty"]
+        assert empty == [0, 1, 2]  # both cells of rung 50, one of rung 60
+        rows = read_rows(out / "rate_report.csv")
+        for i in empty:
+            h_w = cfg.h_w[int(rows[i]["n"])]
+            assert (rows[i]["h_w"], rows[i]["rate_det"], rows[i]["ratio"], rows[i]["omega0"]) == (
+                repr(h_w), repr(cfg.modulus.w(h_w)), "", "false")
+        rung = read_rows(out / "rates.csv")[0]
+        assert (rung["n"], rung["h_w"], rung["rate_det"]) == (
+            "50", repr(cfg.h_w[50]), repr(cfg.modulus.w(cfg.h_w[50])))
+        assert (out / "rates_fit.json").exists()
+
+    @pytest.mark.parametrize("process", [{"kind": "transient_walk"},
+                                         {"kind": "autoregressive"}],
+                             ids=["transient_walk", "autoregressive"])
+    def test_needs_a_design_law(self, tmp_path, process):
+        doc = base_config(tmp_path / "out", n_ladder=[40, 80], n_rep=2, process=process)
+        res = run_cli("rates", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2
+        assert "rates needs a process with a design law" in res.output
+
+    def test_varying_sigma_has_no_deterministic_rate(self, tmp_path):
+        # affine_abs at b > 0 has a design law but no expected occupation: the
+        # command runs, with h_w and rate_det empty on every rung
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40, 80], n_rep=2)
+        doc["process"]["s_scale"] = {"name": "affine_abs", "params": {"a": 1.0, "b": 0.5}}
+        res = run_cli("rates", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out / "rates.csv")
+        assert [(r["h_w"], r["rate_det"]) for r in rows] == [("", "")] * 2
+        assert all(r["median_rate_random"] for r in rows)
 
     def test_no_output_formats_still_writes_the_fit(self, tmp_path):
         out = tmp_path / "never_created"

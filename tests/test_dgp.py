@@ -21,7 +21,7 @@ from lepski import (
     uniform_design,
 )
 from lepski.campaign import make_process, parse_campaign
-from lepski.dgp import FixedN, constant_scale
+from lepski.dgp import AffineAbsScale, FixedN, constant_scale
 from lepski.errors import ConfigError, check_count, check_finite, check_positive
 from lepski.noise import normal_cdf
 
@@ -128,13 +128,54 @@ class TestMixingAr1:
 
 
 class TestFixedN:
-    @pytest.mark.parametrize("n", [0, -5, 2.5, 10.0, "10", None, True])
+    @pytest.mark.parametrize("n", [0, -5, 2.5, 10.0, "10", None, True, math.nan])
     def test_refuses_all_but_an_integer_of_at_least_one(self, n):
         with pytest.raises(ValueError, match="fixed length"):
             FixedN(n)
 
     def test_accepts_numpy_integers(self):
         assert FixedN(np.int64(3)).n == 3
+
+
+class TestExpectedOccupation:
+    # the map h -> E L_n(h) that deterministic_hw reads: bit for bit the closed
+    # form n P_X[|X - x| <= h] / sigma^2, in that operation order, at a constant sigma
+    HS = [1e-6, 0.05, 0.4, 1.0, 3.0]
+    DESIGNS = [uniform_design(0.2, 1.5), power_law_design(-0.1, 1.0, tau=0.5),
+               gaussian_design(0.4)]
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=["uniform", "power_law", "gaussian"])
+    @pytest.mark.parametrize("scale", [constant_scale(0.7), AffineAbsScale(0.7, 0.0)],
+                             ids=["constant", "affine_abs_b0"])
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_iid_regression(self, design, scale, x):
+        spec = IidRegression(design=design, s_scale=scale, stopping=FixedN(250))
+        occupation = spec.expected_occupation(x)
+        assert [occupation(h) for h in self.HS] == [
+            250 * design.interval_prob(x, h) / (0.7 * 0.7) for h in self.HS]
+
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_mixing_ar1_reads_its_stationary_law(self, x):
+        spec = MixingAr1(f_true=zero_f, rho=0.5, sigma=0.7, stopping=FixedN(250))
+        occupation, law = spec.expected_occupation(x), gaussian_design()
+        assert [occupation(h) for h in self.HS] == [
+            250 * law.interval_prob(x, h) / (0.7 * 0.7) for h in self.HS]
+
+    @pytest.mark.parametrize("spec", [
+        TransientWalk(f_true=zero_f, stopping=FixedN(250)),
+        Autoregressive(ar_matrix=[[0.5]], stopping=FixedN(250)),
+        IidRegression(s_scale=AffineAbsScale(0.7, 0.5), stopping=FixedN(250))],
+        ids=["transient_walk", "autoregressive", "affine_abs"])
+    def test_none_without_a_closed_form(self, spec):
+        assert spec.expected_occupation(0.0) is None
+
+    def test_underflowing_variance_is_refused(self):
+        # sigma^2 = 1e-400 rounds to 0, so E L(h) = n P / sigma^2 has no float;
+        # a sample at this sigma is refused too, its weights overflowing
+        for spec in (IidRegression(s_scale=constant_scale(1e-200), stopping=FixedN(10)),
+                     MixingAr1(sigma=1e-200, stopping=FixedN(10))):
+            with pytest.raises(ValueError, match="sigma\\^-2 overflows at sigma = 1e-200"):
+                spec.expected_occupation(0.0)
 
 
 class TestNumberRule:

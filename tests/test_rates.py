@@ -14,6 +14,7 @@ from lepski import (
     GridConfig,
     GridEmpty,
     HolderModulus,
+    IidRegression,
     MixingAr1,
     SamplePath,
     check_modulus,
@@ -28,7 +29,7 @@ from lepski import (
     uniform_design,
 )
 from lepski import model_core
-from lepski.dgp import FixedN
+from lepski.dgp import FixedN, constant_scale
 from lepski.model_core import psi
 
 
@@ -38,6 +39,13 @@ class ShapeModulus:
 
     def __init__(self, w_func):
         self.w = np.vectorize(w_func, otypes=[float])
+
+
+def occupation(design, n, sigma=1.0):
+    """E L_n(h) at x = 0 of n iid covariates from design at the constant sigma:
+    the map that the process gives `deterministic_hw`."""
+    return IidRegression(design=design, s_scale=constant_scale(sigma),
+                         stopping=FixedN(n)).expected_occupation(0.0)
 
 
 def grid_cfg(**kw):
@@ -407,41 +415,27 @@ class TestDeterministicHw:
         spec = HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)  # P[I_h] = h
         # boundary: n = sigma^2 / (P(h0) w(h0)^2) = 1
-        assert deterministic_hw(design, spec, 1, 1.0, cfg) == pytest.approx(1.0, rel=1e-9)
+        assert deterministic_hw(occupation(design, 1), spec, cfg) == pytest.approx(1.0, rel=1e-9)
 
     def test_too_few_samples_returns_none(self):
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)  # w(h0) = 0.5 -> need n >= 4
         design = uniform_design(0.0, 1.0)
-        assert deterministic_hw(design, spec, 3, 1.0, cfg) is None
-        assert deterministic_hw(design, spec, 4, 1.0, cfg) is not None
+        assert deterministic_hw(occupation(design, 3), spec, cfg) is None
+        assert deterministic_hw(occupation(design, 4), spec, cfg) is not None
 
     def test_overflowing_variance_returns_none(self):
         # sigma^2 = 1e600 is beyond the largest float: E L(h) = n P / sigma^2 = 0
         cfg, design = grid_cfg(), uniform_design(0.0, 1.0)
-        assert deterministic_hw(design, HolderModulus(0.5, 1.0), 10**6, 1e300, cfg) is None
-
-    def test_underflowing_variance_is_refused(self):
-        # sigma^2 = 1e-400 rounds to 0, so E L(h) = n P / sigma^2 has no float;
-        # a sample at this sigma is refused too, its weights overflowing
-        cfg, design = grid_cfg(), uniform_design(0.0, 1.0)
-        with pytest.raises(ValueError, match="sigma\\^-2 overflows"):
-            deterministic_hw(design, HolderModulus(0.5, 1.0), 10, 1e-200, cfg)
-
-    @pytest.mark.parametrize("n, sigma", [(10, math.nan), (math.nan, 1.0), (10, 0.0),
-                                          (10, -1.0), (-1, 1.0), (2.5, 1.0)],
-                             ids=["sigma_nan", "n_nan", "sigma_zero", "sigma_negative",
-                                  "n_negative", "n_fractional"])
-    def test_rejects_a_bad_sigma_or_n(self, n, sigma):
-        # NaN fails every comparison, and sigma^2 loses the sign of sigma
-        with pytest.raises(ValueError, match="^(sigma|n) must be"):
-            deterministic_hw(uniform_design(), HolderModulus(0.5), n, sigma, GridConfig([0.0], 1.0))
+        el = occupation(design, 10**6, 1e300)
+        assert deterministic_hw(el, HolderModulus(0.5, 1.0), cfg) is None
 
     def test_nonincreasing_in_n(self):
         cfg = grid_cfg(b=0.5)
         spec = HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
-        hws = [deterministic_hw(design, spec, n, 1.0, cfg) for n in (10, 100, 1000, 10**4, 10**5)]
+        hws = [deterministic_hw(occupation(design, n), spec, cfg)
+               for n in (10, 100, 1000, 10**4, 10**5)]
         assert all(h2 <= h1 for h1, h2 in zip(hws, hws[1:]))
 
     def test_matches_brentq_oracle(self):
@@ -450,7 +444,8 @@ class TestDeterministicHw:
         design = uniform_design(0.0, 1.0)
         for n in (50, 500, 5000):
             root = brentq(lambda h: n * h * h - psi(h, cfg), 1e-8, 1.0, xtol=1e-14)
-            assert deterministic_hw(design, spec, n, 1.0, cfg) == pytest.approx(root, rel=1e-9)
+            hw = deterministic_hw(occupation(design, n), spec, cfg)
+            assert hw == pytest.approx(root, rel=1e-9)
 
     def test_scaling_exponent_small_ladder(self):
         # log-log slope of h_w against sigma^2/n approaches 1/(2s + tau + 1);
@@ -459,7 +454,7 @@ class TestDeterministicHw:
         spec = HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
         ns = np.array([2.0**k for k in range(10, 21, 2)])
-        hws = np.array([deterministic_hw(design, spec, int(n), 1.0, cfg) for n in ns])
+        hws = np.array([deterministic_hw(occupation(design, int(n)), spec, cfg) for n in ns])
         slope = np.polyfit(np.log(1.0 / ns), np.log(hws), 1)[0]
         assert abs(slope - 0.5) < 0.02
 
@@ -473,7 +468,7 @@ class TestRateReport:
         cfg = grid_cfg()
         spec = HolderModulus(0.5, 0.5)
         design = uniform_design(0.0, 1.0)
-        rep = rate_report(s, cfg, spec, deterministic_hw(design, spec, 6, 1.0, cfg))
+        rep = rate_report(s, cfg, spec, deterministic_hw(occupation(design, 6), spec, cfg))
         assert rep["omega0"] is False
         assert rep["rate_random"] is None and rep["ratio"] is None
         assert rep["rate_det"] is not None  # the deterministic side still exists
@@ -535,7 +530,7 @@ class TestRateReport:
             sampler=lambda rng, m: np.zeros((m, 1)),
             interval_prob=lambda x, h: 1.0,
         )
-        rep = rate_report(s, cfg, spec, deterministic_hw(point_mass, spec, n, 1.0, cfg))
+        rep = rate_report(s, cfg, spec, deterministic_hw(occupation(point_mass, n), spec, cfg))
         assert rep["omega0"]
         assert rep["h_w_emp"] == pytest.approx(rep["h_w"], rel=1e-8)
         assert rep["ratio"] == pytest.approx(1.0, rel=1e-8)
@@ -576,7 +571,7 @@ class TestRateReport:
         s = SamplePath(x, rng.standard_normal(2000), np.full(2000, 0.5))
         cfg, w = grid_cfg(q=0.9, j_max=60), HolderModulus(0.5, 1.0)
         design = uniform_design(0.0, 1.0)
-        rep = rate_report(s, cfg, w, deterministic_hw(design, w, 2000, 0.5, cfg))
+        rep = rate_report(s, cfg, w, deterministic_hw(occupation(design, 2000, 0.5), w, cfg))
         assert rep["h_w_emp"] is not None and rep["ratio"] is not None
         assert calls == {"distances": 1, "_shells": 1}
 
@@ -593,7 +588,7 @@ class TestRateReport:
                            rho=0.5, stopping=FixedN(2000))
         cfg = GridConfig(x_point=[0.0], h0=1.0, q=0.9, j_max=40)
         w = HolderModulus(0.5, 1.0)
-        h_w = deterministic_hw(spec_p.design, w, 2000, 1.0, cfg)
+        h_w = deterministic_hw(spec_p.expected_occupation(0.0), w, cfg)
         inside = 0
         total = 40
         for rep_i in range(total):
@@ -617,7 +612,7 @@ class TestBandwidthEmbedding:
         for rep_i in range(25):
             sample = simulate(spec_p, (7, rep_i))
             n = sample.n_stop
-            hw = deterministic_hw(design, w, n, 1.0, cfg)
+            hw = deterministic_hw(spec_p.expected_occupation(0.0), w, cfg)
             el = n * design.interval_prob(0.0, hw)
             from lepski import occupation_time
 

@@ -135,6 +135,20 @@ def test_one_weight_rule():
     assert raisers == ["model_core.py"]
 
 
+def test_one_occupation_rule():
+    # E L(h) is formed where the process kinds live: dgp alone reads a design
+    # law's interval probability, and rates takes a kind's map, not its design
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    readers = {module for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "interval_prob"
+               and isinstance(node.ctx, ast.Load)}
+    from_dgp = [node.lineno for node in ast.walk(trees["rates.py"])
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                and (node.module == "dgp" or "dgp" in [alias.name for alias in node.names])]
+    assert readers == {"dgp.py"}
+    assert from_dgp == []
+
+
 def test_one_view_builder():
     # GridStats is constructed by one builder, behind the slot that grid_statistics
     # keeps on the sample, so no second path builds an uncached view
