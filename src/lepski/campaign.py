@@ -141,7 +141,6 @@ _NOISES = {"gaussian": gaussian_noise, "two_point": two_point_noise,
 _STOPPING = {"fixed": dgp.FixedN, "budget": _budget_stop}  # called with the ladder's n
 _PROCESSES = {"iid_regression": dgp.IidRegression, "mixing_ar1": _mixing_ar1,
               "transient_walk": dgp.TransientWalk, "autoregressive": dgp.Autoregressive}
-_FIXED_LENGTH_KINDS = ("transient_walk", "autoregressive")  # kinds that take no budget rule
 _MODULI = {"holder": HolderModulus}
 _SCALE_RULES = {"constant": stab.ConstantScale, "alternating": stab.AlternatingScale,
                 "adapted": stab.AdaptedScale, "zero": lambda: stab.ConstantScale(0.0)}
@@ -169,8 +168,8 @@ def make_noise(doc) -> NoiseSpec:
 def make_process(doc, n, length=None) -> dgp.Regression | dgp.Autoregressive:
     """The process at ladder rung n: the class that its kind names, called on
     its other keys once its f_true, noise, design and s_scale sections and
-    its stopping rule at n are built; a fixed-length kind refuses a budget.
-    length, when given, is that rule's FixedN as already built at n."""
+    its stopping rule at n are built.  length, when given, is that rule's
+    FixedN as already built at n."""
     if not isinstance(doc, dict):
         raise ConfigError(f"the process must be a JSON object; got {doc!r}")
     params = dict(doc)
@@ -178,10 +177,8 @@ def make_process(doc, n, length=None) -> dgp.Regression | dgp.Autoregressive:
                       ("design", make_design), ("s_scale", make_s_scale)):
         if key in params:
             params[key] = make(params[key])
-    stopping = params.get("stopping", {})
-    params["stopping"] = length or _build("stopping rule", _STOPPING, stopping, "rule", "fixed", n)
-    if stopping.get("rule") == "budget" and params.get("kind") in _FIXED_LENGTH_KINDS:
-        raise ConfigError(f"a {params['kind']} process takes a fixed length only, not a budget")
+    params["stopping"] = length or _build("stopping rule", _STOPPING, params.get("stopping", {}),
+                                          "rule", "fixed", n)
     return _build("process kind", _PROCESSES, params, "kind")
 
 

@@ -22,6 +22,10 @@ class ExplosiveChain(LepskiError):
     """An autoregressive path exceeded the configured magnitude guard."""
 
 
+class SampleError(LepskiError, ValueError):
+    """A sample whose covariates, responses or sigma, or weighted sums, are not finite."""
+
+
 class ConfigError(LepskiError):
     """Invalid campaign configuration (maps to CLI exit code 2)."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyWindow, GridEmpty, LepskiError, check_count, check_finite, check_positive
+from .errors import EmptyWindow, GridEmpty, SampleError, check_count, check_finite, check_positive
 
 
 def _as_rows(x) -> np.ndarray:
@@ -57,11 +57,11 @@ class SamplePath:
         Hidden regression function, vectorized over (n, d) rows.  Present only
         for simulated data; enables risk evaluation.
 
-    sigma is tested once, by its extremes.  inv_var holds the weights
-    sigma_{k-1}^(-2); their sum and that of sigma^-2 |Y| must be finite (else a
-    LepskiError), so L and f_hat are finite where L > 0.  The sample keeps the
-    last `GridStats` view built of it, keyed by its grid, so its arrays must not
-    be changed after construction.
+    x, y and sigma must be finite and sigma positive (it is tested by its
+    extremes), and so must the sums of inv_var = sigma_{k-1}^(-2) and of
+    sigma^-2 |Y|, so L and f_hat are finite where L > 0: a `SampleError` else.
+    The sample keeps the last `GridStats` view built of it, keyed by its grid,
+    so its arrays must not be changed after construction.
     """
 
     x_obs: np.ndarray
@@ -81,15 +81,15 @@ class SamplePath:
         if not (self.y_obs.size == n and self.sigma.size == n):
             raise ValueError("x_obs, y_obs and sigma must have identical length")
         if not (np.all(np.isfinite(self.x_obs)) and np.all(np.isfinite(self.y_obs))):
-            raise ValueError("covariates and responses must be finite")
+            raise SampleError("covariates and responses must be finite")
         lo, hi = self.sigma.min(), self.sigma.max()  # a NaN makes both NaN
         if not 0 < lo <= hi < np.inf:
-            raise ValueError("sigma entries must be strictly positive and finite")
+            raise SampleError("sigma entries must be strictly positive and finite")
         with np.errstate(over="ignore", invalid="ignore"):  # inf and inf * 0 = NaN fail the test
             self.inv_var = self.sigma ** -2.0
             sums = np.sum(self.inv_var), np.dot(self.inv_var, np.abs(self.y_obs))
         if not np.all(np.isfinite(sums)):
-            raise LepskiError("the weighted sums of sigma^-2 and sigma^-2 |Y| overflow")
+            raise SampleError("the weighted sums of sigma^-2 and sigma^-2 |Y| overflow")
 
     @property
     def n_stop(self) -> int:

@@ -117,16 +117,15 @@ def _first_feasible(g, hi: float, lo: Optional[float] = None) -> float:
     and, when lo is passed, g(lo) < 0.
 
     Without lo the root is bracketed by halving from hi until g < 0; 0.0 comes
-    back when g stays nonnegative down to 1e-300.  Bisects to relative REL_TOL.
-    """
+    back when g stays nonnegative down to 1e-300.  Bisects until lo and hi are
+    adjacent floats or hi - lo <= REL_TOL * hi."""
     if lo is None:
         lo = hi
         while g(lo) >= 0:
             lo *= 0.5
             if lo < 1e-300:
                 return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if g(mid) >= 0:
             hi = mid
         else:

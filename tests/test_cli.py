@@ -439,6 +439,26 @@ class TestEstimate:
         assert "overflow" in res.output
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("process, n", [
+        ({"kind": "iid_regression", "design": {"name": "gaussian"},
+          "s_scale": {"name": "affine_abs", "params": {"a": 1, "b": 1e308}}}, 200),
+        ({"kind": "iid_regression", "design": {"name": "gaussian"},
+          "f_true": {"name": "linear", "params": {"slope": 1e308}}}, 200),
+        ({"kind": "transient_walk", "drift": 1e308, "step_sd": 0}, 5),
+    ], ids=["affine_scale", "linear_slope", "walk_drift"])
+    def test_overflowing_sample_exit_2(self, tmp_path, process, n, jobs):
+        # sigma, f or the walk overflows a response or covariate to inf (numpy
+        # warns of the overflow as it happens): the sample refuses it with a
+        # LepskiError, where a ValueError ended in a traceback (exit 1)
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[n], n_rep=2, process=process)
+        res = run_cli("estimate", "--config", str(write_config(tmp_path, doc)), "--jobs", jobs)
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.output and "Traceback" not in res.output
+        assert not out.exists()
+
     def test_heteroscedastic_rate_rows_carry_the_random_rate_alone(self, tmp_path):
         # sigma = 1 + 0.5 |x| varies: H_w reads the weighted L, so w(H_w) is filled
         # wherever Omega_0 holds; h_w needs a constant sigma, so it and its rates stay empty
@@ -477,6 +497,14 @@ class TestTailRisk:
         res = run_cli("tail-risk", "--config", str(cfg))
         assert res.exit_code == 3
 
+
+    def test_no_t_grid_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        doc = base_config(out, n_ladder=[40], n_rep=5)
+        res = run_cli("tail-risk", "--config", str(write_config(tmp_path, doc)))
+        assert res.exit_code == 2, res.output
+        assert "tail-risk needs a t_grid entry" in res.output
+        assert not out.exists()
 
     def test_no_modulus_exit_2_at_load(self, tmp_path):
         # without a modulus no cell has H*: refused before any cell runs
@@ -657,6 +685,19 @@ class TestVerifyStability:
         assert len(rows) == 12
         assert all(r["pass"] == "true" for r in rows)
 
+    def test_red_cell_exit_3_after_writing(self, tmp_path, monkeypatch):
+        # a bound of 1.0 turns cells red: the table is still written, the
+        # message counts its red rows, and the command exits 3
+        monkeypatch.setattr(lepski.stability, "check_lambda", lambda noise, lam: 1.0)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.stab_config(out, n_rep=100, lambdas=(0.01,)))
+        res = run_cli("verify-stability", "--config", str(cfg))
+        assert res.exit_code == 3, res.output
+        rows = read_rows(out / "stability.csv")
+        n_red = sum(r["pass"] == "false" for r in rows)
+        assert len(rows) == 6 and n_red > 0
+        assert f"acceptance-red: {n_red} cells violate their bound" in res.output
+
     def test_lambda_out_of_range_exit_2(self, tmp_path):
         out = tmp_path / "out"
         doc = self.stab_config(out, lambdas=(0.2,))  # above mu/(2(1+gamma))
@@ -708,6 +749,8 @@ class TestVerifyStability:
         {"scales": []},
         {"stopping": []},
         {"a": [], "uniform_a": []},
+        {"noise": {"family": "gaussian", "alpha": 3}},
+        {"noise": {"family": "two_point", "mu": 1e-320}},
     ], ids=["n_rep0", "n_rep-5", "p0", "p1.5", "fixed-3", "cap0",
             "a-1", "uniform0:10", "uniform10:1", "uniform_alpha1",
             "master_seed_x", "lambda_str", "n_rep_x", "section_list", "stop_str",
@@ -718,7 +761,7 @@ class TestVerifyStability:
             "uniform1:inf", "gauss_alpha1_mu_overflow", "two_point_mu_overflow",
             "two_point_alpha1_mu_inf", "lambdas_empty", "a_square_overflow",
             "uniform1:square_overflow", "lambda_numeric_str", "p_bool",
-            "scales_empty", "stopping_empty", "a_empty"])
+            "scales_empty", "stopping_empty", "a_empty", "gauss_alpha3", "two_point_gamma1"])
     def test_malformed_section_exit_2(self, tmp_path, change):
         out = tmp_path / "out"
         doc = self.stab_config(out, n_rep=100)
@@ -836,7 +879,6 @@ class TestExitCodes:
         {"process": {"kind": "iid_regression",
                      "design": {"name": "power_law", "params": {"tau": -2.0}}}},
         {"process": {"kind": "iid_regression", "noise": {"family": "gaussian", "mu": 0.7}}},
-        {"process": {"kind": "transient_walk", "stopping": {"rule": "budget"}}},
         {"n_rep": "x"},
         {"master_seed": "x"},
         {"n_ladder": ["a", "b"]},
@@ -960,11 +1002,10 @@ class TestExitCodes:
         {"grid": {"j_max": True}},
         {"process": {"kind": "mixing_ar1", "x": False}},
         {"process": {"kind": "mixing_ar1", "x": True}, "grid": {"x": 1.0}},
-        {"process": {"kind": "autoregressive", "stopping": {"rule": "budget"}}},
         {"process": {"kind": "iid_regression", "stopping": {"rule": "budget", "cost": 0.7}},
          "n_ladder": [700000.6999999998]},
     ], ids=["no_process", "rho1.5", "ar_not_square", "tau-2", "gauss_mu0.7",
-            "walk_budget", "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
+            "n_rep_x", "master_seed_x", "n_ladder_str", "process_str",
             "ar_dim2_scalar_x", "formats_str", "formats_xml", "formats_int",
             "formats_csv_xml", "t_grid_scalar", "t_grid_str",
             "grid_x_nan", "grid_b_nan", "grid_h0_inf", "grid_j_max_frac",
@@ -988,7 +1029,7 @@ class TestExitCodes:
             "power_law_tau_overflow", "t_grid_nan", "t_grid_inf", "t_grid_minus_inf",
             "f_cusp_s_negative", "f_cusp_s0", "budget_cost_above_rung",
             "budget_rung_above_cap", "f_unknown_name", "f_key_outside_params", "grid_h0_bool",
-            "grid_j_max_bool", "mixing_x_false", "mixing_x_true", "ar_budget",
+            "grid_j_max_bool", "mixing_x_false", "mixing_x_true",
             "budget_rung_above_cap_by_additions"])
     def test_malformed_process_exit_2_at_load(self, tmp_path, change):
         # grid changes update single keys; json writes NaN and Infinity, json.load reads them

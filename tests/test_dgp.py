@@ -98,17 +98,6 @@ class TestMixingAr1:
             np.testing.assert_array_equal(s.x_obs[:, 0], manual)
             np.testing.assert_array_equal(s.y_obs, zeta)
 
-    def test_budget_and_fixed_length_share_one_recursion(self):
-        # a budget rung is the fixed length it pays for: unit cost with budget n
-        # samples the chain of FixedN(n), covariates and responses alike
-        n, rho = 300, 0.6
-        fixed = simulate(MixingAr1(f_true=zero_f, rho=rho, stopping=FixedN(n)), 8)
-        spec = make_process({"kind": "mixing_ar1", "rho": rho, "stopping": {"rule": "budget"}},
-                            float(n))
-        budget = simulate(spec, 8)
-        np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
-        np.testing.assert_array_equal(budget.y_obs, fixed.y_obs)
-
     def test_design_is_the_stationary_law(self):
         spec = MixingAr1(f_true=zero_f, rho=0.5, stopping=FixedN(10))
         assert spec.design.interval_prob(0.0, 1.0) == normal_cdf(1.0) - normal_cdf(-1.0)
@@ -297,10 +286,22 @@ class TestAutoregressive:
         np.testing.assert_allclose(s.truth(s.x_obs), 0.5 * s.x_obs[:, 0], rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["transient_walk", "autoregressive"])
-def test_fixed_length_kinds_reject_budget_at_construction(kind):
-    with pytest.raises(ConfigError, match="fixed length"):
-        make_process({"kind": kind, "stopping": {"rule": "budget"}}, 50.0)
+@pytest.mark.parametrize("kind, make, params", [
+    ("mixing_ar1", MixingAr1, {"rho": 0.6}),
+    ("transient_walk", TransientWalk, {"drift": 0.3, "step_sd": 0.2}),
+    ("autoregressive", Autoregressive, {"ar_matrix": [[0.5, 0.1], [0.0, 0.3]]}),
+], ids=["mixing_ar1", "transient_walk", "autoregressive"])
+def test_budget_and_fixed_length_share_one_recursion(kind, make, params):
+    # a budget rung is the fixed length it pays for, whatever the kind: unit
+    # cost with budget n samples the process of FixedN(n), covariates and
+    # responses alike
+    n = 300
+    fixed = simulate(make(stopping=FixedN(n), **params), 8)
+    spec = make_process({"kind": kind, **params, "stopping": {"rule": "budget"}}, float(n))
+    assert spec.stopping == FixedN(n)
+    budget = simulate(spec, 8)
+    np.testing.assert_array_equal(budget.x_obs, fixed.x_obs)
+    np.testing.assert_array_equal(budget.y_obs, fixed.y_obs)
 
 
 def martingale_residuals(sample):

@@ -29,8 +29,10 @@ from lepski import (
     uniform_design,
 )
 from lepski import model_core
+from lepski.campaign import parse_campaign
 from lepski.dgp import FixedN, constant_scale
 from lepski.model_core import psi
+from lepski.rates import _excess
 
 
 class ShapeModulus:
@@ -446,6 +448,23 @@ class TestDeterministicHw:
             root = brentq(lambda h: n * h * h - psi(h, cfg), 1e-8, 1.0, xtol=1e-14)
             hw = deterministic_hw(occupation(design, n), spec, cfg)
             assert hw == pytest.approx(root, rel=1e-9)
+
+    def test_a_deep_root_is_found_not_capped(self):
+        # a power-law design with tau = -0.99 puts E L(h) near n h^0.01, so at
+        # s = 0.01 the rung 1e6 root lies near 1.9e-119, 2^-394 below h0: a
+        # 200-step bisection returned h0 2^-200 = 6.2e-61, where G is 1.55e4 on
+        # both sides; rung 1000 converged within the cap and keeps its bits
+        doc = {"process": {"kind": "iid_regression",
+                           "design": {"name": "power_law", "params": {"tau": -0.99}}},
+               "grid": {"x": 0.0, "h0": 1.0}, "modulus": {"kind": "holder", "s": 0.01},
+               "n_ladder": [1000, 1000000]}
+        cfg = parse_campaign(doc)
+        for n in cfg.n_ladder:
+            occupation = cfg.process_for(n).expected_occupation(0.0)
+            G = lambda h: _excess(occupation(h), h, cfg.modulus, cfg.grid)
+            h_w = cfg.h_w[n]
+            assert G(h_w) >= 0 > G(h_w * (1 - 1e-10)), n
+        assert cfg.h_w[1000] == 1.2270270186457363e-36
 
     def test_scaling_exponent_small_ladder(self):
         # log-log slope of h_w against sigma^2/n approaches 1/(2s + tau + 1);

@@ -184,6 +184,17 @@ def test_one_sample_length():
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
 
 
+def test_campaign_names_each_kind_once():
+    # a process kind is its key in campaign's _PROCESSES and nothing more: no
+    # other table or check in campaign names it, so no section, stopping rule
+    # or budget is refused by the name of a kind
+    tree = ast.parse((SRC / "campaign.py").read_text(encoding="utf-8"))
+    constants = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    kinds = importlib.import_module("lepski.campaign")._PROCESSES
+    assert {kind: constants.count(kind) for kind in kinds} == dict.fromkeys(kinds, 1)
+
+
 def environment_reads(source: str) -> list:
     """Line numbers where a module names `environ` or `getenv`, as an attribute
     (`os.environ`), a bare name or an import."""
